@@ -57,7 +57,8 @@ bench:
 
 # Compare the current tree against the committed baseline: first a
 # report-only diff of the whole suite, then the regression gate — the
-# ablation, Fig-1, and LP/MILP micro-benchmarks re-run with -count=3
+# ablation, Fig-1, LP/MILP, probe and pricer-node micro-benchmarks
+# re-run with -count=3
 # and fail the build (exit 3) when their min-of-3 ns/op regresses more
 # than 20%.
 # -work lists the deterministic work counters the benchmarks report:
@@ -68,9 +69,9 @@ bench:
 # floor is above any sane threshold.
 bench-diff:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
-	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode' -benchtime=1x -count=3 -benchmem -run='^$$' . | \
+	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode|BenchmarkProbe|BenchmarkPricerNode' -benchtime=1x -count=3 -benchmem -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -reduce min -diff BENCH_baseline.json \
-		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode' \
+		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode|BenchmarkProbe|BenchmarkPricerNode' \
 		-work 'sched_s,iters,pivots/op,nodes/op,probes/op,masters/op'
 
 # Single-iteration smoke over every package (CI).

@@ -13,9 +13,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"mmwave/internal/core"
 	"mmwave/internal/experiment"
 	"mmwave/internal/lp"
 	"mmwave/internal/milp"
+	"mmwave/internal/netmodel"
 	"mmwave/internal/pncd"
 	"mmwave/internal/stats"
 )
@@ -313,6 +315,7 @@ func BenchmarkLPSparse(b *testing.B) {
 				opt.WarmBasis = sol.Basis
 			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			var pivots float64
 			for i := 0; i < b.N; i++ {
 				if bench.warm {
@@ -356,6 +359,7 @@ func BenchmarkMILPNode(b *testing.B) {
 		p.SetBinary(j)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	var nodes float64
 	for i := 0; i < b.N; i++ {
 		sol, err := milp.Solve(p)
@@ -433,4 +437,142 @@ func BenchmarkSlices(b *testing.B) {
 	for c := range served {
 		b.ReportMetric(served[c]/float64(b.N), fmt.Sprintf("served_c%d", c))
 	}
+}
+
+// tableINetwork draws the Table-I network (30 links, 5 channels,
+// global interference) of the first repetition at the default seed.
+func tableINetwork(b *testing.B) *netmodel.Network {
+	b.Helper()
+	cfg := benchConfig()
+	inst, err := experiment.NewInstance(cfg, stats.Fork(cfg.Seed, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst.Network
+}
+
+// BenchmarkProbe times the innermost rung of the ladder, one
+// feasibility probe of the incremental bordered-LU solver, at a fixed
+// committed depth on the Table-I network. One op probes every
+// uncommitted link at every (channel, level) pair. "siblings" orders
+// the sweep as the pricing search does — one link across all its
+// (channel, level) pairs before the next — so consecutive probes share
+// their border column; "distinct" asks the same questions link-
+// innermost, so every probe solves its border from scratch;
+// "reference" answers them with the full pivoted solve. probes/op and
+// feasible/op are identical across the three.
+func BenchmarkProbe(b *testing.B) {
+	nw := tableINetwork(b)
+	const depth = 6
+	ps := netmodel.NewProbeSolver(nw, nw.NumLinks())
+	var links, chans []int
+	var gammas []float64
+	committed := make([]bool, nw.NumLinks())
+	for l := 0; l < nw.NumLinks() && ps.Depth() < depth; l++ {
+		k, g := l%nw.NumChannels, nw.Rates.Gammas[0]
+		if ps.Probe(l, k, g) {
+			ps.Push(l, k, g)
+			links, chans, gammas = append(links, l), append(chans, k), append(gammas, g)
+			committed[l] = true
+		}
+	}
+	if ps.Depth() < depth {
+		b.Fatalf("committed depth %d, want %d", ps.Depth(), depth)
+	}
+	type question struct {
+		link, k int
+		gamma   float64
+	}
+	var siblings, distinct []question
+	for l := range committed {
+		for k := 0; k < nw.NumChannels && !committed[l]; k++ {
+			for _, g := range nw.Rates.Gammas {
+				siblings = append(siblings, question{l, k, g})
+			}
+		}
+	}
+	for k := 0; k < nw.NumChannels; k++ {
+		for _, g := range nw.Rates.Gammas {
+			for l := range committed {
+				if !committed[l] {
+					distinct = append(distinct, question{l, k, g})
+				}
+			}
+		}
+	}
+	linksX := append(links, 0)
+	chansX := append(chans, 0)
+	gammasX := append(gammas, 0)
+	reference := func(q question) bool {
+		linksX[depth], chansX[depth], gammasX[depth] = q.link, q.k, q.gamma
+		return nw.FeasibleAssigned(linksX, chansX, gammasX)
+	}
+	incremental := func(q question) bool { return ps.Probe(q.link, q.k, q.gamma) }
+	for _, bench := range []struct {
+		name   string
+		order  []question
+		answer func(question) bool
+	}{
+		{"siblings", siblings, incremental},
+		{"distinct", distinct, incremental},
+		{"reference", siblings, reference},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			feasible := 0
+			for i := 0; i < b.N; i++ {
+				for _, q := range bench.order {
+					if bench.answer(q) {
+						feasible++
+					}
+				}
+			}
+			b.StopTimer()
+			probes := float64(b.N * len(bench.order))
+			b.ReportMetric(float64(len(bench.order)), "probes/op")
+			b.ReportMetric(float64(feasible)/float64(b.N), "feasible/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
+		})
+	}
+}
+
+// BenchmarkPricerNode times the pricing rung: one branch-and-bound
+// Price call on the Table-I network under seeded duals with the
+// Table-I probe budget, reporting the DFS nodes and feasibility probes
+// per call and the time per node and per probe. One untimed call
+// first warms the pricer's pooled search state, as the column-
+// generation loop's earlier rounds do.
+func BenchmarkPricerNode(b *testing.B) {
+	cfg := benchConfig()
+	nw := tableINetwork(b)
+	rng := rand.New(rand.NewSource(77))
+	lambda := [][]float64{make([]float64, nw.NumLinks()), make([]float64, nw.NumLinks())}
+	for l := 0; l < nw.NumLinks(); l++ {
+		for c := range lambda {
+			if rng.Intn(4) > 0 {
+				lambda[c][l] = rng.Float64() * 1e-7
+			}
+		}
+	}
+	p := core.NewBranchBoundPricer(cfg.PricerBudget)
+	if _, err := p.Price(nw, lambda); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var nodes, probes float64
+	for i := 0; i < b.N; i++ {
+		res, err := p.Price(nw, lambda)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += float64(res.Nodes)
+		probes += float64(res.Probes)
+	}
+	b.StopTimer()
+	b.ReportMetric(nodes/float64(b.N), "nodes/op")
+	b.ReportMetric(probes/float64(b.N), "probes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
 }

@@ -149,7 +149,7 @@ func (p *Plan) Slots(slotDur float64) int {
 // Options configures the solver.
 type Options struct {
 	// Pricer used to generate columns. Nil means NewBranchBoundPricer
-	// with the default node budget.
+	// with the default probe budget.
 	Pricer Pricer
 	// MaxIterations caps column-generation rounds; zero means 500.
 	MaxIterations int

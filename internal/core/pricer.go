@@ -36,7 +36,7 @@ import (
 // count against the probe budget so the explored tree is identical to
 // an uncached search.
 type BranchBoundPricer struct {
-	nodeBudget int
+	probeBudget int
 
 	// FixedPower disables power adaptation: every active link
 	// transmits at PMax and feasibility requires the thresholds to hold
@@ -87,20 +87,20 @@ var (
 // instance shape.
 const defaultPricerBudget = 60_000
 
-// NewBranchBoundPricer returns a pricer with the given node budget
-// (0 means the default). When the budget is exhausted the best
-// schedule found so far is returned with Exact=false and a valid
-// relaxation bound.
-func NewBranchBoundPricer(nodeBudget int) *BranchBoundPricer {
-	if nodeBudget <= 0 {
-		nodeBudget = defaultPricerBudget
+// NewBranchBoundPricer returns a pricer that may spend up to
+// probeBudget feasibility probes per Price call (0 means the default).
+// When the budget is exhausted the best schedule found so far is
+// returned with Exact=false and a valid relaxation bound.
+func NewBranchBoundPricer(probeBudget int) *BranchBoundPricer {
+	if probeBudget <= 0 {
+		probeBudget = defaultPricerBudget
 	}
-	return &BranchBoundPricer{nodeBudget: nodeBudget}
+	return &BranchBoundPricer{probeBudget: probeBudget}
 }
 
 // String implements Pricer.
 func (p *BranchBoundPricer) String() string {
-	s := fmt.Sprintf("branch-bound(budget=%d", p.nodeBudget)
+	s := fmt.Sprintf("branch-bound(budget=%d", p.probeBudget)
 	if p.FixedPower {
 		s += ", fixed-power"
 	}
@@ -164,8 +164,14 @@ type pricerState struct {
 	chActive   [][]int     // per channel: active candidate indices (into cands)
 	chLevels   [][]float64 // per channel: γ thresholds parallel to chActive
 	chLevelIdx [][]int     // per channel: rate-level indices parallel to chActive
-	usedNode   map[int]int // node → owning link (half-duplex; a link's class-streams share its nodes)
 	sibling    [][]int     // per candidate: indices of the same link's other-class candidates (nil when alone)
+
+	// Half-duplex ownership over dense node indices: linkTX/linkRX map
+	// each link to its nodes' indices (built once per network), and
+	// nodeOwner holds each node's owning link or −1 when free. A link's
+	// class-streams share its nodes.
+	linkTX, linkRX []int
+	nodeOwner      []int
 
 	assign []assignChoice // per candidate: current choice
 
@@ -345,7 +351,7 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 		}
 	}
 
-	ctl := &searchCtl{budget: int64(p.nodeBudget), done: done}
+	ctl := &searchCtl{budget: int64(p.probeBudget), done: done}
 
 	// Seed the incumbent with the greedy heuristic: a strong initial
 	// bound prunes most of the tree, and the exact search can only
@@ -434,17 +440,18 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 		st.chActive = make([][]int, nw.NumChannels)
 		st.chLevels = make([][]float64, nw.NumChannels)
 		st.chLevelIdx = make([][]int, nw.NumChannels)
+		var nodes int
+		st.linkTX, st.linkRX, nodes = denseNodes(nw)
+		st.nodeOwner = make([]int, nodes)
 		st.probe = nil
+	}
+	for n := range st.nodeOwner {
+		st.nodeOwner[n] = -1
 	}
 	for k := 0; k < nw.NumChannels; k++ {
 		st.chActive[k] = st.chActive[k][:0]
 		st.chLevels[k] = st.chLevels[k][:0]
 		st.chLevelIdx[k] = st.chLevelIdx[k][:0]
-	}
-	if st.usedNode == nil {
-		st.usedNode = make(map[int]int)
-	} else {
-		clear(st.usedNode)
 	}
 	if cap(st.assign) < len(cands) {
 		st.assign = make([]assignChoice, len(cands))
@@ -557,7 +564,7 @@ func (st *pricerState) activate(k, ci, q int) {
 	st.chLevelIdx[k] = append(st.chLevelIdx[k], q)
 	st.assign[ci] = assignChoice{channel: k, level: q}
 	if st.probe != nil {
-		st.probe.PushCommitted(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
+		st.probe.Push(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
 	}
 }
 
@@ -584,9 +591,8 @@ func (st *pricerState) runRootTask(task assignChoice) {
 	if val+st.suffixBest[1] <= target+1e-15 {
 		return // optimistic bound cannot beat the incumbent/threshold
 	}
-	lk := st.nw.Links[c.link]
-	st.usedNode[lk.TXNode] = c.link
-	st.usedNode[lk.RXNode] = c.link
+	st.nodeOwner[st.linkTX[c.link]] = c.link
+	st.nodeOwner[st.linkRX[c.link]] = c.link
 	if !st.feasibleWith(task.channel, 0, task.level) {
 		return
 	}
@@ -666,35 +672,18 @@ func (st *pricerState) dfs(i int, value float64) {
 	}
 
 	c := &st.cands[i]
-	lk := st.nw.Links[c.link]
 	// Half-duplex: the candidate may activate only if its nodes are
 	// free or already owned by the same link (its other layer-stream
 	// under the multi-channel extension).
-	ownTX, okTX := st.usedNode[lk.TXNode]
-	ownRX, okRX := st.usedNode[lk.RXNode]
-	nodeFree := (!okTX || ownTX == c.link) && (!okRX || ownRX == c.link)
+	tx, rx := st.linkTX[c.link], st.linkRX[c.link]
+	ownTX, ownRX := st.nodeOwner[tx], st.nodeOwner[rx]
+	nodeFree := (ownTX < 0 || ownTX == c.link) && (ownRX < 0 || ownRX == c.link)
 
 	if nodeFree {
-		claimedTX, claimedRX := false, false
-		if !okTX {
-			st.usedNode[lk.TXNode] = c.link
-			claimedTX = true
-		}
-		if !okRX {
-			st.usedNode[lk.RXNode] = c.link
-			claimedRX = true
-		}
-		release := func() {
-			if claimedTX {
-				delete(st.usedNode, lk.TXNode)
-			}
-			if claimedRX {
-				delete(st.usedNode, lk.RXNode)
-			}
-		}
-
+		st.nodeOwner[tx], st.nodeOwner[rx] = c.link, c.link
 		// Try channels in descending direct-gain order: feasible
 		// high-gain placements first to tighten the incumbent early.
+	channels:
 		for _, k := range c.chOrder {
 			// A link's class-streams must ride distinct channels.
 			if channelTaken(st.sibling[i], st.assign, k) {
@@ -712,12 +701,14 @@ func (st *pricerState) dfs(i int, value float64) {
 				st.dfs(i+1, value+c.lam*st.nw.Rates.Rates[q])
 				st.deactivate(k, i)
 				if st.halted {
-					release()
-					return
+					break channels
 				}
 			}
 		}
-		release()
+		st.nodeOwner[tx], st.nodeOwner[rx] = ownTX, ownRX
+		if st.halted {
+			return
+		}
 	}
 
 	// Idle branch.
@@ -1002,10 +993,40 @@ func channelOrder(nw *netmodel.Network, link int) []int {
 	return order
 }
 
-// greedyProbePool recycles the greedy heuristic's probe solvers: the
-// branch-and-bound pricer seeds from greedy on every Price call, so
-// the solver's factors and scratch survive across CG iterations.
-var greedyProbePool sync.Pool
+// denseNodes maps every link's TX and RX node ids to dense indices
+// 0..n−1 over the n distinct nodes, so half-duplex bookkeeping can use
+// slices instead of maps keyed by arbitrary node ids.
+func denseNodes(nw *netmodel.Network) (tx, rx []int, n int) {
+	index := make(map[int]int, 2*len(nw.Links))
+	dense := func(id int) int {
+		i, ok := index[id]
+		if !ok {
+			i = len(index)
+			index[id] = i
+		}
+		return i
+	}
+	tx = make([]int, len(nw.Links))
+	rx = make([]int, len(nw.Links))
+	for l, lk := range nw.Links {
+		tx[l], rx[l] = dense(lk.TXNode), dense(lk.RXNode)
+	}
+	return tx, rx, len(index)
+}
+
+// greedyScratch is the greedy heuristic's per-network working set: the
+// probe solver plus the dense node maps and occupancy of its
+// half-duplex check.
+type greedyScratch struct {
+	probe          *netmodel.ProbeSolver
+	linkTX, linkRX []int
+	nodeUsed       []bool
+}
+
+// greedyScratchPool recycles greedyScratch values: the branch-and-bound
+// pricer seeds from greedy on every Price call, so the solver's factors
+// and scratch survive across CG iterations.
+var greedyScratchPool sync.Pool
 
 // GreedyPricer is a fast heuristic pricer: it greedily activates
 // candidates in descending contribution order at the highest feasible
@@ -1071,29 +1092,33 @@ func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceRes
 	// The accepted set grows one link at a time, so the incremental
 	// probe solver answers each candidate placement in O(m²) without
 	// assembling (or allocating) the pattern.
-	probe, _ := greedyProbePool.Get().(*netmodel.ProbeSolver)
-	if probe == nil || probe.Cap() < L || probe.Network() != nw {
-		probe = netmodel.NewProbeSolver(nw, L)
+	sc, _ := greedyScratchPool.Get().(*greedyScratch)
+	if sc == nil || sc.probe.Cap() < L || sc.probe.Network() != nw {
+		sc = &greedyScratch{probe: netmodel.NewProbeSolver(nw, L)}
+		var nodes int
+		sc.linkTX, sc.linkRX, nodes = denseNodes(nw)
+		sc.nodeUsed = make([]bool, nodes)
 	} else {
-		probe.Reset()
+		sc.probe.Reset()
 	}
-	defer greedyProbePool.Put(probe)
+	defer greedyScratchPool.Put(sc)
+	probe, used := sc.probe, sc.nodeUsed
 
 	// runPass is one greedy build over the items, skipping excluded
 	// links; peeling re-runs it with the previous columns' links
 	// excluded to batch disjoint columns into Extras.
-	runPass := func(excluded map[int]bool) (*schedule.Schedule, float64, error) {
+	runPass := func(excluded []bool) (*schedule.Schedule, float64, error) {
 		var accLinks, accChans, accLevels []int
 		var accGammas []float64
 		var layers []schedule.Layer
-		usedNode := make(map[int]bool)
+		clear(used)
 		var value float64
 		for _, it := range items {
 			if excluded != nil && excluded[it.link] {
 				continue
 			}
-			lk := nw.Links[it.link]
-			if usedNode[lk.TXNode] || usedNode[lk.RXNode] {
+			tx, rx := sc.linkTX[it.link], sc.linkRX[it.link]
+			if used[tx] || used[rx] {
 				continue
 			}
 			bestK, bestQ := -1, -1
@@ -1112,14 +1137,13 @@ func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceRes
 			if bestK < 0 {
 				continue
 			}
-			probe.PushCommitted(it.link, bestK, nw.Rates.Gammas[bestQ])
+			probe.Push(it.link, bestK, nw.Rates.Gammas[bestQ])
 			accLinks = append(accLinks, it.link)
 			accChans = append(accChans, bestK)
 			accLevels = append(accLevels, bestQ)
 			accGammas = append(accGammas, nw.Rates.Gammas[bestQ])
 			layers = append(layers, it.layer)
-			usedNode[lk.TXNode] = true
-			usedNode[lk.RXNode] = true
+			used[tx], used[rx] = true, true
 			value += it.lam * nw.Rates.Rates[bestQ]
 		}
 		if len(accLinks) == 0 {
@@ -1152,7 +1176,7 @@ func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceRes
 	}
 	res := &PriceResult{Schedule: sched, Value: value, Exact: false, RelaxValue: relax}
 	if g.PoolColumns > 1 {
-		excluded := make(map[int]bool, len(sched.Assignments))
+		excluded := make([]bool, L)
 		last := sched
 		for peel := 1; peel < g.PoolColumns; peel++ {
 			for _, a := range last.Assignments {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -174,36 +173,4 @@ func dualOf(layer schedule.Layer, hp, lp []float64) []float64 {
 		return hp
 	}
 	return lp
-}
-
-// BenchmarkPricerNode isolates the per-node cost of the pricing
-// search: one exact Price call on a fixed Table-I instance, reporting
-// ns per explored DFS node and per feasibility probe.
-func BenchmarkPricerNode(b *testing.B) {
-	for _, links := range []int{10, 15} {
-		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(77))
-			nw := randomNetwork(rng, links, 5)
-			nw.Interference = netmodel.Global
-			hp, lp := randomDuals(rng, links)
-			p := NewBranchBoundPricer(10_000_000)
-			b.ReportAllocs()
-			var nodes, probes float64
-			for i := 0; i < b.N; i++ {
-				res, err := p.Price(nw, [][]float64{hp, lp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += float64(res.Nodes)
-				probes += float64(res.Probes)
-			}
-			b.ReportMetric(nodes/float64(b.N), "nodes/op")
-			if nodes > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
-			}
-			if probes > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
-			}
-		})
-	}
 }

@@ -64,7 +64,8 @@ type Config struct {
 	Seeds int   // repetitions per point (the paper uses 50)
 	Seed  int64 // base seed; repetition r uses stream (Seed, r)
 
-	// PricerBudget caps pricing search nodes (0 = package default).
+	// PricerBudget caps the feasibility probes of one pricing call
+	// (0 = package default).
 	PricerBudget int
 	// MaxIterations caps column-generation rounds (0 = default).
 	MaxIterations int

@@ -40,6 +40,9 @@ type ProbeSolver struct {
 	// lu holds the committed factorization in one cap×cap block:
 	// U on and above the diagonal, unit-diagonal L strictly below.
 	lu []float64
+	// ut holds U transposed (ut[j·cap+i] = U[i][j]), so the row solve
+	// w·U = r walks memory contiguously instead of at stride cap.
+	ut []float64
 	// g holds the committed raw gain matrix: g[i·cap+j] is the gain of
 	// transmitter j into receiver i on i's channel, masked to zero for
 	// non-interfering pairs, with g[i·cap+i] the direct gain.
@@ -47,17 +50,35 @@ type ProbeSolver struct {
 	b []float64 // committed RHS b_i = γ_i·ρ_i/h_i
 	z []float64 // forward solve L⁻¹·b of the committed system
 
+	// Border column cache, one slot per depth: slot d holds the column
+	// solve L⁻¹c (colY) and the raw gains new→committed (colG) of the
+	// (colLink[d], colKey[d]) last probed at depth d. Both depend only
+	// on the committed rows 0..d−1 and on the probed link — plus its
+	// channel under PerChannel masking — never on γ, so every sibling
+	// probe of one search node reuses them. A Push writing row r
+	// invalidates the slots d > r: it stamps rowGen[r+1] with a fresh
+	// push count, and slot d is valid only while colGen[d] still equals
+	// rowGen[d], the stamp of row d−1. Rows below d−1 cannot change
+	// without row d−1 being popped and pushed again, so one stamp
+	// covers them all. Pop and Reset only truncate and stamp nothing.
+	colY, colG []float64
+	colLink    []int
+	colKey     []int
+	colGen     []uint64
+	rowGen     []uint64 // rowGen[r+1] stamps row r; rowGen[0] is the empty pattern
+	pushes     uint64
+
 	// Probe scratch, valid between a successful Probe and the matching
-	// Push (Push adopts them instead of recomputing).
+	// Push (Push adopts them instead of recomputing). y and gCol view
+	// the current depth's cache slot.
 	y, w, x    []float64 // bordered column/row solves and the power vector
-	gRow, gCol []float64 // raw gains new→committed and committed→new
+	gRow, gCol []float64 // raw gains committed→new and new→committed
 	pendLink   int
 	pendChan   int
 	pendGamma  float64
 	pendB      float64
 	pendU      float64
 	pendZ      float64
-	pendP      float64
 	pendOK     bool
 }
 
@@ -68,20 +89,25 @@ func NewProbeSolver(nw *Network, capacity int) *ProbeSolver {
 		capacity = 1
 	}
 	return &ProbeSolver{
-		nw:     nw,
-		cap:    capacity,
-		links:  make([]int, 0, capacity),
-		chans:  make([]int, 0, capacity),
-		gammas: make([]float64, 0, capacity),
-		lu:     make([]float64, capacity*capacity),
-		g:      make([]float64, capacity*capacity),
-		b:      make([]float64, 0, capacity),
-		z:      make([]float64, 0, capacity),
-		y:      make([]float64, capacity),
-		w:      make([]float64, capacity),
-		x:      make([]float64, capacity),
-		gRow:   make([]float64, capacity),
-		gCol:   make([]float64, capacity),
+		nw:      nw,
+		cap:     capacity,
+		links:   make([]int, 0, capacity),
+		chans:   make([]int, 0, capacity),
+		gammas:  make([]float64, 0, capacity),
+		lu:      make([]float64, capacity*capacity),
+		ut:      make([]float64, capacity*capacity),
+		g:       make([]float64, capacity*capacity),
+		b:       make([]float64, 0, capacity),
+		z:       make([]float64, 0, capacity),
+		colY:    make([]float64, capacity*capacity),
+		colG:    make([]float64, capacity*capacity),
+		colLink: make([]int, capacity),
+		colKey:  make([]int, capacity),
+		colGen:  make([]uint64, capacity),
+		rowGen:  make([]uint64, capacity+1),
+		w:       make([]float64, capacity),
+		x:       make([]float64, capacity),
+		gRow:    make([]float64, capacity),
 	}
 }
 
@@ -134,46 +160,7 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 		return false // capacity exhausted (callers size for the worst case)
 	}
 
-	// Border column c (new variable in committed rows), border row r
-	// (committed variables in the new row), and the raw gains both ways
-	// for the SINR verification.
-	cross := nw.Gains.Cross
-	for j := 0; j < m; j++ {
-		lj, kj := s.links[j], s.chans[j]
-		var gij, gji float64 // new→row j, column j→new
-		if s.interferes(k, kj) {
-			gij = cross[link][lj][kj]
-		}
-		if s.interferes(kj, k) {
-			gji = cross[lj][link][k]
-		}
-		s.gCol[j] = gij
-		s.gRow[j] = gji
-		// c_j lives in row j: scaled by row j's −γ_j/h_j.
-		s.y[j] = -s.gammas[j] * gij / s.g[j*s.cap+j]
-		s.w[j] = -gamma * gji / h
-	}
-
-	// Bordered factors: y ← L⁻¹c (forward), w ← r·U⁻¹ (forward on the
-	// transpose), pivot u = 1 − w·y.
-	for i := 0; i < m; i++ {
-		v := s.y[i]
-		row := s.lu[i*s.cap:]
-		for j := 0; j < i; j++ {
-			v -= row[j] * s.y[j]
-		}
-		s.y[i] = v
-	}
-	var u float64 = 1
-	for j := 0; j < m; j++ {
-		v := s.w[j]
-		for i := 0; i < j; i++ {
-			v -= s.w[i] * s.lu[i*s.cap+j]
-		}
-		v /= s.lu[j*s.cap+j]
-		s.w[j] = v
-		u -= v * s.y[j]
-	}
+	u := s.border(link, k, gamma, h)
 	if math.Abs(u) < 1e-9 {
 		// Near-singular border: defer to the pivoted reference solve
 		// rather than dividing by noise. (For genuinely singular systems
@@ -183,10 +170,7 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 
 	// Solve the bordered system: z is cached for the committed rows, so
 	// only the last entry and the back substitution remain.
-	zNew := bNew
-	for i := 0; i < m; i++ {
-		zNew -= s.w[i] * s.z[i]
-	}
+	zNew := s.borderZ(bNew)
 	p := zNew / u
 	if p < -1e-9 || p > nw.PMax*(1+1e-7) {
 		return false
@@ -232,9 +216,82 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 	}
 
 	s.pendLink, s.pendChan, s.pendGamma = link, k, gamma
-	s.pendB, s.pendU, s.pendZ, s.pendP = bNew, u, zNew, pc
+	s.pendB, s.pendU, s.pendZ = bNew, u, zNew
 	s.pendOK = true
 	return true
+}
+
+// border computes the bordered factors of the committed pattern
+// extended by link on channel k at threshold gamma (h is the link's
+// direct gain on k) and returns the bordered pivot u = 1 − w·y. The
+// column solve y = L⁻¹c and its raw gains gCol come from the depth's
+// cache slot when it holds the same link and channel key; otherwise
+// they are solved and stored there. The γ-dependent row solve
+// w = r·U⁻¹ and its raw gains gRow are computed on every call.
+func (s *ProbeSolver) border(link, k int, gamma, h float64) float64 {
+	m := s.m
+	off := m * s.cap
+	s.y = s.colY[off : off+m]
+	s.gCol = s.colG[off : off+m]
+	key := k
+	if s.nw.Interference != PerChannel {
+		key = -1 // the column never depends on the channel
+	}
+	cross := s.nw.Gains.Cross
+	if s.colLink[m] != link || s.colKey[m] != key || s.colGen[m] != s.rowGen[m] {
+		// Border column c (new variable in committed rows), forward
+		// solved: y ← L⁻¹c.
+		for j := 0; j < m; j++ {
+			lj, kj := s.links[j], s.chans[j]
+			var gij float64 // new→row j
+			if s.interferes(k, kj) {
+				gij = cross[link][lj][kj]
+			}
+			s.gCol[j] = gij
+			// c_j lives in row j: scaled by row j's −γ_j/h_j.
+			s.y[j] = -s.gammas[j] * gij / s.g[j*s.cap+j]
+		}
+		for i := 0; i < m; i++ {
+			v := s.y[i]
+			row := s.lu[i*s.cap:]
+			for j := 0; j < i; j++ {
+				v -= row[j] * s.y[j]
+			}
+			s.y[i] = v
+		}
+		s.colLink[m], s.colKey[m], s.colGen[m] = link, key, s.rowGen[m]
+	}
+
+	// Border row r (committed variables in the new row), solved on the
+	// transpose: w ← r·U⁻¹, then the pivot u = 1 − w·y.
+	var u float64 = 1
+	for j := 0; j < m; j++ {
+		lj, kj := s.links[j], s.chans[j]
+		var gji float64 // column j→new
+		if s.interferes(kj, k) {
+			gji = cross[lj][link][k]
+		}
+		s.gRow[j] = gji
+		v := -gamma * gji / h
+		col := s.ut[j*s.cap:]
+		for i := 0; i < j; i++ {
+			v -= s.w[i] * col[i]
+		}
+		v /= col[j]
+		s.w[j] = v
+		u -= v * s.y[j]
+	}
+	return u
+}
+
+// borderZ returns the new entry of the forward-solved right-hand side
+// for a bordered row with b-entry bNew.
+func (s *ProbeSolver) borderZ(bNew float64) float64 {
+	zNew := bNew
+	for i := 0; i < s.m; i++ {
+		zNew -= s.w[i] * s.z[i]
+	}
+	return zNew
 }
 
 // noise returns the receiver noise of committed row i.
@@ -252,7 +309,8 @@ func clamp01(p, pmax float64) float64 {
 }
 
 // probeReference answers one probe with the pivoted full solve,
-// used when the bordered pivot is too small to trust.
+// used when the bordered pivot is too small to trust. It leaves no
+// pending extension, so a following Push recomputes the border.
 func (s *ProbeSolver) probeReference(link, k int, gamma float64) bool {
 	m := s.m
 	active := make([]int, m+1)
@@ -262,36 +320,40 @@ func (s *ProbeSolver) probeReference(link, k int, gamma float64) bool {
 	copy(chans, s.chans)
 	copy(gammas, s.gammas)
 	active[m], chans[m], gammas[m] = link, k, gamma
-	ok := s.nw.FeasibleAssigned(active, chans, gammas)
-	if ok {
-		// A push after this probe must rebuild the factors: mark the
-		// pending state invalid so Push takes the slow path.
-		s.pendOK = false
-		s.pendLink, s.pendChan, s.pendGamma = link, k, gamma
-	}
-	return ok
+	return s.nw.FeasibleAssigned(active, chans, gammas)
 }
 
-// Push commits the most recently probed extension. It must follow a
-// Probe(link, k, gamma) that returned true with the same arguments;
-// the bordered solves computed by the probe become the new last
-// row/column of the factors. If the probe was answered by the
-// reference fallback, the factorization is rebuilt from scratch.
+// Push commits link on channel k at threshold gamma as the new last
+// row/column of the factors. After a successful Probe with the same
+// arguments it adopts the probe's bordered solves; otherwise — the
+// probe was answered by the reference fallback, refused at rounding
+// level, or the caller probed other alternatives before choosing — it
+// computes them first, without the feasibility checks: the caller
+// vouches that the extension is feasible, and probes on top of a
+// degenerate row still verify every SINR threshold and fall back to
+// the reference solve when their own pivot is too small. Each row
+// depends only on the rows before it and its own (link, k, gamma), so
+// both ways produce bit-identical factors.
 func (s *ProbeSolver) Push(link, k int, gamma float64) {
 	if !s.pendOK || s.pendLink != link || s.pendChan != k || s.pendGamma != gamma {
-		s.pushRebuild(link, k, gamma)
-		return
+		h := s.nw.Gains.Direct[link][k]
+		s.pendU = s.border(link, k, gamma, h)
+		s.pendB = gamma * s.nw.Noise[link] / h
+		s.pendZ = s.borderZ(s.pendB)
 	}
 	m := s.m
 	row := s.lu[m*s.cap:]
+	urow := s.ut[m*s.cap:]
 	grow := s.g[m*s.cap:]
 	for j := 0; j < m; j++ {
 		row[j] = s.w[j]            // L entries of the new row
 		s.lu[j*s.cap+m] = s.y[j]   // U entries of the new column
+		urow[j] = s.y[j]           // ... and of the transposed copy
 		grow[j] = s.gRow[j]        // raw gains committed→new receiver
 		s.g[j*s.cap+m] = s.gCol[j] // raw gains new→committed receivers
 	}
 	row[m] = s.pendU
+	urow[m] = s.pendU
 	grow[m] = s.nw.Gains.Direct[link][k]
 	s.links = append(s.links, link)
 	s.chans = append(s.chans, k)
@@ -300,89 +362,8 @@ func (s *ProbeSolver) Push(link, k int, gamma float64) {
 	s.z = append(s.z, s.pendZ)
 	s.m++
 	s.pendOK = false
-}
-
-// pushRebuild recommits the whole pattern plus the new link from
-// scratch (the rare path after a reference-fallback probe).
-func (s *ProbeSolver) pushRebuild(link, k int, gamma float64) {
-	links := append(append([]int(nil), s.links...), link)
-	chans := append(append([]int(nil), s.chans...), k)
-	gammas := append(append([]float64(nil), s.gammas...), gamma)
-	s.Reset()
-	for i := range links {
-		if !s.Probe(links[i], chans[i], gammas[i]) {
-			// The committed pattern was verified feasible by the
-			// reference; a bordered refusal here can only be the
-			// near-singular guard. Force the factors in regardless: the
-			// verification of future probes still protects correctness.
-			s.forcePush(links[i], chans[i], gammas[i])
-			continue
-		}
-		s.Push(links[i], chans[i], gammas[i])
-	}
-}
-
-// forcePush installs a row/column whose bordered pivot was below the
-// safety threshold. Future probes on top of a forced pattern answer
-// through the reference fallback when the factors are too degenerate,
-// so feasibility verdicts remain safe.
-func (s *ProbeSolver) forcePush(link, k int, gamma float64) {
-	// Recompute the bordered quantities without the feasibility checks.
-	nw := s.nw
-	m := s.m
-	h := nw.Gains.Direct[link][k]
-	cross := nw.Gains.Cross
-	for j := 0; j < m; j++ {
-		lj, kj := s.links[j], s.chans[j]
-		var gij, gji float64
-		if s.interferes(k, kj) {
-			gij = cross[link][lj][kj]
-		}
-		if s.interferes(kj, k) {
-			gji = cross[lj][link][k]
-		}
-		s.gCol[j] = gij
-		s.gRow[j] = gji
-		s.y[j] = -s.gammas[j] * gij / s.g[j*s.cap+j]
-		s.w[j] = -gamma * gji / h
-	}
-	for i := 0; i < m; i++ {
-		v := s.y[i]
-		row := s.lu[i*s.cap:]
-		for j := 0; j < i; j++ {
-			v -= row[j] * s.y[j]
-		}
-		s.y[i] = v
-	}
-	var u float64 = 1
-	for j := 0; j < m; j++ {
-		v := s.w[j]
-		for i := 0; i < j; i++ {
-			v -= s.w[i] * s.lu[i*s.cap+j]
-		}
-		v /= s.lu[j*s.cap+j]
-		s.w[j] = v
-		u -= v * s.y[j]
-	}
-	bNew := gamma * nw.Noise[link] / h
-	zNew := bNew
-	for i := 0; i < m; i++ {
-		zNew -= s.w[i] * s.z[i]
-	}
-	s.pendLink, s.pendChan, s.pendGamma = link, k, gamma
-	s.pendB, s.pendU, s.pendZ = bNew, u, zNew
-	s.pendOK = true
-	s.Push(link, k, gamma)
-}
-
-// PushCommitted commits a known-feasible extension, re-probing first
-// when it is not the pending one (callers that probe several
-// alternatives before choosing use this to commit the winner).
-func (s *ProbeSolver) PushCommitted(link, k int, gamma float64) {
-	if !s.pendOK || s.pendLink != link || s.pendChan != k || s.pendGamma != gamma {
-		s.Probe(link, k, gamma)
-	}
-	s.Push(link, k, gamma)
+	s.pushes++
+	s.rowGen[m+1] = s.pushes // row m changed: deeper border columns are stale
 }
 
 // Pop removes the most recently committed link. The factors of the

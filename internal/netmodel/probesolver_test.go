@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -155,44 +156,225 @@ func TestProbeSolverReset(t *testing.T) {
 	}
 }
 
-// BenchmarkProbe compares the incremental probe against the full
-// reference solve at a representative committed depth.
-func BenchmarkProbe(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	nw := randomNetwork(rng, 15, 5)
-	nw.Interference = Global
-	ps := NewProbeSolver(nw, 32)
-	var links, chans []int
-	var gammas []float64
-	for l := 0; l < nw.NumLinks() && ps.Depth() < 6; l++ {
-		k := l % nw.NumChannels
-		g := nw.Rates.Gammas[0]
-		if ps.Probe(l, k, g) {
-			ps.Push(l, k, g)
-			links = append(links, l)
-			chans = append(chans, k)
-			gammas = append(gammas, g)
+// probeEntry is one committed (link, channel, threshold) of a walk.
+type probeEntry struct {
+	l, k int
+	g    float64
+}
+
+// patternOf splits a walk's entries into FeasibleAssigned arguments.
+func patternOf(pat []probeEntry) (links, chans []int, gammas []float64) {
+	for _, e := range pat {
+		links = append(links, e.l)
+		chans = append(chans, e.k)
+		gammas = append(gammas, e.g)
+	}
+	return links, chans, gammas
+}
+
+// nearSingularNetwork draws a random network and wires links 0 and 1
+// into a pair whose two-link system sits just inside the singularity:
+// at the lowest threshold γ on a shared channel, the bordered pivot is
+// u = 1 − γ²·c² = 5e-10, below the probe solver's 1e-9 guard, while
+// tiny noise keeps the pair feasible at powers far below PMax. Probing
+// one of them on top of the other is answered by the pivoted reference
+// solve, and committing it forces a degenerate row into the factors.
+func nearSingularNetwork(rng *rand.Rand, model InterferenceModel, multi bool) *Network {
+	nw := randomNetwork(rng, 10, 3)
+	nw.Interference = model
+	nw.MultiChannel = multi
+	g0 := nw.Rates.Gammas[0]
+	c := math.Sqrt(1-5e-10) / g0
+	direct, cross := nw.Gains.Direct, nw.Gains.Cross
+	for _, a := range []int{0, 1} {
+		nw.Noise[a] = 1e-15
+		for k := 0; k < nw.NumChannels; k++ {
+			direct[a][k] = 1
+			for l := 2; l < nw.NumLinks(); l++ {
+				cross[a][l][k] *= 1e-12
+				cross[l][a][k] *= 1e-12
+			}
 		}
 	}
-	if ps.Depth() == 0 {
-		b.Skip("no feasible base pattern")
+	for k := 0; k < nw.NumChannels; k++ {
+		cross[0][1][k], cross[1][0][k] = c, c
 	}
-	probeL := nw.NumLinks() - 1
-	probeK := probeL % nw.NumChannels
-	probeG := nw.Rates.Gammas[1]
-	linksX := append(append([]int(nil), links...), probeL)
-	chansX := append(append([]int(nil), chans...), probeK)
-	gammasX := append(append([]float64(nil), gammas...), probeG)
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ps.Probe(probeL, probeK, probeG)
+	return nw
+}
+
+// sameBits reports whether two float slices are bit-for-bit equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			nw.FeasibleAssigned(linksX, chansX, gammasX)
-		}
-	})
+	}
+	return true
+}
+
+// committedBlock returns the leading m×m block of a cap-strided matrix.
+func committedBlock(mat []float64, m, stride int) []float64 {
+	out := make([]float64, 0, m*m)
+	for i := 0; i < m; i++ {
+		out = append(out, mat[i*stride:i*stride+m]...)
+	}
+	return out
+}
+
+// TestProbeSolverBorderReuseBitExact walks one ProbeSolver through a
+// seeded random sequence of Probe, Push (after a matching probe, and
+// cold — committing an alternative probed earlier), Pop and Reset, and
+// after every probe replays the committed pattern into a fresh solver:
+// the verdict, the bordered solves, the pivot and the power vector
+// must agree bit for bit, and so must the committed factors after
+// every commit. The walk reuses cached border columns across sibling
+// probes and, through nearSingularNetwork, commits rows whose probe
+// was answered by the reference fallback; both are counted and must
+// occur.
+func TestProbeSolverBorderReuseBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		name  string
+		model InterferenceModel
+		multi bool
+	}{
+		{"global", Global, false},
+		{"per-channel", PerChannel, false},
+		{"global/multi-channel", Global, true},
+		{"per-channel/multi-channel", PerChannel, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var reused, referenced, referencePushed int
+			for inst := 0; inst < 6; inst++ {
+				nw := nearSingularNetwork(rng, tc.model, tc.multi)
+				capacity := nw.NumLinks() * nw.NumChannels
+				ps := NewProbeSolver(nw, capacity)
+				var stack []probeEntry
+				var last probeEntry
+				lastDepth := -1 // depth of the previous probe; −1 after a row write
+
+				replay := func() *ProbeSolver {
+					fresh := NewProbeSolver(nw, capacity)
+					for _, e := range stack {
+						fresh.Push(e.l, e.k, e.g)
+					}
+					return fresh
+				}
+				checkFactors := func(step int) {
+					fresh := replay()
+					m := len(stack)
+					if !sameBits(committedBlock(ps.lu, m, ps.cap), committedBlock(fresh.lu, m, fresh.cap)) ||
+						!sameBits(committedBlock(ps.ut, m, ps.cap), committedBlock(fresh.ut, m, fresh.cap)) ||
+						!sameBits(committedBlock(ps.g, m, ps.cap), committedBlock(fresh.g, m, fresh.cap)) ||
+						!sameBits(ps.z, fresh.z) || !sameBits(ps.b, fresh.b) {
+						t.Fatalf("instance %d step %d: committed factors differ from a fresh replay of %v", inst, step, stack)
+					}
+				}
+				free := func(l, k int) bool {
+					for _, e := range stack {
+						if e.l == l && (e.k == k || !tc.multi) {
+							return false
+						}
+					}
+					return true
+				}
+				draw := func() (int, int, float64) {
+					if last.g != 0 && rng.Intn(2) == 0 {
+						// Sibling probe: same link, another (channel, level).
+						return last.l, rng.Intn(nw.NumChannels), nw.Rates.Gammas[rng.Intn(nw.Rates.Levels())]
+					}
+					l := rng.Intn(nw.NumLinks())
+					if rng.Intn(3) == 0 {
+						l = rng.Intn(2) // the near-singular pair
+					}
+					q := rng.Intn(nw.Rates.Levels())
+					if l < 2 && rng.Intn(2) == 0 {
+						q = 0
+					}
+					return l, rng.Intn(nw.NumChannels), nw.Rates.Gammas[q]
+				}
+
+				for step := 0; step < 600; step++ {
+					switch op := rng.Intn(12); {
+					case op == 0:
+						ps.Reset()
+						stack, last, lastDepth = stack[:0], probeEntry{}, -1
+						continue
+					case op <= 2 && len(stack) > 0:
+						ps.Pop()
+						stack = stack[:len(stack)-1]
+						last, lastDepth = probeEntry{}, -1
+						continue
+					case op == 3 && last.g != 0 && free(last.l, last.k):
+						// Commit an alternative that is not the pending probe.
+						l := last.l
+						k := rng.Intn(nw.NumChannels)
+						g := nw.Rates.Gammas[rng.Intn(nw.Rates.Levels())]
+						if !free(l, k) || (k == last.k && g == last.g) {
+							continue
+						}
+						pat := append(stack[:len(stack):len(stack)], probeEntry{l, k, g})
+						if !nw.FeasibleAssigned(patternOf(pat)) {
+							continue
+						}
+						ps.Push(l, k, g)
+						stack = pat
+						last, lastDepth = probeEntry{}, -1
+						checkFactors(step)
+						continue
+					}
+
+					l, k, g := draw()
+					if !free(l, k) {
+						continue
+					}
+					if lastDepth == len(stack) && l == last.l && (tc.model == Global || k == last.k) {
+						reused++
+					}
+					got := ps.Probe(l, k, g)
+					fresh := replay()
+					want := fresh.Probe(l, k, g)
+					m := len(stack)
+					if got != want || ps.pendOK != fresh.pendOK {
+						t.Fatalf("instance %d step %d: Probe(%d,%d,%g) = %v (pending %v), fresh replay = %v (pending %v), stack %v",
+							inst, step, l, k, g, got, ps.pendOK, want, fresh.pendOK, stack)
+					}
+					if ps.pendOK && (!sameBits(ps.x[:m], fresh.x[:m]) || !sameBits(ps.y, fresh.y) ||
+						!sameBits(ps.w[:m], fresh.w[:m]) || !sameBits(ps.gCol, fresh.gCol) ||
+						!sameBits(ps.gRow[:m], fresh.gRow[:m]) ||
+						!sameBits([]float64{ps.pendB, ps.pendU, ps.pendZ}, []float64{fresh.pendB, fresh.pendU, fresh.pendZ})) {
+						t.Fatalf("instance %d step %d: Probe(%d,%d,%g) bordered solve differs from a fresh replay, stack %v",
+							inst, step, l, k, g, stack)
+					}
+					if want != nw.FeasibleAssigned(patternOf(append(stack[:m:m], probeEntry{l, k, g}))) {
+						t.Fatalf("instance %d step %d: Probe(%d,%d,%g) = %v disagrees with the reference solve", inst, step, l, k, g, got)
+					}
+					last, lastDepth = probeEntry{l, k, g}, m
+					if !got {
+						continue
+					}
+					if !ps.pendOK {
+						referenced++
+					}
+					if rng.Intn(2) == 0 {
+						if !ps.pendOK {
+							referencePushed++
+						}
+						ps.Push(l, k, g)
+						stack = append(stack, probeEntry{l, k, g})
+						last, lastDepth = probeEntry{}, -1
+						checkFactors(step)
+					}
+				}
+			}
+			if reused == 0 || referenced == 0 || referencePushed == 0 {
+				t.Fatalf("walk missed a path: %d sibling probes, %d reference-answered probes, %d of them committed",
+					reused, referenced, referencePushed)
+			}
+			t.Logf("%d sibling probes, %d reference-answered probes, %d of them committed", reused, referenced, referencePushed)
+		})
+	}
 }

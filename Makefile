@@ -23,8 +23,9 @@ lint: vet check-deprecated
 
 # The deprecated SolveBackground/SolveContext wrappers were removed in
 # favor of Solve(ctx), and host construction moved to functional
-# options (host.New(host.WithWatchdog…)); fail if anything reintroduces
-# a call to the removed or shimmed forms.
+# options (host.New(host.WithWatchdog…)) with the imperative
+# host.NewFromOptions shim deleted; fail if anything reintroduces a
+# call to the removed forms.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -50,17 +51,20 @@ cover:
 # solver micro-benchmarks with probe counters) rendered to
 # BENCH_baseline.json via cmd/benchjson.
 # min-of-3 filters scheduler noise out of the recorded wall clocks so
-# the bench-diff gate compares against real compute time.
+# the bench-diff gate compares against real compute time. -cpu 1 pins
+# GOMAXPROCS so benchmark names carry no -N suffix on any machine and
+# match the baseline's names exactly.
 bench:
-	$(GO) test -bench=. -benchtime=1x -count=3 -benchmem -run='^$$' . | \
+	$(GO) test -bench=. -benchtime=1x -count=3 -cpu 1 -benchmem -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -reduce min -out BENCH_baseline.json
 
 # Compare the current tree against the committed baseline: first a
 # report-only diff of the whole suite, then the regression gate — the
-# ablation, Fig-1, LP/MILP, probe and pricer-node micro-benchmarks
+# ablation, Fig-1, sparse-LP, probe and pricer-node micro-benchmarks
 # re-run with -count=3
 # and fail the build (exit 3) when their min-of-3 ns/op regresses more
-# than 20%.
+# than 20%, or (exit 4) when the gate finds none of them in both the
+# baseline and the run. Both runs pin -cpu 1 like `make bench`.
 # -work lists the deterministic work counters the benchmarks report:
 # when a gated benchmark's ns/op regresses but every shared counter is
 # unchanged, the walk is identical and the slowdown is co-tenant CPU
@@ -68,10 +72,10 @@ bench:
 # Other benchmarks stay report-only: at -benchtime=1x their noise
 # floor is above any sane threshold.
 bench-diff:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
-	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode|BenchmarkProbe|BenchmarkPricerNode' -benchtime=1x -count=3 -benchmem -run='^$$' . | \
+	$(GO) test -bench=. -benchtime=1x -cpu 1 -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
+	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkProbe|BenchmarkPricerNode' -benchtime=1x -count=3 -cpu 1 -benchmem -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -reduce min -diff BENCH_baseline.json \
-		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode|BenchmarkProbe|BenchmarkPricerNode' \
+		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkProbe|BenchmarkPricerNode' \
 		-work 'sched_s,iters,pivots/op,nodes/op,probes/op,masters/op'
 
 # Single-iteration smoke over every package (CI).

@@ -16,7 +16,6 @@ import (
 	"mmwave/internal/core"
 	"mmwave/internal/experiment"
 	"mmwave/internal/lp"
-	"mmwave/internal/milp"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/pncd"
 	"mmwave/internal/stats"
@@ -334,68 +333,14 @@ func BenchmarkLPSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkMILPNode measures the branch-and-bound node relaxation
-// machinery on a knapsack-style binary MILP at a fixed seed: one full
-// solve per iteration, reporting ns amortized per explored node. Node
-// relaxations ride the shared work problem with native variable
-// bounds, so this tracks the cost of a bound-tightened warm re-solve.
-func BenchmarkMILPNode(b *testing.B) {
-	rng := rand.New(rand.NewSource(99))
-	const nb, rows = 14, 6
-	c := make([]float64, nb)
-	for j := range c {
-		c[j] = -(0.2 + rng.Float64())
-	}
-	base := lp.NewProblem(c)
-	for i := 0; i < rows; i++ {
-		row := make([]float64, nb)
-		for j := range row {
-			row[j] = rng.Float64()
-		}
-		base.AddRow(row, lp.LE, 0.3*float64(nb)*(0.5+0.5*rng.Float64()))
-	}
-	p := milp.NewProblem(base)
-	for j := 0; j < nb; j++ {
-		p.SetBinary(j)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var nodes float64
-	for i := 0; i < b.N; i++ {
-		sol, err := milp.Solve(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sol.Status != milp.StatusOptimal {
-			b.Fatalf("status %v", sol.Status)
-		}
-		nodes += float64(sol.Nodes)
-	}
-	b.ReportMetric(nodes/float64(b.N), "nodes/op")
-	if nodes > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
-	}
-}
-
 // BenchmarkSolveProposed measures the optimizer alone (no slot replay)
 // at the paper's full scale, reporting the feasibility-probe count and
-// master-solve count per solve alongside time and allocations. The
-// cached variant runs the same solves through the feasibility-probe
-// cache (core.Options.CacheProbes) so the benchmark trajectory tracks
-// both paths; plans are byte-identical between them.
+// master-solve count per solve alongside time and allocations.
 func BenchmarkSolveProposed(b *testing.B) {
-	for _, bench := range []struct {
-		name   string
-		cached bool
-	}{{"links=10", false}, {"links=30", false}, {"links=30/cached", true}} {
-		links := 10
-		if bench.name != "links=10" {
-			links = 30
-		}
-		b.Run(bench.name, func(b *testing.B) {
+	for _, links := range []int{10, 30} {
+		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.NumLinks = links
-			cfg.CacheProbes = bench.cached
 			b.ReportAllocs()
 			var probes, masters float64
 			for i := 0; i < b.N; i++ {

@@ -22,7 +22,11 @@
 // excused when the benchmark shares at least one listed counter with
 // the baseline and every shared one is byte-for-byte unchanged — the
 // same algorithmic walk cannot have regressed, so the wall-clock delta
-// is co-tenant CPU noise, which must not fail an unmodified tree. -reduce min collapses
+// is co-tenant CPU noise, which must not fail an unmodified tree. A
+// gate that compares nothing — no benchmark matching -match is in both
+// the baseline and the run, e.g. because `go test` appended a -N
+// GOMAXPROCS suffix the baseline's names lack — fails with exit code
+// 4 instead of passing vacuously. -reduce min collapses
 // duplicate benchmark names from a `-count=N` run into the per-metric
 // minimum — min-of-N filters scheduler interference out of wall-clock
 // numbers, which is what makes a percentage gate usable on shared
@@ -105,7 +109,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		printDiff(stdout, base, doc, gateRE)
 		if *gate > 0 {
-			if failures := gateRegressions(stdout, base, doc, *gate, gateRE, workUnits(*work)); failures > 0 {
+			failures, compared := gateRegressions(stdout, base, doc, *gate, gateRE, workUnits(*work))
+			if compared == 0 {
+				fmt.Fprintln(stderr, "benchjson: the gate compared no benchmark: none selected by -match is in both the baseline and this run")
+				return 4
+			}
+			if failures > 0 {
 				fmt.Fprintf(stderr, "benchjson: %d benchmark(s) regressed more than %g%% in ns/op\n", failures, *gate)
 				return 3
 			}
@@ -238,13 +247,13 @@ func workUnits(v string) []string {
 // shares at least one of the deterministic work counters with the
 // baseline and every shared counter is unchanged, in which case the
 // identical algorithmic walk proves the wall-clock delta is scheduler
-// noise and the regression is excused (logged, not counted).
-func gateRegressions(w io.Writer, base, cur *benchparse.Document, pct float64, re *regexp.Regexp, work []string) int {
+// noise and the regression is excused (logged, not counted). compared
+// counts the benchmarks whose ns/op the gate actually checked.
+func gateRegressions(w io.Writer, base, cur *benchparse.Document, pct float64, re *regexp.Regexp, work []string) (failures, compared int) {
 	byName := make(map[string]benchparse.Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		byName[b.Name] = b
 	}
-	failures := 0
 	for _, b := range cur.Benchmarks {
 		if re != nil && !re.MatchString(b.Name) {
 			continue
@@ -258,6 +267,7 @@ func gateRegressions(w io.Writer, base, cur *benchparse.Document, pct float64, r
 		if !hasOld || !hasNow || old <= 0 {
 			continue
 		}
+		compared++
 		if now > old*(1+pct/100) {
 			if shared, same := workUnchanged(ref, b, work); shared > 0 && same {
 				fmt.Fprintf(w, "NOISE %s ns/op: %g → %g (%+.1f%%) excused: %d work metric(s) unchanged\n",
@@ -269,7 +279,7 @@ func gateRegressions(w io.Writer, base, cur *benchparse.Document, pct float64, r
 			failures++
 		}
 	}
-	return failures
+	return failures, compared
 }
 
 // workUnchanged reports how many of the work metrics both runs carry

@@ -61,6 +61,16 @@ func TestRunDiff(t *testing.T) {
 	}
 }
 
+// runC regresses BenchmarkSolve like runB but keeps BenchmarkOld
+// unchanged, so a gate restricted to BenchmarkOld compares one
+// benchmark and passes.
+const runC = `goos: linux
+pkg: mmwave
+BenchmarkSolve/links=10-8   3   120000 ns/op   500 B/op
+BenchmarkOld-8              2   50000 ns/op
+PASS
+`
+
 func TestRunGate(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "base.json")
 	if code := run([]string{"-out", base}, strings.NewReader(runA), &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
@@ -83,13 +93,42 @@ func TestRunGate(t *testing.T) {
 	}
 
 	// A -match excluding the regressed benchmark passes the gate.
-	if code := run([]string{"-diff", base, "-gate", "10", "-match", "BenchmarkNew"}, strings.NewReader(runB), &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
+	if code := run([]string{"-diff", base, "-gate", "10", "-match", "BenchmarkOld"}, strings.NewReader(runC), &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
 		t.Fatal("match-excluded regression still failed the gate")
 	}
 
 	// -gate without -diff is a usage error.
 	if code := run([]string{"-gate", "10"}, strings.NewReader(runB), &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 		t.Fatal("-gate without -diff accepted")
+	}
+}
+
+// TestRunGateComparesNothing: a gate whose -match selects no benchmark
+// present in both the baseline and the run fails with exit code 4
+// rather than passing vacuously — whether the selection is empty in
+// the run (BenchmarkNew is not in the baseline) or the names differ
+// only by the -N GOMAXPROCS suffix `go test` appends.
+func TestRunGateComparesNothing(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base.json")
+	if code := run([]string{"-out", base}, strings.NewReader(runA), &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
+		t.Fatal("baseline write failed")
+	}
+	var stderr bytes.Buffer
+	if code := run([]string{"-diff", base, "-gate", "10", "-match", "BenchmarkNew"}, strings.NewReader(runB), &bytes.Buffer{}, &stderr); code != 4 {
+		t.Fatalf("gate over no shared benchmark = %d, want 4; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "compared no benchmark") {
+		t.Errorf("stderr = %q", stderr.String())
+	}
+
+	suffixed := strings.ReplaceAll(runA, "-8 ", "-2 ")
+	if code := run([]string{"-diff", base, "-gate", "10"}, strings.NewReader(suffixed), &bytes.Buffer{}, &bytes.Buffer{}); code != 4 {
+		t.Fatalf("gate over suffix-mismatched names = %d, want 4", code)
+	}
+
+	// Without -gate a diff that shares nothing is still only a report.
+	if code := run([]string{"-diff", base}, strings.NewReader(suffixed), &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("report-only diff = %d, want 0", code)
 	}
 }
 

@@ -10,11 +10,10 @@
 // while the problem-specific master formulation plugs in through the
 // MasterModel interface.
 //
-// Engine state (the schedule pool, the warm simplex basis, the probe
-// cache, and the last duals) is held in a State that survives demand
-// changes, so re-solves — the paper's §III update rule, and the PNC
-// epoch loop — start from everything the previous solve paid for
-// instead of TDMA-cold. A column garbage collector bounds the pool
+// Engine state (the schedule pool, the warm simplex basis, and the last
+// duals) is held in a State that survives demand changes, so re-solves
+// — the paper's §III update rule, and the PNC epoch loop — start from
+// everything the previous solve paid for instead of TDMA-cold. A column garbage collector bounds the pool
 // across long epoch sequences by dropping long-nonbasic columns.
 package cg
 
@@ -67,18 +66,6 @@ type ContextPricer interface {
 	PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error)
 }
 
-// CachedPricer is implemented by pricers whose feasibility probes can
-// be served from an engine-owned cache. PriceWithCache must return the
-// same result as PriceContext — feasibility of an activation pattern
-// does not depend on the duals, so memoized answers are exact, and
-// cached probes still count against the search budget so the explored
-// tree is identical. The engine passes one cache per State lifetime;
-// the network must stay immutable while the State is in use.
-type CachedPricer interface {
-	ContextPricer
-	PriceWithCache(ctx context.Context, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*PriceResult, error)
-}
-
 // PriceResult is the outcome of one pricing round.
 type PriceResult struct {
 	Schedule *schedule.Schedule // best schedule found (nil if none has value > 0)
@@ -90,7 +77,6 @@ type PriceResult struct {
 	RelaxValue float64
 	Nodes      int // search nodes explored (telemetry)
 	Probes     int // feasibility probes consumed (the budget unit)
-	CacheHits  int // probes answered by the probe cache (telemetry)
 
 	// Extras are additional near-optimal schedules pooled by the pricer
 	// during the same search (multi-column pricing, DESIGN.md §17). The

@@ -63,7 +63,7 @@ func twoLinkSchedules(n int) []*schedule.Schedule {
 }
 
 func TestStateSeedPinsColumns(t *testing.T) {
-	st := NewState(false)
+	st := NewState()
 	st.Seed(twoLinkSchedules(4))
 	if st.Pool().Len() != 4 || st.seedLen != 4 {
 		t.Fatalf("seed: pool %d seedLen %d, want 4/4", st.Pool().Len(), st.seedLen)
@@ -90,7 +90,7 @@ func TestStateSeedPinsColumns(t *testing.T) {
 }
 
 func TestStateGCKeepsBasicColumns(t *testing.T) {
-	st := NewState(false)
+	st := NewState()
 	st.Seed(twoLinkSchedules(2))
 	for _, sc := range twoLinkSchedules(10)[2:] {
 		st.pool.Add(sc)
@@ -126,7 +126,7 @@ func TestStateGCKeepsBasicColumns(t *testing.T) {
 }
 
 func TestStateGCDisabled(t *testing.T) {
-	st := NewState(false)
+	st := NewState()
 	st.Seed(twoLinkSchedules(8))
 	st.runs = 99
 	if evicted := st.gc(GCPolicy{}, &stubModel{}); evicted != 0 {

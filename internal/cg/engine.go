@@ -257,8 +257,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		}
 
 		st.stats.Probes += pr.Probes
-		st.stats.CacheHits += pr.CacheHits
-		st.stats.CacheMisses += pr.Probes - pr.CacheHits
 		st.stats.PricerNodes += pr.Nodes
 
 		phi := 1 - pr.Value // reduced cost of the best found column (at priceLam)
@@ -400,12 +398,9 @@ func (e *Engine) finishTruncated(out *Outcome, mpSol *lp.Solution, lambda [][]fl
 	return out
 }
 
-// price dispatches one pricing round, preferring the cached path, then
-// the context-aware path.
+// price dispatches one pricing round, preferring the context-aware
+// path.
 func (e *Engine) price(ctx context.Context, lambda [][]float64) (*PriceResult, error) {
-	if cp, ok := e.opts.Pricer.(CachedPricer); ok && e.state.probeCache != nil {
-		return cp.PriceWithCache(ctx, e.nw, lambda, e.state.probeCache)
-	}
 	if cp, ok := e.opts.Pricer.(ContextPricer); ok {
 		return cp.PriceContext(ctx, e.nw, lambda)
 	}

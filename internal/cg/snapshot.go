@@ -16,10 +16,7 @@ import (
 // are deliberately excluded: RestoreState leaves them nil and the next
 // solveMaster rebuilds them from the pool, the same lazy path a column
 // GC already exercises, so a restored solve is byte-identical to an
-// uninterrupted one (same columns, same warm basis, same walk). The
-// probe cache is also excluded: its contents change only telemetry
-// (cache hit counters), never plans, so a restored state starts with a
-// cold cache.
+// uninterrupted one (same columns, same warm basis, same walk).
 type StateSnapshot struct {
 	// Schedules is the pool in index order (normalized, powers exact).
 	Schedules []*schedule.Schedule
@@ -87,18 +84,16 @@ func (s *StateSnapshot) Validate() error {
 	return nil
 }
 
-// RestoreState rebuilds a State from a snapshot. cacheProbes enables a
-// fresh probe cache (contents are never persisted — see StateSnapshot).
-// The pool is rebuilt by re-adding columns in index order, so every
-// warm-basis structural index lands on the same column it named when
-// the snapshot was taken. Duplicate or out-of-order columns (a forged
-// snapshot) fail the restore rather than silently renumbering the
-// basis.
-func RestoreState(snap *StateSnapshot, cacheProbes bool) (*State, error) {
+// RestoreState rebuilds a State from a snapshot. The pool is rebuilt by
+// re-adding columns in index order, so every warm-basis structural
+// index lands on the same column it named when the snapshot was taken.
+// Duplicate or out-of-order columns (a forged snapshot) fail the
+// restore rather than silently renumbering the basis.
+func RestoreState(snap *StateSnapshot) (*State, error) {
 	if err := snap.Validate(); err != nil {
 		return nil, err
 	}
-	st := NewState(cacheProbes)
+	st := NewState()
 	for j, sc := range snap.Schedules {
 		if idx, added := st.pool.Add(sc); !added || idx != j {
 			return nil, fmt.Errorf("cg: snapshot column %d duplicates column %d", j, idx)

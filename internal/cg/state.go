@@ -2,18 +2,17 @@ package cg
 
 import (
 	"mmwave/internal/lp"
-	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
 )
 
 // State is the durable half of the engine: everything a solve pays for
 // that stays valid when only the right-hand sides move. It holds the
 // schedule pool, the incrementally built master problem, the previous
-// optimal basis (the warm start), the pricing probe cache, the last
-// duals, and the lifetime work counters. One State may serve many
-// Run calls — the §III update rule and the PNC epoch loop both re-solve
-// the same network under new demands, and every pooled column, every
-// memoized probe, and the final basis of the previous solve carry over.
+// optimal basis (the warm start), the last duals, and the lifetime
+// work counters. One State may serve many Run calls — the §III update
+// rule and the PNC epoch loop both re-solve the same network under new
+// demands, and every pooled column and the final basis of the previous
+// solve carry over.
 //
 // A State is bound to one immutable network: if the topology or the
 // CSI regime changes, pooled schedules may become infeasible and the
@@ -44,11 +43,6 @@ type State struct {
 	// prob whenever the GC forces a master rebuild.
 	solver *lp.Solver
 
-	// probeCache memoizes pricing feasibility probes for the State's
-	// (immutable) network; see netmodel.ProbeCache. Demand changes never
-	// touch probe feasibility, so it lives as long as the State.
-	probeCache *netmodel.ProbeCache
-
 	// lastBasic[j] is the run index when pool column j last sat in an
 	// optimal basis (or was added); the GC evicts columns whose age
 	// exceeds the policy.
@@ -77,15 +71,9 @@ type State struct {
 	stats Stats
 }
 
-// NewState returns an empty engine state. cacheProbes enables the
-// cross-iteration probe cache (see core.Options.CacheProbes for the
-// trade-off).
-func NewState(cacheProbes bool) *State {
-	st := &State{pool: schedule.NewPool()}
-	if cacheProbes {
-		st.probeCache = netmodel.NewProbeCache()
-	}
-	return st
+// NewState returns an empty engine state.
+func NewState() *State {
+	return &State{pool: schedule.NewPool()}
 }
 
 // Seed adds the initial column set (the paper's TDMA initialization)

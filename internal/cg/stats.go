@@ -11,14 +11,10 @@ type Stats struct {
 	// Rounds counts column-generation rounds (pricing calls).
 	Rounds int
 	// Probes counts pricing feasibility probes — the unit of real work
-	// in the search, and the denominator of the cache hit rate.
+	// in the search.
 	Probes int
 	// MasterSolves counts master-LP solves.
 	MasterSolves int
-	// CacheHits and CacheMisses break Probes down by whether the probe
-	// cache answered from memory (hits cost no linear algebra).
-	CacheHits   int
-	CacheMisses int
 	// PricerNodes counts branch-and-bound nodes explored by pricing.
 	PricerNodes int
 	// LPPivots and LPRefactorizations aggregate the master simplex's
@@ -58,8 +54,6 @@ func (s Stats) delta(prev Stats) Stats {
 		Rounds:             s.Rounds - prev.Rounds,
 		Probes:             s.Probes - prev.Probes,
 		MasterSolves:       s.MasterSolves - prev.MasterSolves,
-		CacheHits:          s.CacheHits - prev.CacheHits,
-		CacheMisses:        s.CacheMisses - prev.CacheMisses,
 		PricerNodes:        s.PricerNodes - prev.PricerNodes,
 		LPPivots:           s.LPPivots - prev.LPPivots,
 		LPRefactorizations: s.LPRefactorizations - prev.LPRefactorizations,
@@ -83,8 +77,6 @@ func (s Stats) Publish(m *obs.Registry, prefix string) {
 	m.Counter(prefix + "_cg_rounds_total").Add(int64(s.Rounds))
 	m.Counter(prefix + "_probes_total").Add(int64(s.Probes))
 	m.Counter(prefix + "_master_solves_total").Add(int64(s.MasterSolves))
-	m.Counter(prefix + "_probe_cache_hits_total").Add(int64(s.CacheHits))
-	m.Counter(prefix + "_probe_cache_misses_total").Add(int64(s.CacheMisses))
 	m.Counter(prefix + "_pricer_nodes_total").Add(int64(s.PricerNodes))
 	m.Counter(prefix + "_lp_pivots_total").Add(int64(s.LPPivots))
 	m.Counter(prefix + "_lp_refactorizations_total").Add(int64(s.LPRefactorizations))

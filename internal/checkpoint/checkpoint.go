@@ -65,7 +65,10 @@ const (
 	// stabilization center and the acceleration work counters
 	// (stabilized rounds, heuristic hits, exact fallbacks, columns
 	// added); older images decode with a cold center and zero counters.
-	version = 5
+	// Version 6 dropped the two retired probe cache counter slots (hits,
+	// misses) from the engine stats block; older images still decode,
+	// with those slots read and discarded.
+	version = 6
 	// minVersion is the oldest format this build still decodes.
 	minVersion = 2
 	// headerLen is magic + version + fingerprint; trailerLen the CRC.
@@ -487,8 +490,7 @@ func encodeEngine(w *writer, s *cg.StateSnapshot) {
 		encodeFloats(w, d)
 	}
 	for _, v := range []int{
-		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves,
-		s.Stats.CacheHits, s.Stats.CacheMisses, s.Stats.PricerNodes,
+		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves, s.Stats.PricerNodes,
 		s.Stats.LPPivots, s.Stats.LPRefactorizations, s.Stats.LPEtaUpdates,
 		s.Stats.WarmMasters, s.Stats.EvictedColumns,
 		s.Stats.StabRounds, s.Stats.HeuristicHits, s.Stats.ExactFallbacks,
@@ -538,12 +540,16 @@ func decodeEngine(r *reader) *cg.StateSnapshot {
 			s.StabCenter = append(s.StabCenter, decodeFloats(r))
 		}
 	}
-	ints := []*int{
-		&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves,
-		&s.Stats.CacheHits, &s.Stats.CacheMisses, &s.Stats.PricerNodes,
-		&s.Stats.LPPivots, &s.Stats.LPRefactorizations, &s.Stats.LPEtaUpdates,
-		&s.Stats.WarmMasters, &s.Stats.EvictedColumns,
+	ints := []*int{&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves}
+	if r.ver <= 5 {
+		// The retired probe cache hit and miss counters.
+		var hits, misses int
+		ints = append(ints, &hits, &misses)
 	}
+	ints = append(ints,
+		&s.Stats.PricerNodes,
+		&s.Stats.LPPivots, &s.Stats.LPRefactorizations, &s.Stats.LPEtaUpdates,
+		&s.Stats.WarmMasters, &s.Stats.EvictedColumns)
 	if r.ver >= 5 {
 		ints = append(ints,
 			&s.Stats.StabRounds, &s.Stats.HeuristicHits, &s.Stats.ExactFallbacks,

@@ -116,12 +116,28 @@ func encodeEngineV3(t testing.TB, w *writer, s *cg.StateSnapshot) {
 	}
 	encodeFloats(w, hp)
 	encodeFloats(w, lpd)
-	for _, v := range []int{
-		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves,
-		s.Stats.CacheHits, s.Stats.CacheMisses, s.Stats.PricerNodes,
-		s.Stats.LPPivots, s.Stats.LPRefactorizations, s.Stats.LPEtaUpdates,
-		s.Stats.WarmMasters, s.Stats.EvictedColumns,
-	} {
+	encodeStatsPreV6(w, s.Stats, false)
+}
+
+// Nonzero values the reference writers put in the retired probe cache
+// counter slots of pre-v6 images, so the tests prove the decoder
+// discards whatever those slots hold.
+const retiredHits, retiredMisses = 17, 23
+
+// encodeStatsPreV6 writes the engine stats block of the v2–v5 layouts:
+// the probe cache hit and miss slots sit after MasterSolves, and accel
+// (v5) appends the four acceleration counters.
+func encodeStatsPreV6(w *writer, st cg.Stats, accel bool) {
+	vals := []int{
+		st.Rounds, st.Probes, st.MasterSolves,
+		retiredHits, retiredMisses, st.PricerNodes,
+		st.LPPivots, st.LPRefactorizations, st.LPEtaUpdates,
+		st.WarmMasters, st.EvictedColumns,
+	}
+	if accel {
+		vals = append(vals, st.StabRounds, st.HeuristicHits, st.ExactFallbacks, st.ColumnsAdded)
+	}
+	for _, v := range vals {
 		w.i64(int64(v))
 	}
 }
@@ -172,38 +188,7 @@ func clearAccelState(s *Snapshot) {
 // never carried (cold center, zero counters).
 func TestDecodeV3Image(t *testing.T) {
 	s, v3 := v3Snapshot(t)
-
-	cur, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Decode(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clearAccelState(want)
-	got, err := Decode(v3)
-	if err != nil {
-		t.Fatalf("v3 image rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v3 decode differs from current round trip:\nv3: %+v\ncur: %+v", got.Coord, want.Coord)
-	}
-
-	// Re-encoding the decoded v3 snapshot upgrades it to the current
-	// format: byte-identical to the canonical image of the same
-	// (acceleration-cold) state.
-	up, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := want.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(up, canon) {
-		t.Fatal("re-encoded v3 snapshot is not the canonical current-format image")
-	}
+	checkLegacyUpgrade(t, s, v3, clearAccelState)
 }
 
 // TestDecodeV3Empty: the "never solved" special case — a pair of empty
@@ -228,18 +213,22 @@ func TestDecodeV3EmptyDuals(t *testing.T) {
 	}
 }
 
-// encodeV4 serializes a snapshot in the version-4 layout:
-// class-count-aware demands and duals, but no stabilization center and
-// only the eleven pre-acceleration work counters. It is the reference
-// writer for the v4 backward-compatibility path (and the fuzz corpus's
-// v4 seed).
-func encodeV4(t testing.TB, s *Snapshot) []byte {
+// encodeClassAware serializes a snapshot in the version-4 or -5
+// layout: class-count-aware demands and duals, and the probe cache
+// counter slots v6 dropped. Version 4 has no stabilization center and
+// only the eleven pre-acceleration work counters; version 5 adds both.
+// It is the reference writer for the v4/v5 backward-compatibility
+// paths (and the fuzz corpus's v4 and v5 seeds).
+func encodeClassAware(t testing.TB, s *Snapshot, ver uint16) []byte {
 	t.Helper()
+	if ver != 4 && ver != 5 {
+		t.Fatalf("encodeClassAware: version %d is not 4 or 5", ver)
+	}
 	w := &writer{buf: make([]byte, 0, 4096)}
 	w.buf = append(w.buf, magic...)
-	w.u16(4)
+	w.u16(ver)
 	w.u64(s.Fingerprint)
-	encodeCoordV4(t, w, s.Coord)
+	encodeCoordClassAware(w, s.Coord, ver == 5)
 	if s.Injector != nil {
 		w.u8(1)
 		encodeInjector(w, s.InjectorCfg, s.Injector)
@@ -259,8 +248,7 @@ func encodeV4(t testing.TB, s *Snapshot) []byte {
 	return w.buf
 }
 
-func encodeCoordV4(t testing.TB, w *writer, st *pnc.CoordState) {
-	t.Helper()
+func encodeCoordClassAware(w *writer, st *pnc.CoordState, accel bool) {
 	w.i64(st.Epoch)
 	encodeDemands(w, st.Demands)
 	w.u32(uint32(len(st.Seen)))
@@ -290,11 +278,11 @@ func encodeCoordV4(t testing.TB, w *writer, st *pnc.CoordState) {
 		return
 	}
 	w.u8(1)
-	encodeEngineV4(w, st.Solver)
+	encodeEngineClassAware(w, st.Solver, accel)
 	encodeDemands(w, st.SolverDemands)
 }
 
-func encodeEngineV4(w *writer, s *cg.StateSnapshot) {
+func encodeEngineClassAware(w *writer, s *cg.StateSnapshot, accel bool) {
 	encodeSchedules(w, s.Schedules)
 	w.i64(int64(s.SeedLen))
 	w.u32(uint32(len(s.WarmBasis)))
@@ -311,19 +299,19 @@ func encodeEngineV4(w *writer, s *cg.StateSnapshot) {
 	for _, d := range s.LastDuals {
 		encodeFloats(w, d)
 	}
-	for _, v := range []int{
-		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves,
-		s.Stats.CacheHits, s.Stats.CacheMisses, s.Stats.PricerNodes,
-		s.Stats.LPPivots, s.Stats.LPRefactorizations, s.Stats.LPEtaUpdates,
-		s.Stats.WarmMasters, s.Stats.EvictedColumns,
-	} {
-		w.i64(int64(v))
+	if accel {
+		w.u16(uint16(len(s.StabCenter)))
+		for _, d := range s.StabCenter {
+			encodeFloats(w, d)
+		}
 	}
+	encodeStatsPreV6(w, s.Stats, accel)
 }
 
-// v4Snapshot builds a realistic snapshot (with solver state, injector,
-// and last-known-good plan) plus its v4 image.
-func v4Snapshot(t testing.TB) (*Snapshot, []byte) {
+// classAwareSnapshot builds a realistic snapshot (with solver state,
+// injector, and last-known-good plan) plus its image in the given
+// legacy version (4 or 5).
+func classAwareSnapshot(t testing.TB, ver uint16, seed int64) (*Snapshot, []byte) {
 	t.Helper()
 	nw := testNetwork(t, 41, 4, 2)
 	coord, err := pnc.NewCoordinator(nw, nil, core.Options{})
@@ -335,22 +323,28 @@ func v4Snapshot(t testing.TB) (*Snapshot, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.New(faults.Config{CtrlLoss: 0.1, CellPanic: 0.05, Seed: 11}, 4)
+	inj, err := faults.New(faults.Config{CtrlLoss: 0.1, CellPanic: 0.05, Seed: seed}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Capture(coord, inj)
 	s.Plan = &res.Plan
 	s.PlanEpoch = 1
-	return s, encodeV4(t, s)
+	return s, encodeClassAware(t, s, ver)
 }
 
-// TestDecodeV4Image: a version-4 image must decode to exactly the
-// snapshot a current-format round trip produces, modulo the
-// acceleration state v4 never carried, and re-encode canonically.
-func TestDecodeV4Image(t *testing.T) {
-	s, v4 := v4Snapshot(t)
+// v4Snapshot builds a realistic snapshot plus its v4 image.
+func v4Snapshot(t testing.TB) (*Snapshot, []byte) { return classAwareSnapshot(t, 4, 11) }
 
+// v5Snapshot builds a realistic snapshot plus its v5 image.
+func v5Snapshot(t testing.TB) (*Snapshot, []byte) { return classAwareSnapshot(t, 5, 13) }
+
+// checkLegacyUpgrade requires a legacy image to decode to exactly the
+// snapshot a current-format round trip of s produces — after strip
+// removes the state the legacy format cannot express — and to
+// re-encode to the canonical current-format image of that state.
+func checkLegacyUpgrade(t *testing.T, s *Snapshot, legacy []byte, strip func(*Snapshot)) {
+	t.Helper()
 	cur, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -359,15 +353,14 @@ func TestDecodeV4Image(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clearAccelState(want)
-	got, err := Decode(v4)
+	strip(want)
+	got, err := Decode(legacy)
 	if err != nil {
-		t.Fatalf("v4 image rejected: %v", err)
+		t.Fatalf("legacy image rejected: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v4 decode differs from current round trip:\nv4: %+v\ncur: %+v", got.Coord, want.Coord)
+		t.Fatalf("legacy decode differs from current round trip:\nlegacy: %+v\ncur: %+v", got.Coord, want.Coord)
 	}
-
 	up, err := got.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -377,6 +370,26 @@ func TestDecodeV4Image(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(up, canon) {
-		t.Fatal("re-encoded v4 snapshot is not the canonical current-format image")
+		t.Fatal("re-encoded legacy snapshot is not the canonical current-format image")
 	}
+}
+
+// TestDecodeV4Image: a version-4 image must decode to exactly the
+// snapshot a current-format round trip produces, modulo the
+// acceleration state v4 never carried, and re-encode canonically.
+func TestDecodeV4Image(t *testing.T) {
+	s, v4 := v4Snapshot(t)
+	checkLegacyUpgrade(t, s, v4, clearAccelState)
+}
+
+// TestDecodeV5Image: a version-5 image carries everything the current
+// format does plus the two retired probe cache counter slots, which
+// the decoder must discard. It decodes to exactly the current round
+// trip and re-encodes canonically.
+func TestDecodeV5Image(t *testing.T) {
+	s, v5 := v5Snapshot(t)
+	if e := s.Coord.Solver; e == nil || e.StabCenter == nil || e.Stats.ColumnsAdded == 0 {
+		t.Fatal("v5 reference snapshot lacks the acceleration state it must round-trip")
+	}
+	checkLegacyUpgrade(t, s, v5, func(*Snapshot) {})
 }

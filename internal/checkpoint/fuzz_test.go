@@ -38,12 +38,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	// Legacy images seed the backward-compatibility decode paths: a
-	// version-3 one (fixed HP/LP demand pairs, two dual vectors) and a
-	// version-4 one (class-aware, but no stabilization center).
+	// version-3 one (fixed HP/LP demand pairs, two dual vectors), a
+	// version-4 one (class-aware, but no stabilization center) and a
+	// version-5 one (the retired probe cache counter slots).
 	_, v3 := v3Snapshot(f)
 	f.Add(v3)
 	_, v4 := v4Snapshot(f)
 	f.Add(v4)
+	_, v5 := v5Snapshot(f)
+	f.Add(v5)
 	f.Add([]byte("MWCK"))
 	f.Add([]byte{})
 

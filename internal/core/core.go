@@ -12,9 +12,8 @@
 //     vector per traffic class); and
 //   - the pricing sub-problem (SP) — find the feasible schedule with
 //     the most negative reduced cost Φ = 1 − Σ_l λ_l·r_l (eqs. 19–21,
-//     27–33), solved either by a problem-specific exact branch and
-//     bound (pricer.go) or by a generic MILP on the literal
-//     formulation (milppricer.go).
+//     27–33), solved by a problem-specific exact branch and bound
+//     (pricer.go) over the same feasible set as the paper's MILP.
 //
 // The loop itself — iteration stats, the Theorem-1 lower bound
 // UB/(1−Φ), anytime truncation, and trace/metric emission — lives in
@@ -44,9 +43,6 @@ type (
 	Pricer = cg.Pricer
 	// ContextPricer is a Pricer cancelable mid-search.
 	ContextPricer = cg.ContextPricer
-	// CachedPricer is a ContextPricer whose feasibility probes can be
-	// served from a solver-owned cache.
-	CachedPricer = cg.CachedPricer
 	// PriceResult is the outcome of one pricing round.
 	PriceResult = cg.PriceResult
 	// IterationStat records one column-generation iteration.
@@ -69,9 +65,8 @@ type Result struct {
 	Warm bool
 
 	// Stats holds the solve's work counters (probes, master solves,
-	// cache hits/misses, pricer nodes, LP pivots); embedding keeps the
-	// historical field names (res.Probes, res.MasterSolves, …) reading
-	// through promotion.
+	// pricer nodes, LP pivots); embedding keeps the historical field
+	// names (res.Probes, res.MasterSolves, …) reading through promotion.
 	Stats
 
 	// Truncated reports an anytime result: the solve stopped on a
@@ -83,15 +78,6 @@ type Result struct {
 	// ErrBudgetExceeded with the cause, so callers can branch with
 	// errors.Is(res.Stop, ErrBudgetExceeded).
 	Stop error
-}
-
-// CacheHitRate returns the fraction of feasibility probes answered by
-// the probe cache, 0 when no probes ran.
-func (r *Result) CacheHitRate() float64 {
-	if r.Probes == 0 {
-		return 0
-	}
-	return float64(r.CacheHits) / float64(r.Probes)
 }
 
 // Gap returns the relative optimality gap (UB−LB)/UB of the result, 0
@@ -160,16 +146,6 @@ type Options struct {
 	// relative UB/LB gap falls below it (the paper's early-termination
 	// use of Theorem 1).
 	GapTarget float64
-	// CacheProbes memoizes pricing feasibility probes across column-
-	// generation iterations in a netmodel.ProbeCache (dominance
-	// frontiers over the monotone feasibility predicate; see DESIGN.md
-	// §9). The cache never changes results — hits still count against
-	// the pricer budget, so plans are byte-identical either way. Off by
-	// default: at Table-I scale a probe's Gauss-Jordan solve (~0.8µs)
-	// is barely above the cache's own per-probe cost (~0.5µs) and the
-	// measured cross-iteration hit rate (~6%) does not amortize it.
-	// Enable it for workloads with an expensive feasibility oracle.
-	CacheProbes bool
 	// ColumnGC bounds pool growth across re-solves of the same solver
 	// (the PNC cross-epoch pattern): when the pool exceeds
 	// ColumnGC.MaxColumns at the start of a solve, columns that stayed
@@ -194,7 +170,7 @@ type Options struct {
 	// bounded default pool; Disable returns to one column per round.
 	// The policy configures the default branch-and-bound pricer (and
 	// the heuristic's peeling width); an explicit Pricer controls its
-	// own leaf pool (BranchBoundPricer.PoolLeaves, MILPPricer.PoolLeaves).
+	// own leaf pool (BranchBoundPricer.PoolLeaves).
 	MultiColumn cg.MultiColumnPolicy
 	// HeuristicPricing governs heuristic-first pricing: the greedy
 	// builder prices every round first and the exact pricer fires only
@@ -268,7 +244,7 @@ func (o Options) heuristicPricer() cg.Pricer {
 
 // Solver runs column generation on one network instance, holding the
 // P1 master formulation over a durable cg.State (schedule pool, warm
-// simplex basis, probe cache) that survives demand changes.
+// simplex basis, last duals) that survives demand changes.
 type Solver struct {
 	nw      *netmodel.Network
 	demands []video.Demand
@@ -329,7 +305,7 @@ func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Sol
 	}
 
 	s := &Solver{nw: nw, demands: append([]video.Demand(nil), demands...), opts: opts}
-	state := cg.NewState(opts.CacheProbes)
+	state := cg.NewState()
 	state.Seed(schedule.TDMA(nw))
 	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions("core"))
 
@@ -375,7 +351,7 @@ func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Op
 		p.PoolLeaves = opts.MultiColumn.Columns()
 		opts.Pricer = p
 	}
-	state, err := cg.RestoreState(snap, opts.CacheProbes)
+	state, err := cg.RestoreState(snap)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,10 +116,12 @@ func enumerateFeasible(nw *netmodel.Network) []*schedule.Schedule {
 }
 
 // buildFromChoices converts per-link choices into a feasible schedule
-// or nil.
+// or nil. Feasibility is judged on the whole pattern under the
+// network's interference model.
 func buildFromChoices(nw *netmodel.Network, assign []choice) *schedule.Schedule {
 	usedNode := map[int]bool{}
-	perChannel := map[int][]int{}
+	var links, chans []int
+	var gammas []float64
 	for l, c := range assign {
 		if c.k < 0 {
 			continue
@@ -129,23 +132,19 @@ func buildFromChoices(nw *netmodel.Network, assign []choice) *schedule.Schedule 
 		}
 		usedNode[lk.TXNode] = true
 		usedNode[lk.RXNode] = true
-		perChannel[c.k] = append(perChannel[c.k], l)
+		links = append(links, l)
+		chans = append(chans, c.k)
+		gammas = append(gammas, nw.Rates.Gammas[c.q])
+	}
+	powers, ok := nw.MinPowersAssigned(links, chans, gammas)
+	if !ok {
+		return nil
 	}
 	var s schedule.Schedule
-	for k, links := range perChannel {
-		gammas := make([]float64, len(links))
-		for i, l := range links {
-			gammas[i] = nw.Rates.Gammas[assign[l].q]
-		}
-		powers, ok := nw.MinPowers(k, links, gammas)
-		if !ok {
-			return nil
-		}
-		for i, l := range links {
-			s.Assignments = append(s.Assignments, schedule.Assignment{
-				Link: l, Channel: k, Level: assign[l].q, Layer: assign[l].layer, Power: powers[i],
-			})
-		}
+	for i, l := range links {
+		s.Assignments = append(s.Assignments, schedule.Assignment{
+			Link: l, Channel: chans[i], Level: assign[l].q, Layer: assign[l].layer, Power: powers[i],
+		})
 	}
 	s.Normalize()
 	return &s
@@ -193,29 +192,35 @@ func bruteForceP1(t *testing.T, nw *netmodel.Network, demands []video.Demand) fl
 	return sol.Objective
 }
 
+// TestSolverMatchesBruteForce runs full column generation and requires
+// the P1 optimum of the LP over every enumerated feasible schedule,
+// under both interference models.
 func TestSolverMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 8; trial++ {
-		nw := servableNetwork(rng, 3, 2)
-		demands := uniformDemands(3, 2e7*(0.5+rng.Float64()), 1e7*(0.5+rng.Float64()))
-		want := bruteForceP1(t, nw, demands)
+	for _, interference := range []netmodel.InterferenceModel{netmodel.PerChannel, netmodel.Global} {
+		for trial := 0; trial < 8; trial++ {
+			nw := servableNetwork(rng, 3, 2)
+			nw.Interference = interference
+			demands := uniformDemands(3, 2e7*(0.5+rng.Float64()), 1e7*(0.5+rng.Float64()))
+			want := bruteForceP1(t, nw, demands)
 
-		s, err := NewSolver(nw, demands, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Solve(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Errorf("trial %d: did not converge", trial)
-		}
-		if math.Abs(res.Plan.Objective-want) > 1e-5*(1+want) {
-			t.Errorf("trial %d: objective %v, brute force %v", trial, res.Plan.Objective, want)
-		}
-		if res.LowerBound > res.Plan.Objective*(1+1e-6)+1e-9 {
-			t.Errorf("trial %d: lower bound %v above objective %v", trial, res.LowerBound, res.Plan.Objective)
+			s, err := NewSolver(nw, demands, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Solve(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Errorf("%v trial %d: did not converge", interference, trial)
+			}
+			if math.Abs(res.Plan.Objective-want) > 1e-5*(1+want) {
+				t.Errorf("%v trial %d: objective %v, brute force %v", interference, trial, res.Plan.Objective, want)
+			}
+			if res.LowerBound > res.Plan.Objective*(1+1e-6)+1e-9 {
+				t.Errorf("%v trial %d: lower bound %v above objective %v", interference, trial, res.LowerBound, res.Plan.Objective)
+			}
 		}
 	}
 }
@@ -400,54 +405,24 @@ func TestNewSolverErrors(t *testing.T) {
 	})
 }
 
+// TestPricerCrossValidation checks the branch-and-bound pricer against
+// exhaustive enumeration of the pricing sub-problem (eqs. 27–33) under
+// both interference models.
 func TestPricerCrossValidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MILP cross-validation is slow")
-	}
 	rng := rand.New(rand.NewSource(37))
-	milpP := &MILPPricer{}
 	bbP := NewBranchBoundPricer(0)
-	for trial := 0; trial < 6; trial++ {
-		nw := randomNetwork(rng, 3, 2)
-		// Shrink the rate table to keep the MILP small.
-		nw.Rates = netmodel.NewShannonRateTable(200e6, []float64{0.1, 0.3})
-		L := nw.NumLinks()
-		lamHP := make([]float64, L)
-		lamLP := make([]float64, L)
-		for l := 0; l < L; l++ {
-			if rng.Float64() < 0.8 {
-				lamHP[l] = rng.Float64() * 2e-8
+	for _, interference := range []netmodel.InterferenceModel{netmodel.PerChannel, netmodel.Global} {
+		for trial := 0; trial < 6; trial++ {
+			nw := randomNetwork(rng, 3, 2)
+			nw.Interference = interference
+			// Shrink the rate table to keep the enumeration small.
+			nw.Rates = netmodel.NewShannonRateTable(200e6, []float64{0.1, 0.3})
+			lambda := randomClassDuals(rng, 2, nw.NumLinks())
+			bb, err := bbP.Price(nw, lambda)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rng.Float64() < 0.8 {
-				lamLP[l] = rng.Float64() * 2e-8
-			}
-		}
-		bb, err := bbP.Price(nw, [][]float64{lamHP, lamLP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ml, err := milpP.Price(nw, [][]float64{lamHP, lamLP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bb.Exact || !ml.Exact {
-			t.Fatalf("trial %d: non-exact pricing (bb=%v milp=%v)", trial, bb.Exact, ml.Exact)
-		}
-		if math.Abs(bb.Value-ml.Value) > 1e-6*(1+math.Abs(ml.Value)) {
-			t.Errorf("trial %d: bb value %v != milp value %v", trial, bb.Value, ml.Value)
-		}
-		// Both returned schedules must be feasible and price-consistent.
-		for name, pr := range map[string]*PriceResult{"bb": bb, "milp": ml} {
-			if pr.Schedule == nil {
-				continue
-			}
-			if err := pr.Schedule.Validate(nw); err != nil {
-				t.Errorf("trial %d: %s schedule invalid: %v", trial, name, err)
-			}
-			v := pr.Schedule.Value(nw, [][]float64{lamHP, lamLP})
-			if math.Abs(v-pr.Value) > 1e-6*(1+math.Abs(pr.Value)) {
-				t.Errorf("trial %d: %s reported value %v but schedule prices to %v", trial, name, pr.Value, v)
-			}
+			checkAgainstBruteForce(t, fmt.Sprintf("%v trial %d", interference, trial), nw, lambda, bb)
 		}
 	}
 }
@@ -645,19 +620,19 @@ func TestRateVectorsValueHelper(t *testing.T) {
 	}
 }
 
+// TestSolverWithMILPPricerMatchesBranchBound checks full column
+// generation on the Shannon-rate instance once compared against the
+// eqs.-(27)–(33) MILP pricer. That pricer is gone; the independent exact
+// reference is now the P1 optimum over every enumerated feasible
+// schedule, under both interference models.
 func TestSolverWithMILPPricerMatchesBranchBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MILP-priced column generation is slow")
-	}
-	// Full column generation driven by the literal eqs.-(27)–(33) MILP
-	// must land on the same optimum as the combinatorial pricer, under
-	// both interference models.
 	rng := rand.New(rand.NewSource(401))
 	for _, interference := range []netmodel.InterferenceModel{netmodel.PerChannel, netmodel.Global} {
 		nw := servableNetwork(rng, 3, 2)
 		nw.Interference = interference
 		nw.Rates = netmodel.NewShannonRateTable(200e6, []float64{0.1, 0.3})
 		demands := uniformDemands(3, 1.5e7, 1e7)
+		want := bruteForceP1(t, nw, demands)
 
 		bb, err := NewSolver(nw, demands, Options{})
 		if err != nil {
@@ -667,21 +642,12 @@ func TestSolverWithMILPPricerMatchesBranchBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		ml, err := NewSolver(nw, demands, Options{Pricer: &MILPPricer{}})
-		if err != nil {
-			t.Fatal(err)
+		if !bres.Converged {
+			t.Fatalf("%v: did not converge", interference)
 		}
-		mres, err := ml.Solve(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bres.Converged || !mres.Converged {
-			t.Fatalf("%v: convergence bb=%v milp=%v", interference, bres.Converged, mres.Converged)
-		}
-		if math.Abs(bres.Plan.Objective-mres.Plan.Objective) > 1e-5*(1+bres.Plan.Objective) {
-			t.Errorf("%v: bb optimum %v != milp optimum %v",
-				interference, bres.Plan.Objective, mres.Plan.Objective)
+		if math.Abs(bres.Plan.Objective-want) > 1e-5*(1+want) {
+			t.Errorf("%v: bb optimum %v != brute-force optimum %v",
+				interference, bres.Plan.Objective, want)
 		}
 	}
 }

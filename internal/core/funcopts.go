@@ -38,10 +38,6 @@ func WithTolerance(tol float64) Option { return func(o *Options) { o.Tolerance =
 // gap (the paper's Theorem-1 stopping rule).
 func WithGapTarget(gap float64) Option { return func(o *Options) { o.GapTarget = gap } }
 
-// WithProbeCache toggles cross-iteration memoization of pricing
-// feasibility probes (see Options.CacheProbes for the trade-off).
-func WithProbeCache(on bool) Option { return func(o *Options) { o.CacheProbes = on } }
-
 // WithColumnGC bounds pool growth across re-solves of the same solver
 // (see Options.ColumnGC): pools past policy.MaxColumns drop columns
 // that stayed nonbasic for policy.MinAge solves.

@@ -93,15 +93,12 @@ func TestPricerStringers(t *testing.T) {
 	if (GreedyPricer{}).String() != "greedy" {
 		t.Error("greedy pricer name mismatch")
 	}
-	if (&MILPPricer{}).String() != "milp" {
-		t.Error("milp pricer name mismatch")
-	}
 }
 
 func TestPricerDualLengthValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	nw := randomNetwork(rng, 3, 2)
-	for _, p := range []Pricer{NewBranchBoundPricer(0), GreedyPricer{}, &MILPPricer{}} {
+	for _, p := range []Pricer{NewBranchBoundPricer(0), GreedyPricer{}} {
 		if _, err := p.Price(nw, [][]float64{[]float64{1}, []float64{1, 2, 3}}); err == nil {
 			t.Errorf("%s accepted mismatched dual vectors", p)
 		}

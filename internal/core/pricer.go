@@ -29,12 +29,7 @@ import (
 // The search branches over candidate links in descending best-case
 // contribution order; each link either stays idle or picks a
 // (channel, level). Sub-trees are pruned by an optimistic suffix bound
-// and by per-channel power feasibility. When the solver supplies a
-// probe cache (PriceWithCache), repeated feasibility questions — which
-// recur heavily across pricing iterations because feasibility does not
-// depend on the duals — are answered from memory; cached answers still
-// count against the probe budget so the explored tree is identical to
-// an uncached search.
+// and by per-channel power feasibility.
 type BranchBoundPricer struct {
 	probeBudget int
 
@@ -76,10 +71,7 @@ type BranchBoundPricer struct {
 	statePool sync.Pool
 }
 
-var (
-	_ ContextPricer = (*BranchBoundPricer)(nil)
-	_ CachedPricer  = (*BranchBoundPricer)(nil)
-)
+var _ ContextPricer = (*BranchBoundPricer)(nil)
 
 // defaultPricerBudget bounds pricing feasibility probes per call. Each
 // probe is one power-control feasibility test, the unit of real work
@@ -159,12 +151,10 @@ type pricerState struct {
 	cands      []candidate
 	suffixBest []float64 // suffixBest[i] = Σ_{j≥i} cands[j].best
 	ctl        *searchCtl
-	cache      *netmodel.ProbeCache // nil when probing uncached
 
-	chActive   [][]int     // per channel: active candidate indices (into cands)
-	chLevels   [][]float64 // per channel: γ thresholds parallel to chActive
-	chLevelIdx [][]int     // per channel: rate-level indices parallel to chActive
-	sibling    [][]int     // per candidate: indices of the same link's other-class candidates (nil when alone)
+	chActive [][]int     // per channel: active candidate indices (into cands)
+	chLevels [][]float64 // per channel: γ thresholds parallel to chActive
+	sibling  [][]int     // per candidate: indices of the same link's other-class candidates (nil when alone)
 
 	// Half-duplex ownership over dense node indices: linkTX/linkRX map
 	// each link to its nodes' indices (built once per network), and
@@ -190,7 +180,6 @@ type pricerState struct {
 
 	nodes      int // dfs nodes (telemetry)
 	probes     int // this worker's feasibility probes (telemetry)
-	cacheHits  int // probes answered by the cache (telemetry)
 	lastPoll   int
 	halted     bool
 	fixedPower bool
@@ -206,10 +195,9 @@ type pricerState struct {
 	probe *netmodel.ProbeSolver
 
 	// Scratch buffers reused across feasibility probes (assembled-path
-	// probes only: fixed power, probe cache, or reference mode).
+	// probes only: fixed power or reference mode).
 	scratchLinks  []int
 	scratchChans  []int
-	scratchLevels []int
 	scratchGammas []float64
 	scratchPowers []float64
 }
@@ -223,7 +211,7 @@ type assignChoice struct {
 
 // Price implements Pricer.
 func (p *BranchBoundPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
-	return p.price(nil, nw, lambda, nil)
+	return p.price(nil, nw, lambda)
 }
 
 // PriceContext implements ContextPricer: the search polls ctx and
@@ -231,16 +219,7 @@ func (p *BranchBoundPricer) Price(nw *netmodel.Network, lambda [][]float64) (*Pr
 // far with Exact=false and the valid interference-free relaxation
 // bound.
 func (p *BranchBoundPricer) PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
-	return p.price(ctx.Done(), nw, lambda, nil)
-}
-
-// PriceWithCache implements CachedPricer: identical to PriceContext
-// but feasibility probes consult (and feed) the solver's per-solve
-// probe cache. Cached answers still consume probe budget, so the
-// search explores the same tree either way — the cache only removes
-// the linear-algebra cost of repeat probes.
-func (p *BranchBoundPricer) PriceWithCache(ctx context.Context, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*PriceResult, error) {
-	return p.price(ctx.Done(), nw, lambda, cache)
+	return p.price(ctx.Done(), nw, lambda)
 }
 
 // checkDuals validates one class-major dual matrix against the network.
@@ -256,13 +235,10 @@ func checkDuals(nw *netmodel.Network, lambda [][]float64) error {
 	return nil
 }
 
-func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*PriceResult, error) {
+func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
 	L := nw.NumLinks()
 	if err := checkDuals(nw, lambda); err != nil {
 		return nil, err
-	}
-	if p.FixedPower {
-		cache = nil // cache entries encode the min-power test, not the PMax test
 	}
 
 	const lamTol = 1e-12
@@ -370,28 +346,27 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 	var bestVal float64
 	var bestAssign []assignChoice
 	var extras []*schedule.Schedule
-	var nodes, cacheHits int
+	var nodes int
 	halted := false
 
 	if p.Parallel > 1 {
-		bestVal, bestAssign, nodes, cacheHits, halted = p.searchParallel(ctl, nw, cands, suffix, sibling, cache, seedVal, seedAssign)
+		bestVal, bestAssign, nodes, halted = p.searchParallel(ctl, nw, cands, suffix, sibling, seedVal, seedAssign)
 	} else {
-		st := p.getState(ctl, nw, cands, suffix, sibling, cache)
+		st := p.getState(ctl, nw, cands, suffix, sibling)
 		st.poolLeaves = p.PoolLeaves
 		st.bestVal, st.bestAssign = seedVal, seedAssign
 		st.dfs(0, 0)
 		bestVal, bestAssign = st.bestVal, st.bestAssign
-		nodes, cacheHits, halted = st.nodes, st.cacheHits, st.halted
+		nodes, halted = st.nodes, st.halted
 		extras = st.buildLeafPool(nw, cands, bestAssign, p.FixedPower)
 		p.putState(st)
 	}
 
 	res := &PriceResult{
-		Value:     bestVal,
-		Exact:     !halted,
-		Nodes:     nodes,
-		Probes:    int(ctl.probes.Load()),
-		CacheHits: cacheHits,
+		Value:  bestVal,
+		Exact:  !halted,
+		Nodes:  nodes,
+		Probes: int(ctl.probes.Load()),
 		// Under truncation the interference-free relaxation Σ best_l is
 		// a loose but valid upper bound on Ψ*; with an exhausted search
 		// the found value itself is the tight bound.
@@ -415,7 +390,7 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 // re-arms it for the given search. Pool reuse keeps the per-call and
 // per-task allocation cost near zero; a state is owned by exactly one
 // goroutine between getState and putState.
-func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, cache *netmodel.ProbeCache) *pricerState {
+func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int) *pricerState {
 	st, _ := p.statePool.Get().(*pricerState)
 	if st == nil {
 		st = &pricerState{}
@@ -424,11 +399,10 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 	st.cands = cands
 	st.suffixBest = suffix
 	st.sibling = sibling
-	st.cache = cache
 	st.fixedPower = p.FixedPower
 	st.reference = p.referenceProbes
 	st.bestVal, st.bestAssign = 0, nil
-	st.nodes, st.probes, st.cacheHits, st.lastPoll = 0, 0, 0, 0
+	st.nodes, st.probes, st.lastPoll = 0, 0, 0
 	st.halted = false
 	st.poolLeaves = 0
 	st.leafVals = st.leafVals[:0]
@@ -439,7 +413,6 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 		st.nw = nw
 		st.chActive = make([][]int, nw.NumChannels)
 		st.chLevels = make([][]float64, nw.NumChannels)
-		st.chLevelIdx = make([][]int, nw.NumChannels)
 		var nodes int
 		st.linkTX, st.linkRX, nodes = denseNodes(nw)
 		st.nodeOwner = make([]int, nodes)
@@ -451,7 +424,6 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 	for k := 0; k < nw.NumChannels; k++ {
 		st.chActive[k] = st.chActive[k][:0]
 		st.chLevels[k] = st.chLevels[k][:0]
-		st.chLevelIdx[k] = st.chLevelIdx[k][:0]
 	}
 	if cap(st.assign) < len(cands) {
 		st.assign = make([]assignChoice, len(cands))
@@ -484,7 +456,7 @@ func (p *BranchBoundPricer) putState(st *pricerState) {
 // incumbent and probe budget. Together the tasks cover exactly the
 // branches the serial root node iterates, so a completed search proves
 // the same maximal value.
-func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, cache *netmodel.ProbeCache, seedVal float64, seedAssign []assignChoice) (bestVal float64, bestAssign []assignChoice, nodes, cacheHits int, halted bool) {
+func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, seedVal float64, seedAssign []assignChoice) (bestVal float64, bestAssign []assignChoice, nodes int, halted bool) {
 	c0 := &cands[0]
 	var tasks []assignChoice
 	for _, k := range c0.chOrder {
@@ -499,12 +471,11 @@ func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network,
 		workers = len(tasks)
 	}
 	type workerResult struct {
-		val       float64
-		assign    []assignChoice
-		task      int
-		nodes     int
-		cacheHits int
-		halted    bool
+		val    float64
+		assign []assignChoice
+		task   int
+		nodes  int
+		halted bool
 	}
 	results := make([]workerResult, len(tasks))
 	var next atomic.Int64
@@ -519,7 +490,7 @@ func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network,
 					return
 				}
 				task := tasks[ti]
-				st := p.getState(ctl, nw, cands, suffix, sibling, cache)
+				st := p.getState(ctl, nw, cands, suffix, sibling)
 				if seedAssign != nil {
 					st.bestVal = seedVal
 					st.bestAssign = append([]assignChoice(nil), seedAssign...)
@@ -531,7 +502,7 @@ func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network,
 				}
 				results[ti] = workerResult{
 					val: st.bestVal, assign: st.bestAssign, task: ti,
-					nodes: st.nodes, cacheHits: st.cacheHits, halted: st.halted,
+					nodes: st.nodes, halted: st.halted,
 				}
 				p.putState(st)
 			}
@@ -543,7 +514,6 @@ func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network,
 	bestTask := len(tasks)
 	for _, r := range results {
 		nodes += r.nodes
-		cacheHits += r.cacheHits
 		halted = halted || r.halted
 		// Deterministic tie-break: among equal values prefer the lowest
 		// task index.
@@ -552,7 +522,7 @@ func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network,
 		}
 	}
 	halted = halted || ctl.halt.Load()
-	return bestVal, bestAssign, nodes, cacheHits, halted
+	return bestVal, bestAssign, nodes, halted
 }
 
 // activate commits candidate ci on channel k at level q: per-channel
@@ -561,7 +531,6 @@ func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network,
 func (st *pricerState) activate(k, ci, q int) {
 	st.chActive[k] = append(st.chActive[k], ci)
 	st.chLevels[k] = append(st.chLevels[k], st.nw.Rates.Gammas[q])
-	st.chLevelIdx[k] = append(st.chLevelIdx[k], q)
 	st.assign[ci] = assignChoice{channel: k, level: q}
 	if st.probe != nil {
 		st.probe.Push(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
@@ -572,7 +541,6 @@ func (st *pricerState) activate(k, ci, q int) {
 func (st *pricerState) deactivate(k, ci int) {
 	st.chActive[k] = st.chActive[k][:len(st.chActive[k])-1]
 	st.chLevels[k] = st.chLevels[k][:len(st.chLevels[k])-1]
-	st.chLevelIdx[k] = st.chLevelIdx[k][:len(st.chLevelIdx[k])-1]
 	st.assign[ci] = assignChoice{channel: -1}
 	if st.probe != nil {
 		st.probe.Pop()
@@ -830,30 +798,25 @@ func channelTaken(siblings []int, assign []assignChoice, k int) bool {
 // candidate ci on channel k at level q admits a power assignment
 // within PMax. Under the per-channel interference model only channel
 // k's active set matters; under the global model the whole
-// cross-channel pattern is checked. With a probe cache attached, the
-// answer comes from memory when the same physical pattern (or one it
-// dominates into infeasibility) was probed before; cache hits still
-// count against the probe budget so the search trajectory is
-// byte-identical with and without the cache.
+// cross-channel pattern is checked.
 func (st *pricerState) feasibleWith(k, ci, q int) bool {
 	st.probes++
 	st.ctl.probes.Add(1)
-	// Fast path: the probe solver already holds the committed pattern's
+	// The probe solver already holds the committed pattern's
 	// factorization, so the question costs one O(m²) bordered solve and
-	// zero allocations.
-	if st.probe != nil && st.cache == nil {
+	// zero allocations. It is unarmed only under fixed power and in the
+	// test-only reference mode, which assemble the pattern instead.
+	if st.probe != nil {
 		return st.probe.Probe(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
 	}
 	active := st.scratchLinks[:0]
 	chans := st.scratchChans[:0]
-	levels := st.scratchLevels[:0]
 	gammas := st.scratchGammas[:0]
 	if st.nw.Interference == netmodel.Global {
 		for kk := range st.chActive {
 			for idx, cj := range st.chActive[kk] {
 				active = append(active, st.cands[cj].link)
 				chans = append(chans, kk)
-				levels = append(levels, st.chLevelIdx[kk][idx])
 				gammas = append(gammas, st.chLevels[kk][idx])
 			}
 		}
@@ -861,51 +824,20 @@ func (st *pricerState) feasibleWith(k, ci, q int) bool {
 		for idx, cj := range st.chActive[k] {
 			active = append(active, st.cands[cj].link)
 			chans = append(chans, k)
-			levels = append(levels, st.chLevelIdx[k][idx])
 			gammas = append(gammas, st.chLevels[k][idx])
 		}
 	}
 	active = append(active, st.cands[ci].link)
 	chans = append(chans, k)
-	levels = append(levels, q)
 	gammas = append(gammas, st.nw.Rates.Gammas[q])
 	st.scratchLinks = active
 	st.scratchChans = chans
-	st.scratchLevels = levels
 	st.scratchGammas = gammas
 	if st.fixedPower {
 		return st.fixedPowerFeasible(active, chans, gammas)
 	}
-	// Only patterns of at least probeCacheMin links go through the
-	// cache: below that the direct solve is as cheap as the lookup, so
-	// caching tiny patterns costs more than it saves. Misses are
-	// answered by the incremental solver so that cached and uncached
-	// searches stay byte-identical.
-	if st.cache != nil && len(active) >= probeCacheMin {
-		if feas, known := st.cache.Lookup(active, chans, levels); known {
-			st.cacheHits++
-			return feas
-		}
-		ok := st.probeVerdict(k, ci, q, active, chans, gammas)
-		st.cache.Record(active, chans, levels, ok)
-		return ok
-	}
-	return st.probeVerdict(k, ci, q, active, chans, gammas)
-}
-
-// probeVerdict answers one assembled-pattern feasibility question,
-// preferring the incremental solver when it is armed.
-func (st *pricerState) probeVerdict(k, ci, q int, active, chans []int, gammas []float64) bool {
-	if st.probe != nil {
-		return st.probe.Probe(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
-	}
 	return st.nw.FeasibleAssigned(active, chans, gammas)
 }
-
-// probeCacheMin is the smallest activation-pattern size worth caching:
-// a 1- or 2-link power solve is a couple of scalar divisions, cheaper
-// than the cache's canonicalization and dominance scans.
-const probeCacheMin = 3
 
 // fixedPowerFeasible checks the thresholds with every link at PMax.
 func fixedPowerFeasible(nw *netmodel.Network, active []int, chans []int, gammas []float64) bool {

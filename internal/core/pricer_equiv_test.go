@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"mmwave/internal/netmodel"
-	"mmwave/internal/schedule"
 )
 
 // randomDuals draws non-negative dual vectors with a sprinkling of
@@ -106,71 +104,4 @@ func TestGreedyPricerProbeSolver(t *testing.T) {
 			t.Fatalf("instance %d: greedy schedule infeasible: %+v", inst, res.Schedule)
 		}
 	}
-}
-
-// TestMILPPricerRootBasisReuse prices a fixed instance under an
-// evolving dual sequence with one stateful MILPPricer (which carries
-// its root basis across calls, the column-generation reuse pattern)
-// and with a fresh pricer per call, and requires identical values.
-// Node counts may legitimately differ — a warm root can land on an
-// alternative optimal vertex — and so, on value ties, may the
-// incumbent the tree converges to; an alternative schedule is accepted
-// only if it is power-feasible and worth exactly as much under the
-// current duals, so warm reuse can never hand the column generation a
-// worse or invalid column.
-func TestMILPPricerRootBasisReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	nw := randomNetwork(rng, 4, 2)
-	stateful := &MILPPricer{}
-	for iter := 0; iter < 5; iter++ {
-		hp, lpd := randomDuals(rng, nw.NumLinks())
-		got, err := stateful.Price(nw, [][]float64{hp, lpd})
-		if err != nil {
-			t.Fatalf("iteration %d: stateful: %v", iter, err)
-		}
-		want, err := (&MILPPricer{}).Price(nw, [][]float64{hp, lpd})
-		if err != nil {
-			t.Fatalf("iteration %d: fresh: %v", iter, err)
-		}
-		if got.Value != want.Value || got.Exact != want.Exact {
-			t.Fatalf("iteration %d: stateful (value=%v exact=%v) != fresh (value=%v exact=%v)",
-				iter, got.Value, got.Exact, want.Value, want.Exact)
-		}
-		if (got.Schedule == nil) != (want.Schedule == nil) {
-			t.Fatalf("iteration %d: stateful schedule %+v, fresh %+v", iter, got.Schedule, want.Schedule)
-		}
-		if got.Schedule != nil && !reflect.DeepEqual(got.Schedule, want.Schedule) {
-			// Tie between alternative optima: audit the stateful column.
-			var links, chans []int
-			var gammas []float64
-			gv, wv := 0.0, 0.0
-			for _, a := range got.Schedule.Assignments {
-				links = append(links, a.Link)
-				chans = append(chans, a.Channel)
-				gammas = append(gammas, nw.Rates.Gammas[a.Level])
-				gv += dualOf(a.Layer, hp, lpd)[a.Link] * nw.Rates.Rates[a.Level]
-			}
-			for _, a := range want.Schedule.Assignments {
-				wv += dualOf(a.Layer, hp, lpd)[a.Link] * nw.Rates.Rates[a.Level]
-			}
-			if !nw.FeasibleAssigned(links, chans, gammas) {
-				t.Fatalf("iteration %d: stateful schedule infeasible: %+v", iter, got.Schedule)
-			}
-			if math.Abs(gv-wv) > 1e-9*(1+math.Abs(wv)) {
-				t.Fatalf("iteration %d: stateful column worth %g under the duals, fresh worth %g:\nstateful: %+v\nfresh: %+v",
-					iter, gv, wv, got.Schedule, want.Schedule)
-			}
-		}
-		if stateful.lastBasis == nil {
-			t.Fatalf("iteration %d: no root basis cached", iter)
-		}
-	}
-}
-
-// dualOf selects the dual vector a layer's rate is priced against.
-func dualOf(layer schedule.Layer, hp, lp []float64) []float64 {
-	if layer == schedule.HP {
-		return hp
-	}
-	return lp
 }

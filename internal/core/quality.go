@@ -63,7 +63,7 @@ type QualityResult struct {
 	// basis on the same solver.
 	Warm bool
 	// Stats holds the solve's work counters (probes, master solves,
-	// cache hits, LP pivots, …), promoted so res.Probes etc. keep
+	// pricer nodes, LP pivots, …), promoted so res.Probes etc. keep
 	// reading as before.
 	Stats
 }
@@ -124,7 +124,7 @@ func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSecond
 		classes: opts.Classes,
 		opts:    opts,
 	}
-	state := cg.NewState(opts.CacheProbes)
+	state := cg.NewState()
 	state.Seed(schedule.TDMA(nw))
 	s.engine = cg.NewEngine(nw, &p2Model{s: s}, state, opts.engineOptions("core"))
 	return s, nil

@@ -89,12 +89,6 @@ type Config struct {
 	// (Seed, rep) and aggregation happens in a fixed order.
 	Workers int
 
-	// CacheProbes memoizes pricing feasibility probes across iterations
-	// of each solve (core.Options.CacheProbes). Plans are byte-identical
-	// either way; off by default because at Table-I scale the cache
-	// costs more than the probes it saves (DESIGN.md §9).
-	CacheProbes bool
-
 	// PricerWorkers splits each exact pricing search at the root
 	// across this many goroutines sharing an atomic incumbent and one
 	// probe budget (core.BranchBoundPricer.Parallel). 0 or 1 keeps the
@@ -103,7 +97,7 @@ type Config struct {
 	PricerWorkers int
 
 	// Telemetry, when non-nil, accumulates solver counters (probes,
-	// master solves, cache hit rate) across every proposed-scheme run
+	// master solves, pricer nodes) across every proposed-scheme run
 	// of the campaign. Safe to share across workers.
 	Telemetry *Telemetry
 

@@ -157,40 +157,6 @@ func TestParallelPricerMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCacheProbesIdenticalPlans solves the same instances with and
-// without the feasibility-probe cache: because cache hits still count
-// against the pricer budget and the dominance frontiers only ever
-// reproduce what MinPowersAssigned would answer, the plans must be
-// identical, not merely equal in value.
-func TestCacheProbesIdenticalPlans(t *testing.T) {
-	cfg := parallelConfig()
-	for rep := 0; rep < 3; rep++ {
-		plain, err := RunOnce(cfg, Proposed, rep)
-		if err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		ccfg := cfg
-		ccfg.CacheProbes = true
-		cached, err := RunOnce(ccfg, Proposed, rep)
-		if err != nil {
-			t.Fatalf("cached rep %d: %v", rep, err)
-		}
-		if !reflect.DeepEqual(plain.Solver.Plan, cached.Solver.Plan) {
-			t.Errorf("rep %d: cached plan differs from uncached", rep)
-		}
-		if plain.Solver.Probes != cached.Solver.Probes {
-			t.Errorf("rep %d: probes %d (uncached) vs %d (cached) — hits must still count against the budget",
-				rep, plain.Solver.Probes, cached.Solver.Probes)
-		}
-		if cached.Solver.CacheHits < 0 || cached.Solver.CacheHits > cached.Solver.Probes {
-			t.Errorf("rep %d: CacheHits = %d outside [0, %d]", rep, cached.Solver.CacheHits, cached.Solver.Probes)
-		}
-		if plain.Solver.CacheHits != 0 {
-			t.Errorf("rep %d: uncached run reports %d cache hits", rep, plain.Solver.CacheHits)
-		}
-	}
-}
-
 // TestTelemetryAccumulates checks the campaign counters add up across
 // a sweep and survive concurrent recording.
 func TestTelemetryAccumulates(t *testing.T) {

@@ -113,7 +113,6 @@ func (c Config) solverOptions() core.Options {
 		Pricer:        c.pricer(),
 		MaxIterations: c.MaxIterations,
 		GapTarget:     c.GapTarget,
-		CacheProbes:   c.CacheProbes,
 		Tracer:        c.Tracer,
 		Metrics:       c.Metrics,
 	}

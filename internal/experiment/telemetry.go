@@ -9,7 +9,7 @@ import (
 
 // Telemetry accumulates solver counters across every proposed-scheme
 // run of a campaign, so figure-level speedups are attributable to
-// probe counts and cache behavior. All fields are atomic: one
+// probe and node counts. All fields are atomic: one
 // Telemetry may be shared by every worker of the parallel engine.
 //
 // It folds each solve's core.Stats delta — the same record the solver
@@ -20,8 +20,6 @@ type Telemetry struct {
 	Iterations   atomic.Int64 // column-generation rounds
 	MasterSolves atomic.Int64 // master-LP solves
 	Probes       atomic.Int64 // pricing feasibility probes
-	CacheHits    atomic.Int64 // probes answered by the probe cache
-	CacheMisses  atomic.Int64 // probes that ran the linear algebra
 	PricerNodes  atomic.Int64 // branch-and-bound nodes expanded
 	LPPivots     atomic.Int64 // simplex pivots across master solves
 }
@@ -35,8 +33,6 @@ func (t *Telemetry) RecordStats(st core.Stats) {
 	t.Iterations.Add(int64(st.Rounds))
 	t.MasterSolves.Add(int64(st.MasterSolves))
 	t.Probes.Add(int64(st.Probes))
-	t.CacheHits.Add(int64(st.CacheHits))
-	t.CacheMisses.Add(int64(st.CacheMisses))
 	t.PricerNodes.Add(int64(st.PricerNodes))
 	t.LPPivots.Add(int64(st.LPPivots))
 }
@@ -59,13 +55,7 @@ func (t *Telemetry) RecordQuality(res *core.QualityResult) {
 
 // String renders the counters as one human-readable line.
 func (t *Telemetry) String() string {
-	probes := t.Probes.Load()
-	hits := t.CacheHits.Load()
-	rate := 0.0
-	if probes > 0 {
-		rate = float64(hits) / float64(probes)
-	}
-	return fmt.Sprintf("solves=%d iterations=%d master-solves=%d probes=%d cache-hits=%d (%.1f%%) pricer-nodes=%d lp-pivots=%d",
-		t.Runs.Load(), t.Iterations.Load(), t.MasterSolves.Load(), probes, hits, 100*rate,
+	return fmt.Sprintf("solves=%d iterations=%d master-solves=%d probes=%d pricer-nodes=%d lp-pivots=%d",
+		t.Runs.Load(), t.Iterations.Load(), t.MasterSolves.Load(), t.Probes.Load(),
 		t.PricerNodes.Load(), t.LPPivots.Load())
 }

@@ -35,15 +35,6 @@ func New(opts ...Option) *Host {
 	return &Host{opts: NewOptions(opts...)}
 }
 
-// NewFromOptions builds a host from an imperative Options value.
-//
-// Deprecated: construct hosts with New and functional options
-// (host.WithWatchdog, host.WithAdmission, …). This shim exists for
-// transitional callers only and is flagged by `make check-deprecated`.
-func NewFromOptions(o Options) *Host {
-	return &Host{opts: o}
-}
-
 // WithWatchdog sets the per-epoch solve deadline (see
 // Options.Watchdog).
 func WithWatchdog(d time.Duration) Option { return func(o *Options) { o.Watchdog = d } }

@@ -18,8 +18,8 @@ import (
 // wall-clock duration. Unarmed, the gate is a transparent delegate, so
 // fault-free epochs are byte-identical to an unwrapped cell.
 //
-// The gate implements the full pricer interface ladder (CachedPricer ⊃
-// ContextPricer ⊃ Pricer) and forwards each call to the richest method
+// The gate implements the full pricer interface ladder (ContextPricer ⊃
+// Pricer) and forwards each call to the richest method
 // the inner pricer supports, so wrapping never changes which search
 // path the engine takes.
 type hangGate struct {
@@ -27,7 +27,7 @@ type hangGate struct {
 	armed atomic.Bool
 }
 
-var _ cg.CachedPricer = (*hangGate)(nil)
+var _ cg.ContextPricer = (*hangGate)(nil)
 
 // Arm makes the next pricing call hang until its context is canceled.
 func (h *hangGate) Arm() { h.armed.Store(true) }
@@ -59,14 +59,4 @@ func (h *hangGate) PriceContext(ctx context.Context, nw *netmodel.Network, lambd
 		return cp.PriceContext(ctx, nw, lambda)
 	}
 	return h.inner.Price(nw, lambda)
-}
-
-func (h *hangGate) PriceWithCache(ctx context.Context, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*cg.PriceResult, error) {
-	if err := h.block(ctx); err != nil {
-		return nil, err
-	}
-	if cp, ok := h.inner.(cg.CachedPricer); ok {
-		return cp.PriceWithCache(ctx, nw, lambda, cache)
-	}
-	return h.PriceContext(ctx, nw, lambda)
 }

@@ -246,9 +246,8 @@ func (c *Cell) LastPlan() (plan core.Plan, age int64, ok bool) {
 	return c.lastPlan, age, true
 }
 
-// Host supervises a set of cells. Constructors live in funcopts.go:
-// New composes functional options; NewFromOptions is the deprecated
-// imperative shim.
+// Host supervises a set of cells. Its constructor, New, lives in
+// funcopts.go and composes functional options.
 type Host struct {
 	opts       Options
 	cells      []*Cell // indexed by cell ID; nil marks an evicted slot

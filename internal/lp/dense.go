@@ -12,8 +12,8 @@ import "math"
 // basis sequence on unbounded-variable problems.
 
 // solveDenseBounded handles a bounded problem on the dense path by
-// materializing the bounds as constraint rows on a clone — exactly the
-// formulation internal/milp used before bounds became native. The
+// materializing the bounds as constraint rows on a clone, the
+// formulation branch and bound used before bounds became native. The
 // extra rows change the basis shape, so no Basis or ReducedCost is
 // returned and any WarmBasis is rejected by its length check.
 func solveDenseBounded(p *Problem, opt Options, tol float64, maxIter int) (*Solution, error) {

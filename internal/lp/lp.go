@@ -17,9 +17,8 @@
 // generation master problem (eq. 18 of the paper).
 //
 // Master problems in this repository are extremely sparse (a schedule
-// column touches at most 2·|L| rows) and the warm-started MILP branch
-// and bound re-solves thousands of near-identical node LPs, so the
-// solver prices and pivots in sparse time. The historical dense
+// column touches at most 2·|L| rows) and column generation re-solves
+// them many times, so the solver prices and pivots in sparse time. The historical dense
 // tableau implementation is retained behind Options.Dense for
 // differential testing. Columns can be appended between solves
 // (Problem.AddColumn), which is exactly the column-generation access
@@ -100,8 +99,8 @@ type Problem struct {
 	// finite and non-negative; upper bounds may be +Inf. A variable whose
 	// bounds cross (Lower[j] > Upper[j]) makes the problem trivially
 	// infeasible, which Solve reports as StatusInfeasible rather than a
-	// validation error — the MILP branch-and-bound creates such boxes
-	// when branching collides with root reduced-cost fixing.
+	// validation error (branch and bound legitimately creates such
+	// boxes).
 	Lower []float64
 	Upper []float64
 }
@@ -325,8 +324,8 @@ type Solution struct {
 	Warm bool
 	// ReducedCost holds each structural variable's reduced cost
 	// c_j − yᵀa_j at the returned basis (zero for basic variables; valid
-	// when optimal). The MILP solver reads these for root reduced-cost
-	// fixing. The legacy dense path leaves it nil on bounded problems.
+	// when optimal). The legacy dense path leaves it nil on bounded
+	// problems.
 	ReducedCost []float64
 	// EtaUpdates counts the product-form (Forrest–Tomlin-style) basis
 	// updates applied between refactorizations; always zero on the

@@ -348,7 +348,7 @@ type Coordinator struct {
 	epochMsgStart int64
 
 	// Cross-epoch solver reuse: one core.Solver (and its cg engine
-	// state — schedule pool, warm simplex basis, probe cache) persists
+	// state — schedule pool, warm simplex basis, last duals) persists
 	// across epochs, so each re-solve starts from the previous epoch's
 	// columns and basis instead of TDMA-cold. The state is dropped when
 	// the CSI regime changes: a channel update carrying genuinely new
@@ -457,7 +457,7 @@ func (c *Coordinator) apply(frame []byte) error {
 }
 
 // InvalidateSolverState drops the coordinator's persistent solver
-// state (schedule pool, warm basis, probe cache): the next epoch
+// state (schedule pool, warm basis, last duals): the next epoch
 // starts TDMA-cold. Called automatically when a channel update carries
 // changed gains; call it directly after mutating the network out of
 // band (topology edits, blockage toggles) if you bypass the control

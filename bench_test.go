@@ -291,10 +291,10 @@ func benchMasterLP(L, n int) *lp.Problem {
 }
 
 // BenchmarkLPSparse measures the LP core alone on a master-shaped
-// instance: a cold solve and a warm re-solve after an
-// objective-preserving RHS perturbation on the default sparse revised
-// simplex, plus the same cold solve on the legacy dense tableau
-// (Options.Dense) as the reference the sparse path replaced.
+// instance: a cold solve and a warm dual-simplex repair after a fixed
+// RHS increase on the default sparse revised simplex, plus the same
+// cold solve on the legacy dense tableau (Options.Dense) as the
+// reference the sparse path replaced.
 func BenchmarkLPSparse(b *testing.B) {
 	const L, n = 30, 180
 	for _, bench := range []struct {
@@ -306,25 +306,36 @@ func BenchmarkLPSparse(b *testing.B) {
 			p := benchMasterLP(L, n)
 			s := lp.NewSolver(p)
 			opt := lp.Options{Dense: bench.dense}
+			var seedB []float64
 			if bench.warm {
 				sol, err := s.Solve(opt)
 				if err != nil || sol.Status != lp.StatusOptimal {
 					b.Fatalf("warm seed solve: %v status %v", err, sol.Status)
 				}
 				opt.WarmBasis = sol.Basis
+				seedB = append(seedB, p.B...)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var pivots float64
 			for i := 0; i < b.N; i++ {
 				if bench.warm {
-					// Nudge the RHS so the warm solve has real repair
-					// work but the basis stays reusable.
-					p.B[i%(2*L)] *= 1.0001
+					// Every iteration restarts from the seed RHS and
+					// raises every third demand row by half: the seed
+					// basis stays dual feasible (the costs are
+					// unchanged) but turns primal infeasible, so each
+					// solve does the same dual-simplex repair.
+					copy(p.B, seedB)
+					for r := 0; r < len(p.B); r += 3 {
+						p.B[r] *= 1.5
+					}
 				}
 				sol, err := s.Solve(opt)
 				if err != nil || sol.Status != lp.StatusOptimal {
 					b.Fatalf("solve %d: %v status %v", i, err, sol.Status)
+				}
+				if bench.warm && !sol.Warm {
+					b.Fatalf("solve %d: the seed basis was not reused", i)
 				}
 				pivots += float64(sol.Iterations)
 			}

@@ -7,50 +7,42 @@ package cg
 // unless it opts out with Disable — and a disabled policy reproduces
 // the historical single-column exact loop byte-for-byte.
 
+// Tuning of the accelerations.
+const (
+	// stabWeight is the initial center weight α ∈ (0, 1).
+	stabWeight = 0.5
+	// stabShrink multiplies α after every stabilized round (twice for a
+	// mispriced one).
+	stabShrink = 0.5
+	// stabFloor is the floor below which α snaps to zero (pricing
+	// turns exact for the rest of the run).
+	stabFloor = 1.0 / 16
+	// maxPoolColumns bounds the pricer-side leaf pool per round.
+	maxPoolColumns = 32
+	// keepPace gates heuristic acceptance: a heuristic column is taken
+	// only while its reduced cost keeps pace with the exact walk's
+	// frontier, φ_h ≤ keepPace·φ_exact (both negative, φ_exact from the
+	// last exact round). A heuristic column far off the frontier would
+	// defer the exact pricer's much stronger batch and inflate the round
+	// count instead of shrinking the node bill.
+	keepPace = 0.9
+)
+
 // StabilizePolicy configures dual stabilization: pricing runs against a
 // convex combination λ̃ = α·center + (1−α)·λ of the incumbent-dual
 // center and the current master duals, damping the dual oscillation
 // that forces classic column generation through dozens of tail
 // iterations. The trust region closes geometrically: every stabilized
-// round multiplies α by Shrink (a mispriced round — no admissible
-// column at λ̃ — shrinks it again), and once α falls below MinWeight it
-// snaps to zero and the run finishes with pure unstabilized pricing, so
-// stabilization is a short early transient and convergence is always
-// certified — and Theorem-1 bounds are only ever emitted from — exact
-// rounds priced at the true master duals.
+// round multiplies α by stabShrink (a mispriced round — no admissible
+// column at λ̃ — shrinks it again), and once α falls below stabFloor
+// it snaps to zero and the run finishes with pure unstabilized
+// pricing, so stabilization is a short early transient and convergence
+// is always certified — and Theorem-1 bounds are only ever emitted
+// from — exact rounds priced at the true master duals.
 type StabilizePolicy struct {
 	// Disable turns stabilization off (legacy behavior: pricing always
 	// sees the raw master duals).
 	Disable bool
-	// Weight is the initial center weight α ∈ (0, 1). Zero means 0.5.
-	Weight float64
-	// Shrink multiplies α after every stabilized round (twice for a
-	// mispriced one). Zero means 0.5.
-	Shrink float64
-	// MinWeight is the floor below which α snaps to zero (pricing turns
-	// exact for the rest of the run). Zero means 1.0/16.
-	MinWeight float64
-}
-
-func (p StabilizePolicy) weight() float64 {
-	if p.Weight > 0 && p.Weight < 1 {
-		return p.Weight
-	}
-	return 0.5
-}
-
-func (p StabilizePolicy) shrink() float64 {
-	if p.Shrink > 0 && p.Shrink < 1 {
-		return p.Shrink
-	}
-	return 0.5
-}
-
-func (p StabilizePolicy) minWeight() float64 {
-	if p.MinWeight > 0 {
-		return p.MinWeight
-	}
-	return 1.0 / 16
 }
 
 // MultiColumnPolicy configures batch column admission: pricers that pool
@@ -62,9 +54,6 @@ type MultiColumnPolicy struct {
 	// pricer's best schedule is added, and pricers are not asked to
 	// pool leaves).
 	Disable bool
-	// MaxColumns bounds the pricer-side leaf pool per round. Zero
-	// means 32.
-	MaxColumns int
 }
 
 // Columns returns the effective per-round leaf-pool bound (0 when
@@ -73,10 +62,7 @@ func (p MultiColumnPolicy) Columns() int {
 	if p.Disable {
 		return 0
 	}
-	if p.MaxColumns > 0 {
-		return p.MaxColumns
-	}
-	return 32
+	return maxPoolColumns
 }
 
 // HeuristicPolicy configures heuristic-first pricing: a cheap heuristic
@@ -88,22 +74,9 @@ func (p MultiColumnPolicy) Columns() int {
 // convergence, so the accounting of proven bounds is untouched.
 type HeuristicPolicy struct {
 	// Disable turns heuristic-first pricing off (legacy behavior: the
-	// exact pricer runs every round).
+	// exact pricer runs every round). Heuristic columns are accepted
+	// only while they keep pace with the exact frontier (keepPace).
 	Disable bool
-	// KeepPace gates acceptance: a heuristic column is taken only while
-	// its reduced cost keeps pace with the exact walk's frontier, φ_h ≤
-	// KeepPace·φ_exact (both negative, φ_exact from the last exact
-	// round). A heuristic column far off the frontier would defer the
-	// exact pricer's much stronger batch and inflate the round count
-	// instead of shrinking the node bill. Zero means 0.9.
-	KeepPace float64
-}
-
-func (p HeuristicPolicy) keepPace() float64 {
-	if p.KeepPace > 0 && p.KeepPace < 1 {
-		return p.KeepPace
-	}
-	return 0.9
 }
 
 // stabilizer is the per-run view of StabilizePolicy: the smoothing
@@ -112,20 +85,12 @@ func (p HeuristicPolicy) keepPace() float64 {
 type stabilizer struct {
 	on      bool
 	weight  float64
-	shrink  float64
-	min     float64
 	st      *State
 	scratch [][]float64
 }
 
 func newStabilizer(p StabilizePolicy, st *State) *stabilizer {
-	return &stabilizer{
-		on:     !p.Disable,
-		weight: p.weight(),
-		shrink: p.shrink(),
-		min:    p.minWeight(),
-		st:     st,
-	}
+	return &stabilizer{on: !p.Disable, weight: stabWeight, st: st}
 }
 
 // duals returns the pricing duals for this round and whether they are
@@ -158,8 +123,8 @@ func (sb *stabilizer) duals(lambda [][]float64) ([][]float64, bool) {
 // decay closes the trust region one step; below the floor the weight
 // snaps to zero and the remaining rounds price at the true duals.
 func (sb *stabilizer) decay() {
-	sb.weight *= sb.shrink
-	if sb.weight < sb.min {
+	sb.weight *= stabShrink
+	if sb.weight < stabFloor {
 		sb.weight = 0
 	}
 }

@@ -190,7 +190,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		heur = nil
 	}
 	colHist := e.opts.Metrics.Histogram("cg_columns_per_round")
-	keepPace := e.opts.HeuristicFirst.keepPace()
 	lastPhi := 0.0       // last exact round's best reduced cost (≤ 0)
 	exactHalted := false // last exact round hit its budget mid-search
 

@@ -9,48 +9,13 @@ import "math"
 // testing reference — the sparse path replicates this file's pivot
 // rules (Dantzig pricing with a Bland fallback, ratio-test tolerances
 // and tie-breaks) exactly, so the two implementations walk the same
-// basis sequence on unbounded-variable problems.
-
-// solveDenseBounded handles a bounded problem on the dense path by
-// materializing the bounds as constraint rows on a clone, the
-// formulation branch and bound used before bounds became native. The
-// extra rows change the basis shape, so no Basis or ReducedCost is
-// returned and any WarmBasis is rejected by its length check.
-func solveDenseBounded(p *Problem, opt Options, tol float64, maxIter int) (*Solution, error) {
-	q := &Problem{C: p.C, A: p.A, Rel: p.Rel, B: p.B}
-	q = q.Clone()
-	n := q.NumVars()
-	unit := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if up := p.upperOf(j); !math.IsInf(up, 1) {
-			unit[j] = 1
-			q.AddRow(unit, LE, up)
-			unit[j] = 0
-		}
-		if lo := p.lowerOf(j); lo != 0 {
-			unit[j] = 1
-			q.AddRow(unit, GE, lo)
-			unit[j] = 0
-		}
-	}
-	var t tableau
-	sol, err := solveDense(q, &t, opt, tol, maxIter)
-	if err != nil {
-		return nil, err
-	}
-	if len(sol.Dual) > p.NumRows() {
-		sol.Dual = sol.Dual[:p.NumRows()]
-	}
-	sol.Basis = nil
-	sol.ReducedCost = nil
-	return sol, nil
-}
+// basis sequence.
 
 // solveDense runs the two-phase dense revised simplex in the given
 // workspace. The caller has already validated the problem, resolved
-// tol/maxIter defaults, and handled the zero-row case.
-func solveDense(p *Problem, t *tableau, opt Options, tol float64, maxIter int) (*Solution, error) {
-	t.fill(p, tol)
+// the maxIter default, and handled the zero-row case.
+func solveDense(p *Problem, t *tableau, opt Options, maxIter int) (*Solution, error) {
+	t.fill(p)
 
 	iters1 := 0
 	warmUsed := false
@@ -156,7 +121,6 @@ type tableau struct {
 	xB     []float64 // current basic values
 	barred []bool    // columns that may not enter (artificials in phase 2)
 
-	tol              float64
 	pivotsSinceLU    int
 	refactorizations int
 
@@ -208,7 +172,7 @@ func growB(s []bool, n int) []bool {
 // fill (re)standardizes the problem into the tableau, reusing every
 // buffer whose capacity suffices. A Solver calls this once per solve;
 // at steady state (same problem shape) it allocates nothing.
-func (t *tableau) fill(p *Problem, tol float64) {
+func (t *tableau) fill(p *Problem) {
 	m := p.NumRows()
 	nStruct := p.NumVars()
 
@@ -230,7 +194,6 @@ func (t *tableau) fill(p *Problem, tol float64) {
 
 	t.m, t.nStruct, t.nArt = m, nStruct, nArt
 	t.n = nStruct + nSlack + nArt
-	t.tol = tol
 	t.pivotsSinceLU = 0
 	t.refactorizations = 0
 
@@ -445,14 +408,14 @@ func (t *tableau) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 		useBland := stall > 2*t.m+20
 
 		enter := -1
-		best := -t.tol
+		best := -tol
 		for j := 0; j < t.n; j++ {
 			if t.inBas[j] || t.barred[j] {
 				continue
 			}
 			rc := c[j] - dot(y, t.cols[j])
 			if useBland {
-				if rc < -t.tol {
+				if rc < -tol {
 					enter = j
 					break
 				}
@@ -482,8 +445,8 @@ func (t *tableau) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 			}
 		}
 		pivTol := 1e-11 * maxU
-		if pivTol < t.tol {
-			pivTol = t.tol
+		if pivTol < tol {
+			pivTol = tol
 		}
 		leaveRow := -1
 		minRatio := math.Inf(1)
@@ -494,8 +457,8 @@ func (t *tableau) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 					xb = 0
 				}
 				r := xb / u[i]
-				if r < minRatio-t.tol ||
-					(r < minRatio+t.tol && (leaveRow < 0 || t.basis[i] < t.basis[leaveRow])) {
+				if r < minRatio-tol ||
+					(r < minRatio+tol && (leaveRow < 0 || t.basis[i] < t.basis[leaveRow])) {
 					minRatio = r
 					leaveRow = i
 				}
@@ -514,7 +477,7 @@ func (t *tableau) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 		iters++
 
 		obj := t.objective(c)
-		if obj < lastObj-t.tol {
+		if obj < lastObj-tol {
 			stall = 0
 			lastObj = obj
 		} else {
@@ -792,7 +755,7 @@ func (t *tableau) runDual(c []float64, maxIter int) (Status, int) {
 		}
 		// Leaving row: most negative basic value.
 		leave := -1
-		worst := -t.tol
+		worst := -tol
 		for i := 0; i < t.m; i++ {
 			if t.xB[i] < worst {
 				worst = t.xB[i]
@@ -821,8 +784,8 @@ func (t *tableau) runDual(c []float64, maxIter int) (Status, int) {
 				rc = 0 // roundoff: dual feasibility holds by invariant
 			}
 			ratio := rc / -alpha
-			if ratio < bestRatio-t.tol ||
-				(ratio < bestRatio+t.tol && (enter < 0 || j < enter)) {
+			if ratio < bestRatio-tol ||
+				(ratio < bestRatio+tol && (enter < 0 || j < enter)) {
 				bestRatio = ratio
 				enter = j
 			}

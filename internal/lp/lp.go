@@ -2,14 +2,17 @@
 // revised simplex method over a compressed-sparse-column constraint
 // matrix, with the basis kept as an LU factorization updated between
 // pivots by product-form etas and refactorized periodically, Bland's-
-// rule anti-cycling, native variable bounds with a bound-flip ratio
-// test, and dual (simplex multiplier) extraction.
+// rule anti-cycling, a dual simplex for warm repair, and dual (simplex
+// multiplier) extraction.
 //
 // Problems are stated as
 //
 //	min  cᵀx
 //	s.t. aᵢᵀx {≤,=,≥} bᵢ   for every row i
-//	     l ≤ x ≤ u          (l = 0, u = +∞ unless set via Lower/Upper)
+//	     x ≥ 0
+//
+// Any other bound on a variable is a constraint row: the masters in this
+// repository need none beyond x ≥ 0.
 //
 // The dual values returned by Solve follow the standard convention for
 // a minimization problem: y_i ≥ 0 for ≥ rows and y_i ≤ 0 for ≤ rows at
@@ -18,9 +21,9 @@
 //
 // Master problems in this repository are extremely sparse (a schedule
 // column touches at most 2·|L| rows) and column generation re-solves
-// them many times, so the solver prices and pivots in sparse time. The historical dense
-// tableau implementation is retained behind Options.Dense for
-// differential testing. Columns can be appended between solves
+// them many times, so the solver prices and pivots in sparse time. The
+// dense tableau behind Options.Dense is the reference it is tested
+// against pivot for pivot. Columns can be appended between solves
 // (Problem.AddColumn), which is exactly the column-generation access
 // pattern.
 package lp
@@ -90,19 +93,6 @@ type Problem struct {
 	A   [][]float64 // constraint rows, each of length len(C)
 	Rel []Relation  // row senses, parallel to A
 	B   []float64   // right-hand sides, parallel to A
-
-	// Lower and Upper are optional per-variable bounds, handled natively
-	// by the simplex (nonbasic-at-bound statuses and a bound-flip ratio
-	// test) instead of as constraint rows. A nil Lower means all zeros —
-	// the historical x ≥ 0 default — and a nil Upper means all +Inf; when
-	// non-nil each must hold one entry per variable. Lower bounds must be
-	// finite and non-negative; upper bounds may be +Inf. A variable whose
-	// bounds cross (Lower[j] > Upper[j]) makes the problem trivially
-	// infeasible, which Solve reports as StatusInfeasible rather than a
-	// validation error (branch and bound legitimately creates such
-	// boxes).
-	Lower []float64
-	Upper []float64
 }
 
 // NewProblem returns an empty problem with n variables whose objective
@@ -131,8 +121,7 @@ func (p *Problem) AddRow(coef []float64, rel Relation, b float64) {
 
 // AddColumn appends a new variable with the given objective cost and
 // per-row coefficients (col is copied; it must have one entry per
-// existing row). The new variable gets the default bounds [0, +Inf).
-// It returns the new variable's index. This is the column-generation
+// existing row). It returns the new variable's index. This is the column-generation
 // entry point: the master problem grows by one schedule column per
 // iteration.
 func (p *Problem) AddColumn(cost float64, col []float64) (int, error) {
@@ -143,76 +132,7 @@ func (p *Problem) AddColumn(cost float64, col []float64) (int, error) {
 	for i := range p.A {
 		p.A[i] = append(p.A[i], col[i])
 	}
-	if p.Lower != nil {
-		p.Lower = append(p.Lower, 0)
-	}
-	if p.Upper != nil {
-		p.Upper = append(p.Upper, math.Inf(1))
-	}
 	return len(p.C) - 1, nil
-}
-
-// SetBounds sets variable j's bounds to [lo, up], materializing the
-// Lower/Upper arrays on first use.
-func (p *Problem) SetBounds(j int, lo, up float64) {
-	n := len(p.C)
-	if p.Lower == nil {
-		p.Lower = make([]float64, n)
-	}
-	if p.Upper == nil {
-		p.Upper = make([]float64, n)
-		for k := range p.Upper {
-			p.Upper[k] = math.Inf(1)
-		}
-	}
-	p.Lower[j] = lo
-	p.Upper[j] = up
-}
-
-// lowerOf returns variable j's lower bound (0 when Lower is nil).
-func (p *Problem) lowerOf(j int) float64 {
-	if p.Lower == nil {
-		return 0
-	}
-	return p.Lower[j]
-}
-
-// upperOf returns variable j's upper bound (+Inf when Upper is nil).
-func (p *Problem) upperOf(j int) float64 {
-	if p.Upper == nil {
-		return math.Inf(1)
-	}
-	return p.Upper[j]
-}
-
-// hasBounds reports whether any variable carries a non-default bound
-// (nonzero lower or finite upper).
-func (p *Problem) hasBounds() bool {
-	for _, l := range p.Lower {
-		if l != 0 {
-			return true
-		}
-	}
-	for _, u := range p.Upper {
-		if !math.IsInf(u, 1) {
-			return true
-		}
-	}
-	return false
-}
-
-// boundsCrossed returns the first variable whose bounds are empty
-// (Lower[j] > Upper[j]), or -1.
-func (p *Problem) boundsCrossed() int {
-	if p.Lower == nil || p.Upper == nil {
-		return -1
-	}
-	for j := range p.Lower {
-		if p.Lower[j] > p.Upper[j] {
-			return j
-		}
-	}
-	return -1
 }
 
 // Validate reports structural errors: ragged rows, mismatched slice
@@ -240,43 +160,7 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: non-finite rhs in row %d", i)
 		}
 	}
-	if p.Lower != nil && len(p.Lower) != n {
-		return fmt.Errorf("lp: %d lower bounds for %d variables", len(p.Lower), n)
-	}
-	if p.Upper != nil && len(p.Upper) != n {
-		return fmt.Errorf("lp: %d upper bounds for %d variables", len(p.Upper), n)
-	}
-	for j, l := range p.Lower {
-		if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
-			return fmt.Errorf("lp: lower bound of variable %d must be finite and non-negative, got %v", j, l)
-		}
-	}
-	for j, u := range p.Upper {
-		if math.IsNaN(u) || math.IsInf(u, -1) {
-			return fmt.Errorf("lp: invalid upper bound %v on variable %d", u, j)
-		}
-	}
 	return nil
-}
-
-// Clone returns a deep copy of the problem.
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		C:   append([]float64(nil), p.C...),
-		Rel: append([]Relation(nil), p.Rel...),
-		B:   append([]float64(nil), p.B...),
-		A:   make([][]float64, len(p.A)),
-	}
-	if p.Lower != nil {
-		q.Lower = append([]float64(nil), p.Lower...)
-	}
-	if p.Upper != nil {
-		q.Upper = append([]float64(nil), p.Upper...)
-	}
-	for i, row := range p.A {
-		q.A[i] = append([]float64(nil), row...)
-	}
-	return q
 }
 
 // BasisVarKind distinguishes the two kinds of basis members a caller
@@ -324,8 +208,7 @@ type Solution struct {
 	Warm bool
 	// ReducedCost holds each structural variable's reduced cost
 	// c_j − yᵀa_j at the returned basis (zero for basic variables; valid
-	// when optimal). The legacy dense path leaves it nil on bounded
-	// problems.
+	// when optimal).
 	ReducedCost []float64
 	// EtaUpdates counts the product-form (Forrest–Tomlin-style) basis
 	// updates applied between refactorizations; always zero on the
@@ -342,20 +225,15 @@ type Options struct {
 	// MaxIter caps total pivots across both phases. Zero means the
 	// default (20000 + 50·(rows+cols)).
 	MaxIter int
-	// Tol is the feasibility/optimality tolerance. Zero means 1e-9.
-	Tol float64
 	// WarmBasis, when non-nil, seeds the solve with a previously
 	// returned basis: if it is still primal feasible for the (possibly
 	// column-extended) problem, phase 1 is skipped entirely. An
 	// unusable basis silently falls back to a cold start.
 	WarmBasis []BasisVar
 	// Dense forces the legacy dense tableau simplex instead of the
-	// sparse revised simplex. Retained for differential testing only:
-	// the two paths make identical pivot decisions on unbounded-variable
-	// problems. Bounded problems are handled on the dense path by
-	// materializing bound rows on a clone, which costs the warm-start
-	// surface (no Basis or ReducedCost is returned and WarmBasis is
-	// rejected by shape).
+	// sparse revised simplex. Retained as the differential-testing
+	// reference: the two paths make identical pivot decisions and
+	// differ only in arithmetic order.
 	Dense bool
 }
 

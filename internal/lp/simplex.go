@@ -1,6 +1,8 @@
 package lp
 
-import "math"
+// tol is the feasibility and optimality tolerance of both simplex
+// paths.
+const tol = 1e-9
 
 // SolveWith optimizes the problem with explicit options using the
 // revised simplex method (sparse by default, dense behind
@@ -12,10 +14,9 @@ func SolveWith(p *Problem, opt Options) (*Solution, error) {
 
 // Solver is a reusable simplex workspace bound to one Problem. Solve
 // re-reads the problem's current coefficients each call, so callers
-// may mutate C, B, A entries, or bounds (and even append rows or
-// columns — the workspace regrows) between solves; at steady state a
-// solve allocates only its Solution. A Solver is not safe for
-// concurrent use.
+// may mutate C, B or A entries (and even append rows or columns — the
+// workspace regrows) between solves; at steady state a solve allocates
+// only its Solution. A Solver is not safe for concurrent use.
 type Solver struct {
 	p *Problem
 	t *tableau // legacy dense workspace, allocated on first Dense solve
@@ -31,37 +32,18 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-9
-	}
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
 		maxIter = 20000 + 50*(p.NumRows()+p.NumVars())
 	}
 
-	// Crossed bounds (lower > upper) make the box itself empty. This is
-	// a solve-time status rather than a validation error because branch
-	// and bound legitimately produces such boxes: root-fixing raises a
-	// lower bound while an already-queued node carries upper = 0.
-	if j := p.boundsCrossed(); j >= 0 {
-		return &Solution{Status: StatusInfeasible}, nil
-	}
-
 	if p.NumRows() == 0 {
-		// No rows: each variable sits at whichever of its bounds the
-		// cost prefers; a negative cost with an infinite upper bound is
-		// an unbounded ray.
+		// No rows: every variable rests at zero unless a negative cost
+		// makes its ray unbounded.
 		x := make([]float64, p.NumVars())
 		for j := range x {
 			if p.C[j] < -tol {
-				up := p.upperOf(j)
-				if math.IsInf(up, 1) {
-					return &Solution{Status: StatusUnbounded, X: x}, nil
-				}
-				x[j] = up
-			} else {
-				x[j] = p.lowerOf(j)
+				return &Solution{Status: StatusUnbounded, X: x}, nil
 			}
 		}
 		sol := &Solution{
@@ -75,19 +57,13 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 	}
 
 	if opt.Dense {
-		if p.hasBounds() {
-			// The dense tableau has no native bound handling; bounds
-			// become constraint rows on a clone (fresh workspace — the
-			// row set changes shape every call).
-			return solveDenseBounded(p, opt, tol, maxIter)
-		}
 		if s.t == nil {
 			s.t = &tableau{}
 		}
-		return solveDense(p, s.t, opt, tol, maxIter)
+		return solveDense(p, s.t, opt, maxIter)
 	}
 	if s.s == nil {
 		s.s = &spx{}
 	}
-	return solveSparse(p, s.s, opt, tol, maxIter)
+	return solveSparse(p, s.s, opt, maxIter)
 }

@@ -247,18 +247,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := NewProblem([]float64{1, 2})
-	p.AddRow([]float64{1, 1}, GE, 3)
-	q := p.Clone()
-	q.C[0] = 99
-	q.A[0][0] = 99
-	q.B[0] = 99
-	if p.C[0] == 99 || p.A[0][0] == 99 || p.B[0] == 99 {
-		t.Error("Clone shares storage with the original")
-	}
-}
-
 // randomFeasibleLP builds a random LP that is guaranteed feasible and
 // bounded: min cᵀx (c > 0) subject to GE rows with non-negative
 // coefficients and positive rhs.

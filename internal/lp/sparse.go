@@ -2,27 +2,16 @@ package lp
 
 import "math"
 
-// This file is the default solve path: a bounded-variable revised
-// simplex over a compressed-sparse-column matrix, with the basis kept
-// as an LU factorization (lu.go) plus a product-form eta file between
-// periodic refactorizations. Pivoting rules — Dantzig pricing with a
-// Bland fallback under stall, the ratio-test tolerances and smaller-
-// column-index tie-breaks, the degenerate-theta and basic-value
-// clamps, the phase-1 feasibility threshold — replicate the dense
-// tableau (dense.go) exactly, so on problems without variable bounds
-// the two paths walk the same basis sequence and differ only in
-// arithmetic order. Bounds add the nonbasic-at-upper status, a bound-
-// flip ratio test, and the four-case dual ratio test; with nil bounds
-// every rule degenerates to its dense counterpart.
-
-// vstatus is a variable's position relative to the current basis.
-type vstatus uint8
-
-const (
-	nbLower vstatus = iota // nonbasic at its lower bound
-	nbUpper                // nonbasic at its finite upper bound
-	vBasic
-)
+// This file is the default solve path: a revised simplex over a
+// compressed-sparse-column matrix, with the basis kept as an LU
+// factorization (lu.go) plus a product-form eta file between periodic
+// refactorizations. Pivoting rules — Dantzig pricing with a Bland
+// fallback under stall, the ratio-test tolerances and smaller-column-
+// index tie-breaks, the degenerate-theta and basic-value clamps, the
+// phase-1 feasibility threshold — replicate the dense tableau
+// (dense.go) exactly, so the two paths walk the same basis sequence
+// and differ only in arithmetic order. Nonbasic columns always sit at
+// zero.
 
 // spx is the working state of the sparse simplex. Every slice is
 // reused across solves; at steady state (unchanged problem shape) a
@@ -45,8 +34,6 @@ type spx struct {
 	bRaw  []float64 // standardized rhs (scaled, flipped)
 	costs []float64 // phase-2 costs: structural costs then zeros
 	c1    []float64 // phase-1 costs: 1 on artificials
-	lower []float64 // per-column bounds (aux columns: [0, +Inf))
-	upper []float64
 
 	rowScale   []float64
 	rowFlipped []bool
@@ -55,7 +42,6 @@ type spx struct {
 
 	basis  []int     // column per slot (slot == row)
 	slotOf []int     // per column: basis slot, -1 if nonbasic
-	vstat  []vstatus // per column
 	xB     []float64 // basic values, slot-indexed
 	barred []bool
 	// noisy marks columns set aside for one pricing round because
@@ -68,34 +54,23 @@ type spx struct {
 	luSpare luFactor // factorize target; swapped in only on success
 	etas    etaFile
 
-	tol              float64
 	pivotsSinceLU    int
 	refactorizations int
 	etaUpdates       int
 
 	// Scratch: pricing duals, pivot directions (two, for the candidate
 	// swap in driveOutArtificials), the B⁻¹ row of the dual ratio test,
-	// effective-rhs staging, and the basis-matrix CSC handed to the
-	// factorizer.
+	// and the basis-matrix CSC handed to the factorizer.
 	yBuf      []float64
 	uBuf      []float64
 	uBuf2     []float64
 	rhoBuf    []float64
-	beBuf     []float64
 	basColPtr []int
 	basRowIdx []int
 	basVal    []float64
 
 	warmCand []int
 	warmSeen []bool
-}
-
-// nbVal returns nonbasic column j's current value.
-func (s *spx) nbVal(j int) float64 {
-	if s.vstat[j] == nbUpper {
-		return s.upper[j]
-	}
-	return s.lower[j]
 }
 
 func (s *spx) isArtificial(j int) bool { return j >= s.n-s.nArt }
@@ -105,12 +80,10 @@ func (s *spx) phase2Costs() []float64 { return s.costs }
 
 // fill (re)standardizes the problem: row equilibration, sign flips to
 // make the initial point feasible for phase 1, CSC assembly, and the
-// slack/artificial starting basis with every structural at its lower
-// bound.
-func (s *spx) fill(p *Problem, tol float64) {
+// slack/artificial starting basis with every structural at zero.
+func (s *spx) fill(p *Problem) {
 	m := p.NumRows()
 	nStruct := p.NumVars()
-	s.tol = tol
 	s.pivotsSinceLU = 0
 	s.refactorizations = 0
 	s.etaUpdates = 0
@@ -121,12 +94,9 @@ func (s *spx) fill(p *Problem, tol float64) {
 	s.slackOf = growI(s.slackOf, m)
 	s.artOf = growI(s.artOf, m)
 
-	// Row pass: equilibration scale (1/max |structural coefficient|,
-	// exactly the dense rule) and the flip decision. A row is flipped
-	// when its effective rhs at the starting point — b minus the
-	// structural columns at their lower bounds — is negative, so the
-	// initial basic values come out non-negative; with nil lower
-	// bounds this reduces to the dense "flip when b < 0" rule.
+	// Row pass: equilibration scale (1/max |structural coefficient|)
+	// and the flip decision (b < 0), exactly the dense rules, so the
+	// initial basic values come out non-negative.
 	nSlack, nArt := 0, 0
 	nnz := 0
 	for i := 0; i < m; i++ {
@@ -146,21 +116,13 @@ func (s *spx) fill(p *Problem, tol float64) {
 		}
 		s.rowScale[i] = scale
 
-		rawEff := p.B[i]
-		if p.Lower != nil {
-			for j := 0; j < nStruct; j++ {
-				if lo := p.Lower[j]; lo != 0 {
-					rawEff -= row[j] * lo
-				}
-			}
-		}
-		s.rowFlipped[i] = rawEff < 0
+		s.rowFlipped[i] = p.B[i] < 0
 		sign := 1.0
 		if s.rowFlipped[i] {
 			sign = -1
 		}
 		s.bRaw[i] = sign * scale * p.B[i]
-		switch s.effectiveRel(p, i) {
+		switch effectiveRel(p, i) {
 		case LE:
 			nSlack++
 		case GE:
@@ -205,7 +167,7 @@ func (s *spx) fill(p *Problem, tol float64) {
 	for i := 0; i < m; i++ {
 		s.slackOf[i] = -1
 		s.artOf[i] = -1
-		switch s.effectiveRel(p, i) {
+		switch effectiveRel(p, i) {
 		case LE:
 			s.auxRow[slackAt-nStruct] = i
 			s.auxVal[slackAt-nStruct] = 1
@@ -231,17 +193,7 @@ func (s *spx) fill(p *Problem, tol float64) {
 		}
 	}
 
-	// Bounds, costs, statuses.
-	s.lower = growF(s.lower, n)
-	s.upper = growF(s.upper, n)
-	for j := 0; j < nStruct; j++ {
-		s.lower[j] = p.lowerOf(j)
-		s.upper[j] = p.upperOf(j)
-	}
-	for j := nStruct; j < n; j++ {
-		s.lower[j] = 0
-		s.upper[j] = math.Inf(1)
-	}
+	// Costs and basis membership.
 	s.costs = growF(s.costs, n)
 	for j := range s.costs {
 		s.costs[j] = 0
@@ -255,16 +207,8 @@ func (s *spx) fill(p *Problem, tol float64) {
 			s.c1[j] = 0
 		}
 	}
-	s.vstat = growVstat(s.vstat, n)
 	s.slotOf = growI(s.slotOf, n)
-	for j := 0; j < n; j++ {
-		s.vstat[j] = nbLower
-		s.slotOf[j] = -1
-	}
-	for r, j := range s.basis {
-		s.vstat[j] = vBasic
-		s.slotOf[j] = r
-	}
+	s.resetSlots()
 	s.barred = growB(s.barred, n)
 	s.noisy = growB(s.noisy, n)
 	s.noisyList = s.noisyList[:0]
@@ -274,7 +218,6 @@ func (s *spx) fill(p *Problem, tol float64) {
 	s.uBuf = growF(s.uBuf, m)
 	s.uBuf2 = growF(s.uBuf2, m)
 	s.rhoBuf = growF(s.rhoBuf, m)
-	s.beBuf = growF(s.beBuf, m)
 
 	// Initial factorization (unit columns — the peel consumes
 	// everything) and basic values. Not counted as a refactorization,
@@ -283,31 +226,18 @@ func (s *spx) fill(p *Problem, tol float64) {
 	s.computeXB()
 }
 
-// growVstat resizes the status slice, zeroing (nbLower) the result.
-func growVstat(s []vstatus, n int) []vstatus {
-	if cap(s) < n {
-		return make([]vstatus, n)
+// resetSlots rebuilds slotOf from the basis.
+func (s *spx) resetSlots() {
+	for j := range s.slotOf {
+		s.slotOf[j] = -1
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nbLower
+	for r, j := range s.basis {
+		s.slotOf[j] = r
 	}
-	return s
 }
 
-// effectiveRel is the row's sense after the flip normalization.
-func (s *spx) effectiveRel(p *Problem, i int) Relation {
-	rel := p.Rel[i]
-	if s.rowFlipped[i] {
-		switch rel {
-		case LE:
-			return GE
-		case GE:
-			return LE
-		}
-	}
-	return rel
-}
+// isBasic reports whether column j is in the basis.
+func (s *spx) isBasic(j int) bool { return s.slotOf[j] >= 0 }
 
 // factorizeBasis gathers the basis columns into CSC form and attempts
 // a fresh LU. On success the new factors replace the old and the eta
@@ -354,7 +284,7 @@ func (s *spx) factorizeBasis() bool {
 }
 
 // refactorize rebuilds the LU (counting it) and refreshes the basic
-// values from the effective rhs; on failure the stale factors stay in
+// values from the rhs; on failure the stale factors stay in
 // use and xB is left untouched.
 func (s *spx) refactorize() bool {
 	s.pivotsSinceLU = 0
@@ -366,39 +296,15 @@ func (s *spx) refactorize() bool {
 	return true
 }
 
-// computeBEff writes the effective right-hand side b − Σ a_j·x_j over
-// nonbasic columns at nonzero bounds into dst (row-indexed). Only
-// structural columns can sit at a nonzero bound.
-func (s *spx) computeBEff(dst []float64) {
-	copy(dst, s.bRaw)
-	for j := 0; j < s.nStruct; j++ {
-		if s.vstat[j] == vBasic {
-			continue
-		}
-		v := s.nbVal(j)
-		if v == 0 {
-			continue
-		}
-		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
-			dst[s.rowIdx[k]] -= s.colVal[k] * v
-		}
-	}
-}
-
-// computeXB solves B·xB = bEff and snaps values within 1e-7 of a bound
-// onto it (the dense refactorize clamp, generalized to both sides).
+// computeXB solves B·xB = b and snaps roundoff negatives above −1e-7
+// to zero (the dense refactorize clamp).
 func (s *spx) computeXB() {
-	s.computeBEff(s.beBuf)
-	s.ftranDense(s.beBuf)
-	for r := 0; r < s.m; r++ {
-		v := s.beBuf[r]
-		j := s.basis[r]
-		if lo := s.lower[j]; v < lo && v > lo-1e-7 {
-			v = lo
-		} else if up := s.upper[j]; v > up && v < up+1e-7 {
-			v = up
+	copy(s.xB, s.bRaw)
+	s.ftranDense(s.xB)
+	for r, v := range s.xB {
+		if v < 0 && v > -1e-7 {
+			s.xB[r] = 0
 		}
-		s.xB[r] = v
 	}
 }
 
@@ -466,20 +372,12 @@ func (s *spx) colDot(y []float64, j int) float64 {
 	return y[s.auxRow[j-s.nStruct]] * s.auxVal[j-s.nStruct]
 }
 
-// objective is cᵀx at the current point: basic values plus nonbasic
-// columns at their bounds.
+// objective is cᵀx_B at the current point (nonbasic columns sit at
+// zero).
 func (s *spx) objective(c []float64) float64 {
 	var v float64
 	for r, j := range s.basis {
 		v += c[j] * s.xB[r]
-	}
-	for j := 0; j < s.n; j++ {
-		if s.vstat[j] == vBasic || c[j] == 0 {
-			continue
-		}
-		if nv := s.nbVal(j); nv != 0 {
-			v += c[j] * nv
-		}
 	}
 	return v
 }
@@ -507,9 +405,8 @@ func (s *spx) scoreNoise(c, y []float64, j int) float64 {
 }
 
 // run performs primal simplex pivots under costs c until optimality,
-// unboundedness, or the iteration budget runs out — the bounded
-// generalization of the dense loop with identical pricing, tolerances,
-// and tie-breaks.
+// unboundedness, or the iteration budget runs out, with the dense
+// loop's pricing, tolerances, and tie-breaks.
 func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 	if !phase1 {
 		for j := s.n - s.nArt; j < s.n; j++ {
@@ -526,27 +423,23 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 		y := s.pricingDuals(c)
 		useBland := stall > 2*s.m+20
 
-		// Pricing: a variable at lower improves by increasing (rc < 0),
-		// one at upper by decreasing (rc > 0); the Dantzig score folds
-		// both into "most negative wins". A winner whose score sits
-		// inside its own roundoff band (scoreNoise) is set aside for
-		// this round and the scan repeats — almost always zero extra
-		// scans, and only near optimality on badly scaled objectives.
+		// Pricing: the most negative reduced cost wins. A winner whose
+		// score sits inside its own roundoff band (scoreNoise) is set
+		// aside for this round and the scan repeats — almost always zero
+		// extra scans, and only near optimality on badly scaled
+		// objectives.
 		enter := -1
 		for {
 			enter = -1
-			best := -s.tol
+			best := -tol
 			chosen := 0.0
 			for j := 0; j < s.n; j++ {
-				if s.vstat[j] == vBasic || s.barred[j] || s.noisy[j] {
+				if s.isBasic(j) || s.barred[j] || s.noisy[j] {
 					continue
 				}
 				score := c[j] - s.colDot(y, j)
-				if s.vstat[j] == nbUpper {
-					score = -score
-				}
 				if useBland {
-					if score < -s.tol {
+					if score < -tol {
 						enter = j
 						chosen = score
 						break
@@ -572,17 +465,13 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 		if enter < 0 {
 			return StatusOptimal, iters
 		}
-		esgn := 1.0
-		if s.vstat[enter] == nbUpper {
-			esgn = -1
-		}
 
 		u := s.ftranColInto(s.uBuf, enter)
 
-		// Ratio test: the entering variable moves by t ≥ 0 away from
-		// its bound; each basic variable limits t at whichever of its
-		// own bounds it is pushed toward. The pivot threshold and the
-		// smaller-column-index tie-break are the dense rules verbatim.
+		// Ratio test: the entering variable grows from zero until a
+		// basic variable it drives down reaches zero. The pivot
+		// threshold and the smaller-column-index tie-break are the dense
+		// rules verbatim; roundoff-negative basic values count as zero.
 		maxU := 0.0
 		for i := 0; i < s.m; i++ {
 			if a := math.Abs(u[i]); a > maxU {
@@ -590,69 +479,26 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 			}
 		}
 		pivTol := 1e-11 * maxU
-		if pivTol < s.tol {
-			pivTol = s.tol
+		if pivTol < tol {
+			pivTol = tol
 		}
 		leaveRow := -1
-		leaveToUpper := false
 		minRatio := math.Inf(1)
 		for i := 0; i < s.m; i++ {
-			d := esgn * u[i]
-			jb := s.basis[i]
-			var r float64
-			var toUpper bool
-			if d > pivTol {
-				room := s.xB[i] - s.lower[jb]
-				if room < 0 {
-					room = 0
-				}
-				r = room / d
-			} else if d < -pivTol {
-				up := s.upper[jb]
-				if math.IsInf(up, 1) {
-					continue
-				}
-				room := up - s.xB[i]
-				if room < 0 {
-					room = 0
-				}
-				r = room / -d
-				toUpper = true
-			} else {
+			if u[i] <= pivTol {
 				continue
 			}
-			if r < minRatio-s.tol ||
-				(r < minRatio+s.tol && (leaveRow < 0 || jb < s.basis[leaveRow])) {
+			room := s.xB[i]
+			if room < 0 {
+				room = 0
+			}
+			r := room / u[i]
+			if r < minRatio-tol ||
+				(r < minRatio+tol && (leaveRow < 0 || s.basis[i] < s.basis[leaveRow])) {
 				minRatio = r
 				leaveRow = i
-				leaveToUpper = toUpper
 			}
 		}
-
-		// Bound flip: the entering variable reaches its opposite bound
-		// before any basic variable blocks. No basis change, no eta —
-		// the cheapest pivot there is.
-		if rng := s.upper[enter] - s.lower[enter]; !math.IsInf(rng, 1) && rng < minRatio-s.tol {
-			for i := 0; i < s.m; i++ {
-				s.xB[i] -= esgn * rng * u[i]
-				s.snapXB(i)
-			}
-			if s.vstat[enter] == nbUpper {
-				s.vstat[enter] = nbLower
-			} else {
-				s.vstat[enter] = nbUpper
-			}
-			iters++
-			obj := s.objective(c)
-			if obj < lastObj-s.tol {
-				stall = 0
-				lastObj = obj
-			} else {
-				stall++
-			}
-			continue
-		}
-
 		if leaveRow < 0 {
 			if phase1 {
 				// Phase-1 objective is bounded below by 0; an
@@ -662,11 +508,11 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 			return StatusUnbounded, iters
 		}
 
-		s.pivot(enter, esgn, leaveRow, leaveToUpper, u)
+		s.pivot(enter, leaveRow, u)
 		iters++
 
 		obj := s.objective(c)
-		if obj < lastObj-s.tol {
+		if obj < lastObj-tol {
 			stall = 0
 			lastObj = obj
 		} else {
@@ -675,29 +521,12 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 	}
 }
 
-// snapXB clamps slot r's value onto a bound it overshot by roundoff
-// (≤ 1e-9, the dense pivot clamp generalized to both sides).
-func (s *spx) snapXB(r int) {
-	j := s.basis[r]
-	if lo := s.lower[j]; s.xB[r] < lo && s.xB[r] > lo-1e-9 {
-		s.xB[r] = lo
-	} else if up := s.upper[j]; s.xB[r] > up && s.xB[r] < up+1e-9 {
-		s.xB[r] = up
-	}
-}
-
-// pivot performs the basis exchange: the entering column (moving in
-// direction esgn from its bound) replaces slot leaveRow, whose
-// variable lands on the bound the ratio test chose. The displacement
-// is recomputed from the leaving row exactly as the dense pivot does,
-// with the same degenerate-theta clamp.
-func (s *spx) pivot(enter int, esgn float64, leaveRow int, leaveToUpper bool, u []float64) {
-	leaving := s.basis[leaveRow]
-	target := s.lower[leaving]
-	if leaveToUpper {
-		target = s.upper[leaving]
-	}
-	theta := (s.xB[leaveRow] - target) / (esgn * u[leaveRow])
+// pivot performs the basis exchange: the entering column replaces
+// slot leaveRow, whose variable leaves at zero. The displacement is
+// recomputed from the leaving row exactly as the dense pivot does,
+// with the same degenerate-theta and basic-value clamps.
+func (s *spx) pivot(enter, leaveRow int, u []float64) {
+	theta := s.xB[leaveRow] / u[leaveRow]
 	if theta < 0 && theta > -1e-7 {
 		theta = 0
 	}
@@ -705,19 +534,22 @@ func (s *spx) pivot(enter int, esgn float64, leaveRow int, leaveToUpper bool, u 
 		if i == leaveRow {
 			continue
 		}
-		s.xB[i] -= theta * esgn * u[i]
-		s.snapXB(i)
+		s.xB[i] -= theta * u[i]
+		if s.xB[i] < 0 && s.xB[i] > -1e-9 {
+			s.xB[i] = 0
+		}
 	}
-	s.xB[leaveRow] = s.nbVal(enter) + esgn*theta
+	// 0 + θ turns a −0 θ into +0, the value the entering variable
+	// takes from zero.
+	s.xB[leaveRow] = 0 + theta
+	s.exchange(enter, leaveRow, u)
+}
 
-	if leaveToUpper {
-		s.vstat[leaving] = nbUpper
-	} else {
-		s.vstat[leaving] = nbLower
-	}
-	s.slotOf[leaving] = -1
+// exchange installs column enter in slot leaveRow, records the eta of
+// direction u, and refactorizes every 64 pivots.
+func (s *spx) exchange(enter, leaveRow int, u []float64) {
+	s.slotOf[s.basis[leaveRow]] = -1
 	s.basis[leaveRow] = enter
-	s.vstat[enter] = vBasic
 	s.slotOf[enter] = leaveRow
 
 	s.etas.push(leaveRow, u)
@@ -729,8 +561,8 @@ func (s *spx) pivot(enter int, esgn float64, leaveRow int, leaveToUpper bool, u 
 }
 
 // runDual performs dual simplex pivots from a dual-feasible basis
-// until every basic variable is back inside its bounds (optimal),
-// proven primal infeasibility, or the iteration budget runs out.
+// until every basic value is non-negative (optimal), proven primal
+// infeasibility, or the iteration budget runs out.
 func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 	// Artificials stay barred exactly as in primal phase 2.
 	for j := s.n - s.nArt; j < s.n; j++ {
@@ -741,118 +573,70 @@ func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 		if iters >= maxIter {
 			return StatusIterLimit, iters
 		}
-		// Leaving row: largest bound violation (with nil bounds this
-		// is the dense "most negative basic value" rule).
+		// Leaving row: most negative basic value.
 		leave := -1
-		leaveBelow := false
-		worst := s.tol
+		worst := -tol
 		for i := 0; i < s.m; i++ {
-			jb := s.basis[i]
-			if v := s.lower[jb] - s.xB[i]; v > worst {
-				worst = v
+			if s.xB[i] < worst {
+				worst = s.xB[i]
 				leave = i
-				leaveBelow = true
-			} else if v := s.xB[i] - s.upper[jb]; v > worst {
-				worst = v
-				leave = i
-				leaveBelow = false
 			}
 		}
 		if leave < 0 {
 			return StatusOptimal, iters // primal feasible and dual feasible
 		}
-		dir := 1.0 // the violated basic value must move up…
-		if !leaveBelow {
-			dir = -1 // …or down, when it sits above its upper bound
-		}
 
 		// Entering: the dual ratio test over row leave of B⁻¹A. A
-		// candidate's movement away from its bound must push the
-		// leaving value toward feasibility; among candidates the
-		// smallest reduced-cost ratio keeps dual feasibility, with the
-		// dense smaller-index tie-break.
+		// candidate needs a negative entry to push the leaving value up;
+		// among candidates the smallest reduced-cost ratio keeps dual
+		// feasibility, with the dense smaller-index tie-break.
 		rho := s.btranUnit(leave)
 		y := s.pricingDuals(c)
 		enter := -1
 		bestRatio := math.Inf(1)
 		for j := 0; j < s.n; j++ {
-			if s.vstat[j] == vBasic || s.barred[j] {
+			if s.isBasic(j) || s.barred[j] {
 				continue
 			}
 			alpha := s.colDot(rho, j)
-			sgnj := 1.0
-			if s.vstat[j] == nbUpper {
-				sgnj = -1
-			}
-			if sgnj*alpha*dir >= -1e-9 {
+			if alpha >= -1e-9 {
 				continue
 			}
 			rc := c[j] - s.colDot(y, j)
-			// Clamp roundoff across the dual-feasible side (≥ 0 at
-			// lower, ≤ 0 at upper): feasibility holds by invariant.
-			if sgnj > 0 {
-				if rc < 0 {
-					rc = 0
-				}
-			} else if rc > 0 {
-				rc = 0
+			if rc < 0 {
+				rc = 0 // roundoff: dual feasibility holds by invariant
 			}
-			ratio := math.Abs(rc) / math.Abs(alpha)
-			if ratio < bestRatio-s.tol ||
-				(ratio < bestRatio+s.tol && (enter < 0 || j < enter)) {
+			ratio := rc / -alpha
+			if ratio < bestRatio-tol ||
+				(ratio < bestRatio+tol && (enter < 0 || j < enter)) {
 				bestRatio = ratio
 				enter = j
 			}
 		}
 		if enter < 0 {
-			return StatusInfeasible, iters // the row proves the bounds box empty
+			return StatusInfeasible, iters // the row proves Ax{≤,=,≥}b empty
 		}
 
-		esgn := 1.0
-		if s.vstat[enter] == nbUpper {
-			esgn = -1
-		}
 		u := s.ftranColInto(s.uBuf, enter)
-		s.pivotDual(enter, esgn, leave, leaveBelow, u)
+		s.pivotDual(enter, leave, u)
 		iters++
 	}
 }
 
 // pivotDual performs the dual basis exchange: the leaving variable
-// lands exactly on its violated bound; no feasibility clamps apply
-// (the dense pivotDual has none either — subsequent iterations repair
-// any remaining violations).
-func (s *spx) pivotDual(enter int, esgn float64, leaveRow int, leaveBelow bool, u []float64) {
-	leaving := s.basis[leaveRow]
-	target := s.lower[leaving]
-	if !leaveBelow {
-		target = s.upper[leaving]
-	}
-	theta := (s.xB[leaveRow] - target) / (esgn * u[leaveRow])
+// lands exactly on zero; no feasibility clamps apply (the dense
+// pivotDual has none either — subsequent iterations repair any
+// remaining violations).
+func (s *spx) pivotDual(enter, leaveRow int, u []float64) {
+	theta := s.xB[leaveRow] / u[leaveRow]
 	for i := 0; i < s.m; i++ {
 		if i == leaveRow {
 			continue
 		}
-		s.xB[i] -= theta * esgn * u[i]
+		s.xB[i] -= theta * u[i]
 	}
-	s.xB[leaveRow] = s.nbVal(enter) + esgn*theta
-
-	if leaveBelow {
-		s.vstat[leaving] = nbLower
-	} else {
-		s.vstat[leaving] = nbUpper
-	}
-	s.slotOf[leaving] = -1
-	s.basis[leaveRow] = enter
-	s.vstat[enter] = vBasic
-	s.slotOf[enter] = leaveRow
-
-	s.etas.push(leaveRow, u)
-	s.etaUpdates++
-	s.pivotsSinceLU++
-	if s.pivotsSinceLU >= 64 {
-		s.refactorize()
-	}
+	s.xB[leaveRow] = 0 + theta // as in pivot: a −0 θ lands as +0
+	s.exchange(enter, leaveRow, u)
 }
 
 // driveOutArtificials pivots zero-level basic artificials out of the
@@ -869,7 +653,7 @@ func (s *spx) driveOutArtificials() {
 		var bestU []float64
 		cur, spare := s.uBuf, s.uBuf2
 		for j := 0; j < s.n-s.nArt; j++ {
-			if s.vstat[j] == vBasic || s.barred[j] {
+			if s.isBasic(j) || s.barred[j] {
 				continue
 			}
 			u := s.ftranColInto(cur, j)
@@ -882,23 +666,17 @@ func (s *spx) driveOutArtificials() {
 		}
 		_ = spare
 		if bestJ >= 0 {
-			esgn := 1.0
-			if s.vstat[bestJ] == nbUpper {
-				esgn = -1
-			}
-			s.pivot(bestJ, esgn, i, false, bestU)
+			s.pivot(bestJ, i, bestU)
 		}
 	}
 }
 
 // tryWarmStart installs a caller-provided basis and classifies it,
 // mirroring the dense rules: the basis must decode, not repeat
-// columns, and factorize; a basis whose basic values respect their
-// bounds (±1e-7) goes straight to phase 2 even if some reduced cost is
-// negative, a bound-respecting dual-feasible one goes to the dual
-// simplex, anything else restores the cold start. Nonbasic variables
-// take the bound side their reduced cost prefers (at upper iff
-// rc < −1e-7 with a finite upper bound).
+// columns, and factorize; a basis whose basic values are non-negative
+// (±1e-7) goes straight to phase 2 even if some reduced cost is
+// negative, a dual-feasible one goes to the dual simplex, anything
+// else restores the cold start.
 func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 	if len(warm) != s.m {
 		return warmUnusable
@@ -937,43 +715,17 @@ func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 	}
 
 	copy(s.basis, cand)
-	for j := 0; j < s.n; j++ {
-		s.vstat[j] = nbLower
-		s.slotOf[j] = -1
-	}
-	for r, j := range s.basis {
-		s.vstat[j] = vBasic
-		s.slotOf[j] = r
-	}
+	s.resetSlots()
 	s.refactorizations++ // the candidate factorization, as in dense
 	if !s.factorizeBasis() {
 		s.restoreColdBasis()
 		return warmUnusable
 	}
 
-	// Nonbasic sides and dual feasibility from the reduced costs
-	// (artificials skipped, as in the dense classification).
-	c := s.phase2Costs()
-	y := s.pricingDuals(c)
-	dualInfeasible := false
-	for j := 0; j < s.n; j++ {
-		if s.vstat[j] == vBasic || s.isArtificial(j) {
-			continue
-		}
-		if c[j]-s.colDot(y, j) < -1e-7 {
-			if !math.IsInf(s.upper[j], 1) {
-				s.vstat[j] = nbUpper
-			} else {
-				dualInfeasible = true
-			}
-		}
-	}
-
 	s.computeXB()
 	primal := true
-	for r := 0; r < s.m; r++ {
-		jb := s.basis[r]
-		if s.xB[r] < s.lower[jb]-1e-7 || s.xB[r] > s.upper[jb]+1e-7 {
+	for _, v := range s.xB {
+		if v < -1e-7 {
 			primal = false
 			break
 		}
@@ -983,11 +735,20 @@ func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 		// exist — primal pivots price them in, exactly as dense.
 		return warmPrimalFeasible
 	}
-	if !dualInfeasible {
-		return warmDualFeasible
+	// Primal infeasible: usable by the dual simplex iff every nonbasic
+	// column (artificials skipped) prices out non-negatively.
+	c := s.phase2Costs()
+	y := s.pricingDuals(c)
+	for j := 0; j < s.n; j++ {
+		if s.isBasic(j) || s.isArtificial(j) {
+			continue
+		}
+		if c[j]-s.colDot(y, j) < -1e-7 {
+			s.restoreColdBasis()
+			return warmUnusable
+		}
 	}
-	s.restoreColdBasis()
-	return warmUnusable
+	return warmDualFeasible
 }
 
 // restoreColdBasis rebuilds the slack/artificial starting state after
@@ -1001,14 +762,7 @@ func (s *spx) restoreColdBasis() {
 			s.basis[i] = s.artOf[i] // GE/EQ row: its artificial
 		}
 	}
-	for j := 0; j < s.n; j++ {
-		s.vstat[j] = nbLower
-		s.slotOf[j] = -1
-	}
-	for r, j := range s.basis {
-		s.vstat[j] = vBasic
-		s.slotOf[j] = r
-	}
+	s.resetSlots()
 	s.factorizeBasis()
 	s.computeXB()
 }
@@ -1028,9 +782,9 @@ func (s *spx) encodeBasis() []BasisVar {
 
 // solveSparse runs the two-phase sparse simplex in the given
 // workspace. The caller has already validated the problem, resolved
-// tol/maxIter, and handled crossed bounds and the zero-row case.
-func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int) (*Solution, error) {
-	s.fill(p, tol)
+// the maxIter default, and handled the zero-row case.
+func solveSparse(p *Problem, s *spx, opt Options, maxIter int) (*Solution, error) {
+	s.fill(p)
 
 	iters1 := 0
 	warmUsed := false
@@ -1039,7 +793,7 @@ func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int) (*So
 		warmUsed = true
 	case warmDualFeasible:
 		warmUsed = true
-		// Dual repair after a right-hand-side or bound change. Warm is
+		// Dual repair after a right-hand-side change. Warm is
 		// reported even when the repair needs zero pivots or proves the
 		// tightened problem infeasible — the basis did its job.
 		st, it := s.runDual(s.phase2Costs(), maxIter)
@@ -1072,22 +826,19 @@ func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int) (*So
 	}
 
 	// Fresh factorization before extraction so the reported point is
-	// exactly B⁻¹·bEff for the final basis.
+	// exactly B⁻¹·b for the final basis.
 	s.refactorize()
 
 	x := make([]float64, s.nStruct)
 	for j := 0; j < s.nStruct; j++ {
-		if r := s.slotOf[j]; r >= 0 {
-			x[j] = s.xB[r]
-		} else {
-			x[j] = s.nbVal(j)
+		r := s.slotOf[j]
+		if r < 0 {
+			continue
 		}
-		// Clean roundoff outside the box (the dense −1e-7 clamp,
-		// generalized).
-		if lo := s.lower[j]; x[j] < lo && x[j] > lo-1e-7 {
-			x[j] = lo
-		} else if up := s.upper[j]; x[j] > up && x[j] < up+1e-7 {
-			x[j] = up
+		x[j] = s.xB[r]
+		// Clean tiny negatives from roundoff (the dense clamp).
+		if x[j] < 0 && x[j] > -1e-7 {
+			x[j] = 0
 		}
 	}
 
@@ -1096,7 +847,7 @@ func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int) (*So
 	yInt := s.pricingDuals(s.phase2Costs())
 	rc := make([]float64, s.nStruct)
 	for j := 0; j < s.nStruct; j++ {
-		if s.vstat[j] == vBasic {
+		if s.isBasic(j) {
 			continue // exact zero for basic variables
 		}
 		rc[j] = s.costs[j] - s.colDot(yInt, j)

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -72,7 +73,7 @@ func checkAgainstDense(t *testing.T, tag string, p *Problem) (*Solution, *Soluti
 	if math.Abs(sp.Objective-de.Objective) > 1e-6*scale {
 		t.Fatalf("%s: sparse objective %.15g, dense %.15g", tag, sp.Objective, de.Objective)
 	}
-	// Primal feasibility of the sparse solution, including bounds.
+	// Primal feasibility of the sparse solution, including x ≥ 0.
 	for i, row := range p.A {
 		lhs := 0.0
 		for j, a := range row {
@@ -93,17 +94,27 @@ func checkAgainstDense(t *testing.T, tag string, p *Problem) (*Solution, *Soluti
 		}
 	}
 	for j, x := range sp.X {
-		if x < p.lowerOf(j)-1e-7 || x > p.upperOf(j)+1e-7 {
-			t.Fatalf("%s: sparse x[%d]=%g outside [%g, %g]", tag, j, x, p.lowerOf(j), p.upperOf(j))
+		if x < -1e-7 {
+			t.Fatalf("%s: sparse x[%d]=%g negative", tag, j, x)
 		}
 	}
 	return sp, de
 }
 
-// TestDifferentialSparseVsDense is the tentpole's load-bearing
-// property test: across random mixed-sense LPs the sparse revised
+// samePivots reports whether the two solves walked the same basis
+// sequence: equal pivot counts and, when optimal, the same final basis.
+func samePivots(sp, de *Solution) bool {
+	if sp.Iterations != de.Iterations {
+		return false
+	}
+	return sp.Status != StatusOptimal || reflect.DeepEqual(sp.Basis, de.Basis)
+}
+
+// TestDifferentialSparseVsDense is the load-bearing property test of
+// the sparse path: across random mixed-sense LPs the sparse revised
 // simplex and the legacy dense tableau must agree on status and
-// objective.
+// objective, and pivot for pivot — the same iteration count and, when
+// optimal, the same final basis.
 func TestDifferentialSparseVsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	optimal := 0
@@ -111,7 +122,11 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		m := 1 + rng.Intn(8)
 		p := randomMixedLP(rng, n, m)
-		sp, _ := checkAgainstDense(t, "mixed", p)
+		sp, de := checkAgainstDense(t, "mixed", p)
+		if !samePivots(sp, de) {
+			t.Fatalf("instance %d: sparse %d pivots to basis %v, dense %d pivots to %v",
+				inst, sp.Iterations, sp.Basis, de.Iterations, de.Basis)
+		}
 		if sp.Status == StatusOptimal {
 			optimal++
 		}
@@ -121,59 +136,24 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 	}
 }
 
-// TestDifferentialBounded drives the native bounded-variable path
-// against the dense reference (which materializes bounds as rows):
-// random instances with finite lower/upper bounds on a subset of
-// variables must agree on status and objective, and the sparse
-// solution must respect its bounds.
-func TestDifferentialBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(211))
-	optimal, flips := 0, 0
-	for inst := 0; inst < 150; inst++ {
-		n := 2 + rng.Intn(8)
-		m := 1 + rng.Intn(6)
-		p := randomMixedLP(rng, n, m)
-		for j := 0; j < n; j++ {
-			switch rng.Intn(4) {
-			case 0: // finite range, lower 0
-				p.SetBounds(j, 0, rng.Float64()*3)
-			case 1: // finite range, positive lower
-				lo := rng.Float64()
-				p.SetBounds(j, lo, lo+rng.Float64()*3)
-			case 2: // fixed variable
-				v := rng.Float64() * 2
-				p.SetBounds(j, v, v)
-			}
-		}
-		sp, _ := checkAgainstDense(t, "bounded", p)
-		if sp.Status == StatusOptimal {
-			optimal++
-			for j, x := range sp.X {
-				if u := p.upperOf(j); !math.IsInf(u, 1) && math.Abs(x-u) < 1e-9 && u > p.lowerOf(j) {
-					flips++ // some variable actually rests at its upper bound
-				}
-			}
-		}
-	}
-	if optimal < 30 {
-		t.Fatalf("only %d/150 bounded instances optimal", optimal)
-	}
-	if flips == 0 {
-		t.Fatal("no optimal solution ever used an upper bound; generator exercises nothing")
-	}
-}
-
 // TestDifferentialColgenShape replays the column-generation master
 // shape (repeated ~1e8 coefficients, GE rows, heavy degeneracy)
 // through both engines, growing columns incrementally through a
-// reusable Solver the way internal/cg does.
+// reusable Solver the way internal/cg does. The cold solves' pivot
+// agreement is logged, not asserted: on the repeated 1e8 coefficients
+// an arithmetic-order tie can send the two engines down different but
+// equally optimal walks.
 func TestDifferentialColgenShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
-	for inst := 0; inst < 40; inst++ {
+	agree := 0
+	const instances = 40
+	for inst := 0; inst < instances; inst++ {
 		m := 2 + rng.Intn(6)
 		n := m + rng.Intn(8)
 		p := colgenShapeLP(rng, m, n)
-		checkAgainstDense(t, "colgen", p)
+		if sp, de := checkAgainstDense(t, "colgen", p); samePivots(sp, de) {
+			agree++
+		}
 
 		// Incremental growth: add columns and re-solve warm, comparing
 		// against a dense solve of the grown problem each step.
@@ -207,6 +187,7 @@ func TestDifferentialColgenShape(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d/%d cold colgen-shape solves agree with dense pivot for pivot", agree, instances)
 }
 
 // TestSparseReducedCosts pins the ReducedCost contract on the sparse
@@ -249,46 +230,5 @@ func TestSparseReducedCosts(t *testing.T) {
 				t.Fatalf("instance %d: rc[%d]=%g, duals imply %g", inst, j, rc, want)
 			}
 		}
-	}
-}
-
-// TestSparseBoundFlipIteration pins the bound-flip fast path: a
-// variable whose finite range is shorter than the blocking ratio flips
-// from one bound to the other without a basis change, so the solve
-// finishes with fewer pivots than basis dimension would suggest and
-// the flipped variable rests at its far bound.
-func TestSparseBoundFlipIteration(t *testing.T) {
-	// max x0 + 0.1 x1  s.t. x0 + x1 ≤ 10, x0 ≤ 2 (bound), x1 ≤ 3 (bound).
-	p := NewProblem([]float64{-1, -0.1})
-	p.AddRow([]float64{1, 1}, LE, 10)
-	p.SetBounds(0, 0, 2)
-	p.SetBounds(1, 0, 3)
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != StatusOptimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if math.Abs(sol.X[0]-2) > 1e-9 || math.Abs(sol.X[1]-3) > 1e-9 {
-		t.Fatalf("x = %v, want [2 3]", sol.X)
-	}
-	if math.Abs(sol.Objective-(-2.3)) > 1e-9 {
-		t.Fatalf("objective %g, want -2.3", sol.Objective)
-	}
-}
-
-// TestSparseCrossedBounds: empty bound boxes are reported as
-// infeasible at solve time, not as a structural error.
-func TestSparseCrossedBounds(t *testing.T) {
-	p := NewProblem([]float64{1})
-	p.AddRow([]float64{1}, GE, 0)
-	p.SetBounds(0, 2, 1)
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != StatusInfeasible {
-		t.Fatalf("crossed bounds gave %v, want infeasible", sol.Status)
 	}
 }

@@ -25,11 +25,16 @@ lint: vet check-deprecated
 # favor of Solve(ctx), and host construction moved to functional
 # options (host.New(host.WithWatchdog…)) with the imperative
 # host.NewFromOptions shim deleted; fail if anything reintroduces a
-# call to the removed forms.
+# call to the removed forms. The root-split parallel pricer is gone
+# too: its option, search and CLI flag must not come back.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
 	else echo "deprecated-API check passed"; fi
+	@if grep -rn --include='*.go' -e 'WithPricerWorkers(' -e 'searchParallel' -e '-pricer-workers' . || \
+		grep -rn -e 'WithPricerWorkers(' -e 'searchParallel' -e '-pricer-workers' .github/ ; then \
+		echo "error: the parallel pricer was removed (parallelism comes from -workers and host cells)"; exit 1; \
+	else echo "serial-pricer check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \

@@ -90,7 +90,6 @@ func runCtx(ctx context.Context, args []string) int {
 		retries      = fs.Int("retries", -1, "control-frame retry budget for -fig faultsweep (-1 = policy default)")
 		failSpec     = fs.String("fail", "", "injected link outages for -fig faultsweep, e.g. \"100@3+50,400@7+25\" (slot@link+duration)")
 		workers      = fs.Int("workers", 0, "goroutines for independent sweep cells (0 = one per CPU, 1 = sequential reference; output is identical either way)")
-		priceWorkers = fs.Int("pricer-workers", 0, "goroutines per pricing search (0 or 1 = serial exact pricer)")
 		verbose      = fs.Bool("v", false, "print solver telemetry (probes, master solves, pricer nodes) to stderr")
 		traceFile    = fs.String("trace", "", "record structured solver trace events (JSONL) to this file")
 		metricsFile  = fs.String("metrics", "", "dump the campaign's metrics exposition to this file after the run (\"-\" = stderr)")
@@ -124,7 +123,6 @@ func runCtx(ctx context.Context, args []string) int {
 		cfg.PMax = *pmax
 	}
 	cfg.Workers = *workers
-	cfg.PricerWorkers = *priceWorkers
 	cfg.Ctx = ctx
 	var tel *experiment.Telemetry
 	if *verbose {

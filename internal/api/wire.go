@@ -157,7 +157,9 @@ type Solve struct {
 	Tolerance     float64 `json:"tolerance,omitempty"`
 	GapTarget     float64 `json:"gap_target,omitempty"`
 	PricerBudget  int     `json:"pricer_budget,omitempty"`
-	PricerWorkers int     `json:"pricer_workers,omitempty"`
+	// PricerWorkers is accepted for v1 wire compatibility and ignored:
+	// the pricer searches serially.
+	PricerWorkers int `json:"pricer_workers,omitempty"`
 }
 
 // ToOptions lowers the wire solve spec onto core.Options.
@@ -174,9 +176,6 @@ func (s Solve) ToOptions() core.Options {
 	}
 	if s.PricerBudget > 0 {
 		opts = append(opts, core.WithPricer(core.NewBranchBoundPricer(s.PricerBudget)))
-	}
-	if s.PricerWorkers > 0 {
-		opts = append(opts, core.WithPricerWorkers(s.PricerWorkers))
 	}
 	return core.NewOptions(opts...)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"mmwave/internal/checkpoint"
@@ -209,5 +210,21 @@ func TestCodeStability(t *testing.T) {
 	}
 	if CodeForError(errors.New("mystery")) != CodeInternal {
 		t.Error("unknown errors must map to internal")
+	}
+}
+
+// TestSolvePricerWorkersIgnored: the frozen v1 pricer_workers field
+// still decodes, and lowers to exactly the options of a spec without
+// it (the pricer is serial).
+func TestSolvePricerWorkersIgnored(t *testing.T) {
+	var s Solve
+	if err := json.Unmarshal([]byte(`{"max_iterations":7,"pricer_workers":4}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	if s.PricerWorkers != 4 {
+		t.Fatalf("pricer_workers decoded as %d, want 4", s.PricerWorkers)
+	}
+	if got, want := s.ToOptions(), (Solve{MaxIterations: 7}).ToOptions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ToOptions() = %+v, want %+v", got, want)
 	}
 }

@@ -154,9 +154,10 @@ type Options struct {
 	// feasibility is preserved. The zero value disables collection —
 	// single-shot solves never need it.
 	ColumnGC cg.GCPolicy
-	// PricerWorkers sets the parallel root-split width of the default
-	// branch-and-bound pricer constructed when Pricer is nil (0 means
-	// sequential). Explicit pricers carry their own parallelism.
+	// PricerWorkers is ignored: the default pricer searches serially.
+	//
+	// Deprecated: a no-op kept only because perfbench's replay still
+	// reads it.
 	PricerWorkers int
 	// Stabilization governs dual stabilization in the engine loop
 	// (DESIGN.md §17): pricing runs at smoothed duals inside a
@@ -271,8 +272,15 @@ func checkDemands(nw *netmodel.Network, demands []video.Demand) error {
 	return nil
 }
 
-// checkClasses validates an optional class table against the network.
-func checkClasses(nw *netmodel.Network, classes video.Classes) error {
+// checkInstance is every solver constructor's shared validation: the
+// network, the demand vector and the optional class table.
+func checkInstance(nw *netmodel.Network, demands []video.Demand, classes video.Classes) error {
+	if err := nw.Validate(); err != nil {
+		return fmt.Errorf("core: invalid network: %w", err)
+	}
+	if err := checkDemands(nw, demands); err != nil {
+		return err
+	}
 	if classes == nil {
 		return nil
 	}
@@ -285,24 +293,25 @@ func checkClasses(nw *netmodel.Network, classes video.Classes) error {
 	return nil
 }
 
+// withDefaultPricer fills in the pricer when o carries none: the
+// branch-and-bound pricer at the default probe budget, pooling as many
+// leaves as the multi-column policy admits per round.
+func (o Options) withDefaultPricer() Options {
+	if o.Pricer == nil {
+		p := NewBranchBoundPricer(0)
+		p.PoolLeaves = o.MultiColumn.Columns()
+		o.Pricer = p
+	}
+	return o
+}
+
 // NewSolver validates the instance and seeds the column pool with the
 // paper's TDMA initialization (§IV-B).
 func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Solver, error) {
-	if err := nw.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid network: %w", err)
-	}
-	if err := checkDemands(nw, demands); err != nil {
+	if err := checkInstance(nw, demands, opts.Classes); err != nil {
 		return nil, err
 	}
-	if err := checkClasses(nw, opts.Classes); err != nil {
-		return nil, err
-	}
-	if opts.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.Parallel = opts.PricerWorkers
-		p.PoolLeaves = opts.MultiColumn.Columns()
-		opts.Pricer = p
-	}
+	opts = opts.withDefaultPricer()
 
 	s := &Solver{nw: nw, demands: append([]video.Demand(nil), demands...), opts: opts}
 	state := cg.NewState()
@@ -333,24 +342,13 @@ func (s *Solver) StateSnapshot() *cg.StateSnapshot {
 // fingerprint); every snapshot column is re-validated against nw as
 // defense in depth.
 func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Options, snap *cg.StateSnapshot) (*Solver, error) {
-	if err := nw.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid network: %w", err)
-	}
-	if err := checkDemands(nw, demands); err != nil {
-		return nil, err
-	}
-	if err := checkClasses(nw, opts.Classes); err != nil {
+	if err := checkInstance(nw, demands, opts.Classes); err != nil {
 		return nil, err
 	}
 	if err := snap.ValidateAgainst(nw); err != nil {
 		return nil, err
 	}
-	if opts.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.Parallel = opts.PricerWorkers
-		p.PoolLeaves = opts.MultiColumn.Columns()
-		opts.Pricer = p
-	}
+	opts = opts.withDefaultPricer()
 	state, err := cg.RestoreState(snap)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"mmwave/internal/cg"
-	"mmwave/internal/lp"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/obs"
 	"mmwave/internal/video"
@@ -38,16 +37,6 @@ func WithTolerance(tol float64) Option { return func(o *Options) { o.Tolerance =
 // gap (the paper's Theorem-1 stopping rule).
 func WithGapTarget(gap float64) Option { return func(o *Options) { o.GapTarget = gap } }
 
-// WithColumnGC bounds pool growth across re-solves of the same solver
-// (see Options.ColumnGC): pools past policy.MaxColumns drop columns
-// that stayed nonbasic for policy.MinAge solves.
-func WithColumnGC(policy cg.GCPolicy) Option { return func(o *Options) { o.ColumnGC = policy } }
-
-// WithPricerWorkers sets the parallel root-split width used when the
-// solver constructs its default branch-and-bound pricer (ignored for
-// explicitly supplied pricers, which carry their own parallelism).
-func WithPricerWorkers(n int) Option { return func(o *Options) { o.PricerWorkers = n } }
-
 // WithStabilization sets the dual-stabilization policy (see
 // Options.Stabilization). The zero policy enables stabilization with
 // defaults; pass cg.StabilizePolicy{Disable: true} to reproduce the
@@ -68,15 +57,6 @@ func WithHeuristicPricing(p cg.HeuristicPolicy) Option {
 	return func(o *Options) { o.HeuristicPricing = p }
 }
 
-// WithLP passes options through to the master-problem LP solves.
-func WithLP(lo lp.Options) Option { return func(o *Options) { o.LPOpts = lo } }
-
-// WithClasses attaches a traffic-class table: per-class quality
-// weights, priority ranks, and optional minimum-rate SLAs. A nil table
-// (the default) means unit weights and no floors — the paper's
-// two-class behavior.
-func WithClasses(cs video.Classes) Option { return func(o *Options) { o.Classes = cs } }
-
 // WithTracer attaches a trace-event consumer: every column-generation
 // iteration, pricing round, and master solve under this solver emits
 // through it. A nil tracer (the default) costs nothing.
@@ -90,11 +70,4 @@ func WithMetrics(m *obs.Registry) Option { return func(o *Options) { o.Metrics =
 // NewSolver(nw, demands, NewOptions(opts...)).
 func New(nw *netmodel.Network, demands []video.Demand, opts ...Option) (*Solver, error) {
 	return NewSolver(nw, demands, NewOptions(opts...))
-}
-
-// NewQuality is the functional-options constructor for QualitySolver,
-// equivalent to NewQualitySolver(nw, demands, budget, weights,
-// NewOptions(opts...)).
-func NewQuality(nw *netmodel.Network, demands []video.Demand, budgetSeconds float64, weights []float64, opts ...Option) (*QualitySolver, error) {
-	return NewQualitySolver(nw, demands, budgetSeconds, weights, NewOptions(opts...))
 }

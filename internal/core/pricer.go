@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
@@ -39,24 +37,19 @@ type BranchBoundPricer struct {
 	// ablation (Benchmark 2 lacks power control).
 	FixedPower bool
 
-	// Parallel, when > 1, splits the search at the root across this
-	// many goroutines sharing an atomic incumbent and one probe
-	// budget. The Theorem-1 bound and the Exact flag keep their exact
-	// semantics (the maximal pricing value is still proved when the
-	// search completes), but among schedules of exactly equal value the
-	// returned one may differ between runs, so the serial path
-	// (Parallel ≤ 1, the default) remains the reproducibility
-	// reference.
+	// Parallel is ignored: the search is serial. Parallelism comes
+	// from pricing independent solves concurrently (sweep cells, host
+	// cells), which keeps every walk reproducible.
+	//
+	// Deprecated: a no-op kept only because perfbench's replay still
+	// assigns it.
 	Parallel int
 
 	// PoolLeaves, when > 0, pools up to this many improving complete
 	// DFS leaves (pricing value > 1, i.e. negative reduced cost) and
 	// returns them in PriceResult.Extras for multi-column admission.
-	// Collection is passive — pruning and the returned argmax are
-	// untouched — and serial-only: under Parallel > 1 the shared
-	// incumbent makes the set of *reached* leaves timing-dependent, so
-	// pooling is skipped there to keep parallel pricing's result
-	// reproducible.
+	// Collection is passive: pruning and the returned argmax are
+	// untouched.
 	PoolLeaves int
 
 	// referenceProbes (test-only) answers every feasibility probe with
@@ -64,10 +57,9 @@ type BranchBoundPricer struct {
 	// probe solver, for fast-vs-reference equivalence tests.
 	referenceProbes bool
 
-	// statePool recycles worker DFS states (incl. their probe solvers
-	// and scratch) across pricing calls and root-split tasks. States
-	// are goroutine-local while checked out, which keeps the parallel
-	// pricer race-free and byte-identical to the serial one.
+	// statePool recycles DFS states (incl. their probe solvers and
+	// scratch) across pricing calls. A state belongs to one call while
+	// checked out, so one pricer may serve concurrent Price calls.
 	statePool sync.Pool
 }
 
@@ -96,9 +88,6 @@ func (p *BranchBoundPricer) String() string {
 	if p.FixedPower {
 		s += ", fixed-power"
 	}
-	if p.Parallel > 1 {
-		s += fmt.Sprintf(", workers=%d", p.Parallel)
-	}
 	return s + ")"
 }
 
@@ -112,45 +101,17 @@ type candidate struct {
 	chOrder []int   // channels in descending direct-gain order
 }
 
-// searchCtl is the control block shared by every worker of one pricing
-// call: the global incumbent value, the probe budget, and the halt
-// flag. The serial search uses it too (with exactly one worker), so
-// serial and parallel runs share one code path.
-type searchCtl struct {
-	budget int64
-	probes atomic.Int64  // feasibility probes consumed (budget unit)
-	best   atomic.Uint64 // Float64bits of the best value found anywhere
-	halt   atomic.Bool   // budget exhausted or context canceled
-
-	// done, when non-nil, is polled periodically so an expired solve
-	// budget halts the search mid-tree; the best-so-far incumbent and
-	// the upfront relaxation bound stay valid.
-	done <-chan struct{}
-}
-
-// bestVal returns the shared incumbent value (pricing values are
-// non-negative, so the zero bit pattern is a valid floor).
-func (ctl *searchCtl) bestVal() float64 { return math.Float64frombits(ctl.best.Load()) }
-
-// offer raises the shared incumbent to v if it improves it.
-func (ctl *searchCtl) offer(v float64) {
-	for {
-		cur := ctl.best.Load()
-		if math.Float64frombits(cur) >= v {
-			return
-		}
-		if ctl.best.CompareAndSwap(cur, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// pricerState is one worker's mutable DFS state.
+// pricerState is one pricing call's mutable DFS state.
 type pricerState struct {
 	nw         *netmodel.Network
 	cands      []candidate
 	suffixBest []float64 // suffixBest[i] = Σ_{j≥i} cands[j].best
-	ctl        *searchCtl
+
+	budget int // feasibility probes the search may spend
+	// done, when non-nil, is polled periodically so an expired solve
+	// budget halts the search mid-tree; the best-so-far incumbent and
+	// the upfront relaxation bound stay valid.
+	done <-chan struct{}
 
 	chActive [][]int     // per channel: active candidate indices (into cands)
 	chLevels [][]float64 // per channel: γ thresholds parallel to chActive
@@ -169,17 +130,16 @@ type pricerState struct {
 	bestAssign []assignChoice
 
 	// Leaf pool (multi-column pricing): the top poolLeaves improving,
-	// activation-diverse
-	// complete assignments seen by the DFS, value-keyed, buffers
-	// recycled across calls. poolLeaves is 0 unless the owning pricer
-	// enables pooling for this (serial) search.
+	// activation-diverse complete assignments seen by the DFS,
+	// value-keyed, buffers recycled across calls. poolLeaves is 0
+	// unless the owning pricer enables pooling.
 	poolLeaves  int
 	leafVals    []float64
 	leafSigs    []uint64
 	leafAssigns [][]assignChoice
 
 	nodes      int // dfs nodes (telemetry)
-	probes     int // this worker's feasibility probes (telemetry)
+	probes     int // feasibility probes (the budget unit)
 	lastPoll   int
 	halted     bool
 	fixedPower bool
@@ -327,55 +287,36 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 		}
 	}
 
-	ctl := &searchCtl{budget: int64(p.probeBudget), done: done}
+	st := p.getState(done, nw, cands, suffix, sibling)
 
 	// Seed the incumbent with the greedy heuristic: a strong initial
 	// bound prunes most of the tree, and the exact search can only
 	// improve on it.
-	var seedVal float64
-	var seedAssign []assignChoice
 	if !p.FixedPower {
 		if seed, err := (GreedyPricer{}).Price(nw, lambda); err == nil && seed.Schedule != nil {
 			if assign, ok := seedAssignment(cands, seed.Schedule); ok {
-				seedVal, seedAssign = seed.Value, assign
-				ctl.offer(seedVal)
+				st.bestVal, st.bestAssign = seed.Value, assign
 			}
 		}
 	}
 
-	var bestVal float64
-	var bestAssign []assignChoice
-	var extras []*schedule.Schedule
-	var nodes int
-	halted := false
-
-	if p.Parallel > 1 {
-		bestVal, bestAssign, nodes, halted = p.searchParallel(ctl, nw, cands, suffix, sibling, seedVal, seedAssign)
-	} else {
-		st := p.getState(ctl, nw, cands, suffix, sibling)
-		st.poolLeaves = p.PoolLeaves
-		st.bestVal, st.bestAssign = seedVal, seedAssign
-		st.dfs(0, 0)
-		bestVal, bestAssign = st.bestVal, st.bestAssign
-		nodes, halted = st.nodes, st.halted
-		extras = st.buildLeafPool(nw, cands, bestAssign, p.FixedPower)
-		p.putState(st)
-	}
-
+	st.dfs(0, 0)
+	bestVal, bestAssign := st.bestVal, st.bestAssign
 	res := &PriceResult{
 		Value:  bestVal,
-		Exact:  !halted,
-		Nodes:  nodes,
-		Probes: int(ctl.probes.Load()),
+		Exact:  !st.halted,
+		Nodes:  st.nodes,
+		Probes: st.probes,
 		// Under truncation the interference-free relaxation Σ best_l is
 		// a loose but valid upper bound on Ψ*; with an exhausted search
 		// the found value itself is the tight bound.
 		RelaxValue: relax,
+		Extras:     st.buildLeafPool(nw, cands, bestAssign, p.FixedPower),
 	}
-	if !halted {
+	if res.Exact {
 		res.RelaxValue = bestVal
 	}
-	res.Extras = extras
+	p.putState(st)
 	if bestVal > 0 && bestAssign != nil {
 		sched, err := buildSchedule(nw, cands, bestAssign, p.FixedPower)
 		if err != nil {
@@ -386,16 +327,16 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 	return res, nil
 }
 
-// getState checks a worker DFS state out of the pricer's pool and
-// re-arms it for the given search. Pool reuse keeps the per-call and
-// per-task allocation cost near zero; a state is owned by exactly one
-// goroutine between getState and putState.
-func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int) *pricerState {
+// getState checks a DFS state out of the pricer's pool and re-arms it
+// for the given search. Pool reuse keeps the per-call allocation cost
+// near zero; a state is owned by exactly one call between getState and
+// putState.
+func (p *BranchBoundPricer) getState(done <-chan struct{}, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int) *pricerState {
 	st, _ := p.statePool.Get().(*pricerState)
 	if st == nil {
 		st = &pricerState{}
 	}
-	st.ctl = ctl
+	st.budget, st.done = p.probeBudget, done
 	st.cands = cands
 	st.suffixBest = suffix
 	st.sibling = sibling
@@ -404,7 +345,7 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 	st.bestVal, st.bestAssign = 0, nil
 	st.nodes, st.probes, st.lastPoll = 0, 0, 0
 	st.halted = false
-	st.poolLeaves = 0
+	st.poolLeaves = p.PoolLeaves
 	st.leafVals = st.leafVals[:0]
 	st.leafSigs = st.leafSigs[:0]
 	st.leafAssigns = st.leafAssigns[:0]
@@ -450,81 +391,6 @@ func (p *BranchBoundPricer) putState(st *pricerState) {
 	p.statePool.Put(st)
 }
 
-// searchParallel splits the DFS at the root: every (channel, level)
-// activation of the first candidate — plus its idle branch — becomes a
-// task, and p.Parallel workers drain the task queue sharing ctl's
-// incumbent and probe budget. Together the tasks cover exactly the
-// branches the serial root node iterates, so a completed search proves
-// the same maximal value.
-func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, seedVal float64, seedAssign []assignChoice) (bestVal float64, bestAssign []assignChoice, nodes int, halted bool) {
-	c0 := &cands[0]
-	var tasks []assignChoice
-	for _, k := range c0.chOrder {
-		for q := c0.qmax[k]; q >= 0; q-- {
-			tasks = append(tasks, assignChoice{channel: k, level: q})
-		}
-	}
-	tasks = append(tasks, assignChoice{channel: -1}) // idle branch
-
-	workers := p.Parallel
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	type workerResult struct {
-		val    float64
-		assign []assignChoice
-		task   int
-		nodes  int
-		halted bool
-	}
-	results := make([]workerResult, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= len(tasks) {
-					return
-				}
-				task := tasks[ti]
-				st := p.getState(ctl, nw, cands, suffix, sibling)
-				if seedAssign != nil {
-					st.bestVal = seedVal
-					st.bestAssign = append([]assignChoice(nil), seedAssign...)
-				}
-				if task.channel < 0 {
-					st.dfs(1, 0)
-				} else {
-					st.runRootTask(task)
-				}
-				results[ti] = workerResult{
-					val: st.bestVal, assign: st.bestAssign, task: ti,
-					nodes: st.nodes, halted: st.halted,
-				}
-				p.putState(st)
-			}
-		}()
-	}
-	wg.Wait()
-
-	bestVal, bestAssign = seedVal, seedAssign
-	bestTask := len(tasks)
-	for _, r := range results {
-		nodes += r.nodes
-		halted = halted || r.halted
-		// Deterministic tie-break: among equal values prefer the lowest
-		// task index.
-		if r.assign != nil && (r.val > bestVal || (r.val == bestVal && r.task < bestTask && r.val > seedVal)) {
-			bestVal, bestAssign, bestTask = r.val, r.assign, r.task
-		}
-	}
-	halted = halted || ctl.halt.Load()
-	return bestVal, bestAssign, nodes, halted
-}
-
 // activate commits candidate ci on channel k at level q: per-channel
 // lists, the assignment, and the probe solver's committed pattern all
 // advance together.
@@ -545,27 +411,6 @@ func (st *pricerState) deactivate(k, ci int) {
 	if st.probe != nil {
 		st.probe.Pop()
 	}
-}
-
-// runRootTask explores the subtree where candidate 0 takes the given
-// activation, mirroring the root iteration of the serial dfs.
-func (st *pricerState) runRootTask(task assignChoice) {
-	c := &st.cands[0]
-	target := st.ctl.bestVal()
-	if target < 1 {
-		target = 1 - 1e-12
-	}
-	val := c.lam * st.nw.Rates.Rates[task.level]
-	if val+st.suffixBest[1] <= target+1e-15 {
-		return // optimistic bound cannot beat the incumbent/threshold
-	}
-	st.nodeOwner[st.linkTX[c.link]] = c.link
-	st.nodeOwner[st.linkRX[c.link]] = c.link
-	if !st.feasibleWith(task.channel, 0, task.level) {
-		return
-	}
-	st.activate(task.channel, 0, task.level)
-	st.dfs(1, val)
 }
 
 // seedAssignment maps a known feasible schedule (from the greedy
@@ -596,24 +441,18 @@ func seedAssignment(cands []candidate, sched *schedule.Schedule) ([]assignChoice
 // dfs explores candidate i with accumulated value.
 func (st *pricerState) dfs(i int, value float64) {
 	st.nodes++
-	if st.ctl.probes.Load() > st.ctl.budget {
-		st.halted = true
-		st.ctl.halt.Store(true)
-		return
-	}
-	if st.ctl.halt.Load() {
+	if st.probes > st.budget {
 		st.halted = true
 		return
 	}
 	// Poll the cancellation channel every few dozen probes: cheap
 	// enough to be invisible, frequent enough that an expired solve
 	// budget stops the search within microseconds.
-	if st.ctl.done != nil && st.probes-st.lastPoll >= 64 {
+	if st.done != nil && st.probes-st.lastPoll >= 64 {
 		st.lastPoll = st.probes
 		select {
-		case <-st.ctl.done:
+		case <-st.done:
 			st.halted = true
-			st.ctl.halt.Store(true)
 			return
 		default:
 		}
@@ -622,7 +461,6 @@ func (st *pricerState) dfs(i int, value float64) {
 		st.bestVal = value
 		st.bestAssign = append([]assignChoice(nil), st.assign...)
 	}
-	st.ctl.offer(value)
 	if i >= len(st.cands) {
 		st.recordLeaf(value)
 		return
@@ -631,7 +469,7 @@ func (st *pricerState) dfs(i int, value float64) {
 	// ≤ 1 have non-negative reduced cost and are useless to the master
 	// problem, so subtrees that cannot exceed 1 need no exploration —
 	// completing the search still proves Φ ≥ 0 (convergence).
-	target := st.ctl.bestVal()
+	target := st.bestVal
 	if target < 1 {
 		target = 1 - 1e-12
 	}
@@ -801,7 +639,6 @@ func channelTaken(siblings []int, assign []assignChoice, k int) bool {
 // cross-channel pattern is checked.
 func (st *pricerState) feasibleWith(k, ci, q int) bool {
 	st.probes++
-	st.ctl.probes.Add(1)
 	// The probe solver already holds the committed pattern's
 	// factorization, so the question costs one O(m²) bordered solve and
 	// zero allocations. It is unarmed only under fixed power and in the
@@ -846,7 +683,7 @@ func fixedPowerFeasible(nw *netmodel.Network, active []int, chans []int, gammas 
 }
 
 // fixedPowerFeasible is the allocation-free probe form, reusing the
-// worker's power scratch.
+// search's power scratch.
 func (st *pricerState) fixedPowerFeasible(active []int, chans []int, gammas []float64) bool {
 	if cap(st.scratchPowers) < len(active) {
 		st.scratchPowers = make([]float64, len(active))

@@ -84,13 +84,7 @@ func (r *QualityResult) PSNR(l int, q video.Quality, gopSeconds float64) float64
 // each session); nil means uniform weights. Per-class weights and SLA
 // floors ride in through opts.Classes.
 func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSeconds float64, weights []float64, opts Options) (*QualitySolver, error) {
-	if err := nw.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid network: %w", err)
-	}
-	if err := checkDemands(nw, demands); err != nil {
-		return nil, err
-	}
-	if err := checkClasses(nw, opts.Classes); err != nil {
+	if err := checkInstance(nw, demands, opts.Classes); err != nil {
 		return nil, err
 	}
 	if budgetSeconds < 0 || math.IsNaN(budgetSeconds) || math.IsInf(budgetSeconds, 0) {
@@ -110,12 +104,7 @@ func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSecond
 			return nil, fmt.Errorf("core: invalid weight %g on link %d", w, l)
 		}
 	}
-	if opts.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.Parallel = opts.PricerWorkers
-		p.PoolLeaves = opts.MultiColumn.Columns()
-		opts.Pricer = p
-	}
+	opts = opts.withDefaultPricer()
 	s := &QualitySolver{
 		nw:      nw,
 		demands: append([]video.Demand(nil), demands...),

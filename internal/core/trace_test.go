@@ -185,7 +185,7 @@ func TestQualityTracing(t *testing.T) {
 
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	traced, err := NewQuality(nw, demands, 0.01, nil, WithTracer(obs.New(sink)))
+	traced, err := NewQualitySolver(nw, demands, 0.01, nil, Options{Tracer: obs.New(sink)})
 	if err != nil {
 		t.Fatal(err)
 	}

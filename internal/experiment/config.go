@@ -89,13 +89,6 @@ type Config struct {
 	// (Seed, rep) and aggregation happens in a fixed order.
 	Workers int
 
-	// PricerWorkers splits each exact pricing search at the root
-	// across this many goroutines sharing an atomic incumbent and one
-	// probe budget (core.BranchBoundPricer.Parallel). 0 or 1 keeps the
-	// serial pricer — the reference path, since parallel search may
-	// return a different schedule among exactly equal-value optima.
-	PricerWorkers int
-
 	// Telemetry, when non-nil, accumulates solver counters (probes,
 	// master solves, pricer nodes) across every proposed-scheme run
 	// of the campaign. Safe to share across workers.
@@ -186,8 +179,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: unknown interference model %q", c.Interference)
 	case c.Workers < 0:
 		return fmt.Errorf("experiment: Workers = %d, want ≥ 0", c.Workers)
-	case c.PricerWorkers < 0:
-		return fmt.Errorf("experiment: PricerWorkers = %d, want ≥ 0", c.PricerWorkers)
 	case c.TrafficClasses < 0 || c.TrafficClasses == 1 || c.TrafficClasses > 255:
 		return fmt.Errorf("experiment: TrafficClasses = %d, want 0 or 2–255", c.TrafficClasses)
 	}

@@ -99,7 +99,6 @@ func (c Config) pricer() core.Pricer {
 	}
 	p := core.NewBranchBoundPricer(c.PricerBudget)
 	p.FixedPower = c.FixedPower
-	p.Parallel = c.PricerWorkers
 	p.PoolLeaves = cg.MultiColumnPolicy{}.Columns()
 	return p
 }

@@ -16,7 +16,6 @@
 package faults
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -318,65 +317,11 @@ func (in *Injector) DrawFailures(numLinks, horizonSlots int) []LinkFailure {
 	return evs
 }
 
-// Wire format for failure-event lists: a 1-byte magic 'F', a 2-byte
-// little-endian count, then per event a 4-byte slot, 2-byte link, and
-// 2-byte duration. It mirrors the pnc control-frame idiom so event
-// schedules can ride the same channel or be stored beside experiment
-// records.
-const (
-	failureMagic    = 'F'
-	failureEntryLen = 8
-	maxFailures     = 4096
-)
+// maxFailures caps the entries of one failure spec.
+const maxFailures = 4096
 
-// EncodeFailures serializes a failure-event list.
-func EncodeFailures(evs []LinkFailure) ([]byte, error) {
-	if len(evs) > maxFailures {
-		return nil, fmt.Errorf("faults: %d events exceed the wire limit of %d", len(evs), maxFailures)
-	}
-	buf := make([]byte, 3+failureEntryLen*len(evs))
-	buf[0] = failureMagic
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(evs)))
-	for i, e := range evs {
-		if !e.Valid() || e.Slot > math.MaxUint32 || e.Link > math.MaxUint16 || e.Duration > math.MaxUint16 {
-			return nil, fmt.Errorf("faults: event %d out of wire range: %+v", i, e)
-		}
-		off := 3 + failureEntryLen*i
-		binary.LittleEndian.PutUint32(buf[off:], uint32(e.Slot))
-		binary.LittleEndian.PutUint16(buf[off+4:], uint16(e.Link))
-		binary.LittleEndian.PutUint16(buf[off+6:], uint16(e.Duration))
-	}
-	return buf, nil
-}
-
-// ErrBadEncoding reports a malformed failure-event frame or spec.
+// ErrBadEncoding reports a malformed failure-event spec.
 var ErrBadEncoding = errors.New("faults: bad failure-event encoding")
-
-// DecodeFailures parses a failure-event frame produced by
-// EncodeFailures, enforcing exact framing.
-func DecodeFailures(data []byte) ([]LinkFailure, error) {
-	if len(data) < 3 || data[0] != failureMagic {
-		return nil, fmt.Errorf("%w: missing header", ErrBadEncoding)
-	}
-	n := int(binary.LittleEndian.Uint16(data[1:]))
-	if len(data) != 3+failureEntryLen*n {
-		return nil, fmt.Errorf("%w: frame %d bytes, want %d for %d events", ErrBadEncoding, len(data), 3+failureEntryLen*n, n)
-	}
-	evs := make([]LinkFailure, 0, n)
-	for i := 0; i < n; i++ {
-		off := 3 + failureEntryLen*i
-		e := LinkFailure{
-			Slot:     int(binary.LittleEndian.Uint32(data[off:])),
-			Link:     int(binary.LittleEndian.Uint16(data[off+4:])),
-			Duration: int(binary.LittleEndian.Uint16(data[off+6:])),
-		}
-		if !e.Valid() {
-			return nil, fmt.Errorf("%w: event %d invalid: %+v", ErrBadEncoding, i, e)
-		}
-		evs = append(evs, e)
-	}
-	return evs, nil
-}
 
 // ParseFailures parses the human-facing spec used by the CLI:
 // comma-separated "slot@link+duration" entries, e.g.

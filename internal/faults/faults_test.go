@@ -128,34 +128,6 @@ func TestCorruptChangesFrame(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	evs := []LinkFailure{
-		{Slot: 0, Link: 0, Duration: 1},
-		{Slot: 120, Link: 3, Duration: 50},
-		{Slot: 70000, Link: 65535, Duration: 65535},
-	}
-	buf, err := EncodeFailures(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeFailures(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evs, back) {
-		t.Fatalf("round trip mismatch: %v vs %v", back, evs)
-	}
-	if _, err := DecodeFailures(buf[:len(buf)-1]); !errors.Is(err, ErrBadEncoding) {
-		t.Fatalf("truncated frame error = %v, want ErrBadEncoding", err)
-	}
-	if _, err := DecodeFailures([]byte{'X', 0, 0}); !errors.Is(err, ErrBadEncoding) {
-		t.Fatalf("bad magic error = %v, want ErrBadEncoding", err)
-	}
-	if _, err := EncodeFailures([]LinkFailure{{Slot: -1, Link: 0, Duration: 1}}); err == nil {
-		t.Fatal("encoding an invalid event must fail")
-	}
-}
-
 func TestParseFailures(t *testing.T) {
 	evs, err := ParseFailures(" 400@7+25, 100@3+50 ")
 	if err != nil {

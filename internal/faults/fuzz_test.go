@@ -5,26 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzFailureDecoders drives both fault-event decoders — the binary
-// wire format and the CLI text spec — with arbitrary bytes. Neither
-// may panic, and anything either accepts must survive a canonical
-// re-encode/re-decode round trip.
+// FuzzFailureDecoders drives the CLI text-spec decoder with arbitrary
+// bytes. It may not panic, and anything it accepts must survive a
+// canonical re-format/re-parse round trip.
 func FuzzFailureDecoders(f *testing.F) {
-	seed, _ := EncodeFailures([]LinkFailure{{Slot: 100, Link: 3, Duration: 50}})
-	f.Add(seed)
 	f.Add([]byte("100@3+50,400@7+25"))
-	f.Add([]byte{failureMagic, 0xFF, 0xFF})
+	f.Add([]byte("0@0+1"))
+	f.Add([]byte(" 400@7+25, 100@3+50 "))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if evs, err := DecodeFailures(data); err == nil {
-			out, err := EncodeFailures(evs)
-			if err != nil {
-				t.Fatalf("accepted frame failed to re-encode: %v", err)
-			}
-			if string(out) != string(data) {
-				t.Fatalf("wire round trip mismatch: %x vs %x", out, data)
-			}
-		}
 		if evs, err := ParseFailures(string(data)); err == nil && len(evs) > 0 {
 			for i, e := range evs {
 				if !e.Valid() {

@@ -106,12 +106,6 @@ func SpecSolve(opts core.Options) SpecOption {
 	return func(s *CellSpec) { s.Solve = opts }
 }
 
-// SpecSolveOptions sets the cell's solver options from core functional
-// options (equivalent to SpecSolve(core.NewOptions(opts...))).
-func SpecSolveOptions(opts ...core.Option) SpecOption {
-	return func(s *CellSpec) { s.Solve = core.NewOptions(opts...) }
-}
-
 // SpecPolicy sets the coordinator's degradation policy.
 func SpecPolicy(p pnc.DegradePolicy) SpecOption {
 	return func(s *CellSpec) { s.Policy = p }

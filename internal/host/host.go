@@ -337,9 +337,7 @@ func (h *Host) admit(spec CellSpec, id int) (*Cell, error) {
 	// same object.
 	inner := spec.Solve.Pricer
 	if inner == nil {
-		p := core.NewBranchBoundPricer(0)
-		p.Parallel = spec.Solve.PricerWorkers
-		inner = p
+		inner = core.NewBranchBoundPricer(0)
 	}
 	c.gate = &hangGate{inner: inner}
 	c.spec.Solve.Pricer = c.gate

@@ -25,9 +25,9 @@ import "math"
 // whose feasibility margin is at rounding level (≲1e-12 relative —
 // below every tolerance in the model).
 //
-// A ProbeSolver is NOT safe for concurrent use: each pricing worker
-// owns one (the goroutine-local pooling contract of the root-split
-// parallel pricer). It is bound to one immutable network.
+// A ProbeSolver is NOT safe for concurrent use: each pricing call owns
+// one (checked out of its pricer's state pool). It is bound to one
+// immutable network.
 type ProbeSolver struct {
 	nw  *Network
 	cap int // allocated pattern capacity

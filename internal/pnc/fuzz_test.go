@@ -15,6 +15,9 @@ func FuzzDemandReportUnmarshal(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{byte(MsgDemandReport), 0xFF, 0xFF})
+	// A zero-class multi-class frame: the canonical encoding of that
+	// report is the two-class frame, so the decoder must refuse it.
+	f.Add([]byte{byte(MsgDemandReportN), 3, 0, 0x30, 0x30, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r DemandReport
 		if err := r.UnmarshalBinary(data); err != nil {

@@ -110,6 +110,11 @@ func (r *DemandReport) UnmarshalBinary(data []byte) error {
 		}
 		r.Link = binary.LittleEndian.Uint16(payload)
 		nc := int(payload[2])
+		if nc <= 2 {
+			// Two classes or fewer ride the frozen MsgDemandReport frame;
+			// accepting them here would give one report two encodings.
+			return fmt.Errorf("pnc: %d-class demand report in a multi-class frame", nc)
+		}
 		if len(payload) != 3+8*nc {
 			return fmt.Errorf("pnc: demand report payload %d bytes, want %d", len(payload), 3+8*nc)
 		}

@@ -26,7 +26,9 @@ lint: vet check-deprecated
 # options (host.New(host.WithWatchdog…)) with the imperative
 # host.NewFromOptions shim deleted; fail if anything reintroduces a
 # call to the removed forms. The root-split parallel pricer is gone
-# too: its option, search and CLI flag must not come back.
+# too: its option, search and CLI flag must not come back. So is dual
+# stabilization: its policy, option and center must not come back
+# anywhere outside perfbench/.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -35,6 +37,10 @@ check-deprecated:
 		grep -rn -e 'WithPricerWorkers(' -e 'searchParallel' -e '-pricer-workers' .github/ ; then \
 		echo "error: the parallel pricer was removed (parallelism comes from -workers and host cells)"; exit 1; \
 	else echo "serial-pricer check passed"; fi
+	@if grep -rn --include='*.go' -E 'StabilizePolicy|WithStabilization|StabCenter|stabCenter' . \
+		| grep -v '^\./perfbench/' ; then \
+		echo "error: dual stabilization was removed (every round prices at the true master duals)"; exit 1; \
+	else echo "no-stabilization check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \

@@ -421,7 +421,8 @@ type EpochResult struct {
 	// Column-generation telemetry for the epoch's P1 solve — additive
 	// v1 fields (omitempty keeps pre-existing decoders and goldens
 	// byte-compatible), zero when the epoch served a cached plan and
-	// ran no solve.
+	// ran no solve. cg_stab_rounds is accepted but never emitted: the
+	// engine no longer stabilizes its duals.
 	CGIterations     int `json:"cg_iterations,omitempty"`
 	CGStabRounds     int `json:"cg_stab_rounds,omitempty"`
 	CGHeuristicHits  int `json:"cg_heuristic_hits,omitempty"`
@@ -481,7 +482,6 @@ func ReportFromHost(rep *host.EpochReport) EpochReport {
 		}
 		if sr := r.Solver; sr != nil {
 			wire.CGIterations = sr.Rounds
-			wire.CGStabRounds = sr.StabRounds
 			wire.CGHeuristicHits = sr.HeuristicHits
 			wire.CGExactFallbacks = sr.ExactFallbacks
 			wire.CGColumnsAdded = sr.ColumnsAdded

@@ -59,9 +59,6 @@ type Options struct {
 	// configured to peel a column batch). Nil disables heuristic-first
 	// pricing regardless of the policy.
 	Heuristic Pricer
-	// Stabilize governs dual stabilization (zero value: on with
-	// defaults; see StabilizePolicy).
-	Stabilize StabilizePolicy
 	// MultiColumn governs batch column admission from pricer leaf pools
 	// (zero value: on with defaults). The engine side only reads
 	// PriceResult.Extras; the owning solver wires the pool bound into
@@ -170,7 +167,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		out.Stats.Publish(e.opts.Metrics, e.opts.MetricsPrefix)
 		e.publishRun(out)
 		st.runs++
-		st.lastDuals = out.Duals
 	}()
 
 	// Collect long-nonbasic columns before the first master solve, so a
@@ -184,7 +180,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	span := tracer.StartSpan(e.model.SpanName())
 	defer span.End()
 
-	sb := newStabilizer(e.opts.Stabilize, st)
 	heur := e.opts.Heuristic
 	if e.opts.HeuristicFirst.Disable {
 		heur = nil
@@ -201,11 +196,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		lambda := e.model.Duals(mpSol)
 		upper := e.model.Upper(mpSol)
 
-		// Stabilization: price at λ̃ = α·center + (1−α)·λ while the
-		// trust region is open; admission, bounds, and convergence below
-		// always work against the true duals λ.
-		priceLam, stabilized := sb.duals(lambda)
-
 		// Heuristic-first: the heuristic column substitutes for a round
 		// of exact pricing only when substitution actually wins. The
 		// exact pricer must be running into its budget (a truncated
@@ -218,7 +208,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		var pr *PriceResult
 		heuristic := false
 		if heur != nil && exactHalted {
-			if hr, herr := heur.Price(e.nw, priceLam); herr == nil && hr.Schedule != nil {
+			if hr, herr := heur.Price(e.nw, lambda); herr == nil && hr.Schedule != nil {
 				phiH := 1 - hr.Schedule.Value(e.nw, lambda)
 				if phiH < -e.opts.Tolerance && phiH <= keepPace*lastPhi &&
 					!st.pool.Contains(hr.Schedule) {
@@ -232,12 +222,9 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			}
 		}
 		if pr == nil {
-			pr, err = e.price(ctx, priceLam)
+			pr, err = e.price(ctx, lambda)
 		}
 		st.stats.Rounds++
-		if stabilized {
-			st.stats.StabRounds++
-		}
 		if err != nil {
 			if ctx.Err() != nil {
 				// The pricer died on cancellation before producing a
@@ -258,7 +245,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		st.stats.Probes += pr.Probes
 		st.stats.PricerNodes += pr.Nodes
 
-		phi := 1 - pr.Value // reduced cost of the best found column (at priceLam)
+		phi := 1 - pr.Value // reduced cost of the best found column
 		if !heuristic {
 			// The keep-pace bar references the exact walk's frontier: a
 			// self-referential bar would let the greedy coast on its own
@@ -266,11 +253,10 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			lastPhi = phi
 			exactHalted = !pr.Exact && pr.Schedule != nil
 		}
-		// Theorem-1 bounds and convergence may only come from rounds
-		// priced at the true master duals by the exact pricer: a
-		// stabilized Φ is not a valid Φ′ ≤ Φ*, and heuristic columns
-		// prove nothing about the maximal Ψ.
-		pure := !stabilized && !heuristic
+		// Theorem-1 bounds and convergence may only come from exact
+		// pricing rounds: heuristic columns prove nothing about the
+		// maximal Ψ.
+		pure := !heuristic
 		var lower float64
 		var hasBound bool
 		if pure {
@@ -315,7 +301,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			out.LowerBound = bestLower
 			out.Converged = converged
 			out.Duals = lambda
-			sb.recenter(lambda)
 			return out, nil
 		}
 
@@ -325,7 +310,9 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		added := 0
 		if pr.Schedule != nil {
 			vTrue := pr.Value
-			if !pure {
+			if heuristic {
+				// Value a heuristic column exactly as the keep-pace
+				// test did, so admission agrees with that test.
 				vTrue = pr.Schedule.Value(e.nw, lambda)
 			}
 			if 1-vTrue < -e.opts.Tolerance {
@@ -350,21 +337,12 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		colHist.Observe(float64(added))
 
 		if added == 0 {
-			if stabilized {
-				// Misprice: no admissible column at the smoothed duals.
-				// Shrink the trust region and re-price; at α = 0 the loop
-				// degenerates to the exact unstabilized walk, so it
-				// always terminates through the pure branches above.
-				sb.misprice()
-				continue
-			}
 			// The pricer returned a column already in the pool with
 			// apparently negative reduced cost: numerical stall. Treat
 			// the current solution as final rather than looping.
 			out.Sol = mpSol
 			out.LowerBound = bestLower
 			out.Duals = lambda
-			sb.recenter(lambda)
 			return out, nil
 		}
 		st.syncBookkeeping()
@@ -472,7 +450,6 @@ func (e *Engine) publishRun(out *Outcome) {
 	}
 	m.Counter("cg_warm_masters_total").Add(int64(out.Stats.WarmMasters))
 	m.Counter("cg_gc_evicted_columns_total").Add(int64(out.Stats.EvictedColumns))
-	m.Counter("cg_stab_rounds_total").Add(int64(out.Stats.StabRounds))
 	m.Counter("cg_heuristic_price_hits_total").Add(int64(out.Stats.HeuristicHits))
 	m.Counter("cg_exact_fallbacks_total").Add(int64(out.Stats.ExactFallbacks))
 	m.Gauge("cg_pool_columns").Set(float64(e.state.pool.Len()))

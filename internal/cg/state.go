@@ -8,11 +8,12 @@ import (
 // State is the durable half of the engine: everything a solve pays for
 // that stays valid when only the right-hand sides move. It holds the
 // schedule pool, the incrementally built master problem, the previous
-// optimal basis (the warm start), the last duals, and the lifetime
-// work counters. One State may serve many Run calls — the §III update
-// rule and the PNC epoch loop both re-solve the same network under new
-// demands, and every pooled column and the final basis of the previous
-// solve carry over.
+// optimal basis (the warm start), and the lifetime work counters. It
+// keeps no duals: every run prices at its own master's duals, and the
+// final ones reach callers through Outcome.Duals. One State may serve
+// many Run calls — the §III update rule and the PNC epoch loop both
+// re-solve the same network under new demands, and every pooled column
+// and the final basis of the previous solve carry over.
 //
 // A State is bound to one immutable network: if the topology or the
 // CSI regime changes, pooled schedules may become infeasible and the
@@ -49,24 +50,10 @@ type State struct {
 	lastBasic []int
 	runs      int // completed Run calls
 
-	// lastDuals are the class-major pricing duals of the final master
-	// solve of the previous run, kept for diagnostics and dual-warm
-	// heuristics.
-	lastDuals [][]float64
-
 	// lastFill is the LU fill-in ratio (factor nonzeros / basis
 	// nonzeros) of the most recent master factorization, exported as a
 	// gauge by the engine.
 	lastFill float64
-
-	// stabCenter is the dual-stabilization center (class-major, the
-	// duals of the last round that admitted a column — see DESIGN.md
-	// §17). Like lastDuals it survives demand changes and epochs, and
-	// like every other field it dies with the State when the owner
-	// invalidates on a CSI/topology change, so a stale center can never
-	// leak across network regimes. Nil means cold (first stabilized
-	// round prices pure and seeds it).
-	stabCenter [][]float64
 
 	stats Stats
 }
@@ -93,13 +80,6 @@ func (st *State) Pool() *schedule.Pool { return st.pool }
 
 // Runs returns the number of completed Run calls against this state.
 func (st *State) Runs() int { return st.runs }
-
-// LastDuals returns the class-major pricing duals of the previous
-// run's final master solve (nil before the first run).
-func (st *State) LastDuals() [][]float64 { return st.lastDuals }
-
-// StabCenter returns the dual-stabilization center (nil when cold).
-func (st *State) StabCenter() [][]float64 { return st.stabCenter }
 
 // syncBookkeeping grows lastBasic to match the pool, stamping new
 // columns with the current run index so freshly priced columns get a

@@ -32,8 +32,9 @@ type Stats struct {
 	// EvictedColumns counts pool columns dropped by the garbage
 	// collector.
 	EvictedColumns int
-	// StabRounds counts rounds priced at smoothed (stabilized) duals
-	// rather than the true master duals (DESIGN.md §17).
+	// StabRounds is always zero: the engine prices every round at the
+	// true master duals. The field stays only because the benchmark
+	// harness still reads it.
 	StabRounds int
 	// HeuristicHits counts rounds where the heuristic pricer's column
 	// passed the reduced-cost test and the exact pricer never ran.
@@ -43,7 +44,7 @@ type Stats struct {
 	// same round.
 	ExactFallbacks int
 	// ColumnsAdded counts columns admitted to the pool by pricing
-	// rounds (≥ Rounds−misprices under multi-column admission).
+	// rounds.
 	ColumnsAdded int
 }
 
@@ -60,7 +61,6 @@ func (s Stats) delta(prev Stats) Stats {
 		LPEtaUpdates:       s.LPEtaUpdates - prev.LPEtaUpdates,
 		WarmMasters:        s.WarmMasters - prev.WarmMasters,
 		EvictedColumns:     s.EvictedColumns - prev.EvictedColumns,
-		StabRounds:         s.StabRounds - prev.StabRounds,
 		HeuristicHits:      s.HeuristicHits - prev.HeuristicHits,
 		ExactFallbacks:     s.ExactFallbacks - prev.ExactFallbacks,
 		ColumnsAdded:       s.ColumnsAdded - prev.ColumnsAdded,

@@ -1,6 +1,6 @@
 // Package checkpoint persists a coordinator's durable state — the
 // pnc.CoordState (demand fallbacks, control accounting, epoch counter,
-// and the cg engine snapshot: schedule pool, warm basis, last duals)
+// and the cg engine snapshot: schedule pool, warm basis, GC stamps)
 // plus the fault injector's RNG position — as a versioned, CRC-guarded
 // binary image with atomic write-rename persistence. A restored
 // coordinator re-solves byte-identically to the one that wrote the
@@ -67,8 +67,12 @@ const (
 	// added); older images decode with a cold center and zero counters.
 	// Version 6 dropped the two retired probe cache counter slots (hits,
 	// misses) from the engine stats block; older images still decode,
-	// with those slots read and discarded.
-	version = 6
+	// with those slots read and discarded. Version 7 dropped the engine's
+	// dual vectors, its stabilization center and the stabilized-rounds
+	// counter slot, since the engine keeps no duals between runs; v2–v6
+	// images still decode, with whichever of them they carry read and
+	// discarded.
+	version = 7
 	// minVersion is the oldest format this build still decodes.
 	minVersion = 2
 	// headerLen is magic + version + fingerprint; trailerLen the CRC.
@@ -481,20 +485,11 @@ func encodeEngine(w *writer, s *cg.StateSnapshot) {
 		w.i64(int64(v))
 	}
 	w.i64(int64(s.Runs))
-	w.u16(uint16(len(s.LastDuals)))
-	for _, d := range s.LastDuals {
-		encodeFloats(w, d)
-	}
-	w.u16(uint16(len(s.StabCenter)))
-	for _, d := range s.StabCenter {
-		encodeFloats(w, d)
-	}
 	for _, v := range []int{
 		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves, s.Stats.PricerNodes,
 		s.Stats.LPPivots, s.Stats.LPRefactorizations, s.Stats.LPEtaUpdates,
 		s.Stats.WarmMasters, s.Stats.EvictedColumns,
-		s.Stats.StabRounds, s.Stats.HeuristicHits, s.Stats.ExactFallbacks,
-		s.Stats.ColumnsAdded,
+		s.Stats.HeuristicHits, s.Stats.ExactFallbacks, s.Stats.ColumnsAdded,
 	} {
 		w.i64(int64(v))
 	}
@@ -521,39 +516,40 @@ func decodeEngine(r *reader) *cg.StateSnapshot {
 		s.LastBasic[i] = int(r.i64())
 	}
 	s.Runs = int(r.i64())
-	if r.ver >= 4 {
-		nd := int(r.u16())
+	if r.ver <= 6 {
+		// The retired dual vectors: exactly two (HP then LP) before v4,
+		// a counted set from v4, plus the counted stabilization center
+		// from v5.
+		nd := 2
+		if r.ver >= 4 {
+			nd = int(r.u16())
+		}
 		for i := 0; i < nd; i++ {
-			s.LastDuals = append(s.LastDuals, decodeFloats(r))
+			decodeFloats(r)
 		}
-	} else {
-		// v2/v3 stored exactly two dual vectors (HP then LP); a pair of
-		// empty vectors meant "no previous run".
-		hp, lpd := decodeFloats(r), decodeFloats(r)
-		if len(hp) > 0 || len(lpd) > 0 {
-			s.LastDuals = [][]float64{hp, lpd}
+		if r.ver >= 5 {
+			for nc := int(r.u16()); nc > 0; nc-- {
+				decodeFloats(r)
+			}
 		}
 	}
-	if r.ver >= 5 {
-		nc := int(r.u16())
-		for i := 0; i < nc; i++ {
-			s.StabCenter = append(s.StabCenter, decodeFloats(r))
-		}
-	}
+	var retired int // slots of retired counters, read and discarded
 	ints := []*int{&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves}
 	if r.ver <= 5 {
-		// The retired probe cache hit and miss counters.
-		var hits, misses int
-		ints = append(ints, &hits, &misses)
+		// The probe cache hit and miss counters.
+		ints = append(ints, &retired, &retired)
 	}
 	ints = append(ints,
 		&s.Stats.PricerNodes,
 		&s.Stats.LPPivots, &s.Stats.LPRefactorizations, &s.Stats.LPEtaUpdates,
 		&s.Stats.WarmMasters, &s.Stats.EvictedColumns)
 	if r.ver >= 5 {
+		if r.ver <= 6 {
+			// The stabilized-rounds counter.
+			ints = append(ints, &retired)
+		}
 		ints = append(ints,
-			&s.Stats.StabRounds, &s.Stats.HeuristicHits, &s.Stats.ExactFallbacks,
-			&s.Stats.ColumnsAdded)
+			&s.Stats.HeuristicHits, &s.Stats.ExactFallbacks, &s.Stats.ColumnsAdded)
 	}
 	for _, p := range ints {
 		*p = int(r.i64())

@@ -12,18 +12,41 @@ import (
 	"mmwave/internal/video"
 )
 
+// legacyDuals is the engine dual state v2–v6 images carried and the
+// current decoder reads and discards: the previous run's final dual
+// vectors, the stabilization center (v5, v6) and the stabilized-rounds
+// counter (v5, v6).
+type legacyDuals struct {
+	last, center [][]float64
+	stabRounds   int
+}
+
+// epochDuals is the dual state a pre-v7 build wrote after res: the
+// run's final duals, which were also its stabilization center (a run
+// recentered on the duals it ended on), and a nonzero stabilized-rounds
+// count. The reference writers put it in every legacy image, so the
+// tests prove the decoder discards all of it.
+func epochDuals(t testing.TB, res *pnc.EpochResult) legacyDuals {
+	t.Helper()
+	if res.Solver == nil || len(res.Solver.Duals.ByClass) == 0 {
+		t.Fatal("reference epoch produced no duals")
+	}
+	d := res.Solver.Duals.ByClass
+	return legacyDuals{last: d, center: d, stabRounds: 3}
+}
+
 // encodeV3 serializes a two-class snapshot in the version-3 layout:
 // fixed HP/LP demand pairs and exactly two engine dual vectors. It is
 // the reference writer for the decoder's backward-compatibility path
 // (and the fuzz corpus's v3 seed); a snapshot that is not two-class
 // cannot be expressed in it.
-func encodeV3(t testing.TB, s *Snapshot) []byte {
+func encodeV3(t testing.TB, s *Snapshot, d legacyDuals) []byte {
 	t.Helper()
 	w := &writer{buf: make([]byte, 0, 4096)}
 	w.buf = append(w.buf, magic...)
 	w.u16(3)
 	w.u64(s.Fingerprint)
-	encodeCoordV3(t, w, s.Coord)
+	encodeCoordV3(t, w, s.Coord, d)
 	if s.Injector != nil {
 		w.u8(1)
 		encodeInjector(w, s.InjectorCfg, s.Injector)
@@ -55,7 +78,7 @@ func encodeDemandsV3(t testing.TB, w *writer, ds []video.Demand) {
 	}
 }
 
-func encodeCoordV3(t testing.TB, w *writer, st *pnc.CoordState) {
+func encodeCoordV3(t testing.TB, w *writer, st *pnc.CoordState, d legacyDuals) {
 	t.Helper()
 	w.i64(st.Epoch)
 	encodeDemandsV3(t, w, st.Demands)
@@ -86,11 +109,11 @@ func encodeCoordV3(t testing.TB, w *writer, st *pnc.CoordState) {
 		return
 	}
 	w.u8(1)
-	encodeEngineV3(t, w, st.Solver)
+	encodeEngineV3(t, w, st.Solver, d)
 	encodeDemandsV3(t, w, st.SolverDemands)
 }
 
-func encodeEngineV3(t testing.TB, w *writer, s *cg.StateSnapshot) {
+func encodeEngineV3(t testing.TB, w *writer, s *cg.StateSnapshot, d legacyDuals) {
 	t.Helper()
 	encodeSchedules(w, s.Schedules)
 	w.i64(int64(s.SeedLen))
@@ -107,16 +130,16 @@ func encodeEngineV3(t testing.TB, w *writer, s *cg.StateSnapshot) {
 	// v3 wrote exactly two dual vectors, HP then LP (both empty when no
 	// run had happened yet).
 	var hp, lpd []float64
-	switch len(s.LastDuals) {
+	switch len(d.last) {
 	case 0:
 	case 2:
-		hp, lpd = s.LastDuals[0], s.LastDuals[1]
+		hp, lpd = d.last[0], d.last[1]
 	default:
-		t.Fatalf("v3 cannot encode %d dual vectors", len(s.LastDuals))
+		t.Fatalf("v3 cannot encode %d dual vectors", len(d.last))
 	}
 	encodeFloats(w, hp)
 	encodeFloats(w, lpd)
-	encodeStatsPreV6(w, s.Stats, false)
+	encodeLegacyStats(w, s.Stats, 3, d)
 }
 
 // Nonzero values the reference writers put in the retired probe cache
@@ -124,18 +147,20 @@ func encodeEngineV3(t testing.TB, w *writer, s *cg.StateSnapshot) {
 // discards whatever those slots hold.
 const retiredHits, retiredMisses = 17, 23
 
-// encodeStatsPreV6 writes the engine stats block of the v2–v5 layouts:
-// the probe cache hit and miss slots sit after MasterSolves, and accel
-// (v5) appends the four acceleration counters.
-func encodeStatsPreV6(w *writer, st cg.Stats, accel bool) {
-	vals := []int{
-		st.Rounds, st.Probes, st.MasterSolves,
-		retiredHits, retiredMisses, st.PricerNodes,
-		st.LPPivots, st.LPRefactorizations, st.LPEtaUpdates,
-		st.WarmMasters, st.EvictedColumns,
+// encodeLegacyStats writes the engine stats block of the v2–v6 layouts:
+// the probe cache hit and miss slots sit after MasterSolves up to v5,
+// and v5 and v6 append the stabilized-rounds slot and the three
+// acceleration counters.
+func encodeLegacyStats(w *writer, st cg.Stats, ver uint16, d legacyDuals) {
+	vals := []int{st.Rounds, st.Probes, st.MasterSolves}
+	if ver <= 5 {
+		vals = append(vals, retiredHits, retiredMisses)
 	}
-	if accel {
-		vals = append(vals, st.StabRounds, st.HeuristicHits, st.ExactFallbacks, st.ColumnsAdded)
+	vals = append(vals, st.PricerNodes,
+		st.LPPivots, st.LPRefactorizations, st.LPEtaUpdates,
+		st.WarmMasters, st.EvictedColumns)
+	if ver >= 5 {
+		vals = append(vals, d.stabRounds, st.HeuristicHits, st.ExactFallbacks, st.ColumnsAdded)
 	}
 	for _, v := range vals {
 		w.i64(int64(v))
@@ -163,19 +188,16 @@ func v3Snapshot(t testing.TB) (*Snapshot, []byte) {
 	s := Capture(coord, inj)
 	s.Plan = &res.Plan
 	s.PlanEpoch = 1
-	return s, encodeV3(t, s)
+	return s, encodeV3(t, s, epochDuals(t, res))
 }
 
 // clearAccelState strips the engine state the pre-v5 formats cannot
-// express: legacy images decode with a cold dual-stabilization center
-// and zero acceleration counters.
+// express: legacy images decode with zero acceleration counters.
 func clearAccelState(s *Snapshot) {
 	e := s.Coord.Solver
 	if e == nil {
 		return
 	}
-	e.StabCenter = nil
-	e.Stats.StabRounds = 0
 	e.Stats.HeuristicHits = 0
 	e.Stats.ExactFallbacks = 0
 	e.Stats.ColumnsAdded = 0
@@ -183,17 +205,17 @@ func clearAccelState(s *Snapshot) {
 
 // TestDecodeV3Image: a version-3 image must decode to exactly the
 // snapshot a current-format round trip of the same state produces —
-// the two-class demand pairs and HP/LP dual vectors land in the
-// class-indexed fields unchanged — modulo the acceleration state v3
-// never carried (cold center, zero counters).
+// the two-class demand pairs land in the class-indexed fields
+// unchanged and the HP/LP dual vectors are discarded — modulo the
+// acceleration counters v3 never carried.
 func TestDecodeV3Image(t *testing.T) {
 	s, v3 := v3Snapshot(t)
 	checkLegacyUpgrade(t, s, v3, clearAccelState)
 }
 
-// TestDecodeV3Empty: the "never solved" special case — a pair of empty
-// dual vectors in a v3 engine block must decode to nil LastDuals, not
-// a two-empty-vector slice.
+// TestDecodeV3EmptyDuals: the "never solved" special case — a v3 image
+// of a coordinator that has not solved yet decodes cleanly, with no
+// engine state.
 func TestDecodeV3EmptyDuals(t *testing.T) {
 	nw := testNetwork(t, 32, 3, 2)
 	coord, err := pnc.NewCoordinator(nw, nil, core.Options{})
@@ -204,31 +226,32 @@ func TestDecodeV3EmptyDuals(t *testing.T) {
 	if s.Coord.Solver != nil {
 		t.Skip("fresh coordinator unexpectedly exported solver state")
 	}
-	got, err := Decode(encodeV3(t, s))
+	got, err := Decode(encodeV3(t, s, legacyDuals{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Coord.Solver != nil && got.Coord.Solver.LastDuals != nil {
-		t.Fatal("empty v3 dual pair decoded to non-nil LastDuals")
+	if got.Coord.Solver != nil {
+		t.Fatal("v3 image without engine state decoded to a solver snapshot")
 	}
 }
 
-// encodeClassAware serializes a snapshot in the version-4 or -5
-// layout: class-count-aware demands and duals, and the probe cache
-// counter slots v6 dropped. Version 4 has no stabilization center and
-// only the eleven pre-acceleration work counters; version 5 adds both.
-// It is the reference writer for the v4/v5 backward-compatibility
-// paths (and the fuzz corpus's v4 and v5 seeds).
-func encodeClassAware(t testing.TB, s *Snapshot, ver uint16) []byte {
+// encodeClassAware serializes a snapshot in the version-4, -5 or -6
+// layout: class-count-aware demands and dual vectors. Version 4 has no
+// stabilization center and only the eleven pre-acceleration work
+// counters; version 5 adds the center, the stabilized-rounds slot and
+// the three acceleration counters; version 6 drops the probe cache
+// counter slots. It is the reference writer for the v4–v6
+// backward-compatibility paths (and the fuzz corpus's v4–v6 seeds).
+func encodeClassAware(t testing.TB, s *Snapshot, ver uint16, d legacyDuals) []byte {
 	t.Helper()
-	if ver != 4 && ver != 5 {
-		t.Fatalf("encodeClassAware: version %d is not 4 or 5", ver)
+	if ver < 4 || ver > 6 {
+		t.Fatalf("encodeClassAware: version %d is not 4, 5 or 6", ver)
 	}
 	w := &writer{buf: make([]byte, 0, 4096)}
 	w.buf = append(w.buf, magic...)
 	w.u16(ver)
 	w.u64(s.Fingerprint)
-	encodeCoordClassAware(w, s.Coord, ver == 5)
+	encodeCoordClassAware(w, s.Coord, ver, d)
 	if s.Injector != nil {
 		w.u8(1)
 		encodeInjector(w, s.InjectorCfg, s.Injector)
@@ -248,7 +271,7 @@ func encodeClassAware(t testing.TB, s *Snapshot, ver uint16) []byte {
 	return w.buf
 }
 
-func encodeCoordClassAware(w *writer, st *pnc.CoordState, accel bool) {
+func encodeCoordClassAware(w *writer, st *pnc.CoordState, ver uint16, d legacyDuals) {
 	w.i64(st.Epoch)
 	encodeDemands(w, st.Demands)
 	w.u32(uint32(len(st.Seen)))
@@ -278,11 +301,11 @@ func encodeCoordClassAware(w *writer, st *pnc.CoordState, accel bool) {
 		return
 	}
 	w.u8(1)
-	encodeEngineClassAware(w, st.Solver, accel)
+	encodeEngineClassAware(w, st.Solver, ver, d)
 	encodeDemands(w, st.SolverDemands)
 }
 
-func encodeEngineClassAware(w *writer, s *cg.StateSnapshot, accel bool) {
+func encodeEngineClassAware(w *writer, s *cg.StateSnapshot, ver uint16, d legacyDuals) {
 	encodeSchedules(w, s.Schedules)
 	w.i64(int64(s.SeedLen))
 	w.u32(uint32(len(s.WarmBasis)))
@@ -295,22 +318,22 @@ func encodeEngineClassAware(w *writer, s *cg.StateSnapshot, accel bool) {
 		w.i64(int64(v))
 	}
 	w.i64(int64(s.Runs))
-	w.u16(uint16(len(s.LastDuals)))
-	for _, d := range s.LastDuals {
-		encodeFloats(w, d)
+	w.u16(uint16(len(d.last)))
+	for _, v := range d.last {
+		encodeFloats(w, v)
 	}
-	if accel {
-		w.u16(uint16(len(s.StabCenter)))
-		for _, d := range s.StabCenter {
-			encodeFloats(w, d)
+	if ver >= 5 {
+		w.u16(uint16(len(d.center)))
+		for _, v := range d.center {
+			encodeFloats(w, v)
 		}
 	}
-	encodeStatsPreV6(w, s.Stats, accel)
+	encodeLegacyStats(w, s.Stats, ver, d)
 }
 
 // classAwareSnapshot builds a realistic snapshot (with solver state,
 // injector, and last-known-good plan) plus its image in the given
-// legacy version (4 or 5).
+// legacy version (4, 5 or 6).
 func classAwareSnapshot(t testing.TB, ver uint16, seed int64) (*Snapshot, []byte) {
 	t.Helper()
 	nw := testNetwork(t, 41, 4, 2)
@@ -330,7 +353,7 @@ func classAwareSnapshot(t testing.TB, ver uint16, seed int64) (*Snapshot, []byte
 	s := Capture(coord, inj)
 	s.Plan = &res.Plan
 	s.PlanEpoch = 1
-	return s, encodeClassAware(t, s, ver)
+	return s, encodeClassAware(t, s, ver, epochDuals(t, res))
 }
 
 // v4Snapshot builds a realistic snapshot plus its v4 image.
@@ -338,6 +361,9 @@ func v4Snapshot(t testing.TB) (*Snapshot, []byte) { return classAwareSnapshot(t,
 
 // v5Snapshot builds a realistic snapshot plus its v5 image.
 func v5Snapshot(t testing.TB) (*Snapshot, []byte) { return classAwareSnapshot(t, 5, 13) }
+
+// v6Snapshot builds a realistic snapshot plus its v6 image.
+func v6Snapshot(t testing.TB) (*Snapshot, []byte) { return classAwareSnapshot(t, 6, 17) }
 
 // checkLegacyUpgrade requires a legacy image to decode to exactly the
 // snapshot a current-format round trip of s produces — after strip
@@ -376,20 +402,25 @@ func checkLegacyUpgrade(t *testing.T, s *Snapshot, legacy []byte, strip func(*Sn
 
 // TestDecodeV4Image: a version-4 image must decode to exactly the
 // snapshot a current-format round trip produces, modulo the
-// acceleration state v4 never carried, and re-encode canonically.
+// acceleration counters v4 never carried, and re-encode canonically.
+// Its dual vectors are discarded.
 func TestDecodeV4Image(t *testing.T) {
 	s, v4 := v4Snapshot(t)
 	checkLegacyUpgrade(t, s, v4, clearAccelState)
 }
 
-// TestDecodeV5Image: a version-5 image carries everything the current
-// format does plus the two retired probe cache counter slots, which
-// the decoder must discard. It decodes to exactly the current round
-// trip and re-encodes canonically.
+// TestDecodeV5Image: version-5 and -6 images carry everything the
+// current format does plus the retired dual state — the last dual
+// vectors, a non-nil stabilization center and the stabilized-rounds
+// slot — and, in v5, the two retired probe cache counter slots. The
+// decoder must discard all of it: each image decodes to exactly the
+// current round trip and re-encodes to the canonical v7 image.
 func TestDecodeV5Image(t *testing.T) {
-	s, v5 := v5Snapshot(t)
-	if e := s.Coord.Solver; e == nil || e.StabCenter == nil || e.Stats.ColumnsAdded == 0 {
-		t.Fatal("v5 reference snapshot lacks the acceleration state it must round-trip")
+	for _, build := range []func(testing.TB) (*Snapshot, []byte){v5Snapshot, v6Snapshot} {
+		s, legacy := build(t)
+		if e := s.Coord.Solver; e == nil || e.Stats.ColumnsAdded == 0 {
+			t.Fatal("reference snapshot lacks the acceleration counters it must round-trip")
+		}
+		checkLegacyUpgrade(t, s, legacy, func(*Snapshot) {})
 	}
-	checkLegacyUpgrade(t, s, v5, func(*Snapshot) {})
 }

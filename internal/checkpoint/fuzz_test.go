@@ -37,16 +37,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if seed, err := Capture(coord, nil).Encode(); err == nil {
 		f.Add(seed)
 	}
-	// Legacy images seed the backward-compatibility decode paths: a
-	// version-3 one (fixed HP/LP demand pairs, two dual vectors), a
-	// version-4 one (class-aware, but no stabilization center) and a
-	// version-5 one (the retired probe cache counter slots).
+	// Legacy images seed the backward-compatibility decode paths, each
+	// carrying the dual state v7 dropped: a version-3 one (fixed HP/LP
+	// demand pairs, two dual vectors), a version-4 one (class-aware
+	// dual vectors), a version-5 one (plus a stabilization center and
+	// the retired probe cache counter slots) and a version-6 one (dual
+	// vectors and a center, no probe cache slots).
 	_, v3 := v3Snapshot(f)
 	f.Add(v3)
 	_, v4 := v4Snapshot(f)
 	f.Add(v4)
 	_, v5 := v5Snapshot(f)
 	f.Add(v5)
+	_, v6 := v6Snapshot(f)
+	f.Add(v6)
 	f.Add([]byte("MWCK"))
 	f.Add([]byte{})
 

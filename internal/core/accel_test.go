@@ -11,11 +11,10 @@ import (
 	"mmwave/internal/video"
 )
 
-// allOff reproduces the historical exact loop: no dual stabilization,
-// one column per round, exact pricing every round.
+// allOff reproduces the historical exact loop: one column per round,
+// exact pricing every round.
 func allOff() []Option {
 	return []Option{
-		WithStabilization(cg.StabilizePolicy{Disable: true}),
 		WithMultiColumn(cg.MultiColumnPolicy{Disable: true}),
 		WithHeuristicPricing(cg.HeuristicPolicy{Disable: true}),
 	}
@@ -56,8 +55,8 @@ func checkPlanServes(t *testing.T, tag string, nw *netmodel.Network, demands []v
 // TestAcceleratedSolveProperties is the acceptance property for the
 // accelerated engine, across ≥50 seeded Table-I-style instances:
 //
-//  1. the default solve (stabilization + multi-column + heuristic-first
-//     pricing, all on) converges to an objective within 1e-9 relative
+//  1. the default solve (multi-column + heuristic-first pricing, both
+//     on) converges to an objective within 1e-9 relative
 //     of the all-off exact loop's optimum;
 //  2. its Theorem-1 bounds are valid and monotone at every iteration —
 //     the running lower bound never decreases, never exceeds the final

@@ -159,12 +159,6 @@ type Options struct {
 	// Deprecated: a no-op kept only because perfbench's replay still
 	// reads it.
 	PricerWorkers int
-	// Stabilization governs dual stabilization in the engine loop
-	// (DESIGN.md §17): pricing runs at smoothed duals inside a
-	// shrinking trust region, with exactness restored by the final
-	// unstabilized rounds. The zero value enables it with defaults; set
-	// Disable to reproduce the historical unstabilized walk.
-	Stabilization cg.StabilizePolicy
 	// MultiColumn governs multi-column pricing: the pricers pool their
 	// near-optimal leaves and the engine admits every batch member that
 	// improves at the true duals. The zero value enables it with a
@@ -207,7 +201,6 @@ func (o Options) engineOptions(prefix string) cg.Options {
 		Pricer:         o.Pricer,
 		Fallback:       GreedyPricer{},
 		Heuristic:      o.heuristicPricer(),
-		Stabilize:      o.Stabilization,
 		MultiColumn:    o.MultiColumn,
 		HeuristicFirst: o.HeuristicPricing,
 		MaxIterations:  o.MaxIterations,
@@ -245,7 +238,7 @@ func (o Options) heuristicPricer() cg.Pricer {
 
 // Solver runs column generation on one network instance, holding the
 // P1 master formulation over a durable cg.State (schedule pool, warm
-// simplex basis, last duals) that survives demand changes.
+// simplex basis) that survives demand changes.
 type Solver struct {
 	nw      *netmodel.Network
 	demands []video.Demand
@@ -326,7 +319,7 @@ func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Sol
 }
 
 // StateSnapshot exports a serializable image of the solver's durable
-// engine state (schedule pool, warm basis, GC bookkeeping, last duals)
+// engine state (schedule pool, warm basis, GC bookkeeping)
 // for checkpointing. See cg.StateSnapshot for what is and is not
 // captured.
 func (s *Solver) StateSnapshot() *cg.StateSnapshot {

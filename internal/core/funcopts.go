@@ -37,12 +37,6 @@ func WithTolerance(tol float64) Option { return func(o *Options) { o.Tolerance =
 // gap (the paper's Theorem-1 stopping rule).
 func WithGapTarget(gap float64) Option { return func(o *Options) { o.GapTarget = gap } }
 
-// WithStabilization sets the dual-stabilization policy (see
-// Options.Stabilization). The zero policy enables stabilization with
-// defaults; pass cg.StabilizePolicy{Disable: true} to reproduce the
-// historical unstabilized walk.
-func WithStabilization(p cg.StabilizePolicy) Option { return func(o *Options) { o.Stabilization = p } }
-
 // WithMultiColumn sets the multi-column pricing policy (see
 // Options.MultiColumn). The zero policy enables leaf pooling with the
 // default batch size; pass cg.MultiColumnPolicy{Disable: true} for

@@ -137,7 +137,6 @@ func TestMetricsPublished(t *testing.T) {
 	// solves all nonzero), and heuristic-first pricing legitimately
 	// resolves this instance with barely any exact search.
 	s, err := New(nw, demands, WithMetrics(reg),
-		WithStabilization(cg.StabilizePolicy{Disable: true}),
 		WithMultiColumn(cg.MultiColumnPolicy{Disable: true}),
 		WithHeuristicPricing(cg.HeuristicPolicy{Disable: true}))
 	if err != nil {

@@ -71,6 +71,48 @@ func TestWarmResolveByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWarmResolveAtOptimumIsOneRound: a warm re-solve under unchanged
+// demands starts at an optimal master whose duals price out every
+// column, so one exact pricing round proves convergence. Across 40
+// seeded instances it takes exactly one round and one master solve and
+// returns the cold objective bit for bit.
+func TestWarmResolveAtOptimumIsOneRound(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		rng := rand.New(rand.NewSource(int64(9500 + i)))
+		nLinks := 4 + rng.Intn(5)    // 4..8 links
+		nChannels := 2 + rng.Intn(2) // 2..3 channels
+		nw := servableNetwork(rng, nLinks, nChannels)
+		hp := 2e6 + rng.Float64()*6e6
+		demands := uniformDemands(nLinks, hp, hp/2)
+
+		s, err := New(nw, demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := s.Solve(context.Background())
+		if err != nil {
+			t.Fatalf("instance %d: cold solve: %v", i, err)
+		}
+		if err := s.SetDemands(demands); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := s.Solve(context.Background())
+		if err != nil {
+			t.Fatalf("instance %d: warm solve: %v", i, err)
+		}
+		if warm.Rounds != 1 || warm.MasterSolves != 1 {
+			t.Errorf("instance %d (L=%d): warm re-solve took %d rounds and %d master solves, want 1 and 1",
+				i, nLinks, warm.Rounds, warm.MasterSolves)
+		}
+		if !warm.Converged {
+			t.Errorf("instance %d: warm re-solve did not converge", i)
+		}
+		if warm.Plan.Objective != cold.Plan.Objective {
+			t.Errorf("instance %d: warm objective %v != cold %v", i, warm.Plan.Objective, cold.Plan.Objective)
+		}
+	}
+}
+
 // TestWarmResolveAfterDemandChange: after a demand change (the paper's
 // §III update rule) a warm re-solve must reach the same optimum as a
 // cold solver on the new demands, in no more iterations.
@@ -134,12 +176,10 @@ func TestColumnGCPreservesOptimum(t *testing.T) {
 
 	seedCols := len(d0) * 2 // TDMA seeds two columns per link
 	// Accelerations off: this test exercises GC mechanics, which need
-	// the classic walk's steady column churn — the stabilized
-	// heuristic-first loop admits too few extra columns to ever exceed
-	// the tiny budget.
+	// the classic walk's steady column churn of one column per exact
+	// round.
 	s, err := NewSolver(nw, d0, Options{
 		ColumnGC:         cg.GCPolicy{MaxColumns: seedCols + 3, MinAge: 1},
-		Stabilization:    cg.StabilizePolicy{Disable: true},
 		MultiColumn:      cg.MultiColumnPolicy{Disable: true},
 		HeuristicPricing: cg.HeuristicPolicy{Disable: true},
 	})

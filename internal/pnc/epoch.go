@@ -397,7 +397,8 @@ func (c *Coordinator) publishEpoch(out *EpochResult) {
 // far fewer pricing rounds and LP pivots. Load-shedding sub-solves
 // within one epoch share the same warm state. On any warm-path error
 // (e.g. new demand on a link no pooled column serves) the coordinator
-// falls back to a cold solver rather than failing the epoch.
+// falls back to a cold solver rather than failing the epoch, and counts
+// the fallback in pnc_warm_fallbacks_total.
 func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*core.Result, error) {
 	sctx := ctx
 	if c.Policy.SolveBudget > 0 {
@@ -416,8 +417,11 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 				return res, nil
 			}
 		}
-		// Warm path unusable (uncovered demand, master failure): drop
-		// the state and solve cold below.
+		// Warm path unusable (uncovered demand, master failure): count
+		// it, drop the state and solve cold below.
+		if c.Metrics != nil {
+			c.Metrics.Counter("pnc_warm_fallbacks_total").Inc()
+		}
 		c.InvalidateSolverState()
 	}
 

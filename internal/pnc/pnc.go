@@ -353,7 +353,7 @@ type Coordinator struct {
 	epochMsgStart int64
 
 	// Cross-epoch solver reuse: one core.Solver (and its cg engine
-	// state — schedule pool, warm simplex basis, last duals) persists
+	// state — schedule pool and warm simplex basis) persists
 	// across epochs, so each re-solve starts from the previous epoch's
 	// columns and basis instead of TDMA-cold. The state is dropped when
 	// the CSI regime changes: a channel update carrying genuinely new
@@ -462,7 +462,7 @@ func (c *Coordinator) apply(frame []byte) error {
 }
 
 // InvalidateSolverState drops the coordinator's persistent solver
-// state (schedule pool, warm basis, last duals): the next epoch
+// state (schedule pool and warm basis): the next epoch
 // starts TDMA-cold. Called automatically when a channel update carries
 // changed gains; call it directly after mutating the network out of
 // band (topology edits, blockage toggles) if you bypass the control

@@ -166,3 +166,51 @@ func TestOutOfBandMutationInvalidates(t *testing.T) {
 		t.Error("out-of-band gain mutation not detected by the fingerprint")
 	}
 }
+
+// TestWarmFallbackCounted: when the warm solver rejects the epoch's
+// demands, the coordinator drops it, solves cold, and counts the
+// fallback instead of hiding it.
+func TestWarmFallbackCounted(t *testing.T) {
+	nw := testNetwork(t, 5, 4, 2)
+	coord, err := NewCoordinator(nw, nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord.Metrics = reg
+	d := video.TwoClass(4e6, 8e6)
+
+	reportAll(t, coord, 4, d)
+	if _, err := coord.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Force a SetDemands rejection: swap in a solver built for a
+	// three-link network, which refuses the four-link demand vector.
+	// The gains fingerprint is untouched, so the epoch takes the warm
+	// path first.
+	small := testNetwork(t, 6, 3, 2)
+	s, err := core.NewSolver(small, []video.Demand{d, d, d}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.solver = s
+
+	reportAll(t, coord, 4, d)
+	ep, err := coord.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.WarmSolve {
+		t.Error("epoch after a rejected warm solver flagged WarmSolve")
+	}
+	if got := reg.Counter("pnc_warm_fallbacks_total").Value(); got != 1 {
+		t.Errorf("pnc_warm_fallbacks_total = %d, want 1", got)
+	}
+	if got := reg.Counter("pnc_cold_solves_total").Value(); got != 2 {
+		t.Errorf("pnc_cold_solves_total = %d, want 2", got)
+	}
+	if got := reg.Counter("pnc_warm_solves_total").Value(); got != 0 {
+		t.Errorf("pnc_warm_solves_total = %d, want 0", got)
+	}
+}

@@ -28,7 +28,10 @@ lint: vet check-deprecated
 # call to the removed forms. The root-split parallel pricer is gone
 # too: its option, search and CLI flag must not come back. So is dual
 # stabilization: its policy, option and center must not come back
-# anywhere outside perfbench/.
+# anywhere outside perfbench/. internal/lp has one simplex driver:
+# each of its pivot-rule methods is defined once outside tests, and
+# the dense reference (tableau, now denseInverse) implements only the
+# basis-inverse methods.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -41,6 +44,14 @@ check-deprecated:
 		| grep -v '^\./perfbench/' ; then \
 		echo "error: dual stabilization was removed (every round prices at the true master duals)"; exit 1; \
 	else echo "no-stabilization check passed"; fi
+	@dups=$$(grep -hoE '^func \([a-z]+ \*?[A-Za-z]+\) (fill|run|runDual|pivot|pivotDual|driveOutArtificials|tryWarmStart|encodeBasis)\(' \
+		$$(ls internal/lp/*.go | grep -v '_test\.go$$') | sed -E 's/.*\) ([A-Za-z]+)\($$/\1/' | sort | uniq -d); \
+	extra=$$(grep -nE '^func \([a-z]+ \*?(tableau|denseInverse)\) ' $$(ls internal/lp/*.go | grep -v '_test\.go$$') \
+		| grep -vE '\) (factorize|ftran|btran|update|fillRatio)\('); \
+	if [ -n "$$dups$$extra" ]; then \
+		echo "$$dups"; echo "$$extra"; \
+		echo "error: internal/lp has one simplex driver (sparse.go); the dense reference is only a basis inverse"; exit 1; \
+	else echo "one-simplex-driver check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \

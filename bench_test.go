@@ -292,9 +292,9 @@ func benchMasterLP(L, n int) *lp.Problem {
 
 // BenchmarkLPSparse measures the LP core alone on a master-shaped
 // instance: a cold solve and a warm dual-simplex repair after a fixed
-// RHS increase on the default sparse revised simplex, plus the same
-// cold solve on the legacy dense tableau (Options.Dense) as the
-// reference the sparse path replaced.
+// RHS increase with the default LU basis inverse, plus the same cold
+// solve with the explicit dense inverse (Options.Dense), the reference
+// the LU is tested against.
 func BenchmarkLPSparse(b *testing.B) {
 	const L, n = 30, 180
 	for _, bench := range []struct {

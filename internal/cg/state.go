@@ -33,15 +33,15 @@ type State struct {
 	// (and any fixed variables) once, and each pooled schedule
 	// contributes one column, appended the first time a solve sees it.
 	// Only the right-hand sides are rewritten between solves. The lp
-	// solver never mutates a Problem (the tableau copies all data), so
+	// solver never mutates a Problem (its workspace copies all data), so
 	// reuse across solves is safe.
 	prob *lp.Problem
 	cols int
 
 	// solver is the reusable simplex engine bound to prob: it keeps its
-	// tableau and pivot scratch across master solves, so a steady-state
-	// re-solve allocates only its Solution. It is replaced together with
-	// prob whenever the GC forces a master rebuild.
+	// factorization and pivot scratch across master solves, so a
+	// steady-state re-solve allocates only its Solution. It is replaced
+	// together with prob whenever the GC forces a master rebuild.
 	solver *lp.Solver
 
 	// lastBasic[j] is the run index when pool column j last sat in an

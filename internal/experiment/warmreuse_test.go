@@ -28,6 +28,20 @@ func TestRunWarmReuse(t *testing.T) {
 	}
 }
 
+// TestRunWarmReuseNoDualCycle runs the study as `mmwavesim -fig
+// warmreuse -links 10 -seeds 6` does. Without anti-cycling in the dual
+// simplex, a warm master repair in epoch 1 cycles to the pivot cap and
+// the run fails with "master problem ended with status
+// iteration-limit".
+func TestRunWarmReuseNoDualCycle(t *testing.T) {
+	wc := DefaultWarmReuseConfig()
+	wc.Net.NumLinks = 10
+	wc.Net.Seeds = 6
+	if _, err := RunWarmReuse(wc); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunWarmReuseValidation(t *testing.T) {
 	wc := DefaultWarmReuseConfig()
 	wc.Epochs = 1

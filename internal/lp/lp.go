@@ -1,9 +1,9 @@
 // Package lp implements a sparse linear programming solver: a two-phase
 // revised simplex method over a compressed-sparse-column constraint
 // matrix, with the basis kept as an LU factorization updated between
-// pivots by product-form etas and refactorized periodically, Bland's-
-// rule anti-cycling, a dual simplex for warm repair, and dual (simplex
-// multiplier) extraction.
+// pivots by product-form etas and refactorized periodically, a dual
+// simplex for warm repair, Bland's-rule anti-cycling in both the primal
+// and the dual simplex, and dual (simplex multiplier) extraction.
 //
 // Problems are stated as
 //
@@ -21,9 +21,11 @@
 //
 // Master problems in this repository are extremely sparse (a schedule
 // column touches at most 2·|L| rows) and column generation re-solves
-// them many times, so the solver prices and pivots in sparse time. The
-// dense tableau behind Options.Dense is the reference it is tested
-// against pivot for pivot. Columns can be appended between solves
+// them many times, so the solver prices and pivots in sparse time.
+// There is one simplex driver; only the basis inverse behind it
+// varies. Options.Dense swaps the LU for an explicit dense B⁻¹, the
+// reference the LU arithmetic is tested against pivot for pivot.
+// Columns can be appended between solves
 // (Problem.AddColumn), which is exactly the column-generation access
 // pattern.
 package lp
@@ -210,13 +212,13 @@ type Solution struct {
 	// c_j − yᵀa_j at the returned basis (zero for basic variables; valid
 	// when optimal).
 	ReducedCost []float64
-	// EtaUpdates counts the product-form (Forrest–Tomlin-style) basis
-	// updates applied between refactorizations; always zero on the
-	// legacy dense path, which carries an explicit inverse instead.
+	// EtaUpdates counts the product-form basis updates applied between
+	// refactorizations: one per pivot, with either basis inverse.
 	EtaUpdates int
 	// FillRatio is nnz(L+U) / nnz(B) of the final basis factorization —
-	// the sparse core's fill-in, ~1.0 when the factors stay as sparse as
-	// the basis itself. Zero on the legacy dense path.
+	// the LU's fill-in, ~1.0 when the factors stay as sparse as the
+	// basis itself. Zero under Options.Dense, whose explicit inverse is
+	// not a factorization.
 	FillRatio float64
 }
 
@@ -230,10 +232,11 @@ type Options struct {
 	// column-extended) problem, phase 1 is skipped entirely. An
 	// unusable basis silently falls back to a cold start.
 	WarmBasis []BasisVar
-	// Dense forces the legacy dense tableau simplex instead of the
-	// sparse revised simplex. Retained as the differential-testing
-	// reference: the two paths make identical pivot decisions and
-	// differ only in arithmetic order.
+	// Dense swaps the LU factorization and eta file for an explicit
+	// basis inverse rebuilt by Gauss-Jordan elimination. The simplex
+	// driver and its pivot rules are the same, so the two differ only
+	// in arithmetic order; it is the differential-testing reference for
+	// the LU, not a production path.
 	Dense bool
 }
 

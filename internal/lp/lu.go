@@ -2,8 +2,8 @@ package lp
 
 import "math"
 
-// This file holds the basis factorization machinery of the sparse
-// simplex (sparse.go): an LU factorization computed by column-singleton
+// This file holds the production basis inverse of the simplex
+// (sparse.go): an LU factorization computed by column-singleton
 // peeling plus a dense partial-pivoting kernel on the irreducible
 // "bump", and a product-form eta file that absorbs basis exchanges
 // between refactorizations.
@@ -14,6 +14,46 @@ import "math"
 // unit columns and activation columns touching ≤ 2·|L| rows, so the
 // peel typically consumes nearly everything and the bump stays tiny —
 // the dense kernel is a fallback, not the common path.
+
+// luInverse is the production basisInverse: the live LU factors, a
+// spare that factorize fills and swaps in only on success (so a failed
+// refactorization leaves the old factors and etas in use), and the eta
+// file of the exchanges since the last factorization.
+type luInverse struct {
+	lu, spare luFactor
+	etas      etaFile
+}
+
+func (v *luInverse) factorize(m int, colPtr, rowIdx []int, val []float64) bool {
+	if !v.spare.factorize(m, colPtr, rowIdx, val) {
+		return false
+	}
+	v.lu, v.spare = v.spare, v.lu
+	v.etas.reset()
+	return true
+}
+
+// ftran: LU solve, then etas oldest to newest.
+func (v *luInverse) ftran(x []float64) {
+	v.lu.ftran(x)
+	v.etas.applyFtran(x)
+}
+
+// btran: etas newest to oldest, then the transposed LU solve.
+func (v *luInverse) btran(x []float64) {
+	v.etas.applyBtran(x)
+	v.lu.btran(x)
+}
+
+func (v *luInverse) update(r int, d []float64) { v.etas.push(r, d) }
+
+// fillRatio is nnz(L+U) / nnz(B) of the last factorization.
+func (v *luInverse) fillRatio() float64 {
+	if v.lu.nnzBasis == 0 {
+		return 0
+	}
+	return float64(v.lu.nnzFactor) / float64(v.lu.nnzBasis)
+}
 
 // luFactor is one LU factorization of a basis matrix. All slices are
 // reused across refactorizations; factorize never allocates at steady
@@ -61,8 +101,8 @@ type luFactor struct {
 	work []float64
 }
 
-// singularPivotTol matches the dense path's Gauss-Jordan singularity
-// threshold: a pivot below it fails the factorization.
+// singularPivotTol is the singularity threshold of both inverses: a
+// pivot below it fails the factorization.
 const singularPivotTol = 1e-12
 
 // factorize computes the LU factors of the m×m basis given in CSC form
@@ -327,15 +367,6 @@ func (f *luFactor) factorize(m int, colPtr, rowIdx []int, val []float64) bool {
 	f.nnzFactor = totU + totL + m
 	f.work = growF(f.work, m)
 	return true
-}
-
-// fillRatio reports factor nonzeros over basis nonzeros — the fill-in
-// gauge surfaced through Solution.FillRatio.
-func (f *luFactor) fillRatio() float64 {
-	if f.nnzBasis == 0 {
-		return 0
-	}
-	return float64(f.nnzFactor) / float64(f.nnzBasis)
 }
 
 // ftran solves B x = v in place: v arrives indexed by row, x leaves

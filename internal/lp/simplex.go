@@ -1,12 +1,11 @@
 package lp
 
-// tol is the feasibility and optimality tolerance of both simplex
-// paths.
+// tol is the feasibility and optimality tolerance of the simplex.
 const tol = 1e-9
 
 // SolveWith optimizes the problem with explicit options using the
-// revised simplex method (sparse by default, dense behind
-// Options.Dense).
+// revised simplex method (LU basis inverse by default, the explicit
+// dense inverse behind Options.Dense).
 func SolveWith(p *Problem, opt Options) (*Solution, error) {
 	s := Solver{p: p}
 	return s.Solve(opt)
@@ -18,9 +17,9 @@ func SolveWith(p *Problem, opt Options) (*Solution, error) {
 // workspace regrows) between solves; at steady state a solve allocates
 // only its Solution. A Solver is not safe for concurrent use.
 type Solver struct {
-	p *Problem
-	t *tableau // legacy dense workspace, allocated on first Dense solve
-	s *spx     // sparse workspace, allocated on first default solve
+	p     *Problem
+	lu    *spx // LU-inverse workspace, allocated on first default solve
+	dense *spx // dense-inverse workspace, allocated on first Dense solve
 }
 
 // NewSolver binds a reusable solver to the problem.
@@ -57,13 +56,13 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 	}
 
 	if opt.Dense {
-		if s.t == nil {
-			s.t = &tableau{}
+		if s.dense == nil {
+			s.dense = &spx{inv: &denseInverse{}}
 		}
-		return solveDense(p, s.t, opt, maxIter)
+		return s.dense.solve(p, opt, maxIter)
 	}
-	if s.s == nil {
-		s.s = &spx{}
+	if s.lu == nil {
+		s.lu = &spx{inv: &luInverse{}}
 	}
-	return solveSparse(p, s.s, opt, maxIter)
+	return s.lu.solve(p, opt, maxIter)
 }

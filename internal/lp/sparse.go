@@ -2,20 +2,44 @@ package lp
 
 import "math"
 
-// This file is the default solve path: a revised simplex over a
-// compressed-sparse-column matrix, with the basis kept as an LU
-// factorization (lu.go) plus a product-form eta file between periodic
-// refactorizations. Pivoting rules — Dantzig pricing with a Bland
-// fallback under stall, the ratio-test tolerances and smaller-column-
-// index tie-breaks, the degenerate-theta and basic-value clamps, the
-// phase-1 feasibility threshold — replicate the dense tableau
-// (dense.go) exactly, so the two paths walk the same basis sequence
-// and differ only in arithmetic order. Nonbasic columns always sit at
+// This file is the simplex driver: a two-phase revised simplex over a
+// compressed-sparse-column matrix, with a dual simplex for warm repair.
+// It holds every pivot rule — Dantzig pricing with the scoreNoise
+// set-aside and a Bland fallback under stall, the ratio tests with
+// their tolerances and smaller-column-index tie-breaks, the
+// degenerate-theta and basic-value clamps, the dual Bland fallback,
+// the phase-1 feasibility threshold — once. Only the basis inverse
+// varies: luInverse (lu.go) in production, denseInverse (dense.go) as
+// the reference behind Options.Dense. Nonbasic columns always sit at
 // zero.
 
-// spx is the working state of the sparse simplex. Every slice is
-// reused across solves; at steady state (unchanged problem shape) a
-// solve allocates only its Solution.
+// basisInverse represents B⁻¹ for the driver. Vectors passed to ftran
+// arrive row-indexed and leave slot-indexed; btran goes the other way.
+type basisInverse interface {
+	// factorize rebuilds the representation from the m×m basis in CSC
+	// form (column s is the basis column in slot s). On failure the old
+	// representation stays in use.
+	factorize(m int, colPtr, rowIdx []int, val []float64) bool
+	ftran(v []float64)
+	btran(v []float64)
+	// update absorbs the exchange at slot r with direction d = B⁻¹a_enter.
+	update(r int, d []float64)
+	// fillRatio is the fill-in reported as Solution.FillRatio.
+	fillRatio() float64
+}
+
+// warmOutcome classifies what a caller-provided basis is good for.
+type warmOutcome uint8
+
+const (
+	warmUnusable       warmOutcome = iota // fall back to cold start
+	warmPrimalFeasible                    // xB ≥ 0: run primal phase 2 directly
+	warmDualFeasible                      // xB has negatives but prices ≥ 0: dual simplex
+)
+
+// spx is the working state of the simplex. Every slice is reused
+// across solves; at steady state (unchanged problem shape) a solve
+// allocates only its Solution.
 type spx struct {
 	m, n    int // rows, total columns (structural + slack/surplus + artificial)
 	nStruct int
@@ -50,9 +74,7 @@ type spx struct {
 	noisy     []bool
 	noisyList []int
 
-	lu      luFactor
-	luSpare luFactor // factorize target; swapped in only on success
-	etas    etaFile
+	inv basisInverse
 
 	pivotsSinceLU    int
 	refactorizations int
@@ -71,6 +93,48 @@ type spx struct {
 
 	warmCand []int
 	warmSeen []bool
+}
+
+// growF resizes a float scratch slice without preserving contents.
+func growF(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// growI resizes an int scratch slice without preserving contents.
+func growI(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// growB resizes a bool scratch slice, zeroing the result.
+func growB(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = false
+	}
+	return s
+}
+
+// effectiveRel returns the row's sense after the b ≥ 0 normalization.
+func effectiveRel(p *Problem, i int) Relation {
+	rel := p.Rel[i]
+	if p.B[i] < 0 {
+		switch rel {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return rel
 }
 
 func (s *spx) isArtificial(j int) bool { return j >= s.n-s.nArt }
@@ -95,8 +159,10 @@ func (s *spx) fill(p *Problem) {
 	s.artOf = growI(s.artOf, m)
 
 	// Row pass: equilibration scale (1/max |structural coefficient|)
-	// and the flip decision (b < 0), exactly the dense rules, so the
-	// initial basic values come out non-negative.
+	// and the flip decision (b < 0), so the initial basic values come
+	// out non-negative. Equilibration keeps pivot magnitudes O(1)
+	// whatever the caller's units (master-problem rates are ~1e8
+	// bits/s); without it, noise-level pivots wreck the factorization.
 	nSlack, nArt := 0, 0
 	nnz := 0
 	for i := 0; i < m; i++ {
@@ -157,8 +223,8 @@ func (s *spx) fill(p *Problem) {
 	}
 	s.colPtr[nStruct] = at
 
-	// Auxiliary columns and the starting basis, in the dense layout:
-	// slack/surplus columns first in row order, then artificials.
+	// Auxiliary columns and the starting basis: slack/surplus columns
+	// first in row order, then artificials.
 	s.auxRow = growI(s.auxRow, nSlack+nArt)
 	s.auxVal = growF(s.auxVal, nSlack+nArt)
 	s.basis = growI(s.basis, m)
@@ -219,9 +285,8 @@ func (s *spx) fill(p *Problem) {
 	s.uBuf2 = growF(s.uBuf2, m)
 	s.rhoBuf = growF(s.rhoBuf, m)
 
-	// Initial factorization (unit columns — the peel consumes
-	// everything) and basic values. Not counted as a refactorization,
-	// matching the dense path's direct B⁻¹ = I start.
+	// Initial factorization (unit columns) and basic values. Not
+	// counted as a refactorization.
 	s.factorizeBasis()
 	s.computeXB()
 }
@@ -239,11 +304,9 @@ func (s *spx) resetSlots() {
 // isBasic reports whether column j is in the basis.
 func (s *spx) isBasic(j int) bool { return s.slotOf[j] >= 0 }
 
-// factorizeBasis gathers the basis columns into CSC form and attempts
-// a fresh LU. On success the new factors replace the old and the eta
-// file empties; on failure the previous factorization (plus etas)
-// stays live, exactly as the dense path keeps its product-form
-// inverse when Gauss-Jordan hits a singular pivot.
+// factorizeBasis gathers the basis columns into CSC form and
+// refactorizes the inverse; on failure the previous representation
+// stays live.
 func (s *spx) factorizeBasis() bool {
 	m := s.m
 	need := 0
@@ -274,16 +337,14 @@ func (s *spx) factorizeBasis() bool {
 	}
 	s.basColPtr[m] = at
 
-	if !s.luSpare.factorize(m, s.basColPtr, s.basRowIdx, s.basVal) {
+	if !s.inv.factorize(m, s.basColPtr, s.basRowIdx, s.basVal) {
 		return false
 	}
-	s.lu, s.luSpare = s.luSpare, s.lu
-	s.etas.reset()
 	s.pivotsSinceLU = 0
 	return true
 }
 
-// refactorize rebuilds the LU (counting it) and refreshes the basic
+// refactorize rebuilds the inverse (counting it) and refreshes the basic
 // values from the rhs; on failure the stale factors stay in
 // use and xB is left untouched.
 func (s *spx) refactorize() bool {
@@ -297,29 +358,15 @@ func (s *spx) refactorize() bool {
 }
 
 // computeXB solves B·xB = b and snaps roundoff negatives above −1e-7
-// to zero (the dense refactorize clamp).
+// to zero.
 func (s *spx) computeXB() {
 	copy(s.xB, s.bRaw)
-	s.ftranDense(s.xB)
+	s.inv.ftran(s.xB)
 	for r, v := range s.xB {
 		if v < 0 && v > -1e-7 {
 			s.xB[r] = 0
 		}
 	}
-}
-
-// ftranDense solves B x = v in place (v row-indexed in, slot-indexed
-// out): LU solve, then etas oldest to newest.
-func (s *spx) ftranDense(v []float64) {
-	s.lu.ftran(v)
-	s.etas.applyFtran(v)
-}
-
-// btranDense solves Bᵀ y = v in place (v slot-indexed in, row-indexed
-// out): etas newest to oldest, then the transposed LU solve.
-func (s *spx) btranDense(v []float64) {
-	s.etas.applyBtran(v)
-	s.lu.btran(v)
 }
 
 // ftranColInto computes B⁻¹ a_j into dst (slot-indexed).
@@ -334,7 +381,7 @@ func (s *spx) ftranColInto(dst []float64, j int) []float64 {
 	} else {
 		dst[s.auxRow[j-s.nStruct]] = s.auxVal[j-s.nStruct]
 	}
-	s.ftranDense(dst)
+	s.inv.ftran(dst)
 	return dst
 }
 
@@ -344,7 +391,7 @@ func (s *spx) pricingDuals(c []float64) []float64 {
 	for r, j := range s.basis {
 		y[r] = c[j]
 	}
-	s.btranDense(y)
+	s.inv.btran(y)
 	return y
 }
 
@@ -356,7 +403,7 @@ func (s *spx) btranUnit(r int) []float64 {
 		rho[i] = 0
 	}
 	rho[r] = 1
-	s.btranDense(rho)
+	s.inv.btran(rho)
 	return rho
 }
 
@@ -405,8 +452,7 @@ func (s *spx) scoreNoise(c, y []float64, j int) float64 {
 }
 
 // run performs primal simplex pivots under costs c until optimality,
-// unboundedness, or the iteration budget runs out, with the dense
-// loop's pricing, tolerances, and tie-breaks.
+// unboundedness, or the iteration budget runs out.
 func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 	if !phase1 {
 		for j := s.n - s.nArt; j < s.n; j++ {
@@ -469,9 +515,14 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 		u := s.ftranColInto(s.uBuf, enter)
 
 		// Ratio test: the entering variable grows from zero until a
-		// basic variable it drives down reaches zero. The pivot
-		// threshold and the smaller-column-index tie-break are the dense
-		// rules verbatim; roundoff-negative basic values count as zero.
+		// basic variable it drives down reaches zero, ties going to the
+		// smaller column index. The pivot threshold separates
+		// cancellation noise (≈1e-15 relative after row equilibration)
+		// from genuine small entries caused by mixed-scale rows (e.g.
+		// 1e-8 when rate and unit coefficients share a column); only the
+		// former may be skipped — a skipped positive entry would let
+		// theta run past its row's feasibility limit. Roundoff-negative
+		// basic values count as zero.
 		maxU := 0.0
 		for i := 0; i < s.m; i++ {
 			if a := math.Abs(u[i]); a > maxU {
@@ -522,9 +573,9 @@ func (s *spx) run(c []float64, maxIter int, phase1 bool) (Status, int) {
 }
 
 // pivot performs the basis exchange: the entering column replaces
-// slot leaveRow, whose variable leaves at zero. The displacement is
-// recomputed from the leaving row exactly as the dense pivot does,
-// with the same degenerate-theta and basic-value clamps.
+// slot leaveRow, whose variable leaves at zero. A roundoff-negative
+// theta is a degenerate pivot at the bound, and roundoff-negative
+// basic values snap to zero.
 func (s *spx) pivot(enter, leaveRow int, u []float64) {
 	theta := s.xB[leaveRow] / u[leaveRow]
 	if theta < 0 && theta > -1e-7 {
@@ -545,14 +596,14 @@ func (s *spx) pivot(enter, leaveRow int, u []float64) {
 	s.exchange(enter, leaveRow, u)
 }
 
-// exchange installs column enter in slot leaveRow, records the eta of
-// direction u, and refactorizes every 64 pivots.
+// exchange installs column enter in slot leaveRow, updates the
+// inverse with direction u, and refactorizes every 64 pivots.
 func (s *spx) exchange(enter, leaveRow int, u []float64) {
 	s.slotOf[s.basis[leaveRow]] = -1
 	s.basis[leaveRow] = enter
 	s.slotOf[enter] = leaveRow
 
-	s.etas.push(leaveRow, u)
+	s.inv.update(leaveRow, u)
 	s.etaUpdates++
 	s.pivotsSinceLU++
 	if s.pivotsSinceLU >= 64 {
@@ -563,21 +614,42 @@ func (s *spx) exchange(enter, leaveRow int, u []float64) {
 // runDual performs dual simplex pivots from a dual-feasible basis
 // until every basic value is non-negative (optimal), proven primal
 // infeasibility, or the iteration budget runs out.
+//
+// Anti-cycling: the dual objective cᵀx_B never falls, but on the
+// heavily dual-degenerate column-generation masters it can stay flat
+// while the most-negative leaving rule cycles. After more than 2·n
+// consecutive pivots that do not raise it by more than tol, the
+// leaving row becomes the infeasible row whose basic column index is
+// smallest — with the smallest-index entering tie-break, this is
+// Bland's rule for the dual — until the objective moves again. The
+// threshold scales with the column count and is entered late on
+// purpose: shorter runs of degenerate pivots are common in repairs
+// that do terminate, Bland's rule often takes more pivots, and under
+// the ratio tests' tolerance bands it is not guaranteed finite either.
 func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 	// Artificials stay barred exactly as in primal phase 2.
 	for j := s.n - s.nArt; j < s.n; j++ {
 		s.barred[j] = true
 	}
 	iters := 0
+	stall := 0
+	lastObj := math.Inf(-1)
 	for {
 		if iters >= maxIter {
 			return StatusIterLimit, iters
 		}
-		// Leaving row: most negative basic value.
+		// Leaving row: the most negative basic value, or under stall
+		// the infeasible row with the smallest basic column index.
+		useBland := stall > 2*s.n
 		leave := -1
 		worst := -tol
 		for i := 0; i < s.m; i++ {
-			if s.xB[i] < worst {
+			switch {
+			case useBland && s.xB[i] < -tol:
+				if leave < 0 || s.basis[i] < s.basis[leave] {
+					leave = i
+				}
+			case !useBland && s.xB[i] < worst:
 				worst = s.xB[i]
 				leave = i
 			}
@@ -589,7 +661,7 @@ func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 		// Entering: the dual ratio test over row leave of B⁻¹A. A
 		// candidate needs a negative entry to push the leaving value up;
 		// among candidates the smallest reduced-cost ratio keeps dual
-		// feasibility, with the dense smaller-index tie-break.
+		// feasibility, ties going to the smaller column index.
 		rho := s.btranUnit(leave)
 		y := s.pricingDuals(c)
 		enter := -1
@@ -620,13 +692,20 @@ func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 		u := s.ftranColInto(s.uBuf, enter)
 		s.pivotDual(enter, leave, u)
 		iters++
+
+		obj := s.objective(c)
+		if obj > lastObj+tol {
+			stall = 0
+			lastObj = obj
+		} else {
+			stall++
+		}
 	}
 }
 
 // pivotDual performs the dual basis exchange: the leaving variable
-// lands exactly on zero; no feasibility clamps apply (the dense
-// pivotDual has none either — subsequent iterations repair any
-// remaining violations).
+// lands exactly on zero; no feasibility clamps apply (subsequent
+// iterations repair any remaining violations).
 func (s *spx) pivotDual(enter, leaveRow int, u []float64) {
 	theta := s.xB[leaveRow] / u[leaveRow]
 	for i := 0; i < s.m; i++ {
@@ -641,8 +720,10 @@ func (s *spx) pivotDual(enter, leaveRow int, u []float64) {
 
 // driveOutArtificials pivots zero-level basic artificials out of the
 // basis where a usable structural pivot exists (largest magnitude
-// above the dense 1e-7 threshold); rows without one are redundant and
-// keep their artificial, barred in phase 2.
+// above 1e-7, for numerical stability); rows without one are redundant
+// and keep their artificial, barred in phase 2. Two direction buffers
+// alternate: one holds the best candidate while the other probes the
+// next column.
 func (s *spx) driveOutArtificials() {
 	for i := 0; i < s.m; i++ {
 		if !s.isArtificial(s.basis[i]) {
@@ -671,12 +752,11 @@ func (s *spx) driveOutArtificials() {
 	}
 }
 
-// tryWarmStart installs a caller-provided basis and classifies it,
-// mirroring the dense rules: the basis must decode, not repeat
-// columns, and factorize; a basis whose basic values are non-negative
-// (±1e-7) goes straight to phase 2 even if some reduced cost is
-// negative, a dual-feasible one goes to the dual simplex, anything
-// else restores the cold start.
+// tryWarmStart installs a caller-provided basis and classifies it: the
+// basis must decode, not repeat columns, and factorize; a basis whose
+// basic values are non-negative (±1e-7) goes straight to phase 2 even
+// if some reduced cost is negative, a dual-feasible one goes to the
+// dual simplex, anything else restores the cold start.
 func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 	if len(warm) != s.m {
 		return warmUnusable
@@ -716,7 +796,7 @@ func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 
 	copy(s.basis, cand)
 	s.resetSlots()
-	s.refactorizations++ // the candidate factorization, as in dense
+	s.refactorizations++ // the candidate factorization
 	if !s.factorizeBasis() {
 		s.restoreColdBasis()
 		return warmUnusable
@@ -732,7 +812,7 @@ func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 	}
 	if primal {
 		// Phase 2 runs from here even when dual-infeasible columns
-		// exist — primal pivots price them in, exactly as dense.
+		// exist — primal pivots price them in.
 		return warmPrimalFeasible
 	}
 	// Primal infeasible: usable by the dual simplex iff every nonbasic
@@ -780,10 +860,10 @@ func (s *spx) encodeBasis() []BasisVar {
 	return out
 }
 
-// solveSparse runs the two-phase sparse simplex in the given
-// workspace. The caller has already validated the problem, resolved
-// the maxIter default, and handled the zero-row case.
-func solveSparse(p *Problem, s *spx, opt Options, maxIter int) (*Solution, error) {
+// solve runs the two-phase simplex in the workspace. The caller has
+// already validated the problem, resolved the maxIter default, and
+// handled the zero-row case.
+func (s *spx) solve(p *Problem, opt Options, maxIter int) (*Solution, error) {
 	s.fill(p)
 
 	iters1 := 0
@@ -836,7 +916,7 @@ func solveSparse(p *Problem, s *spx, opt Options, maxIter int) (*Solution, error
 			continue
 		}
 		x[j] = s.xB[r]
-		// Clean tiny negatives from roundoff (the dense clamp).
+		// Clean tiny negatives from roundoff.
 		if x[j] < 0 && x[j] > -1e-7 {
 			x[j] = 0
 		}
@@ -872,7 +952,7 @@ func solveSparse(p *Problem, s *spx, opt Options, maxIter int) (*Solution, error
 		Warm:             warmUsed,
 		ReducedCost:      rc,
 		EtaUpdates:       s.etaUpdates,
-		FillRatio:        s.lu.fillRatio(),
+		FillRatio:        s.inv.fillRatio(),
 	}
 	sol.Objective = p.Objective(x)
 	return sol, nil
@@ -886,6 +966,6 @@ func (s *spx) failSolution(st Status, iters int, warm bool) *Solution {
 		Refactorizations: s.refactorizations,
 		Warm:             warm,
 		EtaUpdates:       s.etaUpdates,
-		FillRatio:        s.lu.fillRatio(),
+		FillRatio:        s.inv.fillRatio(),
 	}
 }

@@ -232,3 +232,86 @@ func TestSparseReducedCosts(t *testing.T) {
 		}
 	}
 }
+
+// dualRepairStart reports whether basis sends a solve of p down the
+// dual-repair path: it decodes and factorizes, is primal infeasible,
+// and prices out dual feasible.
+func dualRepairStart(p *Problem, basis []BasisVar) bool {
+	s := &spx{inv: &luInverse{}}
+	s.fill(p)
+	return s.tryWarmStart(basis) == warmDualFeasible
+}
+
+// TestDifferentialWarmRepair gives both inverses the same warm basis:
+// each instance is solved cold, its right-hand side perturbed until
+// the optimal basis turns primal infeasible (it stays dual feasible:
+// the costs are unchanged), and the perturbed problem re-solved from
+// that basis through the LU and the dense inverse. The two repairs
+// must walk the same pivots to the same basis, and reach the objective
+// of a cold solve of the perturbed problem.
+func TestDifferentialWarmRepair(t *testing.T) {
+	rng := rand.New(rand.NewSource(409))
+	repaired := map[string]int{}
+	for inst := 0; inst < 200; inst++ {
+		tag := "mixed"
+		var p *Problem
+		if inst%2 == 0 {
+			p = randomMixedLP(rng, 2+rng.Intn(9), 2+rng.Intn(7))
+		} else {
+			tag = "colgen"
+			m := 2 + rng.Intn(6)
+			p = colgenShapeLP(rng, m, m+rng.Intn(8))
+		}
+		first, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Status != StatusOptimal {
+			continue
+		}
+		seedB := append([]float64(nil), p.B...)
+		found := false
+		for try := 0; try < 8 && !found; try++ {
+			for i := range p.B {
+				p.B[i] = seedB[i] * (0.25 + 2*rng.Float64())
+			}
+			found = dualRepairStart(p, first.Basis)
+		}
+		if !found {
+			continue
+		}
+		repaired[tag]++
+
+		lu, err := SolveWith(p, Options{WarmBasis: first.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		de, err := SolveWith(p, Options{WarmBasis: first.Basis, Dense: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lu.Status != de.Status || lu.Iterations != de.Iterations ||
+			!reflect.DeepEqual(lu.Basis, de.Basis) || lu.Warm != de.Warm {
+			t.Fatalf("%s instance %d: LU %v after %d pivots to %v (warm %v), dense %v after %d pivots to %v (warm %v)",
+				tag, inst, lu.Status, lu.Iterations, lu.Basis, lu.Warm, de.Status, de.Iterations, de.Basis, de.Warm)
+		}
+		if !lu.Warm {
+			t.Fatalf("%s instance %d: dual repair not reported warm", tag, inst)
+		}
+		cold, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lu.Status != cold.Status {
+			t.Fatalf("%s instance %d: warm status %v, cold %v", tag, inst, lu.Status, cold.Status)
+		}
+		if lu.Status == StatusOptimal &&
+			math.Abs(lu.Objective-cold.Objective) > 1e-9*math.Max(1, math.Abs(cold.Objective)) {
+			t.Fatalf("%s instance %d: warm objective %.17g, cold %.17g", tag, inst, lu.Objective, cold.Objective)
+		}
+	}
+	if repaired["mixed"] < 20 || repaired["colgen"] < 20 {
+		t.Fatalf("only %v instances reached the dual repair; perturbation too weak", repaired)
+	}
+	t.Logf("dual repairs compared: %v", repaired)
+}

@@ -28,7 +28,8 @@ lint: vet check-deprecated
 # call to the removed forms. The root-split parallel pricer is gone
 # too: its option, search and CLI flag must not come back. So is dual
 # stabilization: its policy, option and center must not come back
-# anywhere outside perfbench/. internal/lp has one simplex driver:
+# anywhere outside perfbench/. Nor may the multi-column and
+# heuristic-first toggles: the engine owns that policy. internal/lp has one simplex driver:
 # each of its pivot-rule methods is defined once outside tests, and
 # the dense reference (tableau, now denseInverse) implements only the
 # basis-inverse methods.
@@ -44,6 +45,9 @@ check-deprecated:
 		| grep -v '^\./perfbench/' ; then \
 		echo "error: dual stabilization was removed (every round prices at the true master duals)"; exit 1; \
 	else echo "no-stabilization check passed"; fi
+	@if grep -rn --include='*.go' -E 'HeuristicPolicy|HeuristicFirst|HeuristicPricing|WithMultiColumn|MultiColumn\.Disable|Disable: true' . ; then \
+		echo "error: the CG engine owns its loop policy (a pricer's PoolLeaves decides multi-column; the heuristic runs only after a budget-truncated exact round)"; exit 1; \
+	else echo "no-loop-toggles check passed"; fi
 	@dups=$$(grep -hoE '^func \([a-z]+ \*?[A-Za-z]+\) (fill|run|runDual|pivot|pivotDual|driveOutArtificials|tryWarmStart|encodeBasis)\(' \
 		$$(ls internal/lp/*.go | grep -v '_test\.go$$') | sed -E 's/.*\) ([A-Za-z]+)\($$/\1/' | sort | uniq -d); \
 	extra=$$(grep -nE '^func \([a-z]+ \*?(tableau|denseInverse)\) ' $$(ls internal/lp/*.go | grep -v '_test\.go$$') \

@@ -1,13 +1,14 @@
 package cg
 
 // This file holds the engine's iteration-count accelerations (DESIGN.md
-// §17): multi-column admission and heuristic-first pricing. Each is
-// governed by a policy struct whose zero value means "on with
-// defaults", so the accelerated loop is what every caller gets unless
-// it opts out with Disable — and disabling both reproduces the
-// historical single-column exact loop byte-for-byte. Every round is
-// priced at the true master duals; the engine keeps no dual state
-// between runs.
+// §17): multi-column admission and heuristic-first pricing. Neither is
+// an option. The engine admits every improving extra a pricer returns,
+// so a pricer's own leaf pool decides multi-column pricing, and it tries
+// the heuristic pricer only after a budget-truncated exact round, so a
+// pricer that never halts prices exactly every round. An
+// unlimited-budget pricer that pools no leaves therefore reproduces the
+// historical single-column exact loop. Every round is priced at the
+// true master duals; the engine keeps no dual state between runs.
 
 // Tuning of the accelerations.
 const (
@@ -22,36 +23,9 @@ const (
 	keepPace = 0.9
 )
 
-// MultiColumnPolicy configures batch column admission: pricers that pool
-// near-optimal leaves return them in PriceResult.Extras, and the engine
-// admits every batch member whose reduced cost — recomputed at the true
-// master duals — is improving, instead of only the argmax.
-type MultiColumnPolicy struct {
-	// Disable turns batch admission off (legacy behavior: only the
-	// pricer's best schedule is added, and pricers are not asked to
-	// pool leaves).
-	Disable bool
-}
+// MultiColumnPolicy names the per-round leaf-pool bound that pricers
+// pooling near-optimal leaves (PriceResult.Extras) are built with.
+type MultiColumnPolicy struct{}
 
-// Columns returns the effective per-round leaf-pool bound (0 when
-// disabled, so pricers skip collection entirely).
-func (p MultiColumnPolicy) Columns() int {
-	if p.Disable {
-		return 0
-	}
-	return maxPoolColumns
-}
-
-// HeuristicPolicy configures heuristic-first pricing: a cheap heuristic
-// pricer (Options.Heuristic, typically the greedy interference-free
-// builder) runs first every round, and the exact pricer fires only when
-// the heuristic's best column fails the reduced-cost test at the true
-// master duals or duplicates a pooled column. Heuristic rounds are
-// never exact: they emit no Theorem-1 bound and can never declare
-// convergence, so the accounting of proven bounds is untouched.
-type HeuristicPolicy struct {
-	// Disable turns heuristic-first pricing off (legacy behavior: the
-	// exact pricer runs every round). Heuristic columns are accepted
-	// only while they keep pace with the exact frontier (keepPace).
-	Disable bool
-}
+// Columns returns the per-round leaf-pool bound.
+func (MultiColumnPolicy) Columns() int { return maxPoolColumns }

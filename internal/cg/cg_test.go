@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmwave/internal/lp"
+	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
 )
 
@@ -131,6 +132,20 @@ func TestStateGCDisabled(t *testing.T) {
 	st.runs = 99
 	if evicted := st.gc(GCPolicy{}, &stubModel{}); evicted != 0 {
 		t.Fatalf("zero policy evicted %d columns", evicted)
+	}
+}
+
+// TestEngineSizesGC: a zero GC policy becomes max(256, 32·L) columns,
+// and an explicit bound is kept.
+func TestEngineSizesGC(t *testing.T) {
+	for _, tc := range []struct{ links, set, want int }{
+		{4, 0, 256}, {8, 0, 256}, {10, 0, 320}, {30, 0, 960}, {30, 15, 15},
+	} {
+		nw := &netmodel.Network{Links: make([]netmodel.Link, tc.links)}
+		e := NewEngine(nw, &stubModel{}, NewState(), Options{GC: GCPolicy{MaxColumns: tc.set}})
+		if got := e.opts.GC.MaxColumns; got != tc.want {
+			t.Errorf("L=%d MaxColumns=%d: engine bound %d, want %d", tc.links, tc.set, got, tc.want)
+		}
 	}
 }
 

@@ -54,19 +54,16 @@ type Options struct {
 	// greedy interference-free relaxation) used to form a final valid
 	// bound when the configured pricer dies on cancellation.
 	Fallback Pricer
-	// Heuristic, when non-nil, is the cheap pricer tried first every
-	// round under HeuristicFirst (typically the greedy builder, possibly
-	// configured to peel a column batch). Nil disables heuristic-first
-	// pricing regardless of the policy.
+	// Heuristic, when non-nil, is a cheap pricer (typically the greedy
+	// interference-free builder, possibly peeling a column batch) tried
+	// ahead of the exact pricer in every round that follows a
+	// budget-truncated exact round. Its column is taken only when it is
+	// new to the pool, improves at the true master duals and keeps pace
+	// with the exact frontier (keepPace); otherwise the exact pricer
+	// fires in the same round. Heuristic rounds are never exact: they
+	// emit no Theorem-1 bound and never declare convergence. Nil prices
+	// exactly every round.
 	Heuristic Pricer
-	// MultiColumn governs batch column admission from pricer leaf pools
-	// (zero value: on with defaults). The engine side only reads
-	// PriceResult.Extras; the owning solver wires the pool bound into
-	// its pricers via MultiColumnPolicy.Columns.
-	MultiColumn MultiColumnPolicy
-	// HeuristicFirst governs heuristic-first pricing (zero value: on,
-	// effective only when Heuristic is non-nil).
-	HeuristicFirst HeuristicPolicy
 	// MaxIterations caps column-generation rounds; zero means 500.
 	MaxIterations int
 	// Tolerance on the reduced cost: the engine stops when
@@ -76,7 +73,8 @@ type Options struct {
 	// UB/LB gap falls below it (the paper's Theorem-1 early stop). Only
 	// effective for models whose Bound reports true.
 	GapTarget float64
-	// GC bounds pool growth across runs; the zero value disables it.
+	// GC bounds pool growth across runs; a zero MaxColumns means the
+	// engine default, max(256, 32·L) columns for an L-link network.
 	GC GCPolicy
 	// LPOpts passes options to the master problem solves.
 	LPOpts lp.Options
@@ -135,6 +133,9 @@ func NewEngine(nw *netmodel.Network, model MasterModel, state *State, opts Optio
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 1e-7
 	}
+	if opts.GC.MaxColumns <= 0 {
+		opts.GC.MaxColumns = max(256, 32*nw.NumLinks())
+	}
 	return &Engine{nw: nw, model: model, state: state, opts: opts}
 }
 
@@ -180,10 +181,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	span := tracer.StartSpan(e.model.SpanName())
 	defer span.End()
 
-	heur := e.opts.Heuristic
-	if e.opts.HeuristicFirst.Disable {
-		heur = nil
-	}
 	colHist := e.opts.Metrics.Histogram("cg_columns_per_round")
 	lastPhi := 0.0       // last exact round's best reduced cost (≤ 0)
 	exactHalted := false // last exact round hit its budget mid-search
@@ -207,8 +204,8 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		// the same round.
 		var pr *PriceResult
 		heuristic := false
-		if heur != nil && exactHalted {
-			if hr, herr := heur.Price(e.nw, lambda); herr == nil && hr.Schedule != nil {
+		if e.opts.Heuristic != nil && exactHalted {
+			if hr, herr := e.opts.Heuristic.Price(e.nw, lambda); herr == nil && hr.Schedule != nil {
 				phiH := 1 - hr.Schedule.Value(e.nw, lambda)
 				if phiH < -e.opts.Tolerance && phiH <= keepPace*lastPhi &&
 					!st.pool.Contains(hr.Schedule) {
@@ -322,12 +319,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			}
 		}
 		for _, sc := range pr.Extras {
-			if sc == nil || e.opts.MultiColumn.Disable {
-				// An explicitly supplied pricer may pool leaves on its
-				// own; the toggle still controls admission.
-				continue
-			}
-			if 1-sc.Value(e.nw, lambda) < -e.opts.Tolerance {
+			if sc != nil && 1-sc.Value(e.nw, lambda) < -e.opts.Tolerance {
 				if _, ok := st.pool.Add(sc); ok {
 					added++
 				}

@@ -106,7 +106,10 @@ func (st *State) noteBasis(basis []lp.BasisVar, offset int) {
 // GCPolicy bounds pool growth across long re-solve sequences.
 type GCPolicy struct {
 	// MaxColumns triggers a collection at the start of a run when the
-	// pool exceeds it. Zero disables the GC entirely.
+	// pool exceeds it. Zero means the engine default, max(256, 32·L)
+	// columns for an L-link network (NewEngine fills it in), so a
+	// single cold solve, whose pool starts at the TDMA seed, never
+	// collects.
 	MaxColumns int
 	// MinAge is how many runs a column must have stayed out of every
 	// optimal basis before it may be evicted. Zero means 2.
@@ -118,7 +121,8 @@ type GCPolicy struct {
 // the new column indices — eviction candidates are by construction
 // outside the current basis, so the remap always succeeds and the next
 // master solve still warm-starts. Returns the number of evicted
-// columns.
+// columns. A policy with no MaxColumns collects nothing; NewEngine
+// always resolves one.
 func (st *State) gc(policy GCPolicy, model MasterModel) int {
 	if policy.MaxColumns <= 0 || st.pool.Len() <= policy.MaxColumns {
 		return 0

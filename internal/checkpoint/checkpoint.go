@@ -279,35 +279,46 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save writes the snapshot atomically: encode, write to a temp file in
-// the target directory, fsync, rename. A crash mid-save leaves either
-// the previous checkpoint or none — never a torn image.
+// Save writes the snapshot atomically (Encode, then WriteFile). A
+// crash mid-save leaves either the previous checkpoint or none — never
+// a torn image.
 func Save(path string, s *Snapshot) error {
 	data, err := s.Encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := WriteFile(path, data); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// WriteFile stores data at path atomically: it writes a temp file in
+// the target directory (named path's base plus ".tmp" and a random
+// suffix), fsyncs and closes it, then renames it over path. The temp
+// file is removed only when a step fails; after a successful rename it
+// no longer exists under its temp name. Callers that persist exact
+// bytes, such as a host storing a checkpoint image it may later
+// restore from, use it directly.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Load reads and decodes a snapshot from disk.

@@ -6,18 +6,16 @@ import (
 	"math/rand"
 	"testing"
 
-	"mmwave/internal/cg"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/video"
 )
 
-// allOff reproduces the historical exact loop: one column per round,
-// exact pricing every round.
+// allOff reproduces the historical exact loop: a pricer that never
+// exhausts its budget never opens the heuristic gate, so every round
+// is priced exactly, and with no leaf pool it adds one column per
+// round.
 func allOff() []Option {
-	return []Option{
-		WithMultiColumn(cg.MultiColumnPolicy{Disable: true}),
-		WithHeuristicPricing(cg.HeuristicPolicy{Disable: true}),
-	}
+	return []Option{WithPricer(NewBranchBoundPricer(1 << 40))}
 }
 
 // checkPlanServes validates every schedule of the plan against the

@@ -146,34 +146,20 @@ type Options struct {
 	// relative UB/LB gap falls below it (the paper's early-termination
 	// use of Theorem 1).
 	GapTarget float64
-	// ColumnGC bounds pool growth across re-solves of the same solver
-	// (the PNC cross-epoch pattern): when the pool exceeds
-	// ColumnGC.MaxColumns at the start of a solve, columns that stayed
-	// out of every optimal basis for ColumnGC.MinAge solves are
+	// ColumnGC overrides the engine's pool bound across re-solves of
+	// the same solver (the PNC cross-epoch pattern): when the pool
+	// exceeds ColumnGC.MaxColumns at the start of a solve, columns that
+	// stayed out of every optimal basis for ColumnGC.MinAge solves are
 	// dropped. The TDMA seed columns are never collected, so master
-	// feasibility is preserved. The zero value disables collection —
-	// single-shot solves never need it.
+	// feasibility is preserved. The zero value is the engine default
+	// of max(256, 32·L) columns, which a single cold solve never
+	// reaches.
 	ColumnGC cg.GCPolicy
 	// PricerWorkers is ignored: the default pricer searches serially.
 	//
 	// Deprecated: a no-op kept only because perfbench's replay still
 	// reads it.
 	PricerWorkers int
-	// MultiColumn governs multi-column pricing: the pricers pool their
-	// near-optimal leaves and the engine admits every batch member that
-	// improves at the true duals. The zero value enables it with a
-	// bounded default pool; Disable returns to one column per round.
-	// The policy configures the default branch-and-bound pricer (and
-	// the heuristic's peeling width); an explicit Pricer controls its
-	// own leaf pool (BranchBoundPricer.PoolLeaves).
-	MultiColumn cg.MultiColumnPolicy
-	// HeuristicPricing governs heuristic-first pricing: the greedy
-	// builder prices every round first and the exact pricer fires only
-	// when the greedy column fails the reduced-cost test at the true
-	// duals. The zero value enables it; it is automatically off when
-	// the configured pricer is itself the greedy heuristic or uses
-	// fixed-power column semantics the greedy builder would violate.
-	HeuristicPricing cg.HeuristicPolicy
 	// Classes describes the network's traffic classes (names, weights,
 	// SLA floors). Nil means unit-weight classes with no floors — for a
 	// two-class network, exactly the paper's HP/LP model. When set, the
@@ -198,33 +184,27 @@ type Options struct {
 // anytime bound.
 func (o Options) engineOptions(prefix string) cg.Options {
 	return cg.Options{
-		Pricer:         o.Pricer,
-		Fallback:       GreedyPricer{},
-		Heuristic:      o.heuristicPricer(),
-		MultiColumn:    o.MultiColumn,
-		HeuristicFirst: o.HeuristicPricing,
-		MaxIterations:  o.MaxIterations,
-		Tolerance:      o.Tolerance,
-		GapTarget:      o.GapTarget,
-		GC:             o.ColumnGC,
-		LPOpts:         o.LPOpts,
-		Tracer:         o.Tracer,
-		Metrics:        o.Metrics,
-		MetricsPrefix:  prefix,
+		Pricer:        o.Pricer,
+		Fallback:      GreedyPricer{},
+		Heuristic:     o.heuristicPricer(),
+		MaxIterations: o.MaxIterations,
+		Tolerance:     o.Tolerance,
+		GapTarget:     o.GapTarget,
+		GC:            o.ColumnGC,
+		LPOpts:        o.LPOpts,
+		Tracer:        o.Tracer,
+		Metrics:       o.Metrics,
+		MetricsPrefix: prefix,
 	}
 }
 
 // heuristicPricer picks the heuristic-first pricer for the engine: the
-// greedy builder, peeling a column batch when multi-column admission is
-// on. It returns nil — disabling heuristic-first pricing — when the
-// policy says so, when the main pricer is already the greedy heuristic
-// (running it twice per round buys nothing), or when the main pricer
-// prices fixed-power columns (the greedy builder adapts powers, and the
-// fixed-power ablation's master pool must stay PMax-only).
+// greedy builder, peeling a column batch. It returns nil — pricing
+// exactly every round — when the main pricer is already the greedy
+// heuristic (running it twice per round buys nothing), or when the main
+// pricer prices fixed-power columns (the greedy builder adapts powers,
+// and the fixed-power ablation's master pool must stay PMax-only).
 func (o Options) heuristicPricer() cg.Pricer {
-	if o.HeuristicPricing.Disable {
-		return nil
-	}
 	switch p := o.Pricer.(type) {
 	case *BranchBoundPricer:
 		if p.FixedPower {
@@ -233,7 +213,7 @@ func (o Options) heuristicPricer() cg.Pricer {
 	case GreedyPricer:
 		return nil
 	}
-	return GreedyPricer{PoolColumns: o.MultiColumn.Columns()}
+	return GreedyPricer{PoolColumns: cg.MultiColumnPolicy{}.Columns()}
 }
 
 // Solver runs column generation on one network instance, holding the
@@ -287,12 +267,12 @@ func checkInstance(nw *netmodel.Network, demands []video.Demand, classes video.C
 }
 
 // withDefaultPricer fills in the pricer when o carries none: the
-// branch-and-bound pricer at the default probe budget, pooling as many
-// leaves as the multi-column policy admits per round.
+// branch-and-bound pricer at the default probe budget, pooling the
+// default number of leaves per round.
 func (o Options) withDefaultPricer() Options {
 	if o.Pricer == nil {
 		p := NewBranchBoundPricer(0)
-		p.PoolLeaves = o.MultiColumn.Columns()
+		p.PoolLeaves = cg.MultiColumnPolicy{}.Columns()
 		o.Pricer = p
 	}
 	return o

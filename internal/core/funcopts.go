@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mmwave/internal/cg"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/obs"
 	"mmwave/internal/video"
@@ -36,20 +35,6 @@ func WithTolerance(tol float64) Option { return func(o *Options) { o.Tolerance =
 // WithGapTarget enables early termination at the given relative UB/LB
 // gap (the paper's Theorem-1 stopping rule).
 func WithGapTarget(gap float64) Option { return func(o *Options) { o.GapTarget = gap } }
-
-// WithMultiColumn sets the multi-column pricing policy (see
-// Options.MultiColumn). The zero policy enables leaf pooling with the
-// default batch size; pass cg.MultiColumnPolicy{Disable: true} for
-// the historical one-column-per-round loop.
-func WithMultiColumn(p cg.MultiColumnPolicy) Option { return func(o *Options) { o.MultiColumn = p } }
-
-// WithHeuristicPricing sets the heuristic-first pricing policy (see
-// Options.HeuristicPricing). The zero policy runs the greedy pricer
-// ahead of the exact one each round; pass cg.HeuristicPolicy{Disable:
-// true} to price exactly every round.
-func WithHeuristicPricing(p cg.HeuristicPolicy) Option {
-	return func(o *Options) { o.HeuristicPricing = p }
-}
 
 // WithTracer attaches a trace-event consumer: every column-generation
 // iteration, pricing round, and master solve under this solver emits

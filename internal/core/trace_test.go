@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mmwave/internal/cg"
 	"mmwave/internal/obs"
 )
 
@@ -132,13 +131,11 @@ func TestMetricsPublished(t *testing.T) {
 	demands := uniformDemands(6, 4e6, 2e6)
 
 	reg := obs.NewRegistry()
-	// The accelerations are off here on purpose: this test checks the
-	// metric plumbing of the classic exact walk (probes, pivots, master
-	// solves all nonzero), and heuristic-first pricing legitimately
-	// resolves this instance with barely any exact search.
-	s, err := New(nw, demands, WithMetrics(reg),
-		WithMultiColumn(cg.MultiColumnPolicy{Disable: true}),
-		WithHeuristicPricing(cg.HeuristicPolicy{Disable: true}))
+	// The classic exact walk (one column per round, exact pricing
+	// every round) on purpose: this test checks the metric plumbing,
+	// and that walk takes 16 rounds, 3 probes and 57 pivots here, so
+	// probes, pivots and master solves are all nonzero.
+	s, err := New(nw, demands, WithMetrics(reg), WithPricer(NewBranchBoundPricer(1<<40)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,13 +175,12 @@ func TestColumnGCPreservesOptimum(t *testing.T) {
 	d0 := uniformDemands(6, 4e6, 2e6)
 
 	seedCols := len(d0) * 2 // TDMA seeds two columns per link
-	// Accelerations off: this test exercises GC mechanics, which need
-	// the classic walk's steady column churn of one column per exact
-	// round.
+	// The classic exact walk (see allOff): this test exercises GC
+	// mechanics, which need its steady column churn of one column per
+	// exact round.
 	s, err := NewSolver(nw, d0, Options{
-		ColumnGC:         cg.GCPolicy{MaxColumns: seedCols + 3, MinAge: 1},
-		MultiColumn:      cg.MultiColumnPolicy{Disable: true},
-		HeuristicPricing: cg.HeuristicPolicy{Disable: true},
+		ColumnGC: cg.GCPolicy{MaxColumns: seedCols + 3, MinAge: 1},
+		Pricer:   NewBranchBoundPricer(1 << 40),
 	})
 	if err != nil {
 		t.Fatal(err)

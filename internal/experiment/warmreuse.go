@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mmwave/internal/cg"
 	"mmwave/internal/core"
 	"mmwave/internal/stats"
 	"mmwave/internal/video"
@@ -25,10 +24,6 @@ type WarmReuseConfig struct {
 	// scale (each epoch draws a factor in [1−j, 1+j] per link). Zero
 	// re-solves identical demands every epoch.
 	DemandJitter float64
-	// GC bounds the persistent solver's pool; the zero value uses the
-	// engine default for long-lived solvers (32 columns per link,
-	// min 256).
-	GC cg.GCPolicy
 }
 
 // DefaultWarmReuseConfig returns an 8-epoch study at reduced scale
@@ -53,34 +48,43 @@ type WarmReuseResult struct {
 
 // RunWarmReuse runs the warm-vs-cold epoch study.
 func RunWarmReuse(wc WarmReuseConfig) (*WarmReuseResult, error) {
+	out := &WarmReuseResult{}
+	err := walkWarmReuse(wc, func(wres, cres *core.Result) {
+		out.WarmIters.Add(float64(len(wres.Iterations)))
+		out.ColdIters.Add(float64(len(cres.Iterations)))
+		out.WarmPivots.Add(float64(wres.LPPivots))
+		out.ColdPivots.Add(float64(cres.LPPivots))
+		out.Evicted += wres.EvictedColumns
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walkWarmReuse runs the study's solves: per seed, epoch 0 on the
+// persistent solver, then every later epoch both warm and TDMA-cold,
+// handing each such pair to visit. Any failed solve ends the walk with
+// its error.
+func walkWarmReuse(wc WarmReuseConfig, visit func(warm, cold *core.Result)) error {
 	if wc.Epochs < 2 {
-		return nil, fmt.Errorf("experiment: warm reuse needs ≥ 2 epochs, got %d", wc.Epochs)
+		return fmt.Errorf("experiment: warm reuse needs ≥ 2 epochs, got %d", wc.Epochs)
 	}
 	if wc.DemandJitter < 0 || wc.DemandJitter >= 1 {
-		return nil, fmt.Errorf("experiment: demand jitter %g outside [0, 1)", wc.DemandJitter)
+		return fmt.Errorf("experiment: demand jitter %g outside [0, 1)", wc.DemandJitter)
 	}
-	out := &WarmReuseResult{}
 	for rep := 0; rep < wc.Net.Seeds; rep++ {
 		rng := stats.Fork(wc.Net.Seed, int64(rep))
 		inst, err := NewInstance(wc.Net, rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		opts := wc.Net.solverOptions()
-		opts.ColumnGC = wc.GC
-		if opts.ColumnGC.MaxColumns == 0 {
-			n := 32 * inst.Network.NumLinks()
-			if n < 256 {
-				n = 256
-			}
-			opts.ColumnGC = cg.GCPolicy{MaxColumns: n}
-		}
-		warm, err := core.NewSolver(inst.Network, inst.Demands, opts)
+		warm, err := core.NewSolver(inst.Network, inst.Demands, wc.Net.solverOptions())
 		if err != nil {
-			return nil, fmt.Errorf("experiment: warm reuse: %w", err)
+			return fmt.Errorf("experiment: warm reuse: %w", err)
 		}
 		if _, err := warm.Solve(context.Background()); err != nil {
-			return nil, fmt.Errorf("experiment: warm reuse epoch 0: %w", err)
+			return fmt.Errorf("experiment: warm reuse epoch 0: %w", err)
 		}
 		for e := 1; e < wc.Epochs; e++ {
 			demands := make([]video.Demand, len(inst.Demands))
@@ -92,28 +96,24 @@ func RunWarmReuse(wc WarmReuseConfig) (*WarmReuseResult, error) {
 				demands[l] = d.Scale(f)
 			}
 			if err := warm.SetDemands(demands); err != nil {
-				return nil, fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
+				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
 			}
 			wres, err := warm.Solve(context.Background())
 			if err != nil {
-				return nil, fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
+				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
 			}
 			coldSolver, err := core.NewSolver(inst.Network, demands, wc.Net.solverOptions())
 			if err != nil {
-				return nil, fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
+				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
 			}
 			cres, err := coldSolver.Solve(context.Background())
 			if err != nil {
-				return nil, fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
+				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
 			}
-			out.WarmIters.Add(float64(len(wres.Iterations)))
-			out.ColdIters.Add(float64(len(cres.Iterations)))
-			out.WarmPivots.Add(float64(wres.LPPivots))
-			out.ColdPivots.Add(float64(cres.LPPivots))
-			out.Evicted += wres.EvictedColumns
+			visit(wres, cres)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // FigWarmReuse renders the study as a four-series figure over the

@@ -1,6 +1,12 @@
 package experiment
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mmwave/internal/core"
+)
 
 // TestRunWarmReuse pins the study's headline claim at test scale: warm
 // epochs take strictly fewer CG iterations and LP pivots on average
@@ -58,5 +64,44 @@ func TestRunWarmReuseValidation(t *testing.T) {
 func TestWarmReuseDriverRegistered(t *testing.T) {
 	if _, ok := Lookup("warmreuse"); !ok {
 		t.Fatal("warmreuse driver not registered")
+	}
+}
+
+// TestWarmEpochObjectivesMatchCold is the warm-epoch property: the
+// warm-reuse walk at mmwavesim's defaults, over 40 seeds at 8 and at
+// 10 links (6 under -short), fails no solve, and wherever both the
+// warm and the cold solve of an epoch converge, their objectives agree
+// to 1e-9 relative.
+func TestWarmEpochObjectivesMatchCold(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 6
+	}
+	for _, links := range []int{8, 10} {
+		t.Run(fmt.Sprintf("links=%d", links), func(t *testing.T) {
+			wc := DefaultWarmReuseConfig()
+			wc.Net.NumLinks = links
+			wc.Net.Seeds = seeds
+			pairs, worst := 0, 0.0
+			err := walkWarmReuse(wc, func(warm, cold *core.Result) {
+				if !warm.Converged || !cold.Converged {
+					return
+				}
+				pairs++
+				gap := math.Abs(warm.Plan.Objective-cold.Plan.Objective) / cold.Plan.Objective
+				worst = math.Max(worst, gap)
+				if gap > 1e-9 {
+					t.Errorf("pair %d: warm objective %v vs cold %v (rel %g)",
+						pairs, warm.Plan.Objective, cold.Plan.Objective, gap)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pairs == 0 {
+				t.Fatal("no epoch converged both warm and cold")
+			}
+			t.Logf("%d converged pairs, worst relative gap %.2g", pairs, worst)
+		})
 	}
 }

@@ -406,7 +406,7 @@ func (h *Host) Recover(c *Cell) (bool, error) {
 	if c.ckptPath == "" {
 		return false, nil
 	}
-	data, err := readRaw(c.ckptPath)
+	data, err := os.ReadFile(c.ckptPath)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return false, nil
@@ -677,7 +677,7 @@ func (h *Host) checkpointCell(c *Cell, rep *EpochReport) {
 		h.metric("host_checkpoint_corruptions_total")
 	}
 	if c.ckptPath != "" {
-		if err := writeRaw(c.ckptPath, data); err != nil {
+		if err := checkpoint.WriteFile(c.ckptPath, data); err != nil {
 			h.metric("host_checkpoint_errors_total")
 			h.event("host.checkpoint_error", c.id, err.Error())
 			return
@@ -698,7 +698,7 @@ func (h *Host) checkpointCell(c *Cell, rep *EpochReport) {
 func (h *Host) killRestore(c *Cell, rep *EpochReport) {
 	data := c.lastCkpt
 	if c.ckptPath != "" {
-		if d, err := readRaw(c.ckptPath); err == nil {
+		if d, err := os.ReadFile(c.ckptPath); err == nil {
 			data = d
 		}
 	}

@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mmwave/internal/checkpoint"
 )
 
-// tmpLeftovers lists the temp files writeRaw may have left next to path.
+// tmpLeftovers lists the temp files checkpoint.WriteFile may have left
+// next to path.
 func tmpLeftovers(t *testing.T, path string) []string {
 	t.Helper()
 	left, err := filepath.Glob(path + ".tmp*")
@@ -17,15 +20,16 @@ func tmpLeftovers(t *testing.T, path string) []string {
 	return left
 }
 
-// TestWriteRawRoundTrip checks that a successful write lands the exact
-// bytes under the final name and leaves no temp file behind.
+// TestWriteRawRoundTrip checks that a successful write of a raw
+// checkpoint image lands the exact bytes under the final name and
+// leaves no temp file behind.
 func TestWriteRawRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cell.ckpt")
 	want := []byte("checkpoint image")
-	if err := writeRaw(path, want); err != nil {
+	if err := checkpoint.WriteFile(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readRaw(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +52,8 @@ func TestWriteRawFailureLeavesNoTemp(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(path, "occupied"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRaw(path, []byte("checkpoint image")); err == nil {
-		t.Fatal("writeRaw onto a non-empty directory succeeded")
+	if err := checkpoint.WriteFile(path, []byte("checkpoint image")); err == nil {
+		t.Fatal("WriteFile onto a non-empty directory succeeded")
 	}
 	if left := tmpLeftovers(t, path); len(left) != 0 {
 		t.Fatalf("temp files left after a failed write: %v", left)

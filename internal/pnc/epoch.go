@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"mmwave/internal/cg"
 	"mmwave/internal/core"
 	"mmwave/internal/faults"
 	"mmwave/internal/obs"
@@ -398,7 +397,9 @@ func (c *Coordinator) publishEpoch(out *EpochResult) {
 // within one epoch share the same warm state. On any warm-path error
 // (e.g. new demand on a link no pooled column serves) the coordinator
 // falls back to a cold solver rather than failing the epoch, and counts
-// the fallback in pnc_warm_fallbacks_total.
+// the fallback in pnc_warm_fallbacks_total under its cause:
+// cause="set_demands" when the warm solver refuses the demands,
+// cause="solve" when the warm solve itself fails.
 func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*core.Result, error) {
 	sctx := ctx
 	if c.Policy.SolveBudget > 0 {
@@ -408,6 +409,7 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 	}
 
 	if c.solver != nil && c.solverFP == c.gainsFingerprint() {
+		cause := "set_demands"
 		if err := c.solver.SetDemands(demands); err == nil {
 			res, err := c.solver.Solve(sctx)
 			if err == nil {
@@ -416,11 +418,12 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 				}
 				return res, nil
 			}
+			cause = "solve"
 		}
 		// Warm path unusable (uncovered demand, master failure): count
 		// it, drop the state and solve cold below.
 		if c.Metrics != nil {
-			c.Metrics.Counter("pnc_warm_fallbacks_total").Inc()
+			c.Metrics.Counter(`pnc_warm_fallbacks_total{cause="` + cause + `"}`).Inc()
 		}
 		c.InvalidateSolverState()
 	}
@@ -443,11 +446,9 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 
 // solverOptions resolves the effective per-epoch solver options: the
 // coordinator's tracer/metrics are threaded in when the options carry
-// none of their own, and a solver that lives across epochs accumulates
-// columns without bound, so a GC policy scaled to the instance is
-// defaulted when the caller set none. Used by both the cold-start path
-// and checkpoint restore (ImportState), so a restored solver runs under
-// exactly the options an uninterrupted one would.
+// none of their own. Used by both the cold-start path and checkpoint
+// restore (ImportState), so a restored solver runs under exactly the
+// options an uninterrupted one would.
 func (c *Coordinator) solverOptions() core.Options {
 	opts := c.Solve
 	if opts.Tracer == nil {
@@ -455,13 +456,6 @@ func (c *Coordinator) solverOptions() core.Options {
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = c.Metrics
-	}
-	if opts.ColumnGC.MaxColumns == 0 {
-		n := 32 * c.Network.NumLinks()
-		if n < 256 {
-			n = 256
-		}
-		opts.ColumnGC = cg.GCPolicy{MaxColumns: n}
 	}
 	return opts
 }

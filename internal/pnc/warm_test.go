@@ -1,7 +1,9 @@
 package pnc
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mmwave/internal/core"
@@ -204,8 +206,20 @@ func TestWarmFallbackCounted(t *testing.T) {
 	if ep.WarmSolve {
 		t.Error("epoch after a rejected warm solver flagged WarmSolve")
 	}
-	if got := reg.Counter("pnc_warm_fallbacks_total").Value(); got != 1 {
-		t.Errorf("pnc_warm_fallbacks_total = %d, want 1", got)
+	// The forced swap is refused by SetDemands, so the fallback is
+	// counted under that cause and none under a failed warm solve.
+	if got := reg.Counter(`pnc_warm_fallbacks_total{cause="set_demands"}`).Value(); got != 1 {
+		t.Errorf(`pnc_warm_fallbacks_total{cause="set_demands"} = %d, want 1`, got)
+	}
+	if got := reg.Counter(`pnc_warm_fallbacks_total{cause="solve"}`).Value(); got != 0 {
+		t.Errorf(`pnc_warm_fallbacks_total{cause="solve"} = %d, want 0`, got)
+	}
+	var exp bytes.Buffer
+	if err := reg.WriteText(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if want := "pnc_warm_fallbacks_total{cause=\"set_demands\"} 1\n"; !strings.Contains(exp.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, exp.String())
 	}
 	if got := reg.Counter("pnc_cold_solves_total").Value(); got != 2 {
 		t.Errorf("pnc_cold_solves_total = %d, want 2", got)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mmwave/internal/api"
+	"mmwave/internal/checkpoint"
 	"mmwave/internal/experiment"
 	"mmwave/internal/host"
 	"mmwave/internal/netmodel"
@@ -246,8 +247,9 @@ func (s *Server) admit(rec cellRecord, id int) (*cellState, error) {
 	return cs, nil
 }
 
-// persist atomically rewrites the cell's spec record (temp + rename,
-// the checkpoint package's durability idiom).
+// persist atomically rewrites the cell's spec record
+// (checkpoint.WriteFile; its temp names end in ".tmp…", so the
+// recovery glob never picks one up).
 func (s *Server) persist(cs *cellState) error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -257,22 +259,7 @@ func (s *Server) persist(cs *cellState) error {
 	if err != nil {
 		return err
 	}
-	path := s.specPath(cs.id)
-	tmp, err := os.CreateTemp(s.cfg.StateDir, "spec-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return checkpoint.WriteFile(s.specPath(cs.id), data)
 }
 
 func (s *Server) specPath(id int) string {

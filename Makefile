@@ -29,7 +29,10 @@ lint: vet check-deprecated
 # too: its option, search and CLI flag must not come back. So is dual
 # stabilization: its policy, option and center must not come back
 # anywhere outside perfbench/. Nor may the multi-column and
-# heuristic-first toggles: the engine owns that policy. internal/lp has one simplex driver:
+# heuristic-first toggles: the engine owns that policy. Persisted state
+# has one image format and one fingerprint: the retired checkpoint
+# readers, the gains-only warm-solver hash and the second counter path
+# of mmwavesim -v must not come back. internal/lp has one simplex driver:
 # each of its pivot-rule methods is defined once outside tests, and
 # the dense reference (tableau, now denseInverse) implements only the
 # basis-inverse methods.
@@ -48,6 +51,9 @@ check-deprecated:
 	@if grep -rn --include='*.go' -E 'HeuristicPolicy|HeuristicFirst|HeuristicPricing|WithMultiColumn|MultiColumn\.Disable|Disable: true' . ; then \
 		echo "error: the CG engine owns its loop policy (a pricer's PoolLeaves decides multi-column; the heuristic runs only after a budget-truncated exact round)"; exit 1; \
 	else echo "no-loop-toggles check passed"; fi
+	@if grep -rn --include='*.go' -E 'gainsFingerprint|minVersion|r\.ver\b|legacyDuals|experiment\.Telemetry|\bTelemetry\{' . ; then \
+		echo "error: one checkpoint format (no legacy readers), one fingerprint (netmodel.Network.Fingerprint), one counter path (obs.Registry)"; exit 1; \
+	else echo "one-format-one-fingerprint check passed"; fi
 	@dups=$$(grep -hoE '^func \([a-z]+ \*?[A-Za-z]+\) (fill|run|runDual|pivot|pivotDual|driveOutArtificials|tryWarmStart|encodeBasis)\(' \
 		$$(ls internal/lp/*.go | grep -v '_test\.go$$') | sed -E 's/.*\) ([A-Za-z]+)\($$/\1/' | sort | uniq -d); \
 	extra=$$(grep -nE '^func \([a-z]+ \*?(tableau|denseInverse)\) ' $$(ls internal/lp/*.go | grep -v '_test\.go$$') \

@@ -124,11 +124,6 @@ func runCtx(ctx context.Context, args []string) int {
 	}
 	cfg.Workers = *workers
 	cfg.Ctx = ctx
-	var tel *experiment.Telemetry
-	if *verbose {
-		tel = &experiment.Telemetry{}
-		cfg.Telemetry = tel
-	}
 
 	if *printConfig {
 		fmt.Println(cfg)
@@ -184,7 +179,7 @@ func runCtx(ctx context.Context, args []string) int {
 		traceSink = obs.NewJSONLSink(f)
 		cfg.Tracer = obs.New(traceSink)
 	}
-	if *metricsFile != "" {
+	if *metricsFile != "" || *verbose {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
@@ -241,7 +236,7 @@ func runCtx(ctx context.Context, args []string) int {
 			fmt.Fprintf(os.Stderr, "mmwavesim: trace: %d events to %s\n", traceSink.Events(), *traceFile)
 		}
 	}
-	if cfg.Metrics != nil {
+	if *metricsFile != "" {
 		if err := writeMetrics(cfg.Metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "mmwavesim: -metrics: %v\n", err)
 			if runErr == nil {
@@ -258,10 +253,19 @@ func runCtx(ctx context.Context, args []string) int {
 		}
 		return 1
 	}
-	if tel != nil {
-		fmt.Fprintf(os.Stderr, "mmwavesim: telemetry: %s\n", tel)
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "mmwavesim: telemetry: %s\n", telemetry(cfg.Metrics))
 	}
 	return 0
+}
+
+// telemetry renders the -v solver summary from the campaign's registry.
+func telemetry(m *obs.Registry) string {
+	c := func(name string) int64 { return m.Counter(name).Value() }
+	return fmt.Sprintf("solves=%d iterations=%d master-solves=%d probes=%d pricer-nodes=%d lp-pivots=%d",
+		c("cg_warm_runs_total")+c("cg_cold_runs_total"), c("core_cg_rounds_total"),
+		c("core_master_solves_total"), c("core_probes_total"),
+		c("core_pricer_nodes_total"), c("core_lp_pivots_total"))
 }
 
 // writeMetrics dumps the registry's text exposition to path ("-" means

@@ -52,6 +52,28 @@ func main() {
 	}
 }
 
+// Connection deadlines for the listener: a client must send its
+// headers promptly and its whole request within readTimeout, and an
+// idle keep-alive connection is closed after idleTimeout. There is no
+// write deadline, because a reports?follow stream stays open for as
+// long as its client keeps reading.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in a server with the connection
+// deadlines above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(addr, addrFile, state string, workers int, watchdog time.Duration,
 	maxCells, maxLinks, retention int, stepEvery, drainWait time.Duration) error {
 	srv, err := pncd.New(pncd.Config{
@@ -81,7 +103,7 @@ func run(addr, addrFile, state string, workers int, watchdog time.Duration,
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

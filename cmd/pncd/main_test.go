@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,5 +77,19 @@ func TestRunLifecycle(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not stop after SIGTERM")
+	}
+}
+
+// TestHTTPServerDeadlines: the daemon's server bounds how long a client
+// may take to send its request and how long an idle connection lives,
+// but sets no write deadline, which would cut off report streams.
+func TestHTTPServerDeadlines(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts header=%v read=%v idle=%v, want all positive",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want 0 (follow streams are long-lived)", hs.WriteTimeout)
 	}
 }

@@ -92,8 +92,8 @@ func NetworkFromModel(nw *netmodel.Network) Network {
 
 // ToModel converts the wire network back to the model form and
 // validates it. The round trip NetworkFromModel→ToModel preserves the
-// checkpoint fingerprint: every field NetworkFingerprint hashes is
-// carried losslessly.
+// network fingerprint: every field netmodel.Network.Fingerprint hashes
+// is carried losslessly.
 func (n Network) ToModel() (*netmodel.Network, error) {
 	links := make([]netmodel.Link, len(n.Links))
 	for i, l := range n.Links {
@@ -157,9 +157,6 @@ type Solve struct {
 	Tolerance     float64 `json:"tolerance,omitempty"`
 	GapTarget     float64 `json:"gap_target,omitempty"`
 	PricerBudget  int     `json:"pricer_budget,omitempty"`
-	// PricerWorkers is accepted for v1 wire compatibility and ignored:
-	// the pricer searches serially.
-	PricerWorkers int `json:"pricer_workers,omitempty"`
 }
 
 // ToOptions lowers the wire solve spec onto core.Options.
@@ -421,10 +418,8 @@ type EpochResult struct {
 	// Column-generation telemetry for the epoch's P1 solve — additive
 	// v1 fields (omitempty keeps pre-existing decoders and goldens
 	// byte-compatible), zero when the epoch served a cached plan and
-	// ran no solve. cg_stab_rounds is accepted but never emitted: the
-	// engine no longer stabilizes its duals.
+	// ran no solve.
 	CGIterations     int `json:"cg_iterations,omitempty"`
-	CGStabRounds     int `json:"cg_stab_rounds,omitempty"`
 	CGHeuristicHits  int `json:"cg_heuristic_hits,omitempty"`
 	CGExactFallbacks int `json:"cg_exact_fallbacks,omitempty"`
 	CGColumnsAdded   int `json:"cg_columns_added,omitempty"`

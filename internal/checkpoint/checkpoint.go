@@ -1,30 +1,30 @@
 // Package checkpoint persists a coordinator's durable state — the
 // pnc.CoordState (demand fallbacks, control accounting, epoch counter,
 // and the cg engine snapshot: schedule pool, warm basis, GC stamps)
-// plus the fault injector's RNG position — as a versioned, CRC-guarded
-// binary image with atomic write-rename persistence. A restored
-// coordinator re-solves byte-identically to the one that wrote the
-// snapshot (see internal/pnc.ImportState and the chaos soak in
-// internal/host), which is what makes a supervised restart invisible
-// to the data plane.
+// plus the fault injector's RNG position — as a CRC-guarded binary
+// image with atomic write-rename persistence. A restored coordinator
+// re-solves byte-identically to the one that wrote the snapshot (see
+// internal/pnc.ImportState and the chaos soak in internal/host), which
+// is what makes a supervised restart invisible to the data plane.
 //
 // Image layout (little-endian):
 //
 //	magic "MWCK" | version u16 | problem fingerprint u64 | payload | CRC32(IEEE) u32
 //
 // The CRC covers every byte before it; any flip or truncation yields
-// ErrCorrupt, never a panic or a silently wrong restore. The problem
-// fingerprint hashes the network the coordinator schedules (topology,
-// gains, noise, rate table, interference flags); restoring onto a
-// network with a different fingerprint yields ErrIncompatible, so a
-// snapshot can never leak schedules across problem instances.
+// ErrCorrupt, never a panic or a silently wrong restore. There is one
+// format, read only by the build that writes it: an image of any other
+// version yields ErrIncompatible, and the caller restarts cold. The
+// problem fingerprint is netmodel.Network.Fingerprint of the network
+// the coordinator schedules; restoring onto a network with a different
+// fingerprint yields ErrIncompatible too, so a snapshot can never leak
+// schedules across problem instances.
 package checkpoint
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -46,35 +46,19 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
 	// ErrIncompatible reports a well-formed image that cannot be
-	// restored here: a future format version or a problem fingerprint
-	// that no longer matches the target network.
+	// restored here: a format version other than this build's, or a
+	// problem fingerprint that no longer matches the target network.
 	ErrIncompatible = errors.New("checkpoint: incompatible snapshot")
 )
 
 const (
 	magic = "MWCK"
-	// version 2 added the LPEtaUpdates counter to the engine stats
-	// block when the master LP moved to the sparse revised simplex.
-	// version 3 appended the host's last-known-good plan (and its
-	// epoch) so a restarted pncd can serve plans before its first
-	// post-restore step. Version 4 made demands and engine duals
-	// class-count-aware when the two-class HP/LP pair generalized to N
-	// traffic classes; version-2/-3 images still decode, with their
-	// fixed-width demand pairs and HP/LP dual vectors read back as the
-	// two-class special case. Version 5 appended the engine's dual-
-	// stabilization center and the acceleration work counters
-	// (stabilized rounds, heuristic hits, exact fallbacks, columns
-	// added); older images decode with a cold center and zero counters.
-	// Version 6 dropped the two retired probe cache counter slots (hits,
-	// misses) from the engine stats block; older images still decode,
-	// with those slots read and discarded. Version 7 dropped the engine's
-	// dual vectors, its stabilization center and the stabilized-rounds
-	// counter slot, since the engine keeps no duals between runs; v2–v6
-	// images still decode, with whichever of them they carry read and
-	// discarded.
-	version = 7
-	// minVersion is the oldest format this build still decodes.
-	minVersion = 2
+	// version is the one image format this build writes and reads.
+	// Any other version — older or newer — is ErrIncompatible, and the
+	// caller restarts the cell cold, exactly as for a corrupt image.
+	// Version 8 is the first whose CoordState.SolverFP holds the whole-
+	// network fingerprint (netmodel.Network.Fingerprint).
+	version = 8
 	// headerLen is magic + version + fingerprint; trailerLen the CRC.
 	headerLen  = 4 + 2 + 8
 	trailerLen = 4
@@ -91,76 +75,15 @@ type Snapshot struct {
 	InjectorCfg faults.Config
 	Injector    *faults.InjectorState
 	// Plan/PlanEpoch carry the supervisor's last-known-good plan (nil
-	// when the cell had none, and on images older than version 3), so
-	// a restarted host serves the data plane immediately instead of
-	// waiting for its first fresh solve.
+	// when the cell had none), so a restarted host serves the data
+	// plane immediately instead of waiting for its first fresh solve.
 	Plan      *core.Plan
 	PlanEpoch int64
 }
 
-// NetworkFingerprint hashes the problem instance a coordinator
-// schedules: link topology, channel count, every direct and cross
-// gain, noise, power budget, rate table, and the model flags. Two
-// networks with equal fingerprints define the same P1, so a snapshot's
-// pooled schedules and warm basis are valid on either. FNV-1a, the
-// repo's fingerprint idiom (see pnc.gainsFingerprint).
-func NetworkFingerprint(nw *netmodel.Network) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	f := func(v float64) { word(math.Float64bits(v)) }
-	word(uint64(len(nw.Links)))
-	for _, l := range nw.Links {
-		word(uint64(int64(l.TXNode)))
-		word(uint64(int64(l.RXNode)))
-	}
-	word(uint64(nw.NumChannels))
-	for _, row := range nw.Gains.Direct {
-		for _, g := range row {
-			f(g)
-		}
-	}
-	for _, m := range nw.Gains.Cross {
-		for _, row := range m {
-			for _, g := range row {
-				f(g)
-			}
-		}
-	}
-	for _, n := range nw.Noise {
-		f(n)
-	}
-	f(nw.PMax)
-	word(uint64(len(nw.Rates.Gammas)))
-	for i := range nw.Rates.Gammas {
-		f(nw.Rates.Gammas[i])
-		f(nw.Rates.Rates[i])
-	}
-	word(uint64(nw.Interference))
-	if nw.MultiChannel {
-		word(1)
-	} else {
-		word(0)
-	}
-	// The traffic-class count joined the fingerprint with format v4.
-	// Two-class networks hash exactly as they always did, so every
-	// pre-v4 snapshot still matches its network; any other class count
-	// perturbs the hash, so an N-class snapshot can never restore onto
-	// a differently-classed instance.
-	if c := nw.TrafficClasses(); c != 2 {
-		word(uint64(c))
-	}
-	return h
-}
+// NetworkFingerprint is nw.Fingerprint(): the problem-instance hash
+// a snapshot is captured under and checked against on restore.
+func NetworkFingerprint(nw *netmodel.Network) uint64 { return nw.Fingerprint() }
 
 // Capture snapshots a coordinator (and optionally its fault injector)
 // at an epoch boundary. The coordinator keeps running; the snapshot
@@ -228,7 +151,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 
 // Decode parses and structurally validates an encoded snapshot. Every
 // corruption — flipped bytes, truncation, forged lengths — surfaces as
-// ErrCorrupt; a future version as ErrIncompatible.
+// ErrCorrupt; any format version but this build's as ErrIncompatible.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < headerLen+1+trailerLen || string(data[:4]) != magic {
 		return nil, fmt.Errorf("%w: missing header", ErrCorrupt)
@@ -239,16 +162,15 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	r := &reader{buf: body, off: 4}
 	v := r.u16()
-	if v < minVersion || v > version {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d–%d", ErrIncompatible, v, minVersion, version)
+	if v != version {
+		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrIncompatible, v, version)
 	}
-	r.ver = v
 	s := &Snapshot{Fingerprint: r.u64()}
 	s.Coord = decodeCoord(r)
 	if r.err == nil && r.boolean() {
 		s.InjectorCfg, s.Injector = decodeInjector(r)
 	}
-	if v >= 3 && r.err == nil && r.boolean() {
+	if r.err == nil && r.boolean() {
 		s.Plan = &core.Plan{
 			Schedules: decodeSchedules(r),
 			Tau:       decodeFloats(r),
@@ -349,11 +271,6 @@ func decodeDemands(r *reader) []video.Demand {
 	}
 	ds := make([]video.Demand, n)
 	for i := range ds {
-		if r.ver < 4 {
-			// v2/v3 images carry the fixed two-field HP/LP pair.
-			ds[i] = video.TwoClass(r.f64(), r.f64())
-			continue
-		}
 		nc := int(r.u16())
 		if nc == 0 {
 			continue // nil demand round-trips as nil
@@ -527,42 +444,12 @@ func decodeEngine(r *reader) *cg.StateSnapshot {
 		s.LastBasic[i] = int(r.i64())
 	}
 	s.Runs = int(r.i64())
-	if r.ver <= 6 {
-		// The retired dual vectors: exactly two (HP then LP) before v4,
-		// a counted set from v4, plus the counted stabilization center
-		// from v5.
-		nd := 2
-		if r.ver >= 4 {
-			nd = int(r.u16())
-		}
-		for i := 0; i < nd; i++ {
-			decodeFloats(r)
-		}
-		if r.ver >= 5 {
-			for nc := int(r.u16()); nc > 0; nc-- {
-				decodeFloats(r)
-			}
-		}
-	}
-	var retired int // slots of retired counters, read and discarded
-	ints := []*int{&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves}
-	if r.ver <= 5 {
-		// The probe cache hit and miss counters.
-		ints = append(ints, &retired, &retired)
-	}
-	ints = append(ints,
-		&s.Stats.PricerNodes,
+	for _, p := range []*int{
+		&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves, &s.Stats.PricerNodes,
 		&s.Stats.LPPivots, &s.Stats.LPRefactorizations, &s.Stats.LPEtaUpdates,
-		&s.Stats.WarmMasters, &s.Stats.EvictedColumns)
-	if r.ver >= 5 {
-		if r.ver <= 6 {
-			// The stabilized-rounds counter.
-			ints = append(ints, &retired)
-		}
-		ints = append(ints,
-			&s.Stats.HeuristicHits, &s.Stats.ExactFallbacks, &s.Stats.ColumnsAdded)
-	}
-	for _, p := range ints {
+		&s.Stats.WarmMasters, &s.Stats.EvictedColumns,
+		&s.Stats.HeuristicHits, &s.Stats.ExactFallbacks, &s.Stats.ColumnsAdded,
+	} {
 		*p = int(r.i64())
 	}
 	return s

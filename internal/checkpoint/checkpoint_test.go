@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -231,6 +233,43 @@ func TestFingerprintIncompatible(t *testing.T) {
 	}
 	if NetworkFingerprint(nw) != NetworkFingerprint(nw) {
 		t.Fatal("fingerprint not deterministic")
+	}
+}
+
+// restamp returns a copy of a valid image relabelled as format version
+// v, with its CRC recomputed so only the version is wrong.
+func restamp(data []byte, v uint16) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(out[4:6], v)
+	body := out[:len(out)-trailerLen]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// TestOtherVersionsIncompatible: the decoder reads exactly one format.
+// A well-formed image of any other version — a retired one or a future
+// one — is ErrIncompatible, never decoded and never ErrCorrupt.
+func TestOtherVersionsIncompatible(t *testing.T) {
+	nw := testNetwork(t, 9, 4, 2)
+	coord, err := pnc.NewCoordinator(nw, nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportAll(t, coord, 4, video.TwoClass(2e6, 4e6))
+	if _, err := coord.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := Capture(coord, nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(restamp(data, version)); err != nil {
+		t.Fatalf("restamping at the current version broke the image: %v", err)
+	}
+	for _, v := range []uint16{0, 2, 3, 6, 7, version + 1} {
+		if _, err := Decode(restamp(data, v)); !errors.Is(err, ErrIncompatible) {
+			t.Errorf("version %d image: got %v, want ErrIncompatible", v, err)
+		}
 	}
 }
 

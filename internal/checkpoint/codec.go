@@ -42,9 +42,6 @@ type reader struct {
 	buf []byte
 	off int
 	err error
-	// ver is the image's format version, set by Decode after the header
-	// is read; codecs whose layout changed across versions branch on it.
-	ver uint16
 }
 
 func (r *reader) fail(format string, args ...any) {

@@ -152,7 +152,6 @@ func solvePlan(cfg Config, inst *Instance) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Telemetry.Record(res)
 	return &res.Plan, nil
 }
 

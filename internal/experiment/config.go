@@ -89,11 +89,6 @@ type Config struct {
 	// (Seed, rep) and aggregation happens in a fixed order.
 	Workers int
 
-	// Telemetry, when non-nil, accumulates solver counters (probes,
-	// master solves, pricer nodes) across every proposed-scheme run
-	// of the campaign. Safe to share across workers.
-	Telemetry *Telemetry
-
 	// Tracer, when non-nil, is attached to every solver the campaign
 	// builds (core.Options.Tracer): each solve emits its span and
 	// per-iteration cg.iteration events. Plans and campaign output are

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"mmwave/internal/obs"
 )
 
 // parallelConfig is fastConfig with enough repetitions that a 4-worker
@@ -126,26 +128,25 @@ func TestWorkerCountDefaults(t *testing.T) {
 	}
 }
 
-// TestTelemetryAccumulates checks the campaign counters add up across
-// a sweep and survive concurrent recording.
+// TestTelemetryAccumulates checks the campaign's solver counters — the
+// registry mmwavesim -v summarizes — add up across a sweep and survive
+// concurrent recording.
 func TestTelemetryAccumulates(t *testing.T) {
 	cfg := parallelConfig()
 	cfg.Workers = 4
-	tel := &Telemetry{}
-	cfg.Telemetry = tel
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
 	if _, err := Fig1(cfg, []float64{4, 5}); err != nil {
 		t.Fatal(err)
 	}
 	// 2 points × 4 reps, proposed runs once per (point, rep).
-	if got := tel.Runs.Load(); got != 8 {
-		t.Errorf("telemetry runs = %d, want 8", got)
+	runs := reg.Counter("cg_warm_runs_total").Value() + reg.Counter("cg_cold_runs_total").Value()
+	if runs != 8 {
+		t.Errorf("solver runs = %d, want 8", runs)
 	}
-	if tel.Probes.Load() <= 0 || tel.MasterSolves.Load() <= 0 {
-		t.Errorf("telemetry missing counters: %s", tel)
+	for _, name := range []string{"core_cg_rounds_total", "core_master_solves_total", "core_probes_total", "core_lp_pivots_total"} {
+		if reg.Counter(name).Value() <= 0 {
+			t.Errorf("%s not recorded", name)
+		}
 	}
-	if s := tel.String(); s == "" {
-		t.Error("empty telemetry string")
-	}
-	var nilTel *Telemetry
-	nilTel.Record(nil) // must not panic
 }

@@ -115,7 +115,6 @@ func qualityPoint(cfg Config, inst *Instance, gop float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Telemetry.RecordQuality(qres)
 	var sum float64
 	for l := 0; l < L; l++ {
 		sum += qres.PSNR(l, q, gop)

@@ -128,7 +128,6 @@ func RunRelay(rc RelayConfig) (*RelayResult, error) {
 		if err != nil {
 			return err
 		}
-		rc.Net.Telemetry.Record(sol)
 		rv.timeWithRelay = sol.Plan.Objective
 		return nil
 	})

@@ -58,7 +58,6 @@ func RunOn(cfg Config, algo Algorithm, inst *Instance) (*RunResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", algo, err)
 		}
-		cfg.Telemetry.Record(res)
 		policy, err := sim.NewPlanPolicy(res.Plan.Schedules, res.Plan.Tau, cfg.SlotDuration)
 		if err != nil {
 			return nil, err

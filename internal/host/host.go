@@ -74,8 +74,8 @@ type Options struct {
 	MaxCells      int
 	MaxTotalLinks int
 	// CheckpointDir, when set, persists each cell's checkpoint to
-	// <dir>/cell<id>.ckpt through the atomic write-rename path; empty
-	// keeps checkpoints in memory.
+	// <dir>/cell<id>.ckpt through the atomic write-rename path (Evict
+	// removes the file); empty keeps checkpoints in memory.
 	CheckpointDir string
 	// Workers bounds StepAll's parallelism; zero means one goroutine
 	// per cell.
@@ -375,17 +375,22 @@ func (h *Host) liveCellsLocked() int {
 }
 
 // Evict removes a cell from supervision, releasing its admission
-// budget. The slot (and the ID) is never reused; in-memory state is
-// dropped, while any on-disk checkpoint is left for the caller to
-// clean up. Evicting concurrently with a step of the same cell is the
-// caller's race to avoid, exactly like Admit versus StepAll.
+// budget. The slot (and the ID) is never reused; the cell's in-memory
+// state is dropped and its on-disk checkpoint (<dir>/cell<id>.ckpt,
+// which the host owns) is removed. Evicting concurrently with a step
+// of the same cell is the caller's race to avoid, exactly like Admit
+// versus StepAll.
 func (h *Host) Evict(id int) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if id < 0 || id >= len(h.cells) || h.cells[id] == nil {
 		return fmt.Errorf("host: evict: no cell %d", id)
 	}
-	h.totalLinks -= h.cells[id].spec.Network.NumLinks()
+	c := h.cells[id]
+	if c.ckptPath != "" {
+		os.Remove(c.ckptPath) // best effort: this host never readmits the ID
+	}
+	h.totalLinks -= c.spec.Network.NumLinks()
 	h.cells[id] = nil
 	h.metric("host_cells_evicted_total")
 	h.gauge("host_cells", float64(h.liveCellsLocked()))

@@ -2,12 +2,18 @@ package host
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"mmwave/internal/channel"
+	"mmwave/internal/checkpoint"
 	"mmwave/internal/core"
 	"mmwave/internal/faults"
 	"mmwave/internal/geom"
@@ -430,6 +436,67 @@ func TestCorruptCheckpointColdRestart(t *testing.T) {
 	}
 	if cell.Disabled() {
 		t.Error("cold restarts must not consume the restart budget")
+	}
+}
+
+// TestRecoverOtherVersionColdRestart: a checkpoint written in another
+// image format version (here a well-formed image re-stamped as version
+// 7, CRC recomputed) is not decoded. Recover returns ErrIncompatible,
+// counts one cold restart and leaves the cold cell Admit built, which
+// still schedules; Evict then removes the host's checkpoint file.
+func TestRecoverOtherVersionColdRestart(t *testing.T) {
+	dir := t.TempDir()
+	feed := demandFeed(t, video.TwoClass(2e6, 5e6))
+	first := New(WithCheckpointDir(dir))
+	cell, err := first.Admit(CellSpec{Network: testNetwork(t, 33, 4, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := first.Step(context.Background(), cell, feed); rep.Outcome != OutcomeOK {
+		t.Fatalf("outcome %v err %v", rep.Outcome, rep.Err)
+	}
+	path := filepath.Join(dir, "cell0.ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(data[4:6], 7)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	h := New(WithCheckpointDir(dir), WithMetrics(reg))
+	cell, err = h.AdmitAt(0, CellSpec{Network: testNetwork(t, 33, 4, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := h.Recover(cell)
+	if restored || !errors.Is(err, checkpoint.ErrIncompatible) {
+		t.Fatalf("Recover = (%v, %v), want (false, ErrIncompatible)", restored, err)
+	}
+	if got := reg.Counter("host_cold_restarts_total").Value(); got != 1 {
+		t.Errorf("host_cold_restarts_total = %d, want 1", got)
+	}
+	if got := reg.Counter("host_restores_total").Value(); got != 0 {
+		t.Errorf("host_restores_total = %d, want 0", got)
+	}
+	rep := h.Step(context.Background(), cell, feed)
+	if rep.Outcome != OutcomeOK || rep.Result.WarmSolve || rep.Plan.Objective <= 0 {
+		t.Fatalf("cold cell: outcome %v err %v warm %v objective %v",
+			rep.Outcome, rep.Err, rep.Result.WarmSolve, rep.Plan.Objective)
+	}
+	if rep.Epoch != 0 {
+		t.Errorf("cold cell stepped epoch %d, want 0", rep.Epoch)
+	}
+
+	if err := h.Evict(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("evicted cell's checkpoint still on disk (stat: %v)", err)
 	}
 }
 

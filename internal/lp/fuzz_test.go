@@ -85,6 +85,27 @@ func FuzzSparseLU(f *testing.F) {
 		if !lu.factorize(m, colPtr, rowIdx, val) {
 			return // singular start: nothing to update
 		}
+		// Skip ill-conditioned starts too. The harness hunts logic
+		// bugs, which leave O(1) residuals; from a start with large
+		// κ₁(B) = ‖B‖₁·‖B⁻¹‖₁ even a well-pivoted eta amplifies
+		// rounding past the residual bound. ‖B⁻¹‖₁ comes from m FTRANs
+		// of unit vectors through the fresh factorization.
+		normB, normInv := 0.0, 0.0
+		for j := 0; j < m; j++ {
+			e := make([]float64, m)
+			e[j] = 1
+			lu.ftran(e)
+			colB, colInv := 0.0, 0.0
+			for i := 0; i < m; i++ {
+				colB += math.Abs(shadow[i][j])
+				colInv += math.Abs(e[i])
+			}
+			normB = math.Max(normB, colB)
+			normInv = math.Max(normInv, colInv)
+		}
+		if normB*normInv > 1e8 {
+			return
+		}
 		var etas etaFile
 		etas.reset()
 

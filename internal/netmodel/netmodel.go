@@ -149,6 +149,64 @@ func (n *Network) TrafficClasses() int {
 // NumLinks returns the number of links.
 func (n *Network) NumLinks() int { return len(n.Links) }
 
+// Fingerprint hashes the problem instance (FNV-1a): link topology,
+// channel count, every direct and cross gain, noise, power budget,
+// rate table, interference model, MultiChannel and the traffic-class
+// count. Two networks with equal fingerprints define the same P1, so
+// pooled schedules and a warm basis built on one are valid on the
+// other. BandwidthHz and link geometry are not hashed: rates already
+// fold in the bandwidth, and gains the geometry.
+func (n *Network) Fingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime64
+			v >>= 8
+		}
+	}
+	f := func(v float64) { word(math.Float64bits(v)) }
+	word(uint64(len(n.Links)))
+	for _, l := range n.Links {
+		word(uint64(int64(l.TXNode)))
+		word(uint64(int64(l.RXNode)))
+	}
+	word(uint64(n.NumChannels))
+	for _, row := range n.Gains.Direct {
+		for _, g := range row {
+			f(g)
+		}
+	}
+	for _, m := range n.Gains.Cross {
+		for _, row := range m {
+			for _, g := range row {
+				f(g)
+			}
+		}
+	}
+	for _, rho := range n.Noise {
+		f(rho)
+	}
+	f(n.PMax)
+	word(uint64(len(n.Rates.Gammas)))
+	for i := range n.Rates.Gammas {
+		f(n.Rates.Gammas[i])
+		f(n.Rates.Rates[i])
+	}
+	word(uint64(n.Interference))
+	if n.MultiChannel {
+		word(1)
+	} else {
+		word(0)
+	}
+	word(uint64(n.TrafficClasses()))
+	return h
+}
+
 // Validate checks the instance for structural consistency.
 func (n *Network) Validate() error {
 	if n.NumChannels <= 0 {

@@ -179,6 +179,51 @@ func TestNetworkValidate(t *testing.T) {
 	})
 }
 
+// TestNetworkFingerprint: equal networks hash equal (the unhashed
+// bandwidth and geometry aside, and the default class count is two),
+// and changing any single hashed field changes the hash.
+func TestNetworkFingerprint(t *testing.T) {
+	base := testNetwork(3, 2, 0.1).Fingerprint()
+	if got := testNetwork(3, 2, 0.1).Fingerprint(); got != base {
+		t.Fatalf("equal networks hash %#x and %#x", base, got)
+	}
+	same := map[string]func(*Network){
+		"bandwidth":     func(n *Network) { n.BandwidthHz = 1 },
+		"two classes":   func(n *Network) { n.NumTrafficClasses = 2 },
+		"link geometry": func(n *Network) { n.Links[0].Seg.RX.X = 3 },
+	}
+	for name, edit := range same {
+		nw := testNetwork(3, 2, 0.1)
+		edit(nw)
+		if got := nw.Fingerprint(); got != base {
+			t.Errorf("%s: an unhashed or equivalent edit changed the fingerprint", name)
+		}
+	}
+	changed := map[string]func(*Network){
+		"tx node":       func(n *Network) { n.Links[1].TXNode = 40 },
+		"rx node":       func(n *Network) { n.Links[2].RXNode = 41 },
+		"link count":    func(n *Network) { n.Links = n.Links[:2] },
+		"channels":      func(n *Network) { n.NumChannels = 3 },
+		"direct gain":   func(n *Network) { n.Gains.Direct[0][1] = 2 },
+		"cross gain":    func(n *Network) { n.Gains.Cross[2][0][1] = 0.2 },
+		"noise":         func(n *Network) { n.Noise[1] = 0.2 },
+		"pmax":          func(n *Network) { n.PMax = 2 },
+		"gamma":         func(n *Network) { n.Rates.Gammas[4] = 0.6 },
+		"rate":          func(n *Network) { n.Rates.Rates[0] = 1 },
+		"rate levels":   func(n *Network) { n.Rates = NewShannonRateTable(200e6, []float64{0.1, 0.2}) },
+		"interference":  func(n *Network) { n.Interference = Global },
+		"multi-channel": func(n *Network) { n.MultiChannel = true },
+		"class count":   func(n *Network) { n.NumTrafficClasses = 3 },
+	}
+	for name, edit := range changed {
+		nw := testNetwork(3, 2, 0.1)
+		edit(nw)
+		if nw.Fingerprint() == base {
+			t.Errorf("%s: fingerprint unchanged", name)
+		}
+	}
+}
+
 func TestSharesNode(t *testing.T) {
 	nw := testNetwork(3, 1, 0)
 	if nw.SharesNode(0, 1) {

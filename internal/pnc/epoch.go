@@ -408,7 +408,7 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 		defer cancel()
 	}
 
-	if c.solver != nil && c.solverFP == c.gainsFingerprint() {
+	if c.solver != nil && c.solverFP == c.Network.Fingerprint() {
 		cause := "set_demands"
 		if err := c.solver.SetDemands(demands); err == nil {
 			res, err := c.solver.Solve(sctx)
@@ -437,7 +437,7 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 		return nil, fmt.Errorf("pnc: epoch solve: %w", err)
 	}
 	c.solver = solver
-	c.solverFP = c.gainsFingerprint()
+	c.solverFP = c.Network.Fingerprint()
 	if c.Metrics != nil {
 		c.Metrics.Counter("pnc_cold_solves_total").Inc()
 	}

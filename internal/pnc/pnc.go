@@ -356,10 +356,11 @@ type Coordinator struct {
 	// state — schedule pool and warm simplex basis) persists
 	// across epochs, so each re-solve starts from the previous epoch's
 	// columns and basis instead of TDMA-cold. The state is dropped when
-	// the CSI regime changes: a channel update carrying genuinely new
-	// gains invalidates it in apply, and solverFP (a fingerprint of the
-	// gain matrices at solver construction) catches out-of-band
-	// mutations of Network.Gains (blockage sweeps, experiment drivers).
+	// the problem instance changes: a channel update carrying genuinely
+	// new gains invalidates it in apply, and solverFP (the network's
+	// Fingerprint at solver construction) catches out-of-band mutations
+	// of the network — gains (blockage sweeps, experiment drivers),
+	// noise, power budget, rate table or model flags.
 	solver   *core.Solver
 	solverFP uint64
 
@@ -470,40 +471,6 @@ func (c *Coordinator) apply(frame []byte) error {
 func (c *Coordinator) InvalidateSolverState() {
 	c.solver = nil
 	c.solverFP = 0
-}
-
-// gainsFingerprint hashes the current gain matrices (FNV-1a over the
-// IEEE-754 bits of every direct and cross gain). It is the cheap
-// defense against out-of-band CSI mutation: solveEpoch compares it to
-// the fingerprint taken at solver construction and cold-starts on
-// mismatch.
-func (c *Coordinator) gainsFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v float64) {
-		b := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= b & 0xff
-			h *= prime64
-			b >>= 8
-		}
-	}
-	for _, row := range c.Network.Gains.Direct {
-		for _, g := range row {
-			mix(g)
-		}
-	}
-	for _, m := range c.Network.Gains.Cross {
-		for _, row := range m {
-			for _, g := range row {
-				mix(g)
-			}
-		}
-	}
-	return h
 }
 
 // DecodeGrants reassembles a schedule plan from encoded grants (the

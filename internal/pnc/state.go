@@ -55,11 +55,11 @@ type CoordState struct {
 	Control       ControlState
 	EpochAirStart float64
 	EpochMsgStart int64
-	// SolverFP is the gains fingerprint the warm solver was built
-	// against; Solver is its engine snapshot and SolverDemands the
-	// demand vector it last solved. Solver is nil when the coordinator
-	// had no warm state (then the next epoch cold-starts, exactly as it
-	// would have anyway).
+	// SolverFP is the network fingerprint (netmodel.Network.Fingerprint)
+	// the warm solver was built against; Solver is its engine snapshot
+	// and SolverDemands the demand vector it last solved. Solver is nil
+	// when the coordinator had no warm state (then the next epoch
+	// cold-starts, exactly as it would have anyway).
 	SolverFP      uint64
 	Solver        *cg.StateSnapshot
 	SolverDemands []video.Demand
@@ -125,12 +125,12 @@ func (c *Coordinator) ExportState() *CoordState {
 // coordinator must have been built over the same network the state was
 // exported from (the checkpoint layer gates this with a problem
 // fingerprint). The warm solver is rebuilt from its snapshot so the
-// next epoch re-solves byte-identically; if the network's gains no
-// longer match the snapshotted fingerprint — CSI moved between export
-// and restore — the warm state is discarded and the next epoch
-// cold-starts, the same degradation an uninterrupted coordinator
-// applies on a gains change. A structurally broken snapshot returns an
-// error and leaves the coordinator unchanged.
+// next epoch re-solves byte-identically; if the network no longer
+// matches the snapshotted fingerprint — CSI, noise or the rate table
+// moved between export and restore — the warm state is discarded and
+// the next epoch cold-starts, the same degradation an uninterrupted
+// coordinator applies when its network changes. A structurally broken
+// snapshot returns an error and leaves the coordinator unchanged.
 func (c *Coordinator) ImportState(st *CoordState) error {
 	if err := st.Validate(c.Network.NumLinks()); err != nil {
 		return err
@@ -140,7 +140,7 @@ func (c *Coordinator) ImportState(st *CoordState) error {
 	// failing it must not leave the coordinator half-restored.
 	var solver *core.Solver
 	var solverFP uint64
-	if st.Solver != nil && st.SolverFP == c.gainsFingerprint() {
+	if st.Solver != nil && st.SolverFP == c.Network.Fingerprint() {
 		s, err := core.NewSolverFromSnapshot(c.Network, st.SolverDemands, c.solverOptions(), st.Solver)
 		if err != nil {
 			return fmt.Errorf("pnc: restore solver: %w", err)

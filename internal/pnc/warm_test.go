@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mmwave/internal/core"
+	"mmwave/internal/netmodel"
 	"mmwave/internal/obs"
 	"mmwave/internal/video"
 )
@@ -169,6 +170,42 @@ func TestOutOfBandMutationInvalidates(t *testing.T) {
 	}
 }
 
+// TestOutOfBandNoiseInvalidates: the warm guard is the whole-network
+// fingerprint, not only the gains. A pool built under the old noise,
+// power budget or rate table may hold SINR-infeasible columns, so an
+// out-of-band change to any of them forces a cold solve.
+func TestOutOfBandNoiseInvalidates(t *testing.T) {
+	for name, edit := range map[string]func(*netmodel.Network){
+		"noise": func(nw *netmodel.Network) { nw.Noise[2] *= 4 },
+		"pmax":  func(nw *netmodel.Network) { nw.PMax *= 0.5 },
+		"rates": func(nw *netmodel.Network) { nw.Rates.Gammas[0] *= 0.9 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			nw := testNetwork(t, 4, 4, 2)
+			coord, err := NewCoordinator(nw, nil, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := video.TwoClass(4e6, 8e6)
+			reportAll(t, coord, 4, d)
+			if _, err := coord.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+
+			edit(nw) // behind the coordinator's back
+
+			reportAll(t, coord, 4, d)
+			ep, err := coord.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ep.WarmSolve {
+				t.Errorf("out-of-band %s change did not force a cold solve", name)
+			}
+		})
+	}
+}
+
 // TestWarmFallbackCounted: when the warm solver rejects the epoch's
 // demands, the coordinator drops it, solves cold, and counts the
 // fallback instead of hiding it.
@@ -189,7 +226,7 @@ func TestWarmFallbackCounted(t *testing.T) {
 
 	// Force a SetDemands rejection: swap in a solver built for a
 	// three-link network, which refuses the four-link demand vector.
-	// The gains fingerprint is untouched, so the epoch takes the warm
+	// The network fingerprint is untouched, so the epoch takes the warm
 	// path first.
 	small := testNetwork(t, 6, 3, 2)
 	s, err := core.NewSolver(small, []video.Demand{d, d, d}, core.Options{})

@@ -5,7 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -547,5 +551,83 @@ func TestEvict(t *testing.T) {
 	}
 	if len(cellsList) != 1 || cellsList[0].Cell != st2.Cell {
 		t.Fatalf("recovered %+v, want only cell %d", cellsList, st2.Cell)
+	}
+}
+
+// TestDeleteRemovesStateFiles: deleting a stepped cell leaves neither
+// its spec (removed by the server) nor its checkpoint (removed by the
+// host on eviction) in the state directory.
+func TestDeleteRemovesStateFiles(t *testing.T) {
+	ctx := context.Background()
+	stateDir := t.TempDir()
+	_, client := newTestServer(t, Config{StateDir: stateDir})
+	st, err := client.CreateCell(ctx, api.CellSpec{
+		Instance: &api.Instance{Links: 4, Channels: 2, Seed: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := client.StepCell(ctx, st.Cell); err != nil || rep.Outcome != "ok" {
+		t.Fatalf("step: %+v, %v", rep, err)
+	}
+	files := []string{
+		filepath.Join(stateDir, fmt.Sprintf("cell%d.spec.json", st.Cell)),
+		filepath.Join(stateDir, fmt.Sprintf("cell%d.ckpt", st.Cell)),
+	}
+	for _, f := range files {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("stepped cell lacks %s: %v", filepath.Base(f), err)
+		}
+	}
+	if err := client.DeleteCell(ctx, st.Cell); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("deleted cell left %s behind (stat: %v)", filepath.Base(f), err)
+		}
+	}
+}
+
+// TestBodyCap: a create body over maxBodyBytes is refused as
+// bad-request and admits nothing, while a paper-scale network create
+// (30 links, 5 channels) is well inside the cap.
+func TestBodyCap(t *testing.T) {
+	ctx := context.Background()
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	client := api.NewClient(hs.URL, hs.Client())
+
+	// A valid instance spec padded past the cap with an unknown field,
+	// which the decoder would otherwise skip.
+	body := `{"instance":{"links":4,"channels":2,"seed":1},"pad":"` +
+		strings.Repeat("a", maxBodyBytes) + `"}`
+	resp, err := hs.Client().Post(hs.URL+api.PathPrefix+"/cells", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *api.Error
+	err = api.DecodeError(resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+		t.Fatalf("over-cap create: status %d error %v, want 400 bad-request", resp.StatusCode, err)
+	}
+	if cells, err := client.Cells(ctx); err != nil || len(cells) != 0 {
+		t.Fatalf("over-cap create admitted cells %+v (%v)", cells, err)
+	}
+
+	cfg := experiment.DefaultConfig()
+	cfg.NumLinks, cfg.NumChannels = 30, 5
+	inst, err := experiment.NewInstance(cfg, stats.Fork(3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := api.NetworkFromModel(inst.Network)
+	if _, err := client.CreateCell(ctx, api.CellSpec{Network: &nw}); err != nil {
+		t.Fatalf("30-link create refused: %v", err)
 	}
 }

@@ -35,7 +35,13 @@ lint: vet check-deprecated
 # of mmwavesim -v must not come back. internal/lp has one simplex driver:
 # each of its pivot-rule methods is defined once outside tests, and
 # the dense reference (tableau, now denseInverse) implements only the
-# basis-inverse methods.
+# basis-inverse methods. There is one default pricer and one solver
+# option surface: NewBranchBoundPricer pools leaves, so no non-test
+# code outside perfbench/ assigns PoolLeaves; core's functional
+# options are only New and WithPricer (perfbench calls them); and the
+# shims perfbench alone keeps alive (PricerWorkers, StabRounds,
+# BranchBoundPricer.Parallel) are referenced nowhere else but where
+# they are declared and documented.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -54,6 +60,15 @@ check-deprecated:
 	@if grep -rn --include='*.go' -E 'gainsFingerprint|minVersion|r\.ver\b|legacyDuals|experiment\.Telemetry|\bTelemetry\{' . ; then \
 		echo "error: one checkpoint format (no legacy readers), one fingerprint (netmodel.Network.Fingerprint), one counter path (obs.Registry)"; exit 1; \
 	else echo "one-format-one-fingerprint check passed"; fi
+	@if grep -rn --include='*.go' -E 'PoolLeaves *=([^=]|$$)' . | grep -v '_test\.go:' | grep -v '^\./perfbench/' || \
+		grep -rn --include='*.go' -E '\bcore\.(NewOptions|With(MaxIterations|Tolerance|GapTarget|Tracer|Metrics))\(' . | grep -v '^\./perfbench/' || \
+		grep -rn --include='*.go' -E '(^|[^.[:alnum:]_])(NewOptions|With(MaxIterations|Tolerance|GapTarget|Tracer|Metrics))\(' internal/core ; then \
+		echo "error: one default pricer (NewBranchBoundPricer pools leaves) and one core option surface (Options, or New with WithPricer)"; exit 1; \
+	else echo "one-pricer-one-option-surface check passed"; fi
+	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
+		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|Parallel)[[:space:]]+int$$)' ; then \
+		echo "error: PricerWorkers, StabRounds and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \
+	else echo "perfbench-shims check passed"; fi
 	@dups=$$(grep -hoE '^func \([a-z]+ \*?[A-Za-z]+\) (fill|run|runDual|pivot|pivotDual|driveOutArtificials|tryWarmStart|encodeBasis)\(' \
 		$$(ls internal/lp/*.go | grep -v '_test\.go$$') | sed -E 's/.*\) ([A-Za-z]+)\($$/\1/' | sort | uniq -d); \
 	extra=$$(grep -nE '^func \([a-z]+ \*?(tableau|denseInverse)\) ' $$(ls internal/lp/*.go | grep -v '_test\.go$$') \
@@ -200,7 +215,6 @@ figures:
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/videostreaming
-	$(GO) run ./examples/convergence
 	$(GO) run ./examples/adaptive
 	$(GO) run ./examples/pnccontrol
 	$(GO) run ./examples/quality

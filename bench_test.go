@@ -496,9 +496,10 @@ func BenchmarkProbe(b *testing.B) {
 // BenchmarkPricerNode times the pricing rung: one branch-and-bound
 // Price call on the Table-I network under seeded duals with the
 // Table-I probe budget, reporting the DFS nodes and feasibility probes
-// per call and the time per node and per probe. One untimed call
-// first warms the pricer's pooled search state, as the column-
-// generation loop's earlier rounds do.
+// per call and the time per node and per probe. The leaf pool is off,
+// so the rung times the single-column walk its baseline recorded. One
+// untimed call first warms the pricer's pooled search state, as the
+// column-generation loop's earlier rounds do.
 func BenchmarkPricerNode(b *testing.B) {
 	cfg := benchConfig()
 	nw := tableINetwork(b)
@@ -512,6 +513,7 @@ func BenchmarkPricerNode(b *testing.B) {
 		}
 	}
 	p := core.NewBranchBoundPricer(cfg.PricerBudget)
+	p.PoolLeaves = 0
 	if _, err := p.Price(nw, lambda); err != nil {
 		b.Fatal(err)
 	}

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -56,18 +57,19 @@ func main() {
 	// campaign leaves complete traces, metrics, and profiles. A second
 	// signal kills the process the default way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	code := runCtx(ctx, os.Args[1:])
+	code := runCtx(ctx, os.Args[1:], os.Stdout)
 	stop()
 	os.Exit(code)
 }
 
 // run executes the CLI without cancellation (test entry point).
 func run(args []string) int {
-	return runCtx(context.Background(), args)
+	return runCtx(context.Background(), args, os.Stdout)
 }
 
-// runCtx executes the CLI under ctx and returns the process exit code.
-func runCtx(ctx context.Context, args []string) int {
+// runCtx executes the CLI under ctx, writing its figure output to
+// stdout, and returns the process exit code.
+func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("mmwavesim", flag.ContinueOnError)
 	var (
 		figure       = fs.String("fig", "", "figure to reproduce (\"help\" lists all)")
@@ -126,7 +128,7 @@ func runCtx(ctx context.Context, args []string) int {
 	cfg.Ctx = ctx
 
 	if *printConfig {
-		fmt.Println(cfg)
+		fmt.Fprintln(stdout, cfg)
 		return 0
 	}
 	if *figure == "" {
@@ -134,9 +136,9 @@ func runCtx(ctx context.Context, args []string) int {
 		return 2
 	}
 	if *figure == "help" {
-		fmt.Println("figures:")
+		fmt.Fprintln(stdout, "figures:")
 		for _, d := range experiment.Drivers() {
-			fmt.Printf("  %-10s  %s\n", d.Name, d.Synopsis)
+			fmt.Fprintf(stdout, "  %-10s  %s\n", d.Name, d.Synopsis)
 		}
 		return 0
 	}
@@ -201,7 +203,7 @@ func runCtx(ctx context.Context, args []string) int {
 		Cfg:      cfg,
 		XS:       xs,
 		CSV:      *csv,
-		Out:      os.Stdout,
+		Out:      stdout,
 		Rep:      *rep,
 		Cells:    *cells,
 		Epochs:   *epochs,

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,7 +180,7 @@ func TestRunInterrupted(t *testing.T) {
 	cancel()
 	metricsPath := filepath.Join(t.TempDir(), "metrics.txt")
 	args := []string{"-fig", "1", "-seeds", "1", "-sweep", "3", "-channels", "2", "-metrics", metricsPath}
-	if code := runCtx(ctx, args); code != 1 {
+	if code := runCtx(ctx, args, io.Discard); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	if _, err := os.Stat(metricsPath); err != nil {
@@ -191,5 +193,40 @@ func TestRunInterrupted(t *testing.T) {
 func TestRunChaosSoakTiny(t *testing.T) {
 	if code := run([]string{"-fig", "chaossoak", "-cells", "2", "-epochs", "8"}); code != 0 {
 		t.Errorf("exit code = %d, want 0", code)
+	}
+}
+
+// TestFiguresMatchResults regenerates the recorded figures that run in
+// seconds and compares each byte for byte with its file under
+// results/, so a change that moves a solver walk must regenerate the
+// golden it moves.
+func TestFiguresMatchResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates five figures (several seconds)")
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"fig4.txt", []string{"-fig", "4"}},
+		{"ablation.txt", []string{"-fig", "ablation", "-links", "15", "-seeds", "20"}},
+		{"blockage.txt", []string{"-fig", "blockage"}},
+		{"relay.txt", []string{"-fig", "relay"}},
+		{"streaming.txt", []string{"-fig", "streaming"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if code := runCtx(context.Background(), tc.args, &got); code != 0 {
+				t.Fatalf("mmwavesim %s: exit code %d", strings.Join(tc.args, " "), code)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("mmwavesim %s differs from results/%s:\n got:\n%s\nwant:\n%s",
+					strings.Join(tc.args, " "), tc.golden, got.Bytes(), want)
+			}
+		})
 	}
 }

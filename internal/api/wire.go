@@ -159,22 +159,19 @@ type Solve struct {
 	PricerBudget  int     `json:"pricer_budget,omitempty"`
 }
 
-// ToOptions lowers the wire solve spec onto core.Options.
+// ToOptions lowers the wire solve spec onto core.Options. Zero and
+// negative values keep core's defaults; a positive pricer_budget
+// builds the default pricer at that budget.
 func (s Solve) ToOptions() core.Options {
-	opts := []core.Option{}
-	if s.MaxIterations > 0 {
-		opts = append(opts, core.WithMaxIterations(s.MaxIterations))
-	}
-	if s.Tolerance > 0 {
-		opts = append(opts, core.WithTolerance(s.Tolerance))
-	}
-	if s.GapTarget > 0 {
-		opts = append(opts, core.WithGapTarget(s.GapTarget))
+	o := core.Options{
+		MaxIterations: max(s.MaxIterations, 0),
+		Tolerance:     max(s.Tolerance, 0),
+		GapTarget:     max(s.GapTarget, 0),
 	}
 	if s.PricerBudget > 0 {
-		opts = append(opts, core.WithPricer(core.NewBranchBoundPricer(s.PricerBudget)))
+		o.Pricer = core.NewBranchBoundPricer(s.PricerBudget)
 	}
-	return core.NewOptions(opts...)
+	return o
 }
 
 // Policy is the wire form of pnc.DegradePolicy. SolveBudgetMs uses

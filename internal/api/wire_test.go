@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -223,5 +224,48 @@ func TestSolvePricerWorkersIgnored(t *testing.T) {
 	}
 	if got, want := s.ToOptions(), (Solve{MaxIterations: 7}).ToOptions(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ToOptions() = %+v, want %+v", got, want)
+	}
+}
+
+// TestSolveToOptionsDefaults: zero and negative solve knobs keep core's
+// defaults, and positive ones pass through unchanged.
+func TestSolveToOptionsDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want core.Options
+	}{
+		{`{}`, core.Options{}},
+		{`{"max_iterations":0,"tolerance":0,"gap_target":0,"pricer_budget":0}`, core.Options{}},
+		{`{"max_iterations":-3,"tolerance":-1e-6,"gap_target":-0.1,"pricer_budget":-5}`, core.Options{}},
+		{`{"tolerance":-0,"gap_target":-0}`, core.Options{}},
+		{`{"max_iterations":7,"tolerance":1e-6,"gap_target":0.01}`,
+			core.Options{MaxIterations: 7, Tolerance: 1e-6, GapTarget: 0.01}},
+	} {
+		var s Solve
+		if err := json.Unmarshal([]byte(tc.body), &s); err != nil {
+			t.Fatal(err)
+		}
+		got := s.ToOptions()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: ToOptions() = %+v, want %+v", tc.body, got, tc.want)
+		}
+		if math.Signbit(got.Tolerance) || math.Signbit(got.GapTarget) {
+			t.Errorf("%s: ToOptions() kept a negative zero: %+v", tc.body, got)
+		}
+	}
+}
+
+// TestSolvePricerBudgetPools: a spec that sets pricer_budget gets the
+// default pricer at that budget, leaf pool included.
+func TestSolvePricerBudgetPools(t *testing.T) {
+	p, ok := Solve{PricerBudget: 5000}.ToOptions().Pricer.(*core.BranchBoundPricer)
+	if !ok {
+		t.Fatal("pricer_budget did not yield a *core.BranchBoundPricer")
+	}
+	if p.String() != "branch-bound(budget=5000)" {
+		t.Errorf("pricer = %s, want budget 5000", p)
+	}
+	if p.PoolLeaves != 32 {
+		t.Errorf("PoolLeaves = %d, want 32", p.PoolLeaves)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // is priced exactly, and with no leaf pool it adds one column per
 // round.
 func allOff() []Option {
-	return []Option{WithPricer(NewBranchBoundPricer(1 << 40))}
+	p := NewBranchBoundPricer(1 << 40)
+	p.PoolLeaves = 0
+	return []Option{WithPricer(p)}
 }
 
 // checkPlanServes validates every schedule of the plan against the

@@ -134,8 +134,8 @@ func (p *Plan) Slots(slotDur float64) int {
 
 // Options configures the solver.
 type Options struct {
-	// Pricer used to generate columns. Nil means NewBranchBoundPricer
-	// with the default probe budget.
+	// Pricer used to generate columns. Nil means NewBranchBoundPricer(0):
+	// the default probe budget, pooling leaves for multi-column rounds.
 	Pricer Pricer
 	// MaxIterations caps column-generation rounds; zero means 500.
 	MaxIterations int
@@ -266,16 +266,28 @@ func checkInstance(nw *netmodel.Network, demands []video.Demand, classes video.C
 	return nil
 }
 
-// withDefaultPricer fills in the pricer when o carries none: the
-// branch-and-bound pricer at the default probe budget, pooling the
-// default number of leaves per round.
+// withDefaultPricer fills in the pricer when o carries none.
 func (o Options) withDefaultPricer() Options {
 	if o.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.PoolLeaves = cg.MultiColumnPolicy{}.Columns()
-		o.Pricer = p
+		o.Pricer = NewBranchBoundPricer(0)
 	}
 	return o
+}
+
+// Option mutates an Options value; New applies a list of them.
+type Option func(*Options)
+
+// WithPricer selects the column-generation pricer.
+func WithPricer(p Pricer) Option { return func(o *Options) { o.Pricer = p } }
+
+// New builds a solver from functional options applied, in order, to a
+// zero Options. NewSolver with an Options literal is the same solver.
+func New(nw *netmodel.Network, demands []video.Demand, opts ...Option) (*Solver, error) {
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return NewSolver(nw, demands, o)
 }
 
 // NewSolver validates the instance and seeds the column pool with the

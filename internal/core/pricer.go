@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"mmwave/internal/cg"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
 )
@@ -49,7 +50,8 @@ type BranchBoundPricer struct {
 	// DFS leaves (pricing value > 1, i.e. negative reduced cost) and
 	// returns them in PriceResult.Extras for multi-column admission.
 	// Collection is passive: pruning and the returned argmax are
-	// untouched.
+	// untouched. NewBranchBoundPricer sets it to the engine's per-round
+	// bound; zero prices one column per round.
 	PoolLeaves int
 
 	// referenceProbes (test-only) answers every feasibility probe with
@@ -71,15 +73,16 @@ var _ ContextPricer = (*BranchBoundPricer)(nil)
 // instance shape.
 const defaultPricerBudget = 60_000
 
-// NewBranchBoundPricer returns a pricer that may spend up to
-// probeBudget feasibility probes per Price call (0 means the default).
-// When the budget is exhausted the best schedule found so far is
-// returned with Exact=false and a valid relaxation bound.
+// NewBranchBoundPricer returns the default pricer: it may spend up to
+// probeBudget feasibility probes per Price call (0 means the default)
+// and pools up to cg.MultiColumnPolicy's bound of improving leaves per
+// round. When the budget is exhausted the best schedule found so far
+// is returned with Exact=false and a valid relaxation bound.
 func NewBranchBoundPricer(probeBudget int) *BranchBoundPricer {
 	if probeBudget <= 0 {
 		probeBudget = defaultPricerBudget
 	}
-	return &BranchBoundPricer{probeBudget: probeBudget}
+	return &BranchBoundPricer{probeBudget: probeBudget, PoolLeaves: cg.MultiColumnPolicy{}.Columns()}
 }
 
 // String implements Pricer.

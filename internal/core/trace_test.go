@@ -32,9 +32,10 @@ func TestTracingDoesNotChangePlan(t *testing.T) {
 
 		var buf bytes.Buffer
 		sink := obs.NewJSONLSink(&buf)
-		traced, err := New(nw, demands,
-			WithTracer(obs.New(sink)),
-			WithMetrics(obs.NewRegistry()))
+		traced, err := NewSolver(nw, demands, Options{
+			Tracer:  obs.New(sink),
+			Metrics: obs.NewRegistry(),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,9 @@ func TestMetricsPublished(t *testing.T) {
 	// every round) on purpose: this test checks the metric plumbing,
 	// and that walk takes 16 rounds, 3 probes and 57 pivots here, so
 	// probes, pivots and master solves are all nonzero.
-	s, err := New(nw, demands, WithMetrics(reg), WithPricer(NewBranchBoundPricer(1<<40)))
+	exact := NewBranchBoundPricer(1 << 40)
+	exact.PoolLeaves = 0
+	s, err := NewSolver(nw, demands, Options{Metrics: reg, Pricer: exact})
 	if err != nil {
 		t.Fatal(err)
 	}

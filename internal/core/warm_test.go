@@ -178,9 +178,11 @@ func TestColumnGCPreservesOptimum(t *testing.T) {
 	// The classic exact walk (see allOff): this test exercises GC
 	// mechanics, which need its steady column churn of one column per
 	// exact round.
+	exact := NewBranchBoundPricer(1 << 40)
+	exact.PoolLeaves = 0
 	s, err := NewSolver(nw, d0, Options{
 		ColumnGC: cg.GCPolicy{MaxColumns: seedCols + 3, MinAge: 1},
-		Pricer:   NewBranchBoundPricer(1 << 40),
+		Pricer:   exact,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"mmwave/internal/core"
 	"mmwave/internal/session"
 	"mmwave/internal/stats"
 )
@@ -173,12 +172,8 @@ func runStreamingFig(env *RunEnv) error {
 			Trace:   cfg.Trace,
 			Mode:    mode,
 			GOPs:    16,
-			Solver: core.Options{
-				Pricer:  core.NewBranchBoundPricer(cfg.PricerBudget),
-				Tracer:  cfg.Tracer,
-				Metrics: cfg.Metrics,
-			},
-			Seed: cfg.Seed,
+			Solver:  cfg.solverOptions(),
+			Seed:    cfg.Seed,
 		}
 		scfg.Trace.MeanRate *= cfg.DemandScale
 		m, err := session.Run(scfg)

@@ -16,7 +16,7 @@ import (
 // either defers their demand (no relays) or routes them over two hops
 // via idle relay nodes (the ref.-[4] extension).
 type RelayConfig struct {
-	Net RelayNetConfig
+	Net Config
 	// BlockedFrac is the fraction of sessions whose direct gains are
 	// crushed below every rate threshold.
 	BlockedFrac float64
@@ -24,9 +24,6 @@ type RelayConfig struct {
 	// grid inside the room.
 	Relays int
 }
-
-// RelayNetConfig aliases Config for readable nesting.
-type RelayNetConfig = Config
 
 // DefaultRelayConfig returns a 10-link study with 20% of sessions
 // blocked and a 3×3 relay grid.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mmwave/internal/baseline"
-	"mmwave/internal/cg"
 	"mmwave/internal/core"
 	"mmwave/internal/sim"
 	"mmwave/internal/stats"
@@ -98,7 +97,6 @@ func (c Config) pricer() core.Pricer {
 	}
 	p := core.NewBranchBoundPricer(c.PricerBudget)
 	p.FixedPower = c.FixedPower
-	p.PoolLeaves = cg.MultiColumnPolicy{}.Columns()
 	return p
 }
 

@@ -43,7 +43,8 @@ type CellSpec struct {
 	// default.
 	Control *pnc.ControlChannel
 	// Solve configures the cell's per-epoch P1 solves. A nil
-	// Solve.Pricer gets the default branch-and-bound pricer; either
+	// Solve.Pricer gets core.NewBranchBoundPricer(0), which pools
+	// leaves for multi-column rounds like every default solve; either
 	// way the host wraps it in the hang-injection gate.
 	Solve core.Options
 	// Policy is the coordinator's degradation policy.

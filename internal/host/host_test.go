@@ -147,6 +147,22 @@ func TestHostMatchesStandalone(t *testing.T) {
 	}
 }
 
+// TestAdmitDefaultPricerPools: a cell admitted without a pricer gets
+// the default branch-and-bound pricer, leaf pool included.
+func TestAdmitDefaultPricerPools(t *testing.T) {
+	cell, err := New().Admit(CellSpec{Network: testNetwork(t, 7, 5, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := cell.gate.inner.(*core.BranchBoundPricer)
+	if !ok {
+		t.Fatalf("default cell pricer is %T, want *core.BranchBoundPricer", cell.gate.inner)
+	}
+	if p.PoolLeaves != 32 {
+		t.Errorf("PoolLeaves = %d, want 32", p.PoolLeaves)
+	}
+}
+
 func TestAdmissionControl(t *testing.T) {
 	nw := testNetwork(t, 3, 4, 2)
 

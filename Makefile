@@ -41,7 +41,10 @@ lint: vet check-deprecated
 # options are only New and WithPricer (perfbench calls them); and the
 # shims perfbench alone keeps alive (PricerWorkers, StabRounds,
 # BranchBoundPricer.Parallel) are referenced nowhere else but where
-# they are declared and documented.
+# they are declared and documented. An injected hang runs its epoch
+# under an already-expired deadline, so the host's pricer gate and the
+# engine's fallback pricer must not come back, and Options.Tracer is
+# the one way a tracer reaches a solve (no context-carried tracer).
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -65,6 +68,10 @@ check-deprecated:
 		grep -rn --include='*.go' -E '(^|[^.[:alnum:]_])(NewOptions|With(MaxIterations|Tolerance|GapTarget|Tracer|Metrics))\(' internal/core ; then \
 		echo "error: one default pricer (NewBranchBoundPricer pools leaves) and one core option surface (Options, or New with WithPricer)"; exit 1; \
 	else echo "one-pricer-one-option-surface check passed"; fi
+	@if grep -rn --include='*.go' -E 'hangGate|\bFallback\b|\bobs\.(NewContext|FromContext)\b' . || \
+		grep -rn --include='*.go' -E '^func (NewContext|FromContext)\(' internal/obs ; then \
+		echo "error: a hang is an expired deadline (no pricer gate, no fallback pricer) and Options.Tracer is the one tracer input"; exit 1; \
+	else echo "no-hang-gate-no-context-tracer check passed"; fi
 	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
 		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|Parallel)[[:space:]]+int$$)' ; then \
 		echo "error: PricerWorkers, StabRounds and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \

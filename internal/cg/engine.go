@@ -50,10 +50,6 @@ type MasterModel interface {
 type Options struct {
 	// Pricer generates columns. Required.
 	Pricer Pricer
-	// Fallback, when non-nil, is a cheap always-available pricer (the
-	// greedy interference-free relaxation) used to form a final valid
-	// bound when the configured pricer dies on cancellation.
-	Fallback Pricer
 	// Heuristic, when non-nil, is a cheap pricer (typically the greedy
 	// interference-free builder, possibly peeling a column batch) tried
 	// ahead of the exact pricer in every round that follows a
@@ -78,8 +74,8 @@ type Options struct {
 	GC GCPolicy
 	// LPOpts passes options to the master problem solves.
 	LPOpts lp.Options
-	// Tracer receives per-iteration trace events; nil falls back to the
-	// tracer carried by the Run context, then to the no-op tracer.
+	// Tracer receives per-iteration trace events; nil is the no-op
+	// tracer.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the run's Stats delta under
 	// MetricsPrefix plus the engine's own cg_warm_*/cg_gc_* counters.
@@ -146,17 +142,16 @@ func (e *Engine) State() *State { return e.state }
 // configured iteration/gap limits) under a per-run budget carried by
 // ctx. With a never-canceled context the walk is fully deterministic.
 // When the budget expires mid-run, the context-aware pricer is
-// canceled mid-search, the fallback pricer supplies a final valid
-// bound if the configured pricer could not, and the best-so-far
+// canceled mid-search and returns its best schedule with a still-valid
+// relaxation bound (the ContextPricer contract), and the best-so-far
 // feasible master solution is returned with Truncated set and Stop
 // wrapping ErrBudgetExceeded — never a bare error: by Theorem 1 any
 // Φ′ ≤ Φ* still bounds the optimum, so an anytime result plus its
-// proven gap is always available.
+// proven gap is always available. A pricing error fails the run.
 //
 // Each iteration emits a "cg.iteration" trace event (iteration index,
-// Φ, bounds, pool size, probe count) through Options.Tracer, falling
-// back to the tracer carried by ctx (obs.NewContext). Tracing never
-// changes the result.
+// Φ, bounds, pool size, probe count) through Options.Tracer. Tracing
+// never changes the result.
 func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	st := e.state
 	out := &Outcome{}
@@ -174,11 +169,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	// mid-run basis is never disturbed.
 	e.state.gc(e.opts.GC, e.model)
 
-	tracer := e.opts.Tracer
-	if tracer == nil {
-		tracer = obs.FromContext(ctx)
-	}
-	span := tracer.StartSpan(e.model.SpanName())
+	span := e.opts.Tracer.StartSpan(e.model.SpanName())
 	defer span.End()
 
 	colHist := e.opts.Metrics.Histogram("cg_columns_per_round")
@@ -223,19 +214,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		}
 		st.stats.Rounds++
 		if err != nil {
-			if ctx.Err() != nil {
-				// The pricer died on cancellation before producing a
-				// result: fall back to the cheap pricer, whose
-				// interference-free relaxation is still a valid Φ′.
-				if e.opts.Fallback != nil {
-					if g, gerr := e.opts.Fallback.Price(e.nw, lambda); gerr == nil {
-						if lower, ok := e.model.Bound(upper, g); ok && lower > bestLower {
-							bestLower = lower
-						}
-					}
-				}
-				return e.finishTruncated(out, mpSol, lambda, bestLower, ctx), nil
-			}
 			return nil, fmt.Errorf("cg: pricing failed at iteration %d: %w", iter, err)
 		}
 

@@ -169,23 +169,18 @@ type Options struct {
 	LPOpts lp.Options
 	// Tracer, when non-nil, receives structured trace events for every
 	// column-generation iteration (see obs.Event). Nil means the
-	// allocation-free no-op tracer; Solve also consults the context via
-	// obs.FromContext when this field is nil. Tracing never changes
-	// results: plans are byte-identical with and without a tracer.
+	// allocation-free no-op tracer. Tracing never changes results:
+	// plans are byte-identical with and without a tracer.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates the solve's Stats as "core_*"
 	// counters plus the engine's cg_warm_*/cg_gc_* reuse counters.
 	Metrics *obs.Registry
 }
 
-// engineOptions lowers solver options onto the shared engine. The
-// greedy pricer rides along as the cancellation fallback: its
-// interference-free relaxation is always a valid Φ′ for the final
-// anytime bound.
+// engineOptions lowers solver options onto the shared engine.
 func (o Options) engineOptions(prefix string) cg.Options {
 	return cg.Options{
 		Pricer:        o.Pricer,
-		Fallback:      GreedyPricer{},
 		Heuristic:     o.heuristicPricer(),
 		MaxIterations: o.MaxIterations,
 		Tolerance:     o.Tolerance,
@@ -404,17 +399,15 @@ func (s *Solver) SetDemands(demands []video.Demand) error {
 // deadline, a timeout, or explicit cancellation) and returns the best
 // plan. With a never-canceled context the walk is fully deterministic.
 // When the budget expires mid-solve, the context-aware pricer is
-// canceled mid-search, the cheap GreedyPricer supplies a final valid
-// bound if the configured pricer could not, and the best-so-far
-// feasible plan is returned with Truncated set and Stop wrapping
-// ErrBudgetExceeded — never a bare error: by Theorem 1 any Φ′ ≤ Φ*
-// still bounds P1, so an anytime plan plus its proven gap is always
-// available.
+// canceled mid-search and returns its best schedule with a still-valid
+// relaxation bound, and the best-so-far feasible plan is returned with
+// Truncated set and Stop wrapping ErrBudgetExceeded — never a bare
+// error: by Theorem 1 any Φ′ ≤ Φ* still bounds P1, so an anytime plan
+// plus its proven gap is always available.
 //
 // Each iteration emits a "cg.iteration" trace event (iteration index,
 // Φ, Theorem-1 lower bound, pool size, probe count) through
-// Options.Tracer, falling back to the tracer carried by ctx
-// (obs.NewContext). Tracing never changes the plan.
+// Options.Tracer. Tracing never changes the plan.
 func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	out, err := s.engine.Run(ctx)
 	if err != nil {

@@ -151,8 +151,7 @@ func (s *QualitySolver) hasFloors() bool {
 // The ctx cancels pricing between (and inside) iterations: on expiry
 // the current master solution is extracted as an anytime result with
 // Converged false. Each iteration emits a "cg.iteration" trace event
-// through Options.Tracer (or the tracer carried by ctx); tracing never
-// changes the plan.
+// through Options.Tracer; tracing never changes the plan.
 func (s *QualitySolver) Solve(ctx context.Context) (*QualityResult, error) {
 	out, err := s.engine.Run(ctx)
 	if err != nil {

@@ -93,35 +93,6 @@ func TestTracingDoesNotChangePlan(t *testing.T) {
 	}
 }
 
-// TestTracerFromContext: when Options carries no tracer, Solve picks up
-// the one carried by the context.
-func TestTracerFromContext(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	nw := servableNetwork(rng, 4, 3)
-	demands := uniformDemands(4, 4e6, 2e6)
-
-	s, err := NewSolver(nw, demands, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
-	ctx := obs.NewContext(context.Background(), obs.New(sink))
-	if _, err := s.Solve(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.DecodeJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("context-carried tracer recorded no events")
-	}
-}
-
 // TestMetricsPublished: a solve folds its Stats into the registry under
 // the core prefix.
 func TestMetricsPublished(t *testing.T) {

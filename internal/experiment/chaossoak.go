@@ -30,9 +30,9 @@ type ChaosSoakConfig struct {
 	Epochs int
 	// Watchdog is the host's per-epoch solve deadline (0 = 250 ms). It
 	// must comfortably exceed an honest solve at the configured scale:
-	// an injected hang parks the solve until the deadline, so the
-	// result is wall-clock independent, but a deadline short enough to
-	// clip honest solves would make the soak timing-sensitive.
+	// a deadline short enough to clip honest solves would make the soak
+	// timing-sensitive. Injected hangs never wait for it: the host runs
+	// a hung epoch under an already-expired deadline.
 	Watchdog time.Duration
 	// Faults is the per-cell fault template; Seed is forked per cell.
 	Faults faults.Config

@@ -15,12 +15,8 @@ func soakScale(cells, epochs int) ChaosSoakConfig {
 
 // TestChaosSoakDeterministic: the soak is a pure function of its
 // config — two runs must agree on every counter and on the digest.
-// Hang injection is disabled here so the test never waits on the
-// watchdog (determinism of the hang path is covered by the host's own
-// TestWatchdogHang).
 func TestChaosSoakDeterministic(t *testing.T) {
 	cc := soakScale(3, 12)
-	cc.Faults.SolveHang = 0
 	a, err := ChaosSoak(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +29,46 @@ func TestChaosSoakDeterministic(t *testing.T) {
 		t.Fatalf("digest %016x != %016x: soak is not deterministic", a.Digest, b.Digest)
 	}
 	if a.OK != b.OK || a.Failed != b.Failed || a.Restores != b.Restores ||
-		a.ColdRestarts != b.ColdRestarts || a.ShedEpochs != b.ShedEpochs {
+		a.ColdRestarts != b.ColdRestarts || a.ShedEpochs != b.ShedEpochs ||
+		a.HangsInjected != b.HangsInjected || a.Truncations != b.Truncations {
 		t.Fatalf("counters differ between identical runs: %+v vs %+v", a, b)
 	}
 	if len(a.Violations) != 0 {
 		t.Fatalf("violations: %v", a.Violations)
+	}
+}
+
+// TestChaosSoakDigest pins the chaos walk: every fault class enabled,
+// hangs included, at fixed scales and seed. A change that moves a
+// digest moves the soak's timeline and must say why.
+func TestChaosSoakDigest(t *testing.T) {
+	for _, tc := range []struct {
+		cells, epochs int
+		want          uint64
+		long          bool
+	}{
+		{4, 60, 0x88ad86690735b28e, false},
+		{4, 30, 0xb15164d162114b86, false},
+		{8, 200, 0xa31330dcaeea9b0c, true},
+	} {
+		if tc.long && testing.Short() {
+			continue
+		}
+		cc := soakScale(tc.cells, tc.epochs)
+		cc.Watchdog = 600 * time.Millisecond
+		res, err := ChaosSoak(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Digest != tc.want {
+			t.Errorf("%d×%d soak: digest %016x, want %016x", tc.cells, tc.epochs, res.Digest, tc.want)
+		}
+		if res.HangsInjected == 0 {
+			t.Errorf("%d×%d soak injected no hangs", tc.cells, tc.epochs)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%d×%d soak violation: %s", tc.cells, tc.epochs, v)
+		}
 	}
 }
 
@@ -78,9 +109,8 @@ func TestChaosSoakRestoreOnly(t *testing.T) {
 // epochs but keeps every fault class active.
 func TestChaosSoak(t *testing.T) {
 	cc := DefaultChaosSoakConfig()
-	// Headroom over an honest solve even on a loaded CI machine; an
-	// injected hang parks the solve for the full deadline, so this also
-	// bounds the test's wall-clock cost per hang.
+	// Headroom over an honest solve even on a loaded CI machine, so no
+	// honest solve is clipped. Injected hangs do not wait for it.
 	cc.Watchdog = 600 * time.Millisecond
 	if testing.Short() {
 		cc.Epochs = 40

@@ -64,7 +64,8 @@ type Config struct {
 	// mid-epoch (after demand ingestion, before the solve).
 	CellPanic float64
 	// SolveHang is the per-epoch probability the epoch's P1 solve hangs
-	// until the host's watchdog cancels it through the anytime path.
+	// past its deadline; the host runs that epoch under an
+	// already-expired deadline, so the solve takes the anytime path.
 	SolveHang float64
 	// KillRestore is the per-epoch probability the cell is killed after
 	// a completed epoch and restored from its latest checkpoint.

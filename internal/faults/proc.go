@@ -58,7 +58,8 @@ func (s *streamRNG) advanceTo(n uint64) {
 type ProcFaults struct {
 	// Panic: the cell worker panics mid-epoch.
 	Panic bool
-	// Hang: the epoch's solve blocks until the watchdog cancels it.
+	// Hang: the epoch's solve overruns its deadline (the host runs the
+	// epoch under an already-expired one).
 	Hang bool
 	// Kill: the cell is killed after the epoch and restored from its
 	// latest checkpoint.

@@ -44,8 +44,7 @@ type CellSpec struct {
 	Control *pnc.ControlChannel
 	// Solve configures the cell's per-epoch P1 solves. A nil
 	// Solve.Pricer gets core.NewBranchBoundPricer(0), which pools
-	// leaves for multi-column rounds like every default solve; either
-	// way the host wraps it in the hang-injection gate.
+	// leaves for multi-column rounds like every default solve.
 	Solve core.Options
 	// Policy is the coordinator's degradation policy.
 	Policy pnc.DegradePolicy
@@ -59,7 +58,8 @@ type CellSpec struct {
 type Options struct {
 	// Watchdog is the per-epoch deadline: a solve still running when it
 	// expires is canceled through the anytime-truncation path. Zero
-	// disables the watchdog (then no admitted cell may inject hangs).
+	// disables the watchdog. An injected hang runs its epoch under an
+	// already-expired deadline either way.
 	Watchdog time.Duration
 	// MaxRestarts is the per-cell restart budget: after this many
 	// failed epochs the cell is permanently disabled. Zero means 8.
@@ -185,7 +185,6 @@ type Cell struct {
 
 	coord *pnc.Coordinator
 	inj   *faults.Injector
-	gate  *hangGate
 
 	ckptPath string // disk path, or "" for in-memory
 	lastCkpt []byte // latest encoded checkpoint image
@@ -311,9 +310,6 @@ func (h *Host) admit(spec CellSpec, id int) (*Cell, error) {
 		if err := spec.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrAdmission, err)
 		}
-		if spec.Faults.SolveHang > 0 && h.opts.Watchdog <= 0 {
-			return nil, fmt.Errorf("%w: hang injection requires a watchdog", ErrAdmission)
-		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -333,15 +329,12 @@ func (h *Host) admit(spec CellSpec, id int) (*Cell, error) {
 	}
 
 	c := &Cell{id: id, spec: spec, host: h}
-	// Wrap the pricer once, at admission: the gate survives coordinator
-	// rebuilds, so restored and uninterrupted cells price through the
-	// same object.
-	inner := spec.Solve.Pricer
-	if inner == nil {
-		inner = core.NewBranchBoundPricer(0)
+	// Default the pricer once, at admission: the pricer survives
+	// coordinator rebuilds, so restored and uninterrupted cells price
+	// through the same object.
+	if c.spec.Solve.Pricer == nil {
+		c.spec.Solve.Pricer = core.NewBranchBoundPricer(0)
 	}
-	c.gate = &hangGate{inner: inner}
-	c.spec.Solve.Pricer = c.gate
 	if spec.Faults != nil && spec.Faults.Enabled() {
 		inj, err := faults.New(*spec.Faults, spec.Network.NumLinks())
 		if err != nil {
@@ -593,7 +586,12 @@ func (h *Host) runEpoch(ctx context.Context, c *Cell, pf faults.ProcFaults) (res
 		defer cancel()
 	}
 	if pf.Hang {
-		c.gate.Arm()
+		// An injected hang is a solve that overran its deadline: the
+		// epoch runs under an already-expired one, so the solver takes
+		// its anytime-truncation path without waiting out the watchdog.
+		var cancel context.CancelFunc
+		ectx, cancel = context.WithTimeout(ectx, 0)
+		defer cancel()
 		h.metric("host_hangs_injected_total")
 	}
 	defer func() {
@@ -624,11 +622,6 @@ func (h *Host) recordFailure(c *Cell, rep *EpochReport, err error) {
 	} else {
 		h.event("host.epoch_failed", c.id, err.Error())
 	}
-
-	// A failed epoch may have left the injected-fault gate armed (the
-	// panic fired before any solve); disarm so a later epoch doesn't
-	// hang without its fault drawn.
-	c.gate.armed.Store(false)
 
 	switch {
 	case c.restarts >= h.opts.maxRestarts():

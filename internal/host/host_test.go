@@ -106,8 +106,8 @@ func sameServedPlan(t *testing.T, a, b *EpochReport, label string) {
 }
 
 // TestHostMatchesStandalone: a supervised fault-free cell must be
-// byte-identical to a bare coordinator — the hang gate and the
-// supervision machinery add nothing to the healthy path.
+// byte-identical to a bare coordinator — the supervision machinery
+// adds nothing to the healthy path.
 func TestHostMatchesStandalone(t *testing.T) {
 	nw := testNetwork(t, 7, 5, 2)
 	d := video.TwoClass(4e6, 8e6)
@@ -154,9 +154,9 @@ func TestAdmitDefaultPricerPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := cell.gate.inner.(*core.BranchBoundPricer)
+	p, ok := cell.spec.Solve.Pricer.(*core.BranchBoundPricer)
 	if !ok {
-		t.Fatalf("default cell pricer is %T, want *core.BranchBoundPricer", cell.gate.inner)
+		t.Fatalf("default cell pricer is %T, want *core.BranchBoundPricer", cell.spec.Solve.Pricer)
 	}
 	if p.PoolLeaves != 32 {
 		t.Errorf("PoolLeaves = %d, want 32", p.PoolLeaves)
@@ -171,13 +171,21 @@ func TestAdmissionControl(t *testing.T) {
 			t.Fatal("admitted a cell with no network")
 		}
 	})
-	t.Run("hang needs watchdog", func(t *testing.T) {
-		_, err := New().Admit(CellSpec{
+	t.Run("hang without watchdog truncates", func(t *testing.T) {
+		h := New()
+		cell, err := h.Admit(CellSpec{
 			Network: nw,
-			Faults:  &faults.Config{SolveHang: 0.5, Seed: 1},
+			Faults:  &faults.Config{SolveHang: 1, Seed: 1},
 		})
-		if err == nil {
-			t.Fatal("admitted hang injection without a watchdog")
+		if err != nil {
+			t.Fatalf("refused hang injection without a watchdog: %v", err)
+		}
+		rep := h.Step(context.Background(), cell, demandFeed(t, video.TwoClass(3e6, 6e6)))
+		if rep.Outcome != OutcomeOK || !rep.Result.TruncatedSolve {
+			t.Fatalf("hang epoch: outcome %v err %v, want an OK truncated epoch", rep.Outcome, rep.Err)
+		}
+		if lb := rep.Result.Solver.LowerBound; lb <= 0 || lb > rep.Plan.Objective+1e-9 {
+			t.Errorf("truncated solve bound %v invalid against objective %v", lb, rep.Plan.Objective)
 		}
 	})
 	t.Run("cell cap", func(t *testing.T) {
@@ -289,11 +297,10 @@ func TestLastGoodServedThroughFailures(t *testing.T) {
 		t.Fatalf("healthy epoch failed: %v", ok.Err)
 	}
 
-	// Force the next epoch to fail without an injector by arming the
-	// hang gate with no watchdog budget on the context.
+	// Run the next epoch under an already-canceled context, with no
+	// injector.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cell.gate.Arm()
 	rep := h.Step(ctx, cell, feed)
 	// A canceled parent context truncates the solve rather than failing
 	// it (the anytime path) — so this epoch is OK-truncated, not failed.
@@ -303,10 +310,10 @@ func TestLastGoodServedThroughFailures(t *testing.T) {
 	}
 }
 
-// TestWatchdogHang: an injected solver hang must be canceled by the
-// watchdog and come back as a truncated-but-valid anytime plan — an
-// OK outcome, not a failure — and the result must not depend on the
-// watchdog's wall-clock duration.
+// TestWatchdogHang: an injected solver hang must come back as a
+// truncated-but-valid anytime plan — an OK outcome, not a failure —
+// and the result must not depend on the watchdog's wall-clock
+// duration.
 func TestWatchdogHang(t *testing.T) {
 	nw := testNetwork(t, 17, 4, 2)
 	d := video.TwoClass(3e6, 6e6)

@@ -22,7 +22,6 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -343,28 +342,4 @@ func DecodeJSONL(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ctxKey carries a *Tracer through a context.Context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying the tracer, so solver entry points
-// can pick up the caller's tracer without plumbing it through every
-// config struct (core.Solver.Solve consults the context when its
-// options carry no tracer).
-func NewContext(ctx context.Context, t *Tracer) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext returns the tracer carried by ctx, or nil (the no-op
-// tracer) when there is none.
-func FromContext(ctx context.Context) *Tracer {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(ctxKey{}).(*Tracer)
-	return t
 }

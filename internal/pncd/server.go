@@ -86,12 +86,18 @@ type cellState struct {
 	restored bool // recovered from a checkpoint at server start
 
 	mu       sync.Mutex
-	queue    [][]byte // encoded uplink frames for the next epoch
+	queue    [][]byte // encoded uplink frames for the next epoch (≤ maxQueuedFramesPerLink per link)
 	queueCSI bool     // queue contains a CSI frame (spec re-persist needed)
 	csiFed   bool     // the in-flight step consumed CSI (set by feed, under stepMu)
 	reports  []api.EpochReport
 	notify   chan struct{} // closed and replaced when a report lands
 }
+
+// maxQueuedFramesPerLink bounds a cell's uplink queue between steps:
+// a submission that would push the queue past this many frames per
+// link is refused whole with admission-refused, leaving the queue as
+// it was. One epoch needs a demand report per link plus any CSI.
+const maxQueuedFramesPerLink = 16
 
 // cellRecord is the on-disk spec: everything needed to rebuild the
 // cell identically on restart. The Network field carries the *drawn*
@@ -593,6 +599,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	cs.mu.Lock()
+	if limit := maxQueuedFramesPerLink * cs.nw.NumLinks(); len(cs.queue)+len(frames) > limit {
+		queued := len(cs.queue)
+		cs.mu.Unlock()
+		api.WriteError(w, &api.Error{Code: api.CodeAdmission, Message: fmt.Sprintf(
+			"cell %d uplink queue full: %d queued + %d submitted frames exceed %d", cs.id, queued, len(frames), limit)})
+		return
+	}
 	cs.queue = append(cs.queue, frames...)
 	cs.queueCSI = cs.queueCSI || (isCSI && len(frames) > 0)
 	cs.mu.Unlock()

@@ -479,6 +479,68 @@ func TestReportsAndStream(t *testing.T) {
 	}
 }
 
+// TestUplinkQueueBound: a cell's uplink queue holds at most
+// maxQueuedFramesPerLink frames per link between steps. A submission
+// that would overflow it is refused whole with admission-refused and
+// leaves the queue untouched; a step drains the queue and submissions
+// are accepted again.
+func TestUplinkQueueBound(t *testing.T) {
+	ctx := context.Background()
+	srv, client := newTestServer(t, Config{})
+	nw := testNetwork(t, 61)
+	wire := api.NetworkFromModel(nw)
+	st, err := client.CreateCell(ctx, api.CellSpec{Network: &wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := func() int {
+		cs := srv.lookup(st.Cell)
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		return len(cs.queue)
+	}
+	gen := testLoad(t, nw.NumLinks(), 4)
+	limit := maxQueuedFramesPerLink * nw.NumLinks()
+	// One odd frame first, so the overflowing batch below still finds
+	// room for part of itself and must be refused whole anyway.
+	if _, err := client.SubmitDemands(ctx, st.Cell, demandsFor(gen, 0, 0)[:1]); err != nil {
+		t.Fatal(err)
+	}
+	for ep := int64(0); queued()+nw.NumLinks() <= limit; ep++ {
+		if _, err := client.SubmitDemands(ctx, st.Cell, demandsFor(gen, 0, ep)); err != nil {
+			t.Fatalf("submission within the bound refused at %d queued: %v", queued(), err)
+		}
+	}
+	before := queued()
+	over := demandsFor(gen, 0, 99)
+	_, err = client.SubmitDemands(ctx, st.Cell, over)
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeAdmission || !errors.Is(err, host.ErrAdmission) {
+		t.Fatalf("overflowing submission: got %v, want admission-refused", err)
+	}
+	if got := queued(); got != before {
+		t.Fatalf("refused submission changed the queue: %d → %d frames", before, got)
+	}
+	if _, err := client.SubmitDemands(ctx, st.Cell, over[:limit-before]); err != nil {
+		t.Fatalf("submission filling the queue to its bound refused: %v", err)
+	}
+	if got := queued(); got != limit {
+		t.Fatalf("queue holds %d frames, want exactly the bound %d", got, limit)
+	}
+	if _, err := client.SubmitDemands(ctx, st.Cell, over[:1]); !errors.Is(err, host.ErrAdmission) {
+		t.Fatalf("one frame past a full queue: got %v, want admission-refused", err)
+	}
+	if _, err := client.StepCell(ctx, st.Cell); err != nil {
+		t.Fatal(err)
+	}
+	if got := queued(); got != 0 {
+		t.Fatalf("step left %d frames queued", got)
+	}
+	if _, err := client.SubmitDemands(ctx, st.Cell, over); err != nil {
+		t.Fatalf("submission after a draining step refused: %v", err)
+	}
+}
+
 // TestInstanceDraw covers server-side instance creation: the drawn
 // cell is steppable immediately (the draw's demands are queued) and
 // identical seeds draw identical cells.

@@ -72,6 +72,11 @@ check-deprecated:
 		grep -rn --include='*.go' -E '^func (NewContext|FromContext)\(' internal/obs ; then \
 		echo "error: a hang is an expired deadline (no pricer gate, no fallback pricer) and Options.Tracer is the one tracer input"; exit 1; \
 	else echo "no-hang-gate-no-context-tracer check passed"; fi
+	@if grep -rn --include='*.go' -E 'BlockageRate|BlockageSlots|DrawFailures|blockRNG|streamBlock|MeanBitsByClass|\bReplans?\b|TruncatedSolves|WithBreaker|Breaker(Threshold|Cooldown)|MetricsPrefix|IngestErrors\(\)|RateVectorsValue\(|\bNewOptions\(|\.Registry\(\)|\) Registry\(\)' . || \
+		grep -rn --include='*.go' -E '\bSolveBudget\b' internal/session || \
+		grep -rn --include='*.go' -E '\b(cfg|Config)\.(Metrics|Tracer)\b|^[[:space:]]+(Metrics|Tracer)[[:space:]]+\*obs\.' internal/pncd ; then \
+		echo "error: every knob takes effect (no blockage fault class, no option, hook or accessor that only tests set or read)"; exit 1; \
+	else echo "every-knob-takes-effect check passed"; fi
 	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
 		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|Parallel)[[:space:]]+int$$)' ; then \
 		echo "error: PricerWorkers, StabRounds and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \

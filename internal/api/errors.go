@@ -95,30 +95,34 @@ func (c Code) HTTPStatus() int {
 	}
 }
 
+// taxonomy pairs every code that has an in-process counterpart with
+// its sentinel. Code.sentinel reads it one way and CodeForError the
+// other, which is what makes errors.Is work across the wire. Order
+// matters only to CodeForError: an error wrapping two sentinels maps
+// to the first listed.
+var taxonomy = []struct {
+	code     Code
+	sentinel error
+}{
+	{CodeAdmission, host.ErrAdmission},
+	{CodeUnservable, core.ErrUnservable},
+	{CodeInfeasible, core.ErrInfeasible},
+	{CodeBudgetExceeded, core.ErrBudgetExceeded},
+	{CodeControlLoss, pnc.ErrControlLoss},
+	{CodeStaleState, pnc.ErrStaleState},
+	{CodeCheckpointCorrupt, checkpoint.ErrCorrupt},
+	{CodeCheckpointIncompatible, checkpoint.ErrIncompatible},
+}
+
 // sentinel returns the taxonomy sentinel behind a code, or nil for
-// codes with no in-process counterpart. It is the inverse of
-// CodeForError, which is what makes errors.Is work across the wire.
+// codes with no in-process counterpart.
 func (c Code) sentinel() error {
-	switch c {
-	case CodeAdmission:
-		return host.ErrAdmission
-	case CodeUnservable:
-		return core.ErrUnservable
-	case CodeInfeasible:
-		return core.ErrInfeasible
-	case CodeBudgetExceeded:
-		return core.ErrBudgetExceeded
-	case CodeControlLoss:
-		return pnc.ErrControlLoss
-	case CodeStaleState:
-		return pnc.ErrStaleState
-	case CodeCheckpointCorrupt:
-		return checkpoint.ErrCorrupt
-	case CodeCheckpointIncompatible:
-		return checkpoint.ErrIncompatible
-	default:
-		return nil
+	for _, t := range taxonomy {
+		if t.code == c {
+			return t.sentinel
+		}
 	}
+	return nil
 }
 
 // Error is the wire error: a stable code plus a human-readable
@@ -149,26 +153,12 @@ func CodeForError(err error) Code {
 	if errors.As(err, &apiErr) {
 		return apiErr.Code
 	}
-	switch {
-	case errors.Is(err, host.ErrAdmission):
-		return CodeAdmission
-	case errors.Is(err, core.ErrUnservable):
-		return CodeUnservable
-	case errors.Is(err, core.ErrInfeasible):
-		return CodeInfeasible
-	case errors.Is(err, core.ErrBudgetExceeded):
-		return CodeBudgetExceeded
-	case errors.Is(err, pnc.ErrControlLoss):
-		return CodeControlLoss
-	case errors.Is(err, pnc.ErrStaleState):
-		return CodeStaleState
-	case errors.Is(err, checkpoint.ErrCorrupt):
-		return CodeCheckpointCorrupt
-	case errors.Is(err, checkpoint.ErrIncompatible):
-		return CodeCheckpointIncompatible
-	default:
-		return CodeInternal
+	for _, t := range taxonomy {
+		if errors.Is(err, t.sentinel) {
+			return t.code
+		}
 	}
+	return CodeInternal
 }
 
 // envelope is the error response body: {"error":{"code":…,"message":…}}.

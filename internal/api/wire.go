@@ -204,39 +204,36 @@ func (p Policy) ToModel() pnc.DegradePolicy {
 }
 
 // Faults mirrors faults.Config on the wire (chaos testing through the
-// API; all probabilities per epoch).
+// API; all probabilities per epoch). The retired blockage_rate and
+// blockage_slots keys are still accepted and ignored.
 type Faults struct {
-	CtrlLoss      float64 `json:"ctrl_loss,omitempty"`
-	CtrlCorrupt   float64 `json:"ctrl_corrupt,omitempty"`
-	CtrlDelay     float64 `json:"ctrl_delay,omitempty"`
-	StaleCSI      float64 `json:"stale_csi,omitempty"`
-	NodeDropout   float64 `json:"node_dropout,omitempty"`
-	NodeRecover   float64 `json:"node_recover,omitempty"`
-	BlockageRate  float64 `json:"blockage_rate,omitempty"`
-	BlockageSlots int     `json:"blockage_slots,omitempty"`
-	CellPanic     float64 `json:"cell_panic,omitempty"`
-	SolveHang     float64 `json:"solve_hang,omitempty"`
-	KillRestore   float64 `json:"kill_restore,omitempty"`
-	CkptCorrupt   float64 `json:"ckpt_corrupt,omitempty"`
-	Seed          int64   `json:"seed,omitempty"`
+	CtrlLoss    float64 `json:"ctrl_loss,omitempty"`
+	CtrlCorrupt float64 `json:"ctrl_corrupt,omitempty"`
+	CtrlDelay   float64 `json:"ctrl_delay,omitempty"`
+	StaleCSI    float64 `json:"stale_csi,omitempty"`
+	NodeDropout float64 `json:"node_dropout,omitempty"`
+	NodeRecover float64 `json:"node_recover,omitempty"`
+	CellPanic   float64 `json:"cell_panic,omitempty"`
+	SolveHang   float64 `json:"solve_hang,omitempty"`
+	KillRestore float64 `json:"kill_restore,omitempty"`
+	CkptCorrupt float64 `json:"ckpt_corrupt,omitempty"`
+	Seed        int64   `json:"seed,omitempty"`
 }
 
 // ToModel lowers the wire fault spec onto faults.Config.
 func (f Faults) ToModel() faults.Config {
 	return faults.Config{
-		CtrlLoss:      f.CtrlLoss,
-		CtrlCorrupt:   f.CtrlCorrupt,
-		CtrlDelay:     f.CtrlDelay,
-		StaleCSI:      f.StaleCSI,
-		NodeDropout:   f.NodeDropout,
-		NodeRecover:   f.NodeRecover,
-		BlockageRate:  f.BlockageRate,
-		BlockageSlots: f.BlockageSlots,
-		CellPanic:     f.CellPanic,
-		SolveHang:     f.SolveHang,
-		KillRestore:   f.KillRestore,
-		CkptCorrupt:   f.CkptCorrupt,
-		Seed:          f.Seed,
+		CtrlLoss:    f.CtrlLoss,
+		CtrlCorrupt: f.CtrlCorrupt,
+		CtrlDelay:   f.CtrlDelay,
+		StaleCSI:    f.StaleCSI,
+		NodeDropout: f.NodeDropout,
+		NodeRecover: f.NodeRecover,
+		CellPanic:   f.CellPanic,
+		SolveHang:   f.SolveHang,
+		KillRestore: f.KillRestore,
+		CkptCorrupt: f.CkptCorrupt,
+		Seed:        f.Seed,
 	}
 }
 

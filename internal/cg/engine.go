@@ -77,12 +77,9 @@ type Options struct {
 	// Tracer receives per-iteration trace events; nil is the no-op
 	// tracer.
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, receives the run's Stats delta under
-	// MetricsPrefix plus the engine's own cg_warm_*/cg_gc_* counters.
+	// Metrics, when non-nil, receives the run's Stats delta as core_*
+	// counters plus the engine's own cg_warm_*/cg_gc_* counters.
 	Metrics *obs.Registry
-	// MetricsPrefix namespaces the published Stats ("core" for both
-	// solvers, keeping the historical counter names).
-	MetricsPrefix string
 }
 
 // Outcome is the raw result of one engine run; the owning solver
@@ -160,7 +157,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	before := st.stats
 	defer func() {
 		out.Stats = st.stats.delta(before)
-		out.Stats.Publish(e.opts.Metrics, e.opts.MetricsPrefix)
+		out.Stats.Publish(e.opts.Metrics)
 		e.publishRun(out)
 		st.runs++
 	}()

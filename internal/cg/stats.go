@@ -67,18 +67,18 @@ func (s Stats) delta(prev Stats) Stats {
 	}
 }
 
-// Publish folds the stats into the registry as `<prefix>_*_total`
-// counters. A nil registry is a no-op, so callers publish
-// unconditionally.
-func (s Stats) Publish(m *obs.Registry, prefix string) {
+// Publish folds the stats into the registry as `core_*_total`
+// counters (the historical names; P1 and P2 solves share them). A nil
+// registry is a no-op, so callers publish unconditionally.
+func (s Stats) Publish(m *obs.Registry) {
 	if m == nil {
 		return
 	}
-	m.Counter(prefix + "_cg_rounds_total").Add(int64(s.Rounds))
-	m.Counter(prefix + "_probes_total").Add(int64(s.Probes))
-	m.Counter(prefix + "_master_solves_total").Add(int64(s.MasterSolves))
-	m.Counter(prefix + "_pricer_nodes_total").Add(int64(s.PricerNodes))
-	m.Counter(prefix + "_lp_pivots_total").Add(int64(s.LPPivots))
-	m.Counter(prefix + "_lp_refactorizations_total").Add(int64(s.LPRefactorizations))
-	m.Counter(prefix + "_lp_ft_updates_total").Add(int64(s.LPEtaUpdates))
+	m.Counter("core_cg_rounds_total").Add(int64(s.Rounds))
+	m.Counter("core_probes_total").Add(int64(s.Probes))
+	m.Counter("core_master_solves_total").Add(int64(s.MasterSolves))
+	m.Counter("core_pricer_nodes_total").Add(int64(s.PricerNodes))
+	m.Counter("core_lp_pivots_total").Add(int64(s.LPPivots))
+	m.Counter("core_lp_refactorizations_total").Add(int64(s.LPRefactorizations))
+	m.Counter("core_lp_ft_updates_total").Add(int64(s.LPEtaUpdates))
 }

@@ -57,8 +57,10 @@ const (
 	// Any other version — older or newer — is ErrIncompatible, and the
 	// caller restarts the cell cold, exactly as for a corrupt image.
 	// Version 8 is the first whose CoordState.SolverFP holds the whole-
-	// network fingerprint (netmodel.Network.Fingerprint).
-	version = 8
+	// network fingerprint (netmodel.Network.Fingerprint); version 9
+	// drops the retired blockage fault class from the injector image
+	// (its two config fields and its stream's draw count).
+	version = 9
 	// headerLen is magic + version + fingerprint; trailerLen the CRC.
 	headerLen  = 4 + 2 + 8
 	trailerLen = 4
@@ -477,12 +479,11 @@ func decodeFloats(r *reader) []float64 {
 func encodeInjector(w *writer, cfg faults.Config, st *faults.InjectorState) {
 	for _, v := range []float64{
 		cfg.CtrlLoss, cfg.CtrlCorrupt, cfg.CtrlDelay, cfg.StaleCSI,
-		cfg.NodeDropout, cfg.NodeRecover, cfg.BlockageRate,
+		cfg.NodeDropout, cfg.NodeRecover,
 		cfg.CellPanic, cfg.SolveHang, cfg.KillRestore, cfg.CkptCorrupt,
 	} {
 		w.f64(v)
 	}
-	w.i64(int64(cfg.BlockageSlots))
 	w.i64(cfg.Seed)
 	for _, n := range st.Draws {
 		w.u64(n)
@@ -501,12 +502,11 @@ func decodeInjector(r *reader) (faults.Config, *faults.InjectorState) {
 	var cfg faults.Config
 	for _, p := range []*float64{
 		&cfg.CtrlLoss, &cfg.CtrlCorrupt, &cfg.CtrlDelay, &cfg.StaleCSI,
-		&cfg.NodeDropout, &cfg.NodeRecover, &cfg.BlockageRate,
+		&cfg.NodeDropout, &cfg.NodeRecover,
 		&cfg.CellPanic, &cfg.SolveHang, &cfg.KillRestore, &cfg.CkptCorrupt,
 	} {
 		*p = r.f64()
 	}
-	cfg.BlockageSlots = int(r.i64())
 	cfg.Seed = r.i64()
 	st := &faults.InjectorState{}
 	for i := range st.Draws {

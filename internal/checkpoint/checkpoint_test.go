@@ -266,7 +266,7 @@ func TestOtherVersionsIncompatible(t *testing.T) {
 	if _, err := Decode(restamp(data, version)); err != nil {
 		t.Fatalf("restamping at the current version broke the image: %v", err)
 	}
-	for _, v := range []uint16{0, 2, 3, 6, 7, version + 1} {
+	for _, v := range []uint16{0, 2, 3, 6, 7, 8, version + 1} {
 		if _, err := Decode(restamp(data, v)); !errors.Is(err, ErrIncompatible) {
 			t.Errorf("version %d image: got %v, want ErrIncompatible", v, err)
 		}
@@ -351,7 +351,7 @@ func TestEncodeDecodeExact(t *testing.T) {
 	}
 	cfg := faults.Config{
 		CtrlLoss: 0.1, CtrlCorrupt: 0.02, CtrlDelay: 0.03, StaleCSI: 0.2,
-		NodeDropout: 0.01, NodeRecover: 0.6, BlockageRate: 0.05, BlockageSlots: 40,
+		NodeDropout: 0.01, NodeRecover: 0.6,
 		CellPanic: 0.02, SolveHang: 0.02, KillRestore: 0.1, CkptCorrupt: 0.3,
 		Seed: 77,
 	}

@@ -5,9 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"mmwave/internal/netmodel"
-	"mmwave/internal/video"
 )
 
 // allOff reproduces the historical exact loop: a pricer that never
@@ -18,38 +15,6 @@ func allOff() []Option {
 	p := NewBranchBoundPricer(1 << 40)
 	p.PoolLeaves = 0
 	return []Option{WithPricer(p)}
-}
-
-// checkPlanServes validates every schedule of the plan against the
-// network and confirms the plan serves the demands it claims to.
-func checkPlanServes(t *testing.T, tag string, nw *netmodel.Network, demands []video.Demand, plan Plan) {
-	t.Helper()
-	L := nw.NumLinks()
-	served := make([][]float64, L)
-	for l := range served {
-		served[l] = make([]float64, demands[l].NumClasses())
-	}
-	for i, sc := range plan.Schedules {
-		if err := sc.Validate(nw); err != nil {
-			t.Fatalf("%s: plan schedule %d invalid: %v", tag, i, err)
-		}
-		if plan.Tau[i] < 0 {
-			t.Fatalf("%s: plan schedule %d has negative τ", tag, i)
-		}
-		hp, lpr := sc.RateVectors(nw)
-		for l := 0; l < L; l++ {
-			served[l][0] += hp[l] * plan.Tau[i]
-			served[l][1] += lpr[l] * plan.Tau[i]
-		}
-	}
-	for l := 0; l < L; l++ {
-		for c := 0; c < demands[l].NumClasses(); c++ {
-			if want := demands[l].At(c); served[l][c] < want*(1-1e-6) {
-				t.Fatalf("%s: link %d class %d served %v < demand %v",
-					tag, l, c, served[l][c], want)
-			}
-		}
-	}
 }
 
 // TestAcceleratedSolveProperties is the acceptance property for the
@@ -123,7 +88,7 @@ func TestAcceleratedSolveProperties(t *testing.T) {
 		if resA.LowerBound > obj*(1+1e-9)+1e-12 {
 			t.Errorf("instance %d: final lower bound %v above objective %v", i, resA.LowerBound, obj)
 		}
-		checkPlanServes(t, "accel", nw, demands, resA.Plan)
+		auditPlan(t, "accel", nw, demands, resA.Plan)
 
 		// (3) Anytime truncation stays feasible under the accelerations.
 		trunc, err := New(nw, demands)
@@ -139,6 +104,6 @@ func TestAcceleratedSolveProperties(t *testing.T) {
 		if !resT.Truncated {
 			t.Fatalf("instance %d: canceled solve not flagged Truncated", i)
 		}
-		checkPlanServes(t, "anytime", nw, demands, resT.Plan)
+		auditPlan(t, "anytime", nw, demands, resT.Plan)
 	}
 }

@@ -178,7 +178,7 @@ type Options struct {
 }
 
 // engineOptions lowers solver options onto the shared engine.
-func (o Options) engineOptions(prefix string) cg.Options {
+func (o Options) engineOptions() cg.Options {
 	return cg.Options{
 		Pricer:        o.Pricer,
 		Heuristic:     o.heuristicPricer(),
@@ -189,7 +189,6 @@ func (o Options) engineOptions(prefix string) cg.Options {
 		LPOpts:        o.LPOpts,
 		Tracer:        o.Tracer,
 		Metrics:       o.Metrics,
-		MetricsPrefix: prefix,
 	}
 }
 
@@ -296,7 +295,7 @@ func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Sol
 	s := &Solver{nw: nw, demands: append([]video.Demand(nil), demands...), opts: opts}
 	state := cg.NewState()
 	state.Seed(schedule.TDMA(nw))
-	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions("core"))
+	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions())
 
 	// Every link with positive demand must be coverable by some column.
 	if err := s.checkCoverage(demands); err != nil {
@@ -334,7 +333,7 @@ func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Op
 		return nil, err
 	}
 	s := &Solver{nw: nw, demands: append([]video.Demand(nil), demands...), opts: opts}
-	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions("core"))
+	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions())
 	if err := s.checkCoverage(demands); err != nil {
 		return nil, err
 	}
@@ -512,9 +511,3 @@ func (m *p1Model) ColumnOffset() int { return 0 }
 
 // SpanName implements cg.MasterModel.
 func (m *p1Model) SpanName() string { return "core.solve" }
-
-// RateVectorsValue recomputes Ψ = Σ λ·r for a schedule under
-// class-major duals; exported for tests and benchmark cross-checks.
-func RateVectorsValue(nw *netmodel.Network, s *schedule.Schedule, lambda [][]float64) float64 {
-	return s.Value(nw, lambda)
-}

@@ -615,7 +615,7 @@ func TestRateVectorsValueHelper(t *testing.T) {
 	lam := []float64{2e-8, 0}
 	zero := []float64{0, 0}
 	want := 2e-8 * nw.Rates.Rates[0]
-	if v := RateVectorsValue(nw, s, [][]float64{lam, zero}); math.Abs(v-want) > 1e-12 {
+	if v := s.Value(nw, [][]float64{lam, zero}); math.Abs(v-want) > 1e-12 {
 		t.Errorf("value = %v, want %v", v, want)
 	}
 }

@@ -115,7 +115,7 @@ func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSecond
 	}
 	state := cg.NewState()
 	state.Seed(schedule.TDMA(nw))
-	s.engine = cg.NewEngine(nw, &p2Model{s: s}, state, opts.engineOptions("core"))
+	s.engine = cg.NewEngine(nw, &p2Model{s: s}, state, opts.engineOptions())
 	return s, nil
 }
 

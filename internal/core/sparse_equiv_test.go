@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"mmwave/internal/lp"
-	"mmwave/internal/netmodel"
-	"mmwave/internal/video"
 )
 
 // ulpOf returns the unit in the last place of x.
@@ -50,40 +48,6 @@ func samePlan(a, b Plan) bool {
 		}
 	}
 	return true
-}
-
-// auditPlan independently re-verifies a plan against the instance:
-// every schedule power-feasible under the interference model, every τ
-// positive, every demand served, and Σ τ equal to the objective.
-func auditPlan(t *testing.T, tag string, nw *netmodel.Network, demands []video.Demand, plan Plan) {
-	t.Helper()
-	L := nw.NumLinks()
-	gotHP := make([]float64, L)
-	gotLP := make([]float64, L)
-	sum := 0.0
-	for i, sc := range plan.Schedules {
-		if err := sc.Validate(nw); err != nil {
-			t.Fatalf("%s: plan schedule %d invalid: %v", tag, i, err)
-		}
-		if plan.Tau[i] <= 0 {
-			t.Fatalf("%s: plan schedule %d has non-positive τ", tag, i)
-		}
-		sum += plan.Tau[i]
-		hp, lpr := sc.RateVectors(nw)
-		for l := 0; l < L; l++ {
-			gotHP[l] += hp[l] * plan.Tau[i]
-			gotLP[l] += lpr[l] * plan.Tau[i]
-		}
-	}
-	for l := 0; l < L; l++ {
-		if gotHP[l] < demands[l].At(0)*(1-1e-6) || gotLP[l] < demands[l].At(1)*(1-1e-6) {
-			t.Fatalf("%s: link %d underserved: HP %v/%v, LP %v/%v",
-				tag, l, gotHP[l], demands[l].At(0), gotLP[l], demands[l].At(1))
-		}
-	}
-	if math.Abs(sum-plan.Objective) > 1e-9*(1+sum) {
-		t.Fatalf("%s: Σ τ = %.17g, objective %.17g", tag, sum, plan.Objective)
-	}
 }
 
 // TestSparseVsDenseEndToEnd is the end-to-end differential guarantee

@@ -3,16 +3,19 @@
 // failure modes a deployed PicoNet Coordinator faces at production
 // scale — control frames lost, corrupted, or delayed on the shared
 // WiFi channel; channel-state reports arriving stale; nodes dropping
-// out mid-session; and mmWave blockage bursts severing links mid-run —
-// each with a configurable rate and its own reproducible RNG stream,
-// so a failing fault-sweep point can be replayed bit for bit from its
-// seed.
+// out mid-session; and, for the supervised host, cell panics, hung
+// solves, kill-restores and corrupt checkpoints — each with a
+// configurable rate and its own reproducible RNG stream, so a failing
+// fault-sweep point can be replayed bit for bit from its seed.
 //
 // The package only *decides* faults; the consumers enact them:
 // pnc.Coordinator routes control frames through an Injector and
 // degrades gracefully (bounded retry, last-known-good fallback, load
-// shedding), and sim.Run consumes LinkFailure events to cut links
-// mid-execution.
+// shedding), and internal/host enacts the process faults. Data-plane
+// outages are not drawn here: a LinkFailure window is given
+// explicitly (ParseFailures, the -fail flag) and sim.Run cuts the
+// link for its duration. Blockage as a channel phenomenon lives in
+// internal/blockage.
 package faults
 
 import (
@@ -51,12 +54,6 @@ type Config struct {
 	// zero means a default of 0.5.
 	NodeRecover float64
 
-	// BlockageRate is the per-link, per-run probability of a mid-run
-	// blockage burst; BlockageSlots is the burst duration in slots
-	// (zero means a default of 50).
-	BlockageRate  float64
-	BlockageSlots int
-
 	// Process-level faults (the chaos-soak classes; see internal/host).
 	// The injector only decides these — the host enacts them.
 
@@ -87,7 +84,6 @@ func (c Config) Validate() error {
 	}{
 		{"CtrlLoss", c.CtrlLoss}, {"CtrlCorrupt", c.CtrlCorrupt}, {"CtrlDelay", c.CtrlDelay},
 		{"StaleCSI", c.StaleCSI}, {"NodeDropout", c.NodeDropout}, {"NodeRecover", c.NodeRecover},
-		{"BlockageRate", c.BlockageRate},
 		{"CellPanic", c.CellPanic}, {"SolveHang", c.SolveHang},
 		{"KillRestore", c.KillRestore}, {"CkptCorrupt", c.CkptCorrupt},
 	} {
@@ -95,16 +91,13 @@ func (c Config) Validate() error {
 			return fmt.Errorf("faults: %s = %g, want a probability in [0, 1]", p.name, p.v)
 		}
 	}
-	if c.BlockageSlots < 0 {
-		return fmt.Errorf("faults: BlockageSlots = %d, want ≥ 0", c.BlockageSlots)
-	}
 	return nil
 }
 
 // Enabled reports whether any fault class has a positive rate.
 func (c Config) Enabled() bool {
 	return c.CtrlLoss > 0 || c.CtrlCorrupt > 0 || c.CtrlDelay > 0 ||
-		c.StaleCSI > 0 || c.NodeDropout > 0 || c.BlockageRate > 0 ||
+		c.StaleCSI > 0 || c.NodeDropout > 0 ||
 		c.ProcEnabled()
 }
 
@@ -150,7 +143,6 @@ type Injector struct {
 
 	frameRNG *streamRNG
 	nodeRNG  *streamRNG
-	blockRNG *streamRNG
 	csiRNG   *streamRNG
 	procRNG  *streamRNG
 	ckptRNG  *streamRNG
@@ -161,11 +153,13 @@ type Injector struct {
 	lost, corrupted, delayed, delivered int64
 }
 
-// Per-class stream offsets mixed into the seed.
+// Per-class stream offsets mixed into the seed. Id 3 belonged to the
+// retired blockage-burst class and stays reserved, so every other
+// stream keeps its id and draws exactly as before.
 const (
 	streamFrame = iota + 1
 	streamNode
-	streamBlock
+	_
 	streamCSI
 	streamProc
 	streamCkpt
@@ -183,7 +177,6 @@ func New(cfg Config, numLinks int) (*Injector, error) {
 		cfg:      cfg,
 		frameRNG: newStream(cfg.Seed, streamFrame),
 		nodeRNG:  newStream(cfg.Seed, streamNode),
-		blockRNG: newStream(cfg.Seed, streamBlock),
 		csiRNG:   newStream(cfg.Seed, streamCSI),
 		procRNG:  newStream(cfg.Seed, streamProc),
 		ckptRNG:  newStream(cfg.Seed, streamCkpt),
@@ -289,33 +282,6 @@ type LinkFailure struct {
 // Valid reports whether the event is well-formed.
 func (e LinkFailure) Valid() bool {
 	return e.Slot >= 0 && e.Link >= 0 && e.Duration > 0
-}
-
-// DrawFailures samples mid-run blockage bursts for a run of the given
-// horizon: each link suffers at most one burst with probability
-// BlockageRate, starting uniformly within the horizon. Events are
-// returned in slot order.
-func (in *Injector) DrawFailures(numLinks, horizonSlots int) []LinkFailure {
-	if in.cfg.BlockageRate <= 0 || horizonSlots <= 0 {
-		return nil
-	}
-	dur := in.cfg.BlockageSlots
-	if dur <= 0 {
-		dur = 50
-	}
-	var evs []LinkFailure
-	for l := 0; l < numLinks; l++ {
-		if in.blockRNG.Float64() >= in.cfg.BlockageRate {
-			continue
-		}
-		evs = append(evs, LinkFailure{
-			Slot:     in.blockRNG.Intn(horizonSlots),
-			Link:     l,
-			Duration: dur,
-		})
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Slot < evs[j].Slot })
-	return evs
 }
 
 // maxFailures caps the entries of one failure spec.

@@ -15,7 +15,7 @@ func TestConfigValidate(t *testing.T) {
 		{CtrlLoss: -0.1},
 		{CtrlCorrupt: 1.5},
 		{NodeDropout: math.NaN()},
-		{BlockageSlots: -1},
+		{CkptCorrupt: 2},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -35,7 +35,7 @@ func TestConfigValidate(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
 		CtrlLoss: 0.2, CtrlCorrupt: 0.1, CtrlDelay: 0.05,
-		StaleCSI: 0.3, NodeDropout: 0.2, BlockageRate: 0.5, Seed: 42,
+		StaleCSI: 0.3, NodeDropout: 0.2, Seed: 42,
 	}
 	a, err := New(cfg, 8)
 	if err != nil {
@@ -63,17 +63,12 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 	}
-	fa := a.DrawFailures(8, 1000)
-	fb := b.DrawFailures(8, 1000)
-	if !reflect.DeepEqual(fa, fb) {
-		t.Fatalf("failure draws diverged: %v vs %v", fa, fb)
-	}
 }
 
 // TestStreamIndependence: changing the control-loss rate must not
-// perturb the dropout or blockage streams.
+// perturb the dropout or stale-CSI streams.
 func TestStreamIndependence(t *testing.T) {
-	base := Config{NodeDropout: 0.3, BlockageRate: 0.4, Seed: 7}
+	base := Config{NodeDropout: 0.3, StaleCSI: 0.4, Seed: 7}
 	lossy := base
 	lossy.CtrlLoss = 0.5
 	a, _ := New(base, 10)
@@ -86,8 +81,10 @@ func TestStreamIndependence(t *testing.T) {
 			t.Fatalf("dropout stream perturbed by frame faults at epoch %d", e)
 		}
 	}
-	if !reflect.DeepEqual(a.DrawFailures(10, 500), b.DrawFailures(10, 500)) {
-		t.Fatal("blockage stream perturbed by frame faults")
+	for i := 0; i < 100; i++ {
+		if a.DropCSI() != b.DropCSI() {
+			t.Fatalf("stale-CSI stream perturbed by frame faults at draw %d", i)
+		}
 	}
 }
 
@@ -147,24 +144,5 @@ func TestParseFailures(t *testing.T) {
 		if _, err := ParseFailures(bad); !errors.Is(err, ErrBadEncoding) {
 			t.Errorf("spec %q error = %v, want ErrBadEncoding", bad, err)
 		}
-	}
-}
-
-func TestDrawFailures(t *testing.T) {
-	in, _ := New(Config{BlockageRate: 1, BlockageSlots: 10, Seed: 9}, 0)
-	evs := in.DrawFailures(5, 200)
-	if len(evs) != 5 {
-		t.Fatalf("rate-1 draw produced %d events for 5 links", len(evs))
-	}
-	for i, e := range evs {
-		if !e.Valid() || e.Slot >= 200 || e.Duration != 10 {
-			t.Fatalf("event %d malformed: %+v", i, e)
-		}
-		if i > 0 && evs[i-1].Slot > e.Slot {
-			t.Fatal("events not sorted by slot")
-		}
-	}
-	if evs := in.DrawFailures(5, 0); evs != nil {
-		t.Fatalf("zero horizon produced %v", evs)
 	}
 }

@@ -18,17 +18,9 @@ type LoadConfig struct {
 	Links int
 
 	// MeanHPBits / MeanLPBits set the per-link per-epoch average
-	// demand for the classic high- and low-priority classes. Ignored
-	// when MeanBitsByClass is set.
+	// demand for the classic high- and low-priority classes.
 	MeanHPBits float64
 	MeanLPBits float64
-
-	// MeanBitsByClass, when non-nil, generalizes the mean demand to N
-	// traffic classes: entry c is class c's per-link per-epoch average
-	// bits. The same per-(cell,epoch,link) jitter/burst scale applies
-	// to every class, so a two-entry vector reproduces the classic
-	// MeanHPBits/MeanLPBits trace bit for bit.
-	MeanBitsByClass []float64
 
 	// Burstiness scales a periodic surge on top of the mean: during a
 	// burst epoch the demand is multiplied by (1 + Burstiness). Zero
@@ -57,11 +49,6 @@ func (c LoadConfig) Validate() error {
 	}
 	if c.MeanHPBits < 0 || c.MeanLPBits < 0 {
 		return fmt.Errorf("faults: LoadConfig mean bits must be non-negative")
-	}
-	for i, m := range c.MeanBitsByClass {
-		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
-			return fmt.Errorf("faults: LoadConfig.MeanBitsByClass[%d] must be non-negative and finite, got %g", i, m)
-		}
 	}
 	if c.Jitter < 0 || c.Jitter >= 1 {
 		return fmt.Errorf("faults: LoadConfig.Jitter must be in [0,1), got %g", c.Jitter)
@@ -116,18 +103,10 @@ func (g *LoadGen) Demand(cell int, epoch int64, link int) video.Demand {
 			scale *= 1 + g.cfg.Burstiness
 		}
 	}
-	means := g.cfg.MeanBitsByClass
-	if means == nil {
-		return video.TwoClass(
-			math.Max(0, g.cfg.MeanHPBits*scale),
-			math.Max(0, g.cfg.MeanLPBits*scale),
-		)
-	}
-	out := make(video.Demand, len(means))
-	for c, m := range means {
-		out[c] = math.Max(0, m*scale)
-	}
-	return out
+	return video.TwoClass(
+		math.Max(0, g.cfg.MeanHPBits*scale),
+		math.Max(0, g.cfg.MeanLPBits*scale),
+	)
 }
 
 // Demands returns the full per-link demand vector for one cell at one

@@ -133,53 +133,31 @@ func TestLoadConfigValidate(t *testing.T) {
 	}
 }
 
+// TestLoadGenPerClassMix: the generator emits the two-class (HP, LP)
+// vector, the configured means come through exactly with no jitter or
+// bursts, and with them both classes share one per-(cell, epoch, link)
+// scale, so the HP:LP mix of every demand is the configured one.
 func TestLoadGenPerClassMix(t *testing.T) {
-	mix := LoadConfig{
-		Links:           2,
-		MeanBitsByClass: []float64{1e6, 3e6, 5e6},
-		Seed:            11,
-	}
-	g, err := NewLoadGen(mix)
+	flat, err := NewLoadGen(LoadConfig{Links: 2, MeanHPBits: 1e6, MeanLPBits: 3e6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := g.Demand(0, 0, 0)
-	if d.NumClasses() != 3 {
-		t.Fatalf("NumClasses = %d, want 3", d.NumClasses())
+	d := flat.Demand(0, 0, 0)
+	if d.NumClasses() != 2 || !d.Valid() {
+		t.Fatalf("demand %v, want a valid two-class vector", d)
 	}
-	if !d.Valid() {
-		t.Fatalf("invalid demand %v", d)
-	}
-	// Without jitter or bursts the means come through exactly.
-	if d.At(0) != 1e6 || d.At(1) != 3e6 || d.At(2) != 5e6 {
+	if d.At(0) != 1e6 || d.At(1) != 3e6 {
 		t.Errorf("demand = %v, want the configured means", d)
 	}
 
-	// The legacy two-field config must draw identically to the same
-	// means expressed as a class vector — the RNG burn is unconditional.
-	legacy := LoadConfig{Links: 2, MeanHPBits: 1e6, MeanLPBits: 3e6, Jitter: 0.3, Burstiness: 0.5, BurstPeriod: 5, Seed: 9}
-	vector := legacy
-	vector.MeanHPBits, vector.MeanLPBits = 0, 0
-	vector.MeanBitsByClass = []float64{1e6, 3e6}
-	gl, err := NewLoadGen(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gv, err := NewLoadGen(vector)
+	g, err := NewLoadGen(LoadConfig{Links: 2, MeanHPBits: 1e6, MeanLPBits: 3e6, Jitter: 0.3, Burstiness: 0.5, BurstPeriod: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ep := int64(0); ep < 12; ep++ {
-		a, b := gl.Demand(0, ep, 1), gv.Demand(0, ep, 1)
-		if a.At(0) != b.At(0) || a.At(1) != b.At(1) {
-			t.Fatalf("epoch %d: legacy %v vs vector %v", ep, a, b)
-		}
-	}
-
-	// Invalid per-class entries are rejected.
-	for _, bad := range [][]float64{{-1}, {1e6, math.Inf(1)}} {
-		if _, err := NewLoadGen(LoadConfig{Links: 1, MeanBitsByClass: bad}); err == nil {
-			t.Errorf("mean vector %v accepted", bad)
+		d := g.Demand(0, ep, 1)
+		if ratio := d.At(1) / d.At(0); math.Abs(ratio-3) > 1e-12 {
+			t.Fatalf("epoch %d: demand %v has LP:HP %v, want 3", ep, d, ratio)
 		}
 	}
 }

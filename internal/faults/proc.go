@@ -116,8 +116,8 @@ func (in *Injector) CorruptCheckpoint(data []byte) []byte {
 // restored injector's future draws are identical to the original's.
 type InjectorState struct {
 	// Draws holds the per-stream advance counts, indexed by stream
-	// order (frame, node, block, csi, proc, ckpt).
-	Draws [6]uint64
+	// order (frame, node, csi, proc, ckpt).
+	Draws [5]uint64
 	// Down is the per-link dropout state.
 	Down []bool
 	// Telemetry counters (delivered, lost, corrupted, delayed).
@@ -127,17 +127,22 @@ type InjectorState struct {
 // Checkpoint exports the injector's state. The injector remains
 // usable; the state shares no memory with it.
 func (in *Injector) Checkpoint() InjectorState {
-	return InjectorState{
-		Draws: [6]uint64{
-			in.frameRNG.src.n, in.nodeRNG.src.n, in.blockRNG.src.n,
-			in.csiRNG.src.n, in.procRNG.src.n, in.ckptRNG.src.n,
-		},
+	st := InjectorState{
 		Down:      append([]bool(nil), in.down...),
 		Delivered: in.delivered,
 		Lost:      in.lost,
 		Corrupted: in.corrupted,
 		Delayed:   in.delayed,
 	}
+	for i, s := range in.streams() {
+		st.Draws[i] = s.src.n
+	}
+	return st
+}
+
+// streams lists the injector's RNG streams in InjectorState.Draws order.
+func (in *Injector) streams() [5]*streamRNG {
+	return [5]*streamRNG{in.frameRNG, in.nodeRNG, in.csiRNG, in.procRNG, in.ckptRNG}
 }
 
 // RestoreInjector rebuilds an injector from a checkpointed state by
@@ -150,9 +155,7 @@ func RestoreInjector(cfg Config, st InjectorState) (*Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range []*streamRNG{
-		in.frameRNG, in.nodeRNG, in.blockRNG, in.csiRNG, in.procRNG, in.ckptRNG,
-	} {
+	for i, s := range in.streams() {
 		s.advanceTo(st.Draws[i])
 	}
 	copy(in.down, st.Down)

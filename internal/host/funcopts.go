@@ -16,23 +16,18 @@ import (
 // them directly.
 type Option func(*Options)
 
-// NewOptions folds a list of functional options into an Options value
-// (zero-valued fields keep their documented defaults).
-func NewOptions(opts ...Option) Options {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// New builds an empty host from functional options:
+// New builds an empty host from functional options (zero-valued
+// fields keep their documented defaults):
 //
 //	h := host.New(host.WithWatchdog(250*time.Millisecond),
 //	              host.WithAdmission(1024, 0),
 //	              host.WithCheckpointDir(dir))
 func New(opts ...Option) *Host {
-	return &Host{opts: NewOptions(opts...)}
+	h := &Host{}
+	for _, opt := range opts {
+		opt(&h.opts)
+	}
+	return h
 }
 
 // WithWatchdog sets the per-epoch solve deadline (see
@@ -42,16 +37,6 @@ func WithWatchdog(d time.Duration) Option { return func(o *Options) { o.Watchdog
 // WithMaxRestarts sets the per-cell restart budget (see
 // Options.MaxRestarts; zero keeps the default of 8).
 func WithMaxRestarts(n int) Option { return func(o *Options) { o.MaxRestarts = n } }
-
-// WithBreaker sets the circuit-breaker policy: the breaker opens after
-// threshold consecutive failures and holds for cooldown epochs (zeros
-// keep the defaults of 3 and 4).
-func WithBreaker(threshold, cooldown int) Option {
-	return func(o *Options) {
-		o.BreakerThreshold = threshold
-		o.BreakerCooldown = cooldown
-	}
-}
 
 // WithAdmission bounds admission: at most maxCells live cells and
 // maxTotalLinks links across them (zero means unlimited).

@@ -64,13 +64,6 @@ type Options struct {
 	// MaxRestarts is the per-cell restart budget: after this many
 	// failed epochs the cell is permanently disabled. Zero means 8.
 	MaxRestarts int
-	// BreakerThreshold opens the circuit breaker — the cell is marked
-	// degraded and stops attempting epochs — after this many
-	// consecutive failures. Zero means 3.
-	BreakerThreshold int
-	// BreakerCooldown is how many epochs an open breaker holds before
-	// the half-open retry. Zero means 4.
-	BreakerCooldown int
 	// MaxCells and MaxTotalLinks bound admission; zero means unlimited.
 	MaxCells      int
 	MaxTotalLinks int
@@ -93,19 +86,13 @@ func (o *Options) maxRestarts() int {
 	return o.MaxRestarts
 }
 
-func (o *Options) breakerThreshold() int {
-	if o.BreakerThreshold == 0 {
-		return 3
-	}
-	return o.BreakerThreshold
-}
-
-func (o *Options) breakerCooldown() int {
-	if o.BreakerCooldown == 0 {
-		return 4
-	}
-	return o.BreakerCooldown
-}
+// The circuit breaker opens — the cell is marked degraded and stops
+// attempting epochs — after breakerThreshold consecutive failures, and
+// holds for breakerCooldown epochs before the half-open retry.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 4
+)
 
 // Outcome classifies one cell-epoch.
 type Outcome uint8
@@ -193,13 +180,12 @@ type Cell struct {
 	lastPlanEpoch int64
 	hasPlan       bool
 
-	epoch        int64
-	consecFails  int
-	restarts     int
-	skipUntil    int64
-	breakerOpen  bool
-	disabled     bool
-	ingestErrors int64
+	epoch       int64
+	consecFails int
+	restarts    int
+	skipUntil   int64
+	breakerOpen bool
+	disabled    bool
 }
 
 // ID returns the cell's index within the host.
@@ -220,10 +206,6 @@ func (c *Cell) Degraded() bool { return c.breakerOpen || c.disabled }
 
 // Restarts returns the number of failed epochs recovered so far.
 func (c *Cell) Restarts() int { return c.restarts }
-
-// IngestErrors returns uplink frames lost for good (ErrControlLoss
-// after retries) across the cell's lifetime.
-func (c *Cell) IngestErrors() int64 { return c.ingestErrors }
 
 // Epoch returns the host-side epoch counter: every step of the cell,
 // including skipped and degraded ones, advances it.
@@ -412,19 +394,11 @@ func (h *Host) Recover(c *Cell) (bool, error) {
 		}
 		return false, err
 	}
-	snap, err := checkpoint.Decode(data)
-	if err == nil {
-		err = h.restoreFromSnapshot(c, snap)
-	}
-	if err != nil {
-		h.metric("host_cold_restarts_total")
-		h.event("host.cold_restart", c.id, err.Error())
+	if err := h.restore(c, data); err != nil {
 		return false, err
 	}
 	c.lastCkpt = data
 	c.epoch = c.coord.Epoch()
-	h.metric("host_restores_total")
-	h.event("host.restore", c.id, "")
 	return true, nil
 }
 
@@ -569,7 +543,6 @@ func (h *Host) ingest(c *Cell, feed FeedFunc) {
 	}
 	for _, frame := range feed(c, c.epoch) {
 		if err := c.coord.IngestLossy(frame); err != nil {
-			c.ingestErrors++
 			h.metric("host_ingest_errors_total")
 		}
 	}
@@ -628,9 +601,9 @@ func (h *Host) recordFailure(c *Cell, rep *EpochReport, err error) {
 		c.disabled = true
 		h.metric("host_cells_disabled_total")
 		h.event("host.cell_disabled", c.id, fmt.Sprintf("restart budget %d exhausted", h.opts.maxRestarts()))
-	case c.consecFails >= h.opts.breakerThreshold():
+	case c.consecFails >= breakerThreshold:
 		c.breakerOpen = true
-		c.skipUntil = c.epoch + 1 + int64(h.opts.breakerCooldown())
+		c.skipUntil = c.epoch + 1 + breakerCooldown
 		h.metric("host_breaker_opens_total")
 		h.event("host.breaker_open", c.id, fmt.Sprintf("%d consecutive failures", c.consecFails))
 	default:
@@ -701,14 +674,8 @@ func (h *Host) killRestore(c *Cell, rep *EpochReport) {
 			data = d
 		}
 	}
-	snap, err := checkpoint.Decode(data)
-	if err == nil {
-		err = h.restoreFromSnapshot(c, snap)
-	}
-	if err != nil {
+	if err := h.restore(c, data); err != nil {
 		rep.ColdRestarted = true
-		h.metric("host_cold_restarts_total")
-		h.event("host.cold_restart", c.id, err.Error())
 		if berr := c.buildCoordinator(); berr != nil {
 			// The spec built once already; a rebuild failure means the
 			// network was mutated out from under the host. Disable.
@@ -719,8 +686,26 @@ func (h *Host) killRestore(c *Cell, rep *EpochReport) {
 		return
 	}
 	rep.Restored = true
+}
+
+// restore decodes a checkpoint image and rebuilds the cell's
+// coordinator and injector from it, counting the outcome: a restore
+// in host_restores_total, or — for a corrupt image, one of another
+// format version, or one that does not fit the cell — a cold restart
+// in host_cold_restarts_total, with the error returned.
+func (h *Host) restore(c *Cell, data []byte) error {
+	snap, err := checkpoint.Decode(data)
+	if err == nil {
+		err = h.restoreFromSnapshot(c, snap)
+	}
+	if err != nil {
+		h.metric("host_cold_restarts_total")
+		h.event("host.cold_restart", c.id, err.Error())
+		return err
+	}
 	h.metric("host_restores_total")
 	h.event("host.restore", c.id, "")
+	return nil
 }
 
 // restoreFromSnapshot rebuilds the cell's coordinator and injector

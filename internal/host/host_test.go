@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -226,7 +227,7 @@ func TestAdmissionControl(t *testing.T) {
 func TestPanicSupervision(t *testing.T) {
 	nw := testNetwork(t, 9, 4, 2)
 	reg := obs.NewRegistry()
-	h := New(WithMaxRestarts(5), WithBreaker(3, 2), WithMetrics(reg))
+	h := New(WithMaxRestarts(5), WithMetrics(reg))
 	cell, err := h.Admit(CellSpec{
 		Network: nw,
 		Faults:  &faults.Config{CellPanic: 1, Seed: 42},
@@ -237,20 +238,25 @@ func TestPanicSupervision(t *testing.T) {
 	feed := demandFeed(t, video.TwoClass(2e6, 4e6))
 
 	// With CellPanic=1 every attempted epoch fails. The policy above
-	// yields this exact outcome timeline.
+	// and the fixed breaker (3 failures, 4-epoch cooldown) yield this
+	// exact outcome timeline.
 	want := []Outcome{
 		OutcomeFailed,      // e0: consec 1, restarts 1, backoff 0
 		OutcomeFailed,      // e1: consec 2, restarts 2, backoff 1
 		OutcomeBackoff,     // e2
-		OutcomeFailed,      // e3: consec 3 -> breaker opens (cooldown 2)
+		OutcomeFailed,      // e3: consec 3 -> breaker opens (cooldown 4)
 		OutcomeBreakerOpen, // e4
 		OutcomeBreakerOpen, // e5
-		OutcomeFailed,      // e6: consec 4 -> breaker reopens
+		OutcomeBreakerOpen, // e6
 		OutcomeBreakerOpen, // e7
-		OutcomeBreakerOpen, // e8
-		OutcomeFailed,      // e9: restarts 5 -> disabled
-		OutcomeDisabled,    // e10
-		OutcomeDisabled,    // e11
+		OutcomeFailed,      // e8: consec 4 -> breaker reopens
+		OutcomeBreakerOpen, // e9
+		OutcomeBreakerOpen, // e10
+		OutcomeBreakerOpen, // e11
+		OutcomeBreakerOpen, // e12
+		OutcomeFailed,      // e13: restarts 5 -> disabled
+		OutcomeDisabled,    // e14
+		OutcomeDisabled,    // e15
 	}
 	for i, w := range want {
 		rep := h.Step(context.Background(), cell, feed)
@@ -282,10 +288,12 @@ func TestPanicSupervision(t *testing.T) {
 }
 
 // TestLastGoodServedThroughFailures: once a cell has a good plan,
-// failed epochs serve it with correct staleness metadata.
+// failed epochs and the backoff epoch after them serve it, with
+// PlanAge counting the completed epochs since it was produced.
 func TestLastGoodServedThroughFailures(t *testing.T) {
 	nw := testNetwork(t, 13, 4, 2)
-	h := New(WithBreaker(10, 0), WithMaxRestarts(10))
+	reg := obs.NewRegistry()
+	h := New(WithMetrics(reg))
 	cell, err := h.Admit(CellSpec{Network: nw})
 	if err != nil {
 		t.Fatal(err)
@@ -297,16 +305,31 @@ func TestLastGoodServedThroughFailures(t *testing.T) {
 		t.Fatalf("healthy epoch failed: %v", ok.Err)
 	}
 
-	// Run the next epoch under an already-canceled context, with no
-	// injector.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rep := h.Step(ctx, cell, feed)
-	// A canceled parent context truncates the solve rather than failing
-	// it (the anytime path) — so this epoch is OK-truncated, not failed.
-	if rep.Outcome != OutcomeOK || !rep.Result.TruncatedSolve {
-		t.Fatalf("canceled-context epoch: outcome %v truncated %v err %v",
-			rep.Outcome, rep.Result != nil && rep.Result.TruncatedSolve, rep.Err)
+	// Break the network behind the host's back: its fingerprint moves,
+	// so the next epoch re-solves cold, and the cold solver rejects the
+	// non-positive power budget.
+	nw.PMax = 0
+
+	// Backoff skips 0, 1, 3, … epochs after the 1st, 2nd, 3rd …
+	// consecutive failure, so two failures precede the first backoff.
+	for i, want := range []Outcome{OutcomeFailed, OutcomeFailed, OutcomeBackoff} {
+		rep := h.Step(context.Background(), cell, feed)
+		if rep.Outcome != want {
+			t.Fatalf("epoch %d: outcome %v (err %v), want %v", i+1, rep.Outcome, rep.Err, want)
+		}
+		if want == OutcomeFailed && (rep.Err == nil || rep.Panicked) {
+			t.Fatalf("epoch %d: failed without a solve error (err %v, panicked %v)", i+1, rep.Err, rep.Panicked)
+		}
+		if rep.NoPlan || rep.PlanAge != int64(i+1) {
+			t.Fatalf("epoch %d: NoPlan %v PlanAge %d, want the last-good plan at age %d", i+1, rep.NoPlan, rep.PlanAge, i+1)
+		}
+		sameServedPlan(t, ok, rep, fmt.Sprintf("epoch %d", i+1))
+	}
+	if got := reg.Counter("host_lastgood_served_total").Value(); got != 3 {
+		t.Errorf("host_lastgood_served_total = %d, want 3", got)
+	}
+	if got := reg.Counter("host_epoch_failures_total").Value(); got != 2 {
+		t.Errorf("host_epoch_failures_total = %d, want 2", got)
 	}
 }
 

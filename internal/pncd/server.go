@@ -45,11 +45,6 @@ type Config struct {
 	MaxTotalLinks int
 	// ReportRetention is the per-cell report ring size (zero means 128).
 	ReportRetention int
-	// Metrics receives the host_*/pnc_*/cg_* series and is served at
-	// /metrics. Nil allocates a fresh registry.
-	Metrics *obs.Registry
-	// Tracer, when non-nil, receives host span events.
-	Tracer *obs.Tracer
 }
 
 // Server hosts cells behind the v1 API. Construct with New, mount
@@ -120,16 +115,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReportRetention <= 0 {
 		cfg.ReportRetention = 128
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	hostOpts := []host.Option{
 		host.WithWatchdog(cfg.Watchdog),
 		host.WithAdmission(cfg.MaxCells, cfg.MaxTotalLinks),
 		host.WithWorkers(cfg.Workers),
 		host.WithMetrics(reg),
-		host.WithTracer(cfg.Tracer),
 	}
 	if cfg.StateDir != "" {
 		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
@@ -285,9 +276,6 @@ func (s *Server) lookup(id int) *cellState {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry returns the metrics registry served at /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Drain moves the server into draining: mutating requests are refused
 // with the draining code, in-flight solves are canceled (truncating to

@@ -693,3 +693,47 @@ func TestBodyCap(t *testing.T) {
 		t.Fatalf("30-link create refused: %v", err)
 	}
 }
+
+// TestRetiredBlockageKeysIgnored: the v1 create body still accepts the
+// retired blockage_rate/blockage_slots fault keys. The cell is
+// admitted, carries no fault injector, and plans exactly like the same
+// instance created without them.
+func TestRetiredBlockageKeysIgnored(t *testing.T) {
+	ctx := context.Background()
+	srv, client := newTestServer(t, Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	body := `{"instance":{"links":4,"channels":2,"seed":9},"faults":{"blockage_rate":0.5,"blockage_slots":40}}`
+	resp, err := http.Post(hs.URL+"/v1/cells", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created api.CreateCellResponse
+	err = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with retired keys: HTTP %d", resp.StatusCode)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := created.Cell
+	if inj := srv.host.Cell(st.Cell).Injector(); inj != nil {
+		t.Fatalf("retired keys attached an injector with %+v", inj.Config())
+	}
+	plain, err := client.CreateCell(ctx, api.CellSpec{Instance: &api.Instance{Links: 4, Channels: 2, Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := client.StepCell(ctx, st.Cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := client.StepCell(ctx, plain.Cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Outcome != "ok" || !bytes.Equal(planJSON(t, a.Plan), planJSON(t, b.Plan)) {
+		t.Fatalf("cell with retired keys: outcome %q, plan differs from the plain cell's", a.Outcome)
+	}
+}

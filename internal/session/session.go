@@ -19,7 +19,6 @@ package session
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mmwave/internal/core"
 	"mmwave/internal/netmodel"
@@ -60,12 +59,6 @@ type Config struct {
 	GOPs    int          // number of consecutive GOP periods to stream
 	Solver  core.Options // solver options per GOP
 	Seed    int64        // trace randomness (one stream per link)
-
-	// SolveBudget caps the wall-clock time of each per-GOP MinTime
-	// solve. An expired budget is not an error: the anytime plan is
-	// used and the GOP counts toward Metrics.TruncatedSolves. Zero
-	// means solve to convergence.
-	SolveBudget time.Duration
 }
 
 // Validate reports configuration errors.
@@ -106,9 +99,6 @@ type Metrics struct {
 	// DeliveredFraction summarizes delivered bits / demanded bits per
 	// GOP (1.0 in MinTime mode).
 	DeliveredFraction stats.Summary
-	// TruncatedSolves counts GOPs whose solve hit Config.SolveBudget
-	// and streamed from the anytime plan instead of the optimum.
-	TruncatedSolves int
 }
 
 // Run streams the configured number of GOPs and returns the metrics.
@@ -142,17 +132,9 @@ func Run(cfg Config) (*Metrics, error) {
 			if err != nil {
 				return nil, fmt.Errorf("session: gop %d: %w", g, err)
 			}
-			ctx, cancel := context.Background(), context.CancelFunc(func() {})
-			if cfg.SolveBudget > 0 {
-				ctx, cancel = context.WithTimeout(ctx, cfg.SolveBudget)
-			}
-			res, err := solver.Solve(ctx)
-			cancel()
+			res, err := solver.Solve(context.Background())
 			if err != nil {
 				return nil, fmt.Errorf("session: gop %d: %w", g, err)
-			}
-			if res.Truncated {
-				m.TruncatedSolves++
 			}
 			t := res.Plan.Objective
 			m.ScheduleTime.Add(t)

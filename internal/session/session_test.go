@@ -3,7 +3,6 @@ package session
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"mmwave/internal/channel"
 	"mmwave/internal/core"
@@ -251,33 +250,5 @@ func TestTraceStreamsAreIndependentPerLink(t *testing.T) {
 	}
 	if m1.PSNR.Mean != m2.PSNR.Mean || m1.ScheduleTime.Mean != m2.ScheduleTime.Mean {
 		t.Error("same config produced different metrics")
-	}
-}
-
-// TestSolveBudgetTruncates: a 1 ns per-GOP solve budget still streams
-// every GOP from anytime plans and counts the truncations.
-func TestSolveBudgetTruncates(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Mode = MinTime
-	cfg.SolveBudget = time.Nanosecond
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("budgeted session errored: %v", err)
-	}
-	if m.TruncatedSolves != cfg.GOPs {
-		t.Errorf("truncated solves = %d, want %d", m.TruncatedSolves, cfg.GOPs)
-	}
-	if m.DeliveredFraction.Mean != 1 {
-		t.Errorf("anytime plans must still deliver everything, got %v", m.DeliveredFraction.Mean)
-	}
-
-	// Without a budget the same run truncates nothing.
-	cfg.SolveBudget = 0
-	m, err = Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TruncatedSolves != 0 {
-		t.Errorf("unbudgeted run reported %d truncations", m.TruncatedSolves)
 	}
 }

@@ -187,7 +187,6 @@ type Execution struct {
 	Degraded    []bool
 	ShedByClass [][]float64 // bits shed upstream per class and link (original − scheduled)
 	FailedSlots int         // assignment-slots suppressed by injected link failures
-	Replans     int         // replanning rounds triggered by failure onsets
 }
 
 // Served returns link l's delivered bits summed over classes.
@@ -264,13 +263,6 @@ type Options struct {
 	// failed link's transmissions deliver zero bits (a blockage the
 	// plan did not anticipate). Windows may overlap.
 	Failures []faults.LinkFailure
-
-	// Replan, when non-nil, is invoked once at the first slot of each
-	// failure onset with the currently-failed link set and the live
-	// remaining demand. It may return a replacement policy for the
-	// rest of the run (nil, nil keeps the current one) — the hook that
-	// lets a coordinator re-solve around a mid-run outage.
-	Replan func(failed []bool, rem *Remaining) (Policy, error)
 }
 
 // ErrStalled reports a policy that returned an empty schedule while
@@ -368,7 +360,6 @@ func Run(nw *netmodel.Network, demands []video.Demand, policy Policy, opt Option
 			return exec, fmt.Errorf("%w at slot %d with %.3g bits unserved", ErrSlotLimit, slot, rem.Total())
 		}
 		if len(opt.Failures) > 0 {
-			onset := false
 			for l := range failed {
 				failed[l] = false
 			}
@@ -378,19 +369,6 @@ func Run(nw *netmodel.Network, demands []video.Demand, policy Policy, opt Option
 				}
 				if slot >= f.Slot && slot < f.Slot+f.Duration {
 					failed[f.Link] = true
-					if slot == f.Slot {
-						onset = true
-					}
-				}
-			}
-			if onset && opt.Replan != nil {
-				next, err := opt.Replan(failed, rem)
-				if err != nil {
-					return exec, fmt.Errorf("sim: replan at slot %d: %w", slot, err)
-				}
-				if next != nil {
-					policy = next
-					exec.Replans++
 				}
 			}
 		}

@@ -470,43 +470,6 @@ func TestLinkFailureSuppressesDelivery(t *testing.T) {
 	}
 }
 
-// TestFailureTriggersReplan: the replan hook fires once per failure
-// onset and can swap the policy mid-run.
-func TestFailureTriggersReplan(t *testing.T) {
-	nw := testNetwork(2, 1)
-	rate := nw.Rates.Rates[1]
-	demands := []video.Demand{{rate * 0.01, 0}, {rate * 0.01, 0}}
-	// The initial policy serves only link 0; the replacement serves both.
-	only0 := &schedule.Schedule{Assignments: []schedule.Assignment{
-		{Link: 0, Channel: 0, Level: 1, Layer: schedule.HP, Power: 0.1},
-	}}
-	both := &schedule.Schedule{Assignments: []schedule.Assignment{
-		{Link: 0, Channel: 0, Level: 1, Layer: schedule.HP, Power: 0.1},
-		{Link: 1, Channel: 0, Level: 1, Layer: schedule.HP, Power: 0.1},
-	}}
-	var sawFailed []bool
-	exec, err := Run(nw, demands, fixedPolicy{only0}, Options{
-		SlotDuration: 1e-3,
-		Failures:     []faults.LinkFailure{{Slot: 3, Link: 0, Duration: 2}},
-		Replan: func(failed []bool, rem *Remaining) (Policy, error) {
-			sawFailed = append([]bool(nil), failed...)
-			return fixedPolicy{both}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Replans != 1 {
-		t.Errorf("replans = %d, want 1", exec.Replans)
-	}
-	if len(sawFailed) != 2 || !sawFailed[0] || sawFailed[1] {
-		t.Errorf("replan saw failed=%v, want [true false]", sawFailed)
-	}
-	if exec.ServedAt(0, 1) < demands[1].At(0)*(1-1e-6) {
-		t.Errorf("replanned policy never served link 1: %v", exec.ServedAt(0, 1))
-	}
-}
-
 // TestFailureBeyondLinksRejected: malformed failure events error out
 // instead of panicking.
 func TestFailureBeyondLinksRejected(t *testing.T) {

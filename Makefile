@@ -45,6 +45,9 @@ lint: vet check-deprecated
 # under an already-expired deadline, so the host's pricer gate and the
 # engine's fallback pricer must not come back, and Options.Tracer is
 # the one way a tracer reaches a solve (no context-carried tracer).
+# A traffic class is an index into video.Demand: the class table
+# (names, ranks, weights, SLA floors) and the quality solver's floor
+# rows must not come back, and RunEpoch(ctx) is the one epoch entry.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -77,6 +80,9 @@ check-deprecated:
 		grep -rn --include='*.go' -E '\b(cfg|Config)\.(Metrics|Tracer)\b|^[[:space:]]+(Metrics|Tracer)[[:space:]]+\*obs\.' internal/pncd ; then \
 		echo "error: every knob takes effect (no blockage fault class, no option, hook or accessor that only tests set or read)"; exit 1; \
 	else echo "every-knob-takes-effect check passed"; fi
+	@if grep -rn --include='*.go' -E 'ClassSpec|MinRateBits|EffectiveWeight|DefaultClasses|SliceClasses|hasFloors|classWeight|video\.Classes\b|RunEpochContext\(' . ; then \
+		echo "error: a traffic class is an index (no class table, weights or SLA floors) and RunEpoch(ctx) is the one epoch entry"; exit 1; \
+	else echo "class-is-an-index check passed"; fi
 	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
 		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|Parallel)[[:space:]]+int$$)' ; then \
 		echo "error: PricerWorkers, StabRounds and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \

@@ -8,17 +8,15 @@ import (
 
 	"mmwave/internal/core"
 	"mmwave/internal/netmodel"
-	"mmwave/internal/video"
 )
 
 // TestExplicitTwoClassEquivLegacy is the N=2 ≡ legacy anchor for the
 // class-generalized solver, sitting next to the golden regression
 // tests that pin the legacy outputs themselves: across random
 // instances, solving with the implicit two-class default (class count
-// unset, no class table) and solving the same instance with the class
-// machinery spelled out explicitly (NumTrafficClasses = 2 plus the
-// DefaultClasses table) must produce byte-identical plans, identical
-// duals, and identical work counters. Together with the golden tests
+// unset) and solving the same instance with the class count spelled
+// out explicitly (NumTrafficClasses = 2) must produce byte-identical
+// plans, identical duals, and identical work counters. Together with the golden tests
 // this proves the generalization changed nothing the paper
 // reproduction depends on.
 func TestExplicitTwoClassEquivLegacy(t *testing.T) {
@@ -42,7 +40,7 @@ func TestExplicitTwoClassEquivLegacy(t *testing.T) {
 
 		explicit := *nw
 		explicit.NumTrafficClasses = 2
-		sv, err := core.NewSolver(&explicit, demands, core.Options{Classes: video.DefaultClasses()})
+		sv, err := core.NewSolver(&explicit, demands, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

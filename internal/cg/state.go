@@ -78,9 +78,6 @@ func (st *State) Seed(schedules []*schedule.Schedule) {
 // Pool exposes the current column pool (read-only use).
 func (st *State) Pool() *schedule.Pool { return st.pool }
 
-// Runs returns the number of completed Run calls against this state.
-func (st *State) Runs() int { return st.runs }
-
 // syncBookkeeping grows lastBasic to match the pool, stamping new
 // columns with the current run index so freshly priced columns get a
 // full grace period before the GC may consider them.

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -85,7 +86,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		d := video.TwoClass(3e6+1e6*float64(seed%3), 5e6)
 		reportAll(t, live, nLinks, d)
-		if _, err := live.RunEpoch(); err != nil {
+		if _, err := live.RunEpoch(context.Background()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
@@ -110,11 +111,11 @@ func TestRoundTripProperty(t *testing.T) {
 		d2 := video.TwoClass(d.At(0)*1.2, d.At(1)*0.8)
 		reportAll(t, live, nLinks, d2)
 		reportAll(t, restored, nLinks, d2)
-		a, err := live.RunEpoch()
+		a, err := live.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		b, err := restored.RunEpoch()
+		b, err := restored.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -155,7 +156,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 4, video.TwoClass(2e6, 4e6))
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	inj, err := faults.New(faults.Config{CtrlLoss: 0.1, CellPanic: 0.05, Seed: 9}, 4)
@@ -201,7 +202,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, cold, 4, video.TwoClass(2e6, 4e6))
-	if _, err := cold.RunEpoch(); err != nil {
+	if _, err := cold.RunEpoch(context.Background()); err != nil {
 		t.Fatalf("cold-start fallback failed: %v", err)
 	}
 }
@@ -215,7 +216,7 @@ func TestFingerprintIncompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 4, video.TwoClass(2e6, 2e6))
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	snap := Capture(coord, nil)
@@ -256,7 +257,7 @@ func TestOtherVersionsIncompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 4, video.TwoClass(2e6, 4e6))
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := Capture(coord, nil).Encode()
@@ -286,7 +287,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 4, video.TwoClass(2e6, 3e6))
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	inj, err := faults.New(faults.Config{SolveHang: 0.1, Seed: 11}, 4)
@@ -307,7 +308,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 
 	// Overwrite with a later epoch; reload sees the new state.
 	reportAll(t, coord, 4, video.TwoClass(2e6, 3e6))
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := Save(path, Capture(coord, inj)); err != nil {
@@ -346,7 +347,7 @@ func TestEncodeDecodeExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 5, video.TwoClass(4e6, 6e6))
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cfg := faults.Config{

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"mmwave/internal/core"
@@ -21,7 +22,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	reportAll(f, coord, 4, video.TwoClass(2e6, 4e6))
-	res, err := coord.RunEpoch()
+	res, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	reportAll(f, coord3, 3, video.Demand{1e6, 2e6, 3e6})
-	if _, err := coord3.RunEpoch(); err != nil {
+	if _, err := coord3.RunEpoch(context.Background()); err != nil {
 		f.Fatal(err)
 	}
 	if seed, err := Capture(coord3, nil).Encode(); err == nil {

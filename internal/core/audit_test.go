@@ -52,7 +52,7 @@ func auditPlan(t *testing.T, tag string, nw *netmodel.Network, demands []video.D
 }
 
 // TestAuditThreeClassSolve audits converged and anytime 3-class solves
-// (the slice table's urllc/embb/besteffort demand mix) and a 1-class
+// (the slice scenario's urllc/embb/besteffort demand mix) and a 1-class
 // one, so the audit covers class counts other than the paper's two.
 func TestAuditThreeClassSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))

@@ -160,11 +160,6 @@ type Options struct {
 	// Deprecated: a no-op kept only because perfbench's replay still
 	// reads it.
 	PricerWorkers int
-	// Classes describes the network's traffic classes (names, weights,
-	// SLA floors). Nil means unit-weight classes with no floors — for a
-	// two-class network, exactly the paper's HP/LP model. When set, the
-	// table must cover the network's TrafficClasses count.
-	Classes video.Classes
 	// LPOpts passes options to the master problem solves.
 	LPOpts lp.Options
 	// Tracer, when non-nil, receives structured trace events for every
@@ -240,24 +235,12 @@ func checkDemands(nw *netmodel.Network, demands []video.Demand) error {
 }
 
 // checkInstance is every solver constructor's shared validation: the
-// network, the demand vector and the optional class table.
-func checkInstance(nw *netmodel.Network, demands []video.Demand, classes video.Classes) error {
+// network and the demand vector.
+func checkInstance(nw *netmodel.Network, demands []video.Demand) error {
 	if err := nw.Validate(); err != nil {
 		return fmt.Errorf("core: invalid network: %w", err)
 	}
-	if err := checkDemands(nw, demands); err != nil {
-		return err
-	}
-	if classes == nil {
-		return nil
-	}
-	if err := classes.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if len(classes) != nw.TrafficClasses() {
-		return fmt.Errorf("core: class table has %d classes, network carries %d", len(classes), nw.TrafficClasses())
-	}
-	return nil
+	return checkDemands(nw, demands)
 }
 
 // withDefaultPricer fills in the pricer when o carries none.
@@ -287,7 +270,7 @@ func New(nw *netmodel.Network, demands []video.Demand, opts ...Option) (*Solver,
 // NewSolver validates the instance and seeds the column pool with the
 // paper's TDMA initialization (§IV-B).
 func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Solver, error) {
-	if err := checkInstance(nw, demands, opts.Classes); err != nil {
+	if err := checkInstance(nw, demands); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaultPricer()
@@ -321,7 +304,7 @@ func (s *Solver) StateSnapshot() *cg.StateSnapshot {
 // fingerprint); every snapshot column is re-validated against nw as
 // defense in depth.
 func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Options, snap *cg.StateSnapshot) (*Solver, error) {
-	if err := checkInstance(nw, demands, opts.Classes); err != nil {
+	if err := checkInstance(nw, demands); err != nil {
 		return nil, err
 	}
 	if err := snap.ValidateAgainst(nw); err != nil {

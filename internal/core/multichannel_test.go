@@ -9,7 +9,6 @@ import (
 
 	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
-	"mmwave/internal/video"
 )
 
 // bruteForcePrice enumerates every activation pattern of a tiny network
@@ -174,12 +173,12 @@ func TestMultiChannelPricerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestThreeClassPricerMatchesBruteForce prices the 3-class slice table
-// (video.SliceClasses) with weight-scaled duals, with and without the
-// multi-channel extension and under both interference models, and
+// TestThreeClassPricerMatchesBruteForce prices three traffic classes
+// with duals scaled per class by 4, 2 and 1 (halved), with and without
+// the multi-channel extension and under both interference models, and
 // checks every result against exhaustive enumeration.
 func TestThreeClassPricerMatchesBruteForce(t *testing.T) {
-	classes := video.SliceClasses()
+	scale := []float64{4, 2, 1}
 	rng := rand.New(rand.NewSource(131))
 	p := NewBranchBoundPricer(0)
 	for _, interference := range []netmodel.InterferenceModel{netmodel.PerChannel, netmodel.Global} {
@@ -189,11 +188,11 @@ func TestThreeClassPricerMatchesBruteForce(t *testing.T) {
 				nw.Rates = netmodel.NewShannonRateTable(200e6, []float64{0.1, 0.3})
 				nw.Interference = interference
 				nw.MultiChannel = multi
-				nw.NumTrafficClasses = len(classes)
-				lambda := randomClassDuals(rng, len(classes), nw.NumLinks())
+				nw.NumTrafficClasses = len(scale)
+				lambda := randomClassDuals(rng, len(scale), nw.NumLinks())
 				for c := range lambda {
 					for l := range lambda[c] {
-						lambda[c][l] *= classes[c].Weight / 2
+						lambda[c][l] *= scale[c] / 2
 					}
 				}
 				res, err := p.Price(nw, lambda)

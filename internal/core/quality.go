@@ -19,11 +19,10 @@ import (
 // PSNR = α + β·r_sum) quality is linear in delivered bits, so the
 // problem is the LP
 //
-//	max  Σ_l Σ_c w_l·ω_c·y_l^c
+//	max  Σ_l Σ_c w_l·y_l^c
 //	s.t. y_l^c ≤ Σ_s r_l^s(c)·τ^s   (delivery)
 //	     y_l^c ≤ d_l(c)             (demand cap)
 //	     Σ_s τ^s ≤ T                (time budget)
-//	     y_l^c ≥ floor_l^c          (optional per-class SLA floors)
 //	     τ, y ≥ 0
 //
 // over the same exponential schedule space as P1, solved by the same
@@ -33,18 +32,13 @@ import (
 // formulation scales the duals by |μ| so the engine's Φ ≥ −tol stop
 // rule applies unchanged.
 //
-// The class weights ω_c and SLA floors come from Options.Classes; a
-// nil table means unit weights and no floors — for a two-class network
-// exactly the paper's formulation. A floor asks for
-// min(MinRateBits, d_l(c)) delivered bits per link; floors the budget
-// cannot accommodate make the master infeasible, which Solve surfaces
-// as ErrInfeasible rather than silently relaxing the SLA.
+// Every class of a link carries the link's weight w_l: for a two-class
+// network this is exactly the paper's formulation.
 type QualitySolver struct {
 	nw      *netmodel.Network
 	demands []video.Demand
 	budget  float64
 	weights []float64
-	classes video.Classes
 	opts    Options
 	engine  *cg.Engine
 }
@@ -53,7 +47,7 @@ type QualitySolver struct {
 type QualityResult struct {
 	Plan      Plan           // schedules and durations, Σ τ ≤ budget
 	Delivered []video.Demand // bits credited per link and class (≤ demand)
-	Quality   float64        // Σ w·ω·delivered, the LP objective
+	Quality   float64        // Σ w·delivered, the LP objective
 	// Iterations counts column-generation rounds.
 	Iterations int
 	// Converged reports proven optimality (exact pricing and no
@@ -81,10 +75,9 @@ func (r *QualityResult) PSNR(l int, q video.Quality, gopSeconds float64) float64
 
 // NewQualitySolver validates the instance and seeds the column pool.
 // weights holds one quality-per-bit weight per link (e.g. the MGS β of
-// each session); nil means uniform weights. Per-class weights and SLA
-// floors ride in through opts.Classes.
+// each session); nil means uniform weights.
 func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSeconds float64, weights []float64, opts Options) (*QualitySolver, error) {
-	if err := checkInstance(nw, demands, opts.Classes); err != nil {
+	if err := checkInstance(nw, demands); err != nil {
 		return nil, err
 	}
 	if budgetSeconds < 0 || math.IsNaN(budgetSeconds) || math.IsInf(budgetSeconds, 0) {
@@ -110,41 +103,12 @@ func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSecond
 		demands: append([]video.Demand(nil), demands...),
 		budget:  budgetSeconds,
 		weights: append([]float64(nil), weights...),
-		classes: opts.Classes,
 		opts:    opts,
 	}
 	state := cg.NewState()
 	state.Seed(schedule.TDMA(nw))
 	s.engine = cg.NewEngine(nw, &p2Model{s: s}, state, opts.engineOptions())
 	return s, nil
-}
-
-// classWeight returns class c's objective weight multiplier.
-func (s *QualitySolver) classWeight(c int) float64 {
-	if c < len(s.classes) {
-		return s.classes[c].EffectiveWeight()
-	}
-	return 1
-}
-
-// floor returns the SLA delivered-bits floor for (class c, link l):
-// the class's MinRateBits capped by the link's class demand, 0 when
-// the class has no floor.
-func (s *QualitySolver) floor(c, l int) float64 {
-	if c >= len(s.classes) || s.classes[c].MinRateBits <= 0 {
-		return 0
-	}
-	return math.Min(s.classes[c].MinRateBits, s.demands[l].At(c))
-}
-
-// hasFloors reports whether any class carries an SLA floor.
-func (s *QualitySolver) hasFloors() bool {
-	for _, c := range s.classes {
-		if c.MinRateBits > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Solve runs column generation to convergence or the iteration cap.
@@ -187,7 +151,7 @@ func (s *QualitySolver) extract(sol *lp.Solution, res *QualityResult) {
 		d := make(video.Demand, nc)
 		for c := 0; c < nc; c++ {
 			d[c] = sol.X[c*L+l]
-			res.Quality += s.weights[l] * s.classWeight(c) * d[c]
+			res.Quality += s.weights[l] * d[c]
 		}
 		res.Delivered[l] = d
 	}
@@ -197,8 +161,7 @@ func (s *QualitySolver) extract(sol *lp.Solution, res *QualityResult) {
 // [y_c (L per class, class-major)] [τ_s (n)] — y first so that
 // variable indices (and therefore warm-start bases) stay valid as the
 // pool appends columns between iterations. Row layout: delivery (nc·L,
-// class-major), caps (nc·L), budget (1), then one SLA floor row per
-// (floored class, link) when the class table carries floors.
+// class-major), caps (nc·L), budget (1).
 type p2Model struct{ s *QualitySolver }
 
 // NewMaster lays down the y variables and all rows once; τ columns are
@@ -209,7 +172,7 @@ func (m *p2Model) NewMaster() *lp.Problem {
 	costs := make([]float64, nc*L)
 	for c := 0; c < nc; c++ {
 		for l := 0; l < L; l++ {
-			costs[c*L+l] = -m.s.weights[l] * m.s.classWeight(c) // maximize → minimize negative
+			costs[c*L+l] = -m.s.weights[l] // maximize → minimize negative
 		}
 	}
 	p := lp.NewProblem(costs)
@@ -231,21 +194,6 @@ func (m *p2Model) NewMaster() *lp.Problem {
 	}
 	// Budget: Σ τ ≤ T.
 	p.AddRow(make([]float64, nc*L), lp.LE, m.s.budget)
-	// SLA floors: y ≥ floor. Laid after the budget row so the classic
-	// no-floor layout (and its warm bases) is bit-identical to the
-	// two-class formulation.
-	if m.s.hasFloors() {
-		for c := 0; c < nc; c++ {
-			if c >= len(m.s.classes) || m.s.classes[c].MinRateBits <= 0 {
-				continue
-			}
-			for l := 0; l < L; l++ {
-				row := make([]float64, nc*L)
-				row[c*L+l] = 1
-				p.AddRow(row, lp.GE, m.s.floor(c, l))
-			}
-		}
-	}
 	return p
 }
 
@@ -264,8 +212,8 @@ func (m *p2Model) AppendColumn(p *lp.Problem, sc *schedule.Schedule) error {
 	return err
 }
 
-// RefreshRHS rewrites the cap, budget, and floor rows (delivery rows
-// are structurally zero).
+// RefreshRHS rewrites the cap and budget rows (delivery rows are
+// structurally zero).
 func (m *p2Model) RefreshRHS(p *lp.Problem) {
 	L := m.s.nw.NumLinks()
 	nc := m.s.nw.TrafficClasses()
@@ -275,18 +223,6 @@ func (m *p2Model) RefreshRHS(p *lp.Problem) {
 		}
 	}
 	p.B[2*nc*L] = m.s.budget
-	if m.s.hasFloors() {
-		row := 2*nc*L + 1
-		for c := 0; c < nc; c++ {
-			if c >= len(m.s.classes) || m.s.classes[c].MinRateBits <= 0 {
-				continue
-			}
-			for l := 0; l < L; l++ {
-				p.B[row] = m.s.floor(c, l)
-				row++
-			}
-		}
-	}
 }
 
 // Duals extracts the delivery-row duals α (GE → α ≥ 0) and the budget

@@ -184,7 +184,7 @@ func faultRep(fc FaultSweepConfig, lossRate float64, rep int) (hpFrac, lpFrac, d
 		// The campaign context reaches the solve itself: cancellation
 		// mid-epoch truncates it to the anytime plan instead of
 		// abandoning the epoch.
-		res, rerr := coord.RunEpochContext(ctx)
+		res, rerr := coord.RunEpoch(ctx)
 		if rerr != nil {
 			return 0, 0, 0, rerr
 		}

@@ -116,6 +116,9 @@ func drawDemands(cfg Config, rng *rand.Rand) ([]video.Demand, error) {
 // video, and a best-effort remainder shed first under overload.
 func SliceShares() []float64 { return []float64{0.15, 0.55, 0.30} }
 
+// SliceNames labels the three slice-scenario classes in class order.
+func SliceNames() []string { return []string{"urllc", "embb", "besteffort"} }
+
 // classSession resolves the session used to split GOP bits: with more
 // than two traffic classes and no explicit share vector, the 3-class
 // slice mix (or an even split for other widths) applies; otherwise the

@@ -81,7 +81,7 @@ func TestErrorTaxonomyAcrossBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, err := coord.RunEpoch()
+			res, err := coord.RunEpoch(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -576,7 +576,7 @@ func (h *Host) runEpoch(ctx context.Context, c *Cell, pf faults.ProcFaults) (res
 		h.metric("host_panics_injected_total")
 		panic("injected cell panic")
 	}
-	return c.coord.RunEpochContext(ectx)
+	return c.coord.RunEpoch(ectx)
 }
 
 // recordFailure applies the restart policy after a failed epoch:

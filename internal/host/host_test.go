@@ -134,7 +134,7 @@ func TestHostMatchesStandalone(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := bare.RunEpoch()
+		want, err := bare.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func (r *EpochResult) StalenessError() error {
 // epoch boundary. Without an injector it is plain Ingest. A frame
 // still undelivered after the retry budget returns an errors.Is-able
 // ErrControlLoss; the coordinator then falls back to last-known-good
-// state at the next RunEpochContext.
+// state at the next RunEpoch.
 func (c *Coordinator) IngestLossy(frame []byte) error {
 	if c.Faults == nil {
 		return c.Ingest(frame)
@@ -171,12 +171,7 @@ func (c *Coordinator) IngestLossy(frame []byte) error {
 // and encodes the grants. Links that never reported are treated per
 // the degradation policy (zero demand under the zero-value policy).
 // The per-epoch control airtime covers both the ingested reports and
-// the emitted grants.
-func (c *Coordinator) RunEpoch() (*EpochResult, error) {
-	return c.RunEpochContext(context.Background())
-}
-
-// RunEpochContext runs one scheduling epoch under the coordinator's
+// the emitted grants. One epoch runs under the coordinator's
 // degradation policy:
 //
 //   - links that reported refresh their last-known-good demand; links
@@ -195,9 +190,9 @@ func (c *Coordinator) RunEpoch() (*EpochResult, error) {
 //   - frames the injector delayed are delivered after the boundary,
 //     feeding the next epoch.
 //
-// With a nil injector and the zero-value policy this is byte-identical
-// to the original RunEpoch.
-func (c *Coordinator) RunEpochContext(ctx context.Context) (*EpochResult, error) {
+// With a nil injector and the zero-value policy the epoch is the
+// paper's plain solve-and-grant round.
+func (c *Coordinator) RunEpoch(ctx context.Context) (*EpochResult, error) {
 	out := &EpochResult{}
 	span := c.Tracer.StartSpan("pnc.epoch")
 	defer span.End()

@@ -32,12 +32,13 @@ func mustInjector(t *testing.T, cfg faults.Config, numLinks int) *faults.Injecto
 }
 
 // TestRunEpochContextNoFaultIdentical: with a nil injector and the
-// zero-value policy, RunEpoch / RunEpochContext must reproduce the
-// original epoch behavior byte for byte.
+// zero-value policy, an epoch under a live, cancelable context must
+// reproduce the background-context epoch byte for byte — a context
+// that never fires changes nothing.
 func TestRunEpochContextNoFaultIdentical(t *testing.T) {
 	demands := []video.Demand{{4e6, 2e6}, {3e6, 1e6}, {5e6, 2e6}, {2e6, 1e6}}
 
-	run := func(useCtx bool) *EpochResult {
+	run := func(ctx context.Context) *EpochResult {
 		nw := testNetwork(t, 5, 4, 3)
 		c, err := NewCoordinator(nw, nil, core.Options{})
 		if err != nil {
@@ -52,24 +53,21 @@ func TestRunEpochContextNoFaultIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var res *EpochResult
-		if useCtx {
-			res, err = c.RunEpochContext(context.Background())
-		} else {
-			res, err = c.RunEpoch()
-		}
+		res, err := c.RunEpoch(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	a, b := run(false), run(true)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a, b := run(context.Background()), run(live)
 	if a.Plan.Objective != b.Plan.Objective {
 		t.Fatalf("objectives differ: %v vs %v", a.Plan.Objective, b.Plan.Objective)
 	}
 	if !reflect.DeepEqual(a.Grants, b.Grants) {
-		t.Fatal("encoded grants differ between RunEpoch and RunEpochContext")
+		t.Fatal("encoded grants differ between background and live contexts")
 	}
 	if a.ControlSeconds != b.ControlSeconds || a.ControlMessages != b.ControlMessages {
 		t.Fatal("control accounting differs")
@@ -102,7 +100,7 @@ func TestLostReportFallsBackToLastGood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.RunEpoch()
+	res, err := c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestLostReportFallsBackToLastGood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err = c.RunEpoch()
+	res, err = c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +145,7 @@ func TestLostReportFallsBackToLastGood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err = c.RunEpoch()
+	res, err = c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +160,7 @@ func TestLostReportFallsBackToLastGood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err = c.RunEpoch()
+	res, err = c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestCorruptedReportHandled(t *testing.T) {
 		}
 	}
 	c.Faults = nil
-	res, err := c.RunEpoch()
+	res, err := c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +226,7 @@ func TestDelayedReportAppliesNextEpoch(t *testing.T) {
 
 	// Epoch 1: the report is in flight; link 1 has no demand and no
 	// last-known-good, so it schedules nothing.
-	res, err := c.RunEpoch()
+	res, err := c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestDelayedReportAppliesNextEpoch(t *testing.T) {
 	}
 
 	// Epoch 2: the delayed frame lands at the boundary.
-	res, err = c.RunEpoch()
+	res, err = c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestDroppedGrants(t *testing.T) {
 		}
 	}
 	c.Faults = mustInjector(t, faults.Config{CtrlLoss: 1, Seed: 5}, nw.NumLinks())
-	res, err := c.RunEpoch()
+	res, err := c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +319,7 @@ func TestShedLPBeforeHP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := c.RunEpoch()
+		res, err := c.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +377,7 @@ func TestEpochSolveBudgetTruncates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.RunEpoch()
+	res, err := c.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatalf("budgeted epoch returned error %v, want anytime plan", err)
 	}

@@ -32,7 +32,7 @@ func TestEpochObservability(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := c.RunEpochContext(context.Background())
+		res, err := c.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

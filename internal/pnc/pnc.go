@@ -142,6 +142,10 @@ func (r *DemandReport) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// MaxWireChannels is the most channels a frame can address: a channel
+// update carries its gain count, and a grant its channel, in one byte.
+const MaxWireChannels = 255
+
 // ChannelUpdate is a node's refreshed per-channel direct gain vector.
 type ChannelUpdate struct {
 	Link  uint16
@@ -150,7 +154,7 @@ type ChannelUpdate struct {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (u ChannelUpdate) MarshalBinary() ([]byte, error) {
-	if len(u.Gains) > 255 {
+	if len(u.Gains) > MaxWireChannels {
 		return nil, fmt.Errorf("pnc: %d channels exceed the wire limit", len(u.Gains))
 	}
 	n := 2 + 1 + 8*len(u.Gains)
@@ -206,7 +210,7 @@ func (g ScheduleGrant) MarshalBinary() ([]byte, error) {
 	binary.LittleEndian.PutUint16(buf[headerLen+8:], uint16(len(g.Entries)))
 	off := headerLen + 10
 	for _, a := range g.Entries {
-		if a.Channel > 255 || a.Level > 255 || a.Link > 65535 {
+		if a.Channel > MaxWireChannels || a.Level > 255 || a.Link > 65535 {
 			return nil, fmt.Errorf("pnc: assignment out of wire range: %+v", a)
 		}
 		binary.LittleEndian.PutUint16(buf[off:], uint16(a.Link))
@@ -364,7 +368,7 @@ type Coordinator struct {
 	solver   *core.Solver
 	solverFP uint64
 
-	// epoch counts completed scheduling epochs (RunEpochContext calls
+	// epoch counts completed scheduling epochs (RunEpoch calls
 	// that returned a plan). It survives checkpoints, so a restored
 	// coordinator's epoch numbering continues where the dead one's
 	// stopped.

@@ -1,6 +1,7 @@
 package pnc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -305,7 +306,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 		t.Error("channel update not applied to network state")
 	}
 
-	ep, err := coord.RunEpoch()
+	ep, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	}
 
 	// A second epoch without fresh reports schedules nothing.
-	ep2, err := coord.RunEpoch()
+	ep2, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

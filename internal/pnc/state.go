@@ -28,7 +28,7 @@ func (c *ControlChannel) Restore(st ControlState) {
 // CoordState is the serializable image of a Coordinator's durable
 // state: everything a restarted process needs so its next epoch is
 // byte-identical to the one the dead process would have run. It is
-// designed to be captured at an epoch boundary (after RunEpochContext
+// designed to be captured at an epoch boundary (after RunEpoch
 // returns, before the next epoch's reports are ingested), which is the
 // only point where the coordinator's internal accounting windows are
 // closed.

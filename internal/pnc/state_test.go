@@ -1,6 +1,7 @@
 package pnc
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestExportImportByteIdentical(t *testing.T) {
 	d := video.TwoClass(5e6, 1e7)
 	for i := 0; i < 3; i++ {
 		reportAll(t, live, 6, d)
-		if _, err := live.RunEpoch(); err != nil {
+		if _, err := live.RunEpoch(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,11 +75,11 @@ func TestExportImportByteIdentical(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		reportAll(t, live, 6, d2)
 		reportAll(t, restored, 6, d2)
-		a, err := live.RunEpoch()
+		a, err := live.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.RunEpoch()
+		b, err := restored.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestImportStateFingerprintMismatch(t *testing.T) {
 	}
 	d := video.TwoClass(4e6, 6e6)
 	reportAll(t, live, 5, d)
-	if _, err := live.RunEpoch(); err != nil {
+	if _, err := live.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := live.ExportState()
@@ -120,7 +121,7 @@ func TestImportStateFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, restored, 5, d)
-	ep, err := restored.RunEpoch()
+	ep, err := restored.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFirstEpochNoReports(t *testing.T) {
 	}
 	coord.Policy = DefaultDegradePolicy() // StalenessLimit > 0
 
-	res, err := coord.RunEpoch()
+	res, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatalf("first epoch with no reports errored: %v", err)
 	}
@@ -170,7 +171,7 @@ func TestFirstEpochNoReports(t *testing.T) {
 	// The coordinator is not wedged: the next epoch with real reports
 	// produces a real plan.
 	reportAll(t, coord, 5, video.TwoClass(4e6, 6e6))
-	res, err = coord.RunEpoch()
+	res, err = coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestFirstEpochNoReports(t *testing.T) {
 
 	// And only NOW does a silent epoch fall back: the last-known-good
 	// exists, so the links go stale instead of empty.
-	res, err = coord.RunEpoch()
+	res, err = coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRestoreThenGCByteIdentical(t *testing.T) {
 	d := video.TwoClass(5e6, 1e7)
 	for i := 0; i < 3; i++ {
 		reportAll(t, live, 8, d)
-		if _, err := live.RunEpoch(); err != nil {
+		if _, err := live.RunEpoch(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,11 +231,11 @@ func TestRestoreThenGCByteIdentical(t *testing.T) {
 		di := video.TwoClass(d.At(0)+float64(i)*7e5, d.At(1)-float64(i)*9e5)
 		reportAll(t, live, 8, di)
 		reportAll(t, restored, 8, di)
-		a, err := live.RunEpoch()
+		a, err := live.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.RunEpoch()
+		b, err := restored.RunEpoch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func TestImportStateValidation(t *testing.T) {
 		{"short seen", func(st *CoordState) { st.Seen = nil }},
 		{"solver without demands", func(st *CoordState) {
 			reportAll(t, coord, 4, video.TwoClass(1e6, 0))
-			if _, err := coord.RunEpoch(); err != nil {
+			if _, err := coord.RunEpoch(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			*st = *coord.ExportState()

@@ -2,6 +2,7 @@ package pnc
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestEpochWarmReuse(t *testing.T) {
 	d := video.TwoClass(5e6, 1e7)
 
 	reportAll(t, coord, 5, d)
-	ep1, err := coord.RunEpoch()
+	ep1, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestEpochWarmReuse(t *testing.T) {
 	}
 
 	reportAll(t, coord, 5, d)
-	ep2, err := coord.RunEpoch()
+	ep2, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestChannelUpdateInvalidation(t *testing.T) {
 	d := video.TwoClass(4e6, 8e6)
 
 	reportAll(t, coord, 4, d)
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +108,7 @@ func TestChannelUpdateInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 4, d)
-	ep, err := coord.RunEpoch()
+	ep, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestChannelUpdateInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportAll(t, coord, 4, d)
-	ep, err = coord.RunEpoch()
+	ep, err = coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestChannelUpdateInvalidation(t *testing.T) {
 
 	// And the epoch after the cold restart is warm again.
 	reportAll(t, coord, 4, d)
-	ep, err = coord.RunEpoch()
+	ep, err = coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +155,14 @@ func TestOutOfBandMutationInvalidates(t *testing.T) {
 	d := video.TwoClass(4e6, 8e6)
 
 	reportAll(t, coord, 4, d)
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	nw.Gains.Direct[1][0] *= 2 // behind the coordinator's back
 
 	reportAll(t, coord, 4, d)
-	ep, err := coord.RunEpoch()
+	ep, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +189,14 @@ func TestOutOfBandNoiseInvalidates(t *testing.T) {
 			}
 			d := video.TwoClass(4e6, 8e6)
 			reportAll(t, coord, 4, d)
-			if _, err := coord.RunEpoch(); err != nil {
+			if _, err := coord.RunEpoch(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 
 			edit(nw) // behind the coordinator's back
 
 			reportAll(t, coord, 4, d)
-			ep, err := coord.RunEpoch()
+			ep, err := coord.RunEpoch(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +221,7 @@ func TestWarmFallbackCounted(t *testing.T) {
 	d := video.TwoClass(4e6, 8e6)
 
 	reportAll(t, coord, 4, d)
-	if _, err := coord.RunEpoch(); err != nil {
+	if _, err := coord.RunEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,7 +237,7 @@ func TestWarmFallbackCounted(t *testing.T) {
 	coord.solver = s
 
 	reportAll(t, coord, 4, d)
-	ep, err := coord.RunEpoch()
+	ep, err := coord.RunEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

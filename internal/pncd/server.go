@@ -434,6 +434,19 @@ func (s *Server) resolveSpec(spec api.CellSpec) (cellRecord, [][]byte, error) {
 		cfg.DemandScale = in.DemandScale
 	}
 	cfg.TrafficClasses = in.TrafficClasses
+	// The draw allocates links²·channels float64 cross gains before any
+	// admission check runs, so bound it first: an instance may hold no
+	// more gain data than an explicit network body may carry, and no
+	// more channels than a channel-update frame can address.
+	if cfg.NumChannels > pnc.MaxWireChannels {
+		return cellRecord{}, nil, &api.Error{Code: api.CodeBadRequest,
+			Message: fmt.Sprintf("instance has %d channels, the wire limit is %d", cfg.NumChannels, pnc.MaxWireChannels)}
+	}
+	if gainBytes := 8 * float64(cfg.NumLinks) * float64(cfg.NumLinks) * float64(cfg.NumChannels); gainBytes > maxBodyBytes {
+		return cellRecord{}, nil, &api.Error{Code: api.CodeBadRequest,
+			Message: fmt.Sprintf("instance of %d links × %d channels needs %.0f bytes of gains, over the %d-byte body cap",
+				cfg.NumLinks, cfg.NumChannels, gainBytes, maxBodyBytes)}
+	}
 	inst, err := experiment.NewInstance(cfg, stats.Fork(in.Seed, 0))
 	if err != nil {
 		return cellRecord{}, nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}

@@ -694,6 +694,40 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
+// TestOversizedInstanceRefused: an instance-drawn cell is bounded
+// before its gains are drawn. 1000 links × 5 channels would need 40 MB
+// of cross gains, more than an explicit network body may carry, and
+// 256 channels exceed what a channel-update frame addresses; both are
+// refused as bad-request and admit nothing, while 255 channels on a
+// small cell are admitted.
+func TestOversizedInstanceRefused(t *testing.T) {
+	ctx := context.Background()
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	client := api.NewClient(hs.URL, hs.Client())
+
+	for _, in := range []api.Instance{
+		{Links: 1000, Channels: 5, Seed: 1},
+		{Links: 4, Channels: 256, Seed: 1},
+	} {
+		_, err := client.CreateCell(ctx, api.CellSpec{Instance: &in})
+		var apiErr *api.Error
+		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+			t.Errorf("instance %d links × %d channels: error %v, want bad-request", in.Links, in.Channels, err)
+		}
+	}
+	if cells, err := client.Cells(ctx); err != nil || len(cells) != 0 {
+		t.Fatalf("oversized instances admitted cells %+v (%v)", cells, err)
+	}
+	if _, err := client.CreateCell(ctx, api.CellSpec{Instance: &api.Instance{Links: 4, Channels: 255, Seed: 1}}); err != nil {
+		t.Fatalf("255-channel instance refused: %v", err)
+	}
+}
+
 // TestRetiredBlockageKeysIgnored: the v1 create body still accepts the
 // retired blockage_rate/blockage_slots fault keys. The cell is
 // admitted, carries no fault injector, and plans exactly like the same

@@ -9,7 +9,6 @@ import (
 	"mmwave/internal/api"
 	"mmwave/internal/experiment"
 	"mmwave/internal/stats"
-	"mmwave/internal/video"
 	"mmwave/internal/video/trace"
 )
 
@@ -29,7 +28,7 @@ func init() {
 // scenario run: bits offered and served per traffic class, summed over
 // every link and epoch.
 type SliceResult struct {
-	Classes video.Classes
+	Classes []string  // class names, in class (priority) order
 	Offered []float64 // bits offered per class (served + shed)
 	Served  []float64 // bits actually scheduled per class
 	Epochs  int
@@ -66,7 +65,7 @@ type SlicesConfig struct {
 // server's metrics registry (pnc_served_fraction_class_*), scraped
 // from /metrics like any other pnc_* family.
 func RunSlices(cfg SlicesConfig) (*SliceResult, error) {
-	classes := video.SliceClasses()
+	classes := experiment.SliceNames()
 	nc := len(classes)
 	ctx := context.Background()
 	if cfg.Net.Ctx != nil {
@@ -190,7 +189,7 @@ func runSlicesFig(env *experiment.RunEnv) error {
 	fmt.Fprintf(env.Out, "  %-11s %12s %12s %9s\n", "class", "offered(Mb)", "served(Mb)", "served%")
 	for c := range res.Classes {
 		fmt.Fprintf(env.Out, "  %-11s %12.1f %12.1f %8.1f%%\n",
-			res.Classes.Name(c), res.Offered[c]/1e6, res.Served[c]/1e6, 100*res.ServedFraction(c))
+			res.Classes[c], res.Offered[c]/1e6, res.Served[c]/1e6, 100*res.ServedFraction(c))
 	}
 	for _, line := range res.MetricLines {
 		fmt.Fprintf(env.Out, "  /metrics:   %s\n", line)
@@ -199,7 +198,7 @@ func runSlicesFig(env *experiment.RunEnv) error {
 	for c := 1; c < len(res.Classes); c++ {
 		if res.ServedFraction(c) > res.ServedFraction(c-1)+1e-9 {
 			return fmt.Errorf("pncd: slices: class %s served fraction %.3f exceeds higher-priority %s %.3f",
-				res.Classes.Name(c), res.ServedFraction(c), res.Classes.Name(c-1), res.ServedFraction(c-1))
+				res.Classes[c], res.ServedFraction(c), res.Classes[c-1], res.ServedFraction(c-1))
 		}
 	}
 	return nil

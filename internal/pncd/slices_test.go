@@ -30,11 +30,11 @@ func TestRunSlices(t *testing.T) {
 	}
 	for c := range res.Offered {
 		if res.Offered[c] <= 0 {
-			t.Errorf("class %s offered no traffic", res.Classes.Name(c))
+			t.Errorf("class %s offered no traffic", res.Classes[c])
 		}
 		f := res.ServedFraction(c)
 		if f < 0 || f > 1+1e-9 {
-			t.Errorf("class %s served fraction %v outside [0,1]", res.Classes.Name(c), f)
+			t.Errorf("class %s served fraction %v outside [0,1]", res.Classes[c], f)
 		}
 	}
 	// Shedding is lowest-class-first, so served fractions must be
@@ -42,8 +42,8 @@ func TestRunSlices(t *testing.T) {
 	for c := 1; c < 3; c++ {
 		if res.ServedFraction(c) > res.ServedFraction(c-1)+1e-9 {
 			t.Errorf("class %s served %.4f > higher-priority %s %.4f",
-				res.Classes.Name(c), res.ServedFraction(c),
-				res.Classes.Name(c-1), res.ServedFraction(c-1))
+				res.Classes[c], res.ServedFraction(c),
+				res.Classes[c-1], res.ServedFraction(c-1))
 		}
 	}
 	// The default budget (one GOP duration) overloads the default trace

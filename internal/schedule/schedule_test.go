@@ -77,7 +77,7 @@ func TestLayerString(t *testing.T) {
 		t.Error("Layer String mismatch")
 	}
 	// Layers beyond the legacy pair render with the generic class-index
-	// form, matching video.Classes.Name for classes without a table entry.
+	// form.
 	if Layer(7).String() != "c7" {
 		t.Error("unknown layer String mismatch")
 	}

@@ -120,21 +120,6 @@ func (r *Remaining) ServedDegraded(l int) bool {
 	return r.Done(l) && shed > 0
 }
 
-// Shed returns the bits dropped upstream for link l as a class vector
-// (nil when nothing was shed anywhere).
-func (r *Remaining) Shed(l int) video.Demand {
-	if len(r.shed) == 0 {
-		return nil
-	}
-	out := make(video.Demand, len(r.shed))
-	for c := range r.shed {
-		if l < len(r.shed[c]) {
-			out[c] = r.shed[c][l]
-		}
-	}
-	return out
-}
-
 // AllDone reports whether every link is fully served.
 func (r *Remaining) AllDone() bool {
 	for l := 0; l < r.NumLinks(); l++ {

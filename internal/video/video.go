@@ -7,9 +7,11 @@
 // next GOP period.
 //
 // The demand model generalizes the paper's two layers to N ordered
-// traffic classes (slice-style workloads: URLLC / eMBB / best-effort),
-// with class 0 always the most important. The two-class case remains
-// the canonical reproduction path via TwoClass and DefaultClasses.
+// traffic classes (slice-style workloads: URLLC / eMBB / best-effort).
+// A class is an index into Demand: a lower index is a higher priority,
+// the order load shedding follows, and every class of a link carries
+// the link's quality weight. The two-class case remains the canonical
+// reproduction path via TwoClass.
 package video
 
 import (
@@ -150,99 +152,6 @@ func (d Demand) String() string {
 		parts[i] = fmt.Sprintf("c%d=%.2fMb", i, v/1e6)
 	}
 	return strings.Join(parts, " ")
-}
-
-// ClassSpec describes one traffic class of a class table: its name
-// (metrics, rendering), its priority rank (lower = more important;
-// shedding drops the highest rank first), its quality-objective weight,
-// and an optional minimum-rate SLA.
-type ClassSpec struct {
-	// Name labels the class in metrics and experiment output
-	// ("hp", "urllc", …).
-	Name string
-	// Rank is the priority order: strictly increasing across the table,
-	// with rank 0 the most important class. Canonical tables store
-	// classes in rank order, so Rank equals the class index.
-	Rank int
-	// Weight multiplies the per-link quality weight of this class's
-	// delivered bits in the quality-mode objective. Zero means 1.
-	Weight float64
-	// MinRateBits, when positive, is a per-epoch delivered-bits floor
-	// (SLA) for the class in quality mode: each link is guaranteed
-	// min(MinRateBits, its class demand) even when the slot budget
-	// cannot serve everything. Zero disables the floor.
-	MinRateBits float64
-}
-
-// EffectiveWeight returns the objective weight (Weight, defaulting to 1).
-func (c ClassSpec) EffectiveWeight() float64 {
-	if c.Weight == 0 {
-		return 1
-	}
-	return c.Weight
-}
-
-// Classes is an ordered traffic-class table: index = class = priority
-// rank (0 most important).
-type Classes []ClassSpec
-
-// DefaultClasses returns the paper's two-class table (HP before LP,
-// unit weights, no SLA floors) — the table every legacy two-class code
-// path is equivalent to.
-func DefaultClasses() Classes {
-	return Classes{
-		{Name: "hp", Rank: 0, Weight: 1},
-		{Name: "lp", Rank: 1, Weight: 1},
-	}
-}
-
-// SliceClasses returns a 3-class slice-style table: a small
-// high-priority URLLC class with a delivered-bits floor, a weighted
-// eMBB class carrying the bulk video traffic, and a best-effort class
-// shed first under overload.
-func SliceClasses() Classes {
-	return Classes{
-		{Name: "urllc", Rank: 0, Weight: 4, MinRateBits: 1e6},
-		{Name: "embb", Rank: 1, Weight: 2},
-		{Name: "besteffort", Rank: 2, Weight: 1},
-	}
-}
-
-// Validate rejects malformed tables: empty, out-of-order ranks,
-// negative weights or floors, or non-finite values.
-func (cs Classes) Validate() error {
-	if len(cs) == 0 {
-		return fmt.Errorf("video: class table is empty")
-	}
-	for i, c := range cs {
-		if c.Rank != i {
-			return fmt.Errorf("video: class %d (%q) has rank %d; tables must be stored in rank order", i, c.Name, c.Rank)
-		}
-		if c.Weight < 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
-			return fmt.Errorf("video: class %d (%q) has invalid weight %g", i, c.Name, c.Weight)
-		}
-		if c.MinRateBits < 0 || math.IsNaN(c.MinRateBits) || math.IsInf(c.MinRateBits, 0) {
-			return fmt.Errorf("video: class %d (%q) has invalid min-rate %g", i, c.Name, c.MinRateBits)
-		}
-	}
-	return nil
-}
-
-// Weights returns the per-class effective objective weights.
-func (cs Classes) Weights() []float64 {
-	out := make([]float64, len(cs))
-	for i, c := range cs {
-		out[i] = c.EffectiveWeight()
-	}
-	return out
-}
-
-// Name returns class c's name, or "c<i>" beyond the table.
-func (cs Classes) Name(c int) string {
-	if c >= 0 && c < len(cs) && cs[c].Name != "" {
-		return cs[c].Name
-	}
-	return fmt.Sprintf("c%d", c)
 }
 
 // Session describes one video session: its rate-quality model and how

@@ -154,38 +154,6 @@ func TestScaleValidityProperty(t *testing.T) {
 	}
 }
 
-func TestClassTables(t *testing.T) {
-	if err := DefaultClasses().Validate(); err != nil {
-		t.Errorf("default table invalid: %v", err)
-	}
-	if err := SliceClasses().Validate(); err != nil {
-		t.Errorf("slice table invalid: %v", err)
-	}
-	if n := len(SliceClasses()); n != 3 {
-		t.Errorf("slice table has %d classes, want 3", n)
-	}
-	if w := DefaultClasses().Weights(); w[0] != 1 || w[1] != 1 {
-		t.Errorf("default weights = %v, want unit", w)
-	}
-	if name := SliceClasses().Name(0); name != "urllc" {
-		t.Errorf("Name(0) = %q", name)
-	}
-	if name := SliceClasses().Name(9); name != "c9" {
-		t.Errorf("Name beyond table = %q, want c9", name)
-	}
-
-	for _, bad := range []Classes{
-		{},
-		{{Name: "a", Rank: 1}},
-		{{Name: "a", Rank: 0, Weight: -1}},
-		{{Name: "a", Rank: 0, MinRateBits: math.NaN()}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("invalid table accepted: %+v", bad)
-		}
-	}
-}
-
 func TestDemandAtBeyondVector(t *testing.T) {
 	d := TwoClass(1, 2)
 	if d.At(2) != 0 || d.At(-1) != 0 {

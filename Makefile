@@ -48,6 +48,12 @@ lint: vet check-deprecated
 # A traffic class is an index into video.Demand: the class table
 # (names, ranks, weights, SLA floors) and the quality solver's floor
 # rows must not come back, and RunEpoch(ctx) is the one epoch entry.
+# The campaign harness is one loop: a figure's reduced default scale
+# sits on its registration (Driver.Scale) and the CLI applies it before
+# the explicit flags, so RunEnv's flag-provenance bits must not come
+# back; and every campaign solve runs under the campaign context, so no
+# solve in the experiment, session or slice drivers may be handed a
+# fresh context.Background().
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -83,6 +89,10 @@ check-deprecated:
 	@if grep -rn --include='*.go' -E 'ClassSpec|MinRateBits|EffectiveWeight|DefaultClasses|SliceClasses|hasFloors|classWeight|video\.Classes\b|RunEpochContext\(' . ; then \
 		echo "error: a traffic class is an index (no class table, weights or SLA floors) and RunEpoch(ctx) is the one epoch entry"; exit 1; \
 	else echo "class-is-an-index check passed"; fi
+	@if grep -rn --include='*.go' -E '\b(LinksSet|SeedsSet|BudgetSet)\b' . || \
+		grep -n 'Solve(context\.Background())' $$(ls internal/experiment/*.go internal/session/*.go | grep -v '_test\.go$$') internal/pncd/slices.go ; then \
+		echo "error: one campaign harness (reduced scales live on Driver.Scale; every campaign solve runs under the campaign context)"; exit 1; \
+	else echo "one-campaign-harness check passed"; fi
 	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
 		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|Parallel)[[:space:]]+int$$)' ; then \
 		echo "error: PricerWorkers, StabRounds and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \

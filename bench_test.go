@@ -9,6 +9,7 @@
 package mmwave
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -382,7 +383,7 @@ func BenchmarkSlices(b *testing.B) {
 	b.ReportAllocs()
 	var served [3]float64
 	for i := 0; i < b.N; i++ {
-		res, err := pncd.RunSlices(pncd.SlicesConfig{Net: cfg, Epochs: 4})
+		res, err := pncd.RunSlices(context.Background(), pncd.SlicesConfig{Net: cfg, Epochs: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,23 +13,29 @@
 //	mmwavesim -fig relay             # dual-hop recovery of blocked sessions
 //	mmwavesim -fig streaming         # multi-GOP stall/quality trade-off
 //	mmwavesim -fig faultsweep        # served demand vs control-frame loss
+//	mmwavesim -fig chaossoak         # crash-safety soak of the multi-cell host
 //	mmwavesim -fig slices            # 3-class slice scenario through pncd (v1 API)
+//	mmwavesim -fig warmreuse         # per-epoch solver work, warm vs cold
 //	mmwavesim -fig help              # list every registered figure
 //	mmwavesim -print-config          # echo Table I parameters
 //
 // Scale knobs (-links, -channels, -seeds, -budget, …) override the
-// paper's Table I defaults; -csv switches the output format. The
-// observability flags capture a campaign's internals without changing
-// its output: -trace FILE records structured solver events as JSONL,
-// -metrics FILE dumps the campaign's counter/histogram exposition,
-// -pprof ADDR serves net/http/pprof for the run's duration, and
-// -cpuprofile/-heapprofile write pprof captures of the whole campaign.
-// SIGINT/SIGTERM stop a campaign gracefully: the sweep halts at the
-// next cell boundary, in-flight solves truncate to their anytime
-// plans, and every artifact file is still flushed before exit.
+// paper's Table I defaults, or the figure's reduced default scale for
+// the figures that run smaller (4, blockage, relay, streaming,
+// faultsweep, chaossoak, slices, warmreuse); -csv switches the output
+// format. The observability flags capture a campaign's internals
+// without changing its output: -trace FILE records structured solver
+// events as JSONL, -metrics FILE dumps the campaign's counter/histogram
+// exposition, -pprof ADDR serves net/http/pprof for the run's duration,
+// and -cpuprofile/-heapprofile write pprof captures of the whole
+// campaign. SIGINT/SIGTERM stop a campaign gracefully: the sweep halts
+// at the next cell boundary, in-flight solves truncate to their anytime
+// plans, no figure is rendered, the run exits 1, and every artifact
+// file is still flushed before exit.
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -103,19 +109,11 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	cfg := experiment.DefaultConfig()
-	if *links > 0 {
-		cfg.NumLinks = *links
-	}
-	if *channels > 0 {
-		cfg.NumChannels = *channels
-	}
-	if *seeds > 0 {
-		cfg.Seeds = *seeds
-	}
-	if *budget > 0 {
-		cfg.PricerBudget = *budget
-	}
+	// Table I at the figure's reduced default scale, then the explicit
+	// scale flags, so an explicit flag always wins.
+	driver, known := experiment.Lookup(*figure)
+	flags := experiment.Scale{Links: *links, Seeds: *seeds, Channels: *channels, Budget: *budget}
+	cfg := flags.Of(driver.Scale.Of(experiment.DefaultConfig()))
 	cfg.Seed = *seed
 	cfg.DemandScale = *demand
 	cfg.Interference = *interference
@@ -142,8 +140,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		}
 		return 0
 	}
-	driver, ok := experiment.Lookup(*figure)
-	if !ok {
+	if !known {
 		fmt.Fprintf(os.Stderr, "mmwavesim: unknown figure %q (-fig help lists figures)\n", *figure)
 		return 2
 	}
@@ -199,29 +196,28 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		return 1
 	}
 
+	// The figure is held back until the run ends: a driver outside the
+	// sweep harness (fig 4, streaming, chaossoak, slices) can finish on
+	// truncated plans, so an interrupted campaign renders nothing and
+	// never exits 0.
+	var rendered bytes.Buffer
 	env := &experiment.RunEnv{
 		Cfg:      cfg,
 		XS:       xs,
 		CSV:      *csv,
-		Out:      stdout,
+		Out:      &rendered,
 		Rep:      *rep,
 		Cells:    *cells,
 		Epochs:   *epochs,
 		Retries:  *retries,
 		Failures: failures,
 	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "links":
-			env.LinksSet = true
-		case "seeds":
-			env.SeedsSet = true
-		case "budget":
-			env.BudgetSet = true
-		}
-	})
-
 	runErr := driver.Run(env)
+	if ctx.Err() != nil {
+		runErr = context.Cause(ctx)
+	} else if _, err := stdout.Write(rendered.Bytes()); err != nil && runErr == nil {
+		runErr = err
+	}
 
 	// Finish the captures before reporting, so a completed process
 	// always leaves complete artifacts even when the driver failed.

@@ -188,6 +188,24 @@ func TestRunInterrupted(t *testing.T) {
 	}
 }
 
+// TestRunInterruptedRendersNothing: an interrupted campaign prints no
+// figure, also from the drivers that run their solves outside the
+// sweep harness and would finish on truncated plans.
+func TestRunInterruptedRendersNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fig := range []string{"1", "4", "streaming"} {
+		var out bytes.Buffer
+		args := []string{"-fig", fig, "-links", "4", "-channels", "2", "-seeds", "1", "-sweep", "4", "-budget", "500"}
+		if code := runCtx(ctx, args, &out); code != 1 {
+			t.Errorf("-fig %s: exit code = %d, want 1", fig, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-fig %s: interrupted run rendered:\n%s", fig, out.String())
+		}
+	}
+}
+
 // TestRunChaosSoakTiny exercises the chaossoak figure end to end at a
 // small scale.
 func TestRunChaosSoakTiny(t *testing.T) {
@@ -196,26 +214,63 @@ func TestRunChaosSoakTiny(t *testing.T) {
 	}
 }
 
+// TestRunChaosSoakChannels: an explicit -channels reaches the soak's
+// cells instead of being overwritten by the soak's reduced default of
+// 2 channels, and naming that default explicitly changes nothing.
+func TestRunChaosSoakChannels(t *testing.T) {
+	digest := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{"-fig", "chaossoak", "-cells", "2", "-epochs", "4"}, extra...)
+		var out bytes.Buffer
+		if code := runCtx(context.Background(), args, &out); code != 0 {
+			t.Fatalf("mmwavesim %s: exit code %d", strings.Join(args, " "), code)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, "digest:") {
+				return line
+			}
+		}
+		t.Fatalf("mmwavesim %s printed no digest:\n%s", strings.Join(args, " "), out.String())
+		return ""
+	}
+	def := digest()
+	if got := digest("-channels", "2"); got != def {
+		t.Errorf("-channels 2 (the default) changed the soak: %q vs %q", got, def)
+	}
+	if got := digest("-channels", "3"); got == def {
+		t.Errorf("-channels 3 ignored: digest %q equals the 2-channel default", got)
+	}
+}
+
 // TestFiguresMatchResults regenerates the recorded figures that run in
 // seconds and compares each byte for byte with its file under
-// results/, so a change that moves a solver walk must regenerate the
-// golden it moves.
+// results/ or testdata/, so a change that moves a solver walk must
+// regenerate the golden it moves.
 func TestFiguresMatchResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates five figures (several seconds)")
+		t.Skip("regenerates twelve figures (several seconds)")
 	}
 	for _, tc := range []struct {
-		golden string
+		golden string // relative to this package
 		args   []string
 	}{
-		{"fig4.txt", []string{"-fig", "4"}},
-		{"ablation.txt", []string{"-fig", "ablation", "-links", "15", "-seeds", "20"}},
-		{"blockage.txt", []string{"-fig", "blockage"}},
-		{"relay.txt", []string{"-fig", "relay"}},
-		{"streaming.txt", []string{"-fig", "streaming"}},
+		{"../../results/fig4.txt", []string{"-fig", "4"}},
+		{"../../results/ablation.txt", []string{"-fig", "ablation", "-links", "15", "-seeds", "20"}},
+		{"../../results/blockage.txt", []string{"-fig", "blockage"}},
+		{"../../results/relay.txt", []string{"-fig", "relay"}},
+		{"../../results/streaming.txt", []string{"-fig", "streaming"}},
+		// Reduced-scale runs of the sweep figures and the studies that
+		// are too slow to record at full scale.
+		{"testdata/fig1-reduced.txt", []string{"-fig", "1", "-sweep", "6,10", "-seeds", "4"}},
+		{"testdata/fig2-reduced.txt", []string{"-fig", "2", "-links", "8", "-seeds", "4"}},
+		{"testdata/fig3-reduced.txt", []string{"-fig", "3", "-sweep", "6,10", "-seeds", "4"}},
+		{"testdata/quality-reduced.txt", []string{"-fig", "quality", "-links", "8", "-seeds", "4"}},
+		{"testdata/faultsweep-reduced.txt", []string{"-fig", "faultsweep", "-links", "8", "-seeds", "3"}},
+		{"testdata/warmreuse-reduced.txt", []string{"-fig", "warmreuse", "-links", "8", "-seeds", "3"}},
+		{"testdata/slices-reduced.txt", []string{"-fig", "slices"}},
 	} {
-		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.golden))
+		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
+			want, err := os.ReadFile(tc.golden)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +279,7 @@ func TestFiguresMatchResults(t *testing.T) {
 				t.Fatalf("mmwavesim %s: exit code %d", strings.Join(tc.args, " "), code)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("mmwavesim %s differs from results/%s:\n got:\n%s\nwant:\n%s",
+				t.Errorf("mmwavesim %s differs from %s:\n got:\n%s\nwant:\n%s",
 					strings.Join(tc.args, " "), tc.golden, got.Bytes(), want)
 			}
 		})

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"mmwave/internal/blockage"
@@ -28,10 +27,7 @@ type BlockageConfig struct {
 // DefaultBlockageConfig returns a 10-epoch churn study on a reduced
 // network with the default blockage dynamics.
 func DefaultBlockageConfig() BlockageConfig {
-	cfg := DefaultConfig()
-	cfg.NumLinks = 10
-	cfg.Seeds = 10
-	return BlockageConfig{Net: cfg, Model: blockage.DefaultModel(), Epochs: 10}
+	return BlockageConfig{Net: studyScale.Of(DefaultConfig()), Model: blockage.DefaultModel(), Epochs: 10}
 }
 
 // BlockageResult aggregates the churn study over repetitions.
@@ -61,38 +57,29 @@ func RunBlockage(bc BlockageConfig) (*BlockageResult, error) {
 
 	// One cell per repetition: each rep's epoch chain is inherently
 	// sequential (the blockage process and plans evolve epoch to
-	// epoch), but reps are independent. Per-epoch values are collected
-	// per rep and folded below in the fixed sequential
-	// (rep, epoch, metric) order, so the result is bit-identical for
-	// any worker count.
-	type repValues struct {
-		blockedFrac []float64
-		reoptimized []float64
-		staticOK    []bool
-		staticTime  []float64
-	}
-	repVals := make([]repValues, bc.Net.Seeds)
-	err := runCells(bc.Net, bc.Net.Seeds, func(rep int) error {
+	// epoch), but reps are independent. Series: blocked fraction,
+	// re-optimized time, static time (served epochs only).
+	sums, err := fanOut(bc.Net, 1, bc.Net.Seeds, func(_, rep int) ([][]float64, error) {
 		rng := stats.Fork(bc.Net.Seed, int64(rep))
 		inst, err := NewInstance(bc.Net, rng)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		proc, err := blockage.NewProcess(bc.Model, inst.Network.NumLinks())
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		// Epoch-0 plan for the static arm (unblocked network).
-		basePlan, err := solvePlan(bc.Net, inst)
+		_, base, err := bc.Net.solve(nil, inst.Network, inst.Demands)
 		if err != nil {
-			return err
+			return nil, err
 		}
 
-		rv := &repVals[rep]
+		vals := make([][]float64, 3)
 		for epoch := 0; epoch < bc.Epochs; epoch++ {
 			proc.Step(rng)
-			rv.blockedFrac = append(rv.blockedFrac, float64(proc.NumBlocked())/float64(inst.Network.NumLinks()))
+			vals[0] = append(vals[0], float64(proc.NumBlocked())/float64(inst.Network.NumLinks()))
 			blockedNW := proc.ApplyTo(inst.Network)
 
 			// Demands of links that became unservable under blockage
@@ -108,51 +95,30 @@ func RunBlockage(bc BlockageConfig) (*BlockageResult, error) {
 			}
 
 			// Re-optimizing arm: solve against current gains.
-			rePlan, err := solvePlan(bc.Net, &Instance{Network: blockedNW, Demands: demands})
+			_, re, err := bc.Net.solve(nil, blockedNW, demands)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			rv.reoptimized = append(rv.reoptimized, rePlan.Objective)
+			vals[1] = append(vals[1], re.Plan.Objective)
 
 			// Static arm: replay the epoch-0 plan under blocked gains.
-			served, time := replayUnderGains(basePlan, blockedNW, demands, bc.Net.SlotDuration)
-			rv.staticOK = append(rv.staticOK, served)
-			rv.staticTime = append(rv.staticTime, time)
+			if served, time := replayUnderGains(&base.Plan, blockedNW, demands, bc.Net.SlotDuration); served {
+				vals[2] = append(vals[2], time)
+			}
 		}
-		return nil
+		return vals, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &BlockageResult{Epochs: bc.Epochs}
-	for rep := range repVals {
-		rv := &repVals[rep]
-		for epoch := 0; epoch < bc.Epochs; epoch++ {
-			res.BlockedFrac.Add(rv.blockedFrac[epoch])
-			res.Reoptimized.Add(rv.reoptimized[epoch])
-			if rv.staticOK[epoch] {
-				res.Static.Add(rv.staticTime[epoch])
-			} else {
-				res.Unserved++
-			}
-		}
-	}
-	return res, nil
-}
-
-// solvePlan runs the column-generation solver on an instance and
-// returns the plan.
-func solvePlan(cfg Config, inst *Instance) (*core.Plan, error) {
-	solver, err := core.NewSolver(inst.Network, inst.Demands, cfg.solverOptions())
-	if err != nil {
-		return nil, err
-	}
-	res, err := solver.Solve(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return &res.Plan, nil
+	sum := sums[0]
+	return &BlockageResult{
+		BlockedFrac: sum[0],
+		Reoptimized: sum[1],
+		Static:      sum[2],
+		Unserved:    sum[0].N - sum[2].N,
+		Epochs:      bc.Epochs,
+	}, nil
 }
 
 // degradedPlanPolicy replays a plan computed for different gains: each

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"mmwave/internal/obs"
 )
 
 // TestRunParallelCanceled: a canceled campaign context stops the
@@ -51,5 +54,47 @@ func TestChaosSoakCanceled(t *testing.T) {
 	cc.Net.Ctx = ctx
 	if _, err := ChaosSoak(cc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// cancelOnIteration is a trace sink that cancels the campaign when the
+// first column-generation round reports.
+type cancelOnIteration struct{ cancel context.CancelFunc }
+
+func (s cancelOnIteration) Emit(e obs.Event) {
+	if e.Name == "cg.iteration" {
+		s.cancel()
+	}
+}
+
+func (cancelOnIteration) Close() error { return nil }
+
+// TestFig1CanceledMidSolve: a campaign canceled while its only cell is
+// solving truncates that solve within two CG rounds, returns the
+// cancellation, and renders nothing — a figure of truncated plans is
+// never reported as a complete campaign.
+func TestFig1CanceledMidSolve(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := DefaultConfig() // Table I: 30 links, 5 channels
+	cfg.Seeds = 1
+	cfg.Workers = 1
+	cfg.Ctx = ctx
+	cfg.Tracer = obs.New(cancelOnIteration{cancel})
+	cfg.Metrics = obs.NewRegistry()
+	d, ok := Lookup("1")
+	if !ok {
+		t.Fatal("fig 1 not registered")
+	}
+	var out bytes.Buffer
+	err := d.Run(&RunEnv{Cfg: cfg, XS: []float64{30}, Out: &out})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("canceled campaign rendered a figure:\n%s", out.String())
+	}
+	if rounds := cfg.Metrics.Counter("core_cg_rounds_total").Value(); rounds < 1 || rounds > 2 {
+		t.Errorf("solve ran %d CG rounds after cancellation, want 1–2", rounds)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"mmwave/internal/core"
 	"mmwave/internal/faults"
 	"mmwave/internal/host"
 	"mmwave/internal/pnc"
@@ -47,12 +46,8 @@ type ChaosSoakConfig struct {
 // DefaultChaosSoakConfig returns the acceptance-scale soak: 8 cells of
 // 4 links × 2 channels, 200 epochs, every fault class enabled.
 func DefaultChaosSoakConfig() ChaosSoakConfig {
-	cfg := DefaultConfig()
-	cfg.NumLinks = 4
-	cfg.NumChannels = 2
-	cfg.Seeds = 1
 	return ChaosSoakConfig{
-		Net:        cfg,
+		Net:        chaosSoakScale.Of(DefaultConfig()),
 		Cells:      8,
 		Epochs:     200,
 		Watchdog:   250 * time.Millisecond,
@@ -164,11 +159,7 @@ func ChaosSoak(cc ChaosSoakConfig) (*ChaosSoakResult, error) {
 			}
 			// Pilot solve on the instance's own demand draw calibrates
 			// the epoch budget to this cell's load.
-			solver, err := core.NewSolver(inst.Network, inst.Demands, cc.Net.solverOptions())
-			if err != nil {
-				return nil, fmt.Errorf("experiment: chaos soak cell %d pilot: %w", i, err)
-			}
-			pilot, err := solver.Solve(context.Background())
+			_, pilot, err := cc.Net.solve(nil, inst.Network, inst.Demands)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: chaos soak cell %d pilot: %w", i, err)
 			}
@@ -241,7 +232,7 @@ func ChaosSoak(cc ChaosSoakConfig) (*ChaosSoakResult, error) {
 		digest *= 1099511628211
 	}
 
-	ctx := cc.Net.context()
+	ctx := cc.Net.Context()
 	for epoch := 0; epoch < cc.Epochs; epoch++ {
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)

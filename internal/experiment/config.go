@@ -101,17 +101,18 @@ type Config struct {
 	// workers; purely observational.
 	Metrics *obs.Registry
 
-	// Ctx, when non-nil, bounds the campaign: cancellation stops the
-	// sweep at the next cell/epoch boundary (cells already solving
-	// truncate to their anytime plans) and the cause is surfaced as the
-	// campaign error. The CLI wires its SIGINT/SIGTERM context here so
-	// an interrupted run still flushes its artifacts. Nil means
+	// Ctx, when non-nil, bounds the campaign and reaches every solve it
+	// runs: cancellation stops the sweep at the next cell/epoch boundary,
+	// solves in flight truncate to their anytime plans, and the cause is
+	// returned as the campaign error — a canceled campaign never renders
+	// a figure. The CLI wires its SIGINT/SIGTERM context here so an
+	// interrupted run still flushes its artifacts. Nil means
 	// context.Background().
 	Ctx context.Context
 }
 
-// context resolves the campaign context.
-func (c Config) context() context.Context {
+// Context resolves the campaign context.
+func (c Config) Context() context.Context {
 	if c.Ctx != nil {
 		return c.Ctx
 	}

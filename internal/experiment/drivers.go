@@ -7,56 +7,56 @@ import (
 	"mmwave/internal/stats"
 )
 
+// The reduced default scales of the figures that do not run at
+// Table I: each is written once, here or on its registration, and the
+// CLI applies it before its explicit scale flags.
+var (
+	// studyScale is shared by the blockage, relay, fault-sweep and
+	// warm-reuse studies (full scale × epochs is slow).
+	studyScale = Scale{Links: 10, Seeds: 10}
+	// chaosSoakScale is one soak cell: 4 links × 2 channels.
+	chaosSoakScale = Scale{Links: 4, Channels: 2, Seeds: 1}
+)
+
 // The evaluation figures register themselves here; the CLI's -fig
 // dispatch is a registry lookup, so adding a figure is one Register
 // call next to its implementation — no switch to extend.
 func init() {
 	Register(Driver{Name: "1", Synopsis: "scheduling time vs number of links (Fig. 1)",
-		Run: func(env *RunEnv) error {
-			fig, err := Fig1(env.Cfg, env.XS)
-			if err != nil {
-				return err
-			}
-			return env.renderFigure(fig)
-		}})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { return Fig1(env.Cfg, env.XS) })})
 	Register(Driver{Name: "2", Synopsis: "average delay vs traffic demand (Fig. 2)",
-		Run: func(env *RunEnv) error {
-			fig, err := Fig2(env.Cfg, env.XS)
-			if err != nil {
-				return err
-			}
-			return env.renderFigure(fig)
-		}})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { return Fig2(env.Cfg, env.XS) })})
 	Register(Driver{Name: "3", Synopsis: "Jain fairness vs number of links (Fig. 3)",
-		Run: func(env *RunEnv) error {
-			fig, err := Fig3(env.Cfg, env.XS)
-			if err != nil {
-				return err
-			}
-			return env.renderFigure(fig)
-		}})
-	Register(Driver{Name: "4", Synopsis: "convergence trace of one instance (Fig. 4)", Run: runFig4})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { return Fig3(env.Cfg, env.XS) })})
+	// Fig. 4 needs a provably convergent run: a scale where exact
+	// pricing completes.
+	Register(Driver{Name: "4", Synopsis: "convergence trace of one instance (Fig. 4)",
+		Scale: Scale{Links: 8, Budget: 100_000_000}, Run: runFig4})
 	Register(Driver{Name: "ablation", Synopsis: "design-choice ablations of the proposed scheme",
-		Run: func(env *RunEnv) error {
-			fig, err := Ablation(env.Cfg)
-			if err != nil {
-				return err
-			}
-			return env.renderFigure(fig)
-		}})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { return Ablation(env.Cfg) })})
 	Register(Driver{Name: "quality", Synopsis: "PSNR within one GOP period (§III extension)",
-		Run: func(env *RunEnv) error {
-			fig, err := FigQuality(env.Cfg, env.XS)
-			if err != nil {
-				return err
-			}
-			return env.renderFigure(fig)
-		}})
-	Register(Driver{Name: "blockage", Synopsis: "re-optimization under link blockage churn", Run: runBlockageFig})
-	Register(Driver{Name: "relay", Synopsis: "dual-hop recovery of blocked sessions", Run: runRelayFig})
-	Register(Driver{Name: "streaming", Synopsis: "multi-GOP stall/quality trade-off", Run: runStreamingFig})
-	Register(Driver{Name: "faultsweep", Synopsis: "served demand vs control-frame loss", Run: runFaultSweepFig})
-	Register(Driver{Name: "chaossoak", Synopsis: "crash-safety soak of the supervised multi-cell host", Run: runChaosSoakFig})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { return FigQuality(env.Cfg, env.XS) })})
+	Register(Driver{Name: "blockage", Synopsis: "re-optimization under link blockage churn",
+		Scale: studyScale, Run: runBlockageFig})
+	Register(Driver{Name: "relay", Synopsis: "dual-hop recovery of blocked sessions",
+		Scale: studyScale, Run: runRelayFig})
+	Register(Driver{Name: "streaming", Synopsis: "multi-GOP stall/quality trade-off",
+		Scale: Scale{Links: 8}, Run: runStreamingFig})
+	Register(Driver{Name: "faultsweep", Synopsis: "served demand vs control-frame loss",
+		Scale: studyScale, Run: rendered(faultSweepFig)})
+	Register(Driver{Name: "chaossoak", Synopsis: "crash-safety soak of the supervised multi-cell host",
+		Scale: chaosSoakScale, Run: runChaosSoakFig})
+}
+
+// rendered adapts a figure builder to a driver that renders its figure.
+func rendered(build func(env *RunEnv) (*Figure, error)) func(env *RunEnv) error {
+	return func(env *RunEnv) error {
+		fig, err := build(env)
+		if err != nil {
+			return err
+		}
+		return env.renderFigure(fig)
+	}
 }
 
 // runChaosSoakFig runs the crash-safety soak at its acceptance scale
@@ -64,14 +64,7 @@ func init() {
 // invariant violation, so the figure doubles as a CI gate.
 func runChaosSoakFig(env *RunEnv) error {
 	cc := DefaultChaosSoakConfig()
-	links := cc.Net.NumLinks
-	channels := cc.Net.NumChannels
 	cc.Net = env.Cfg
-	cc.Net.NumLinks = links
-	cc.Net.NumChannels = channels
-	if env.LinksSet {
-		cc.Net.NumLinks = env.Cfg.NumLinks
-	}
 	if env.Cells > 0 {
 		cc.Cells = env.Cells
 	}
@@ -82,8 +75,8 @@ func runChaosSoakFig(env *RunEnv) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(env.Out, "CHAOS SOAK — %d cells × %d epochs (%d links/cell, watchdog %s)\n",
-		res.Cells, res.Epochs, cc.Net.NumLinks, cc.Watchdog)
+	fmt.Fprintf(env.Out, "CHAOS SOAK — %d cells × %d epochs (%d links × %d channels/cell, watchdog %s)\n",
+		res.Cells, res.Epochs, cc.Net.NumLinks, cc.Net.NumChannels, cc.Watchdog)
 	fmt.Fprintf(env.Out, "  outcomes:   %d ok, %d failed (%d recovered panics), %d backoff, %d breaker-open, %d disabled\n",
 		res.OK, res.Failed, res.PanicsRecovered, res.Backoff, res.BreakerOpen, res.DisabledEpochs)
 	fmt.Fprintf(env.Out, "  chaos:      %d hangs (%d truncated-but-bounded solves), %d restores, %d cold restarts, %d corrupted checkpoints\n",
@@ -103,18 +96,9 @@ func runChaosSoakFig(env *RunEnv) error {
 	return nil
 }
 
-// runFig4 reproduces the convergence trace. Fig. 4 needs a provably
-// convergent run, so it defaults to a scale where exact pricing
-// completes unless the user overrode -links or -budget.
+// runFig4 reproduces the convergence trace.
 func runFig4(env *RunEnv) error {
-	cfg := env.Cfg
-	if !env.LinksSet {
-		cfg.NumLinks = 8
-	}
-	if !env.BudgetSet {
-		cfg.PricerBudget = 100_000_000
-	}
-	conv, err := Fig4(cfg, env.Rep)
+	conv, err := Fig4(env.Cfg, env.Rep)
 	if err != nil {
 		return err
 	}
@@ -124,17 +108,10 @@ func runFig4(env *RunEnv) error {
 	return RenderConvergence(env.Out, conv)
 }
 
-// runFaultSweepFig runs the control-loss robustness study at its
-// reduced default scale (full scale × epochs × rates is slow).
-func runFaultSweepFig(env *RunEnv) error {
+// faultSweepFig builds the control-loss robustness study.
+func faultSweepFig(env *RunEnv) (*Figure, error) {
 	fc := DefaultFaultSweepConfig()
 	fc.Net = env.Cfg
-	if !env.LinksSet {
-		fc.Net.NumLinks = 10
-	}
-	if !env.SeedsSet {
-		fc.Net.Seeds = 10
-	}
 	if env.Epochs > 0 {
 		fc.Epochs = env.Epochs
 	}
@@ -145,20 +122,13 @@ func runFaultSweepFig(env *RunEnv) error {
 		fc.Rates = env.XS
 	}
 	fc.Failures = env.Failures
-	fig, err := FaultSweep(fc)
-	if err != nil {
-		return err
-	}
-	return env.renderFigure(fig)
+	return FaultSweep(fc)
 }
 
 // runStreamingFig plays 16 GOPs through the session layer in both
 // scheduling modes and prints the stall/quality trade-off.
 func runStreamingFig(env *RunEnv) error {
 	cfg := env.Cfg
-	if !env.LinksSet {
-		cfg.NumLinks = 8
-	}
 	inst, err := NewInstance(cfg, stats.Fork(cfg.Seed, 0))
 	if err != nil {
 		return err
@@ -176,7 +146,7 @@ func runStreamingFig(env *RunEnv) error {
 			Seed:    cfg.Seed,
 		}
 		scfg.Trace.MeanRate *= cfg.DemandScale
-		m, err := session.Run(scfg)
+		m, err := session.Run(cfg.Context(), scfg)
 		if err != nil {
 			return err
 		}
@@ -186,17 +156,10 @@ func runStreamingFig(env *RunEnv) error {
 	return nil
 }
 
-// runRelayFig runs the dual-hop recovery study at its reduced default
-// scale and prints the summary.
+// runRelayFig runs the dual-hop recovery study and prints the summary.
 func runRelayFig(env *RunEnv) error {
 	rc := DefaultRelayConfig()
 	rc.Net = env.Cfg
-	if !env.LinksSet {
-		rc.Net.NumLinks = 10
-	}
-	if !env.SeedsSet {
-		rc.Net.Seeds = 10
-	}
 	res, err := RunRelay(rc)
 	if err != nil {
 		return err
@@ -210,17 +173,10 @@ func runRelayFig(env *RunEnv) error {
 	return nil
 }
 
-// runBlockageFig runs the blockage-churn study at its reduced default
-// scale and prints the summary.
+// runBlockageFig runs the blockage-churn study and prints the summary.
 func runBlockageFig(env *RunEnv) error {
 	bc := DefaultBlockageConfig()
 	bc.Net = env.Cfg
-	if !env.LinksSet {
-		bc.Net.NumLinks = 10
-	}
-	if !env.SeedsSet {
-		bc.Net.Seeds = 10
-	}
 	res, err := RunBlockage(bc)
 	if err != nil {
 		return err

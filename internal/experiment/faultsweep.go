@@ -38,11 +38,8 @@ func DefaultFaultRates() []float64 { return []float64{0, 0.05, 0.1, 0.2, 0.3} }
 // DefaultFaultSweepConfig returns a reduced-scale sweep: 10 links, 10
 // repetitions, 4 epochs, the default degradation policy.
 func DefaultFaultSweepConfig() FaultSweepConfig {
-	cfg := DefaultConfig()
-	cfg.NumLinks = 10
-	cfg.Seeds = 10
 	return FaultSweepConfig{
-		Net:    cfg,
+		Net:    studyScale.Of(DefaultConfig()),
 		Policy: pnc.DefaultDegradePolicy(),
 		Epochs: 4,
 	}
@@ -63,52 +60,23 @@ func FaultSweep(fc FaultSweepConfig) (*Figure, error) {
 		rates = DefaultFaultRates()
 	}
 
-	fig := &Figure{
-		ID:     "faultsweep",
-		Title:  "Served demand under control-frame loss (graceful degradation)",
-		XLabel: "control-frame loss rate",
-		YLabel: "fraction",
-		Series: []Series{{Name: "hp-served"}, {Name: "lp-served"}, {Name: "degraded-links"}},
-	}
-	// Fan the (rate, rep) cells out, then aggregate in the fixed
-	// sequential order (see sweepFigure).
-	type cellRef struct{ ri, rep int }
-	var cells []cellRef
-	for ri := range rates {
-		for rep := 0; rep < fc.Net.Seeds; rep++ {
-			cells = append(cells, cellRef{ri, rep})
-		}
-	}
-	type cellValues struct{ h, l, d float64 }
-	vals := make([]cellValues, len(cells))
-	err := runCells(fc.Net, len(cells), func(i int) error {
-		c := cells[i]
-		h, l, d, err := faultRep(fc, rates[c.ri], c.rep)
+	sums, err := fanOut(fc.Net, len(rates), fc.Net.Seeds, func(ri, rep int) ([][]float64, error) {
+		h, l, d, err := faultRep(fc, rates[ri], rep)
 		if err != nil {
-			return fmt.Errorf("experiment: fault sweep rate=%g rep=%d: %w", rates[c.ri], c.rep, err)
+			return nil, fmt.Errorf("experiment: fault sweep rate=%g rep=%d: %w", rates[ri], rep, err)
 		}
-		vals[i] = cellValues{h, l, d}
-		return nil
+		return [][]float64{{h}, {l}, {d}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ci := 0
-	for _, rate := range rates {
-		var hp, lp, deg stats.Summary
-		for rep := 0; rep < fc.Net.Seeds; rep++ {
-			hp.Add(vals[ci].h)
-			lp.Add(vals[ci].l)
-			deg.Add(vals[ci].d)
-			ci++
-		}
-		for si, s := range []*stats.Summary{&hp, &lp, &deg} {
-			fig.Series[si].Points = append(fig.Series[si].Points, Point{
-				X: rate, Mean: s.Mean, CI95: s.CI95(), N: s.N,
-			})
-		}
-	}
-	return fig, nil
+	return &Figure{
+		ID:     "faultsweep",
+		Title:  "Served demand under control-frame loss (graceful degradation)",
+		XLabel: "control-frame loss rate",
+		YLabel: "fraction",
+		Series: curves([]string{"hp-served", "lp-served", "degraded-links"}, rates, sums),
+	}, nil
 }
 
 // faultRep runs one repetition at one loss rate: a fresh instance, a
@@ -155,7 +123,7 @@ func faultRep(fc FaultSweepConfig, lossRate float64, rep int) (hpFrac, lpFrac, d
 	}
 
 	var hpTrue, lpTrue, hpServed, lpServed, degLinks, links float64
-	ctx := fc.Net.context()
+	ctx := fc.Net.Context()
 	for epoch := 0; epoch < fc.Epochs; epoch++ {
 		if ctx.Err() != nil {
 			return 0, 0, 0, context.Cause(ctx)

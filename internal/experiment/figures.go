@@ -33,19 +33,32 @@ type Figure struct {
 // metric extracts a scalar from one run.
 type metric func(*RunResult) float64
 
-// sweepFigure runs every algorithm over every sweep value with
-// cfg.Seeds repetitions, aggregating the metric into series.
-//
-// The (point, rep) cells fan out across cfg.Workers goroutines: each
-// cell forks its own RNG from (Seed, rep) and writes only its own
-// result slot, and the Welford aggregation below walks the cells in
-// the fixed sequential (point, rep, algo) order — so the output is
-// bit-identical for any worker count.
-func sweepFigure(cfg Config, algos []Algorithm, xs []float64, apply func(Config, float64) Config, m metric) ([]Series, error) {
-	series := make([]Series, len(algos))
-	for i, a := range algos {
-		series[i].Name = string(a)
+// pointOf is the figure point of one aggregated sweep value.
+func pointOf(x float64, s stats.Summary) Point {
+	return Point{X: x, Mean: s.Mean, CI95: s.CI95(), N: s.N}
+}
+
+// curves lays fanOut's summaries out as figure series: series s, named
+// names[s], has one point per sweep value xs[p], aggregated in
+// sums[p][s].
+func curves(names []string, xs []float64, sums [][]stats.Summary) []Series {
+	out := make([]Series, len(names))
+	for s, name := range names {
+		out[s].Name = name
+		for p, x := range xs {
+			out[s].Points = append(out[s].Points, pointOf(x, sums[p][s]))
+		}
 	}
+	return out
+}
+
+// sweepFigure draws cfg.Seeds instances at every sweep value x, under
+// the point config apply(cfg, x), evaluates each with eval, and
+// aggregates eval's per-series samples into one curve per name. The
+// (point, rep) cells fan out over fanOut, so the curves are
+// bit-identical for any worker count.
+func sweepFigure(cfg Config, names []string, xs []float64, apply func(Config, float64) Config,
+	eval func(Config, *Instance) ([][]float64, error)) ([]Series, error) {
 	pointCfgs := make([]Config, len(xs))
 	for xi, x := range xs {
 		pointCfgs[xi] = apply(cfg, x)
@@ -53,53 +66,49 @@ func sweepFigure(cfg Config, algos []Algorithm, xs []float64, apply func(Config,
 			return nil, err
 		}
 	}
-	type cellRef struct{ xi, rep int }
-	var cells []cellRef
-	for xi := range xs {
-		for rep := 0; rep < pointCfgs[xi].Seeds; rep++ {
-			cells = append(cells, cellRef{xi, rep})
-		}
-	}
-	vals := make([][]float64, len(cells))
-	err := runCells(cfg, len(cells), func(i int) error {
-		c := cells[i]
-		pointCfg := pointCfgs[c.xi]
-		rng := stats.Fork(pointCfg.Seed, int64(c.rep))
-		inst, err := NewInstance(pointCfg, rng)
+	sums, err := fanOut(cfg, len(xs), cfg.Seeds, func(xi, rep int) ([][]float64, error) {
+		pointCfg := pointCfgs[xi]
+		inst, err := NewInstance(pointCfg, stats.Fork(pointCfg.Seed, int64(rep)))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		v := make([]float64, len(algos))
-		for ai, algo := range algos {
-			res, err := RunOn(pointCfg, algo, inst)
-			if err != nil {
-				return fmt.Errorf("x=%g rep=%d: %w", xs[c.xi], c.rep, err)
-			}
-			v[ai] = m(res)
+		vals, err := eval(pointCfg, inst)
+		if err != nil {
+			return nil, fmt.Errorf("x=%g rep=%d: %w", xs[xi], rep, err)
 		}
-		vals[i] = v
-		return nil
+		return vals, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ci := 0
-	for xi, x := range xs {
-		sums := make([]stats.Summary, len(algos))
-		for rep := 0; rep < pointCfgs[xi].Seeds; rep++ {
-			for ai := range algos {
-				sums[ai].Add(vals[ci][ai])
-			}
-			ci++
-		}
-		for ai := range algos {
-			series[ai].Points = append(series[ai].Points, Point{
-				X: x, Mean: sums[ai].Mean, CI95: sums[ai].CI95(), N: sums[ai].N,
-			})
-		}
-	}
-	return series, nil
+	return curves(names, xs, sums), nil
 }
+
+// schemeSweep is sweepFigure over the schemes of Figs. 1–3: one series
+// per algorithm, sampling metric m of its run on each instance.
+func schemeSweep(cfg Config, xs []float64, apply func(Config, float64) Config, m metric) ([]Series, error) {
+	algos := AllAlgorithms()
+	names := make([]string, len(algos))
+	for i, a := range algos {
+		names[i] = string(a)
+	}
+	return sweepFigure(cfg, names, xs, apply, func(pointCfg Config, inst *Instance) ([][]float64, error) {
+		vals := make([][]float64, len(algos))
+		for i, algo := range algos {
+			res, err := RunOn(pointCfg, algo, inst)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = []float64{m(res)}
+		}
+		return vals, nil
+	})
+}
+
+// withLinks and withDemand are the sweep axes: the number of links and
+// the demand scale.
+func withLinks(c Config, x float64) Config  { c.NumLinks = int(x); return c }
+func withDemand(c Config, x float64) Config { c.DemandScale = x; return c }
 
 // DefaultLinkSweep is the ‖L‖ sweep of Figs. 1–3.
 func DefaultLinkSweep() []float64 { return []float64{10, 15, 20, 25, 30} }
@@ -114,8 +123,7 @@ func Fig1(cfg Config, linkCounts []float64) (*Figure, error) {
 	if linkCounts == nil {
 		linkCounts = DefaultLinkSweep()
 	}
-	series, err := sweepFigure(cfg, AllAlgorithms(), linkCounts,
-		func(c Config, x float64) Config { c.NumLinks = int(x); return c },
+	series, err := schemeSweep(cfg, linkCounts, withLinks,
 		func(r *RunResult) float64 { return r.Exec.TotalTime })
 	if err != nil {
 		return nil, err
@@ -136,8 +144,7 @@ func Fig2(cfg Config, demandScales []float64) (*Figure, error) {
 	if demandScales == nil {
 		demandScales = DefaultDemandSweep()
 	}
-	series, err := sweepFigure(cfg, AllAlgorithms(), demandScales,
-		func(c Config, x float64) Config { c.DemandScale = x; return c },
+	series, err := schemeSweep(cfg, demandScales, withDemand,
 		func(r *RunResult) float64 { return r.Exec.AverageDelay() })
 	if err != nil {
 		return nil, err
@@ -157,8 +164,7 @@ func Fig3(cfg Config, linkCounts []float64) (*Figure, error) {
 	if linkCounts == nil {
 		linkCounts = DefaultLinkSweep()
 	}
-	series, err := sweepFigure(cfg, AllAlgorithms(), linkCounts,
-		func(c Config, x float64) Config { c.NumLinks = int(x); return c },
+	series, err := schemeSweep(cfg, linkCounts, withLinks,
 		func(r *RunResult) float64 { return stats.Jain(r.Exec.Completion) })
 	if err != nil {
 		return nil, err
@@ -223,6 +229,9 @@ func AllAblations() []AblationVariant {
 // Ablation measures total scheduling time of the proposed scheme under
 // each design-choice ablation, at the config's scale.
 func Ablation(cfg Config) (*Figure, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID:     "ablation",
 		Title:  "Design ablations of the proposed scheme (scheduling time)",
@@ -247,38 +256,20 @@ func Ablation(cfg Config) (*Figure, error) {
 		}
 		vcfgs[vi] = vcfg
 	}
-	// Fan the (variant, rep) cells out, then aggregate in the fixed
-	// sequential order (see sweepFigure).
-	type cellRef struct{ vi, rep int }
-	var cells []cellRef
-	for vi := range variants {
-		for rep := 0; rep < vcfgs[vi].Seeds; rep++ {
-			cells = append(cells, cellRef{vi, rep})
-		}
-	}
-	vals := make([]float64, len(cells))
-	err := runCells(cfg, len(cells), func(i int) error {
-		c := cells[i]
-		res, err := RunOnce(vcfgs[c.vi], Proposed, c.rep)
+	sums, err := fanOut(cfg, len(variants), cfg.Seeds, func(vi, rep int) ([][]float64, error) {
+		res, err := RunOnce(vcfgs[vi], Proposed, rep)
 		if err != nil {
-			return fmt.Errorf("ablation %s rep %d: %w", variants[c.vi], c.rep, err)
+			return nil, fmt.Errorf("ablation %s rep %d: %w", variants[vi], rep, err)
 		}
-		vals[i] = res.Exec.TotalTime
-		return nil
+		return [][]float64{{res.Exec.TotalTime}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ci := 0
 	for vi, v := range variants {
-		var sum stats.Summary
-		for rep := 0; rep < vcfgs[vi].Seeds; rep++ {
-			sum.Add(vals[ci])
-			ci++
-		}
 		fig.Series = append(fig.Series, Series{
 			Name:   string(v),
-			Points: []Point{{X: float64(cfg.NumLinks), Mean: sum.Mean, CI95: sum.CI95(), N: sum.N}},
+			Points: []Point{pointOf(float64(cfg.NumLinks), sums[vi][0])},
 		})
 	}
 	return fig, nil

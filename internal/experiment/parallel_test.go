@@ -56,6 +56,12 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 			fc.Rates = []float64{0, 0.2}
 			return FaultSweep(fc)
 		}},
+		{"warmreuse", func(cfg Config) (any, error) {
+			wc := DefaultWarmReuseConfig()
+			wc.Net = cfg
+			wc.Epochs = 3
+			return RunWarmReuse(wc)
+		}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

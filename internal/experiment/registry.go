@@ -10,12 +10,10 @@ import (
 )
 
 // RunEnv carries the CLI-resolved inputs a figure driver needs: the
-// scale-adjusted base config, the output stream, and the handful of
-// figure-specific flags. Drivers that run at a reduced default scale
-// (blockage, relay, faultsweep, fig 4, streaming) consult the *Set
-// provenance bits so an explicit -links/-seeds/-budget always wins.
+// base config (Table I at the driver's Scale, then the explicit scale
+// flags), the output stream, and the handful of figure-specific flags.
 type RunEnv struct {
-	Cfg Config    // base campaign config after the scale-flag overrides
+	Cfg Config    // base campaign config
 	XS  []float64 // -sweep values (nil = the driver's default x-axis)
 	CSV bool      // -csv: render figures as CSV instead of a table
 	Out io.Writer // destination for the rendered figure
@@ -25,12 +23,28 @@ type RunEnv struct {
 	Epochs   int                  // -epochs: scheduling epochs (faultsweep, chaossoak; 0 = default)
 	Retries  int                  // -retries: control retry budget (faultsweep; -1 = policy default)
 	Failures []faults.LinkFailure // -fail: injected link outages (faultsweep)
+}
 
-	// Flag-provenance bits: true when the user passed the flag
-	// explicitly, so per-figure scale defaults must not override it.
-	LinksSet  bool
-	SeedsSet  bool
-	BudgetSet bool
+// Scale is a figure's reduced default scale. Each nonzero field
+// replaces the Table I value before the CLI applies its explicit
+// flags, so -links, -seeds, -channels and -budget always win.
+type Scale struct{ Links, Seeds, Channels, Budget int }
+
+// Of returns cfg at scale s.
+func (s Scale) Of(cfg Config) Config {
+	if s.Links > 0 {
+		cfg.NumLinks = s.Links
+	}
+	if s.Seeds > 0 {
+		cfg.Seeds = s.Seeds
+	}
+	if s.Channels > 0 {
+		cfg.NumChannels = s.Channels
+	}
+	if s.Budget > 0 {
+		cfg.PricerBudget = s.Budget
+	}
+	return cfg
 }
 
 // renderFigure writes a figure to env.Out in the configured format.
@@ -47,6 +61,7 @@ func (env *RunEnv) renderFigure(fig *Figure) error {
 type Driver struct {
 	Name     string // the -fig argument
 	Synopsis string // one-line description for -fig help
+	Scale    Scale  // reduced default scale (zero = Table I)
 	Run      func(env *RunEnv) error
 }
 

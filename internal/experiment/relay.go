@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
-	"mmwave/internal/core"
 	"mmwave/internal/geom"
 	"mmwave/internal/relay"
 	"mmwave/internal/stats"
@@ -28,10 +26,7 @@ type RelayConfig struct {
 // DefaultRelayConfig returns a 10-link study with 20% of sessions
 // blocked and a 3×3 relay grid.
 func DefaultRelayConfig() RelayConfig {
-	cfg := DefaultConfig()
-	cfg.NumLinks = 10
-	cfg.Seeds = 10
-	return RelayConfig{Net: cfg, BlockedFrac: 0.2, Relays: 9}
+	return RelayConfig{Net: studyScale.Of(DefaultConfig()), BlockedFrac: 0.2, Relays: 9}
 }
 
 // RelayResult aggregates the study.
@@ -60,19 +55,14 @@ func RunRelay(rc RelayConfig) (*RelayResult, error) {
 		return nil, fmt.Errorf("experiment: Relays = %d, want ≥ 0", rc.Relays)
 	}
 
-	// One cell per repetition; per-rep values are folded below in the
-	// fixed sequential (rep, metric) order, so the result is
-	// bit-identical for any worker count. Each rep mutates only its own
-	// freshly drawn instance.
-	type repValues struct {
-		timeNoRelay, servedFrac, relayed, timeWithRelay float64
-	}
-	repVals := make([]repValues, rc.Net.Seeds)
-	err := runCells(rc.Net, rc.Net.Seeds, func(rep int) error {
+	// One cell per repetition, each mutating only its own freshly
+	// drawn instance. Series: deferred-arm time, served fraction,
+	// sessions relayed, relayed-arm time.
+	sums, err := fanOut(rc.Net, 1, rc.Net.Seeds, func(_, rep int) ([][]float64, error) {
 		rng := stats.Fork(rc.Net.Seed, int64(rep))
 		inst, err := NewInstance(rc.Net, rng)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Crush the direct path of the first ⌈frac·L⌉ sessions (the
 		// instance is random, so the choice is exchangeable).
@@ -91,6 +81,10 @@ func RunRelay(rc RelayConfig) (*RelayResult, error) {
 				blockedDemand += d.Total()
 			}
 		}
+		servedFrac := 1.0
+		if totalDemand > 0 {
+			servedFrac = (totalDemand - blockedDemand) / totalDemand
+		}
 
 		// Arm 1: defer blocked sessions' demand.
 		deferred := make([]video.Demand, L)
@@ -98,49 +92,28 @@ func RunRelay(rc RelayConfig) (*RelayResult, error) {
 		for l := 0; l < nBlocked; l++ {
 			deferred[l] = video.Demand{}
 		}
-		plan, err := solvePlan(rc.Net, &Instance{Network: inst.Network, Demands: deferred})
+		_, noRelay, err := rc.Net.solve(nil, inst.Network, deferred)
 		if err != nil {
-			return err
-		}
-		rv := &repVals[rep]
-		rv.timeNoRelay = plan.Objective
-		if totalDemand > 0 {
-			rv.servedFrac = (totalDemand - blockedDemand) / totalDemand
-		} else {
-			rv.servedFrac = 1
+			return nil, err
 		}
 
 		// Arm 2: route blocked sessions via relays.
 		grid := relayGrid(rc.Net.Room, rc.Relays)
 		exp, err := relay.Selector{}.Select(inst.Network, inst.Demands, grid, stats.Fork(rc.Net.Seed, int64(1000+rep)))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rv.relayed = float64(exp.NumRelayed())
-		solver, err := core.NewSolver(exp.Network, exp.Demands, rc.Net.solverOptions())
+		_, withRelay, err := rc.Net.solve(nil, exp.Network, exp.Demands)
 		if err != nil {
-			return fmt.Errorf("experiment: relayed instance rep %d: %w", rep, err)
+			return nil, fmt.Errorf("experiment: relayed instance rep %d: %w", rep, err)
 		}
-		sol, err := solver.Solve(context.Background())
-		if err != nil {
-			return err
-		}
-		rv.timeWithRelay = sol.Plan.Objective
-		return nil
+		return [][]float64{{noRelay.Plan.Objective}, {servedFrac}, {float64(exp.NumRelayed())}, {withRelay.Plan.Objective}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &RelayResult{}
-	for rep := range repVals {
-		rv := &repVals[rep]
-		res.TimeNoRelay.Add(rv.timeNoRelay)
-		res.ServedFracNoRelay.Add(rv.servedFrac)
-		res.Relayed.Add(rv.relayed)
-		res.TimeWithRelay.Add(rv.timeWithRelay)
-	}
-	return res, nil
+	sum := sums[0]
+	return &RelayResult{TimeNoRelay: sum[0], ServedFracNoRelay: sum[1], Relayed: sum[2], TimeWithRelay: sum[3]}, nil
 }
 
 // relayGrid places n relay candidates on a near-square grid inside the

@@ -1,13 +1,14 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"mmwave/internal/baseline"
 	"mmwave/internal/core"
+	"mmwave/internal/netmodel"
 	"mmwave/internal/sim"
 	"mmwave/internal/stats"
+	"mmwave/internal/video"
 )
 
 // Algorithm names a scheduling scheme under evaluation.
@@ -46,48 +47,62 @@ func RunOnce(cfg Config, algo Algorithm, rep int) (*RunResult, error) {
 
 // RunOn runs one algorithm on a prepared instance.
 func RunOn(cfg Config, algo Algorithm, inst *Instance) (*RunResult, error) {
-	opt := sim.Options{SlotDuration: cfg.SlotDuration}
+	return runOn(cfg, algo, inst, 0)
+}
+
+// runOn runs one algorithm on inst, cutting the execution at deadline
+// seconds (0 = run until every demand is served).
+func runOn(cfg Config, algo Algorithm, inst *Instance, deadline float64) (*RunResult, error) {
+	out := &RunResult{}
+	var policy sim.Policy
 	switch algo {
 	case Proposed:
-		solver, err := core.NewSolver(inst.Network, inst.Demands, cfg.solverOptions())
+		_, res, err := cfg.solve(nil, inst.Network, inst.Demands)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", algo, err)
 		}
-		res, err := solver.Solve(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s: %w", algo, err)
-		}
-		policy, err := sim.NewPlanPolicy(res.Plan.Schedules, res.Plan.Tau, cfg.SlotDuration)
-		if err != nil {
+		if policy, err = sim.NewPlanPolicy(res.Plan.Schedules, res.Plan.Tau, cfg.SlotDuration); err != nil {
 			return nil, err
 		}
-		exec, err := sim.Run(inst.Network, inst.Demands, policy, opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s execution: %w", algo, err)
-		}
-		return &RunResult{Exec: exec, Solver: res}, nil
+		out.Solver = res
 	case Benchmark1:
-		exec, err := sim.Run(inst.Network, inst.Demands, baseline.Benchmark1{}, opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s execution: %w", algo, err)
-		}
-		return &RunResult{Exec: exec}, nil
+		policy = baseline.Benchmark1{}
 	case Benchmark2:
-		policy := &baseline.Benchmark2{Alloc: baseline.ChannelAllocation{ExclusionDist: cfg.Room.Width / 4}}
-		exec, err := sim.Run(inst.Network, inst.Demands, policy, opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s execution: %w", algo, err)
-		}
-		return &RunResult{Exec: exec}, nil
+		policy = &baseline.Benchmark2{Alloc: baseline.ChannelAllocation{ExclusionDist: cfg.Room.Width / 4}}
 	case TDMA:
-		exec, err := sim.Run(inst.Network, inst.Demands, baseline.TDMA{}, opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s execution: %w", algo, err)
-		}
-		return &RunResult{Exec: exec}, nil
+		policy = baseline.TDMA{}
 	default:
 		return nil, fmt.Errorf("experiment: unknown algorithm %q", algo)
 	}
+	exec, err := sim.Run(inst.Network, inst.Demands, policy, sim.Options{SlotDuration: cfg.SlotDuration, Deadline: deadline})
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %s execution: %w", algo, err)
+	}
+	out.Exec = exec
+	return out, nil
+}
+
+// solve runs one proposed-scheme solve of the campaign on nw and
+// demands under the campaign context, so a canceled campaign truncates
+// it to its anytime plan. A nil warm builds a fresh (TDMA-cold)
+// solver; a non-nil warm, from an earlier epoch on the same network,
+// is re-targeted to demands and re-solved from its column pool and
+// basis. Either way the solver that ran is returned for later epochs.
+func (c Config) solve(warm *core.Solver, nw *netmodel.Network, demands []video.Demand) (*core.Solver, *core.Result, error) {
+	s := warm
+	if s == nil {
+		var err error
+		if s, err = core.NewSolver(nw, demands, c.solverOptions()); err != nil {
+			return nil, nil, err
+		}
+	} else if err := s.SetDemands(demands); err != nil {
+		return nil, nil, err
+	}
+	res, err := s.Solve(c.Context())
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, res, nil
 }
 
 // pricer builds the configured pricing engine.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"mmwave/internal/core"
@@ -29,10 +28,7 @@ type WarmReuseConfig struct {
 // DefaultWarmReuseConfig returns an 8-epoch study at reduced scale
 // with ±30% demand jitter.
 func DefaultWarmReuseConfig() WarmReuseConfig {
-	cfg := DefaultConfig()
-	cfg.NumLinks = 10
-	cfg.Seeds = 10
-	return WarmReuseConfig{Net: cfg, Epochs: 8, DemandJitter: 0.3}
+	return WarmReuseConfig{Net: studyScale.Of(DefaultConfig()), Epochs: 8, DemandJitter: 0.3}
 }
 
 // WarmReuseResult aggregates the study over repetitions. The warm and
@@ -43,75 +39,68 @@ type WarmReuseResult struct {
 	ColdIters  stats.Summary // CG iterations, same epoch solved cold
 	WarmPivots stats.Summary // LP pivots per warm epoch
 	ColdPivots stats.Summary // LP pivots, same epoch solved cold
-	Evicted    int           // columns dropped by the pool GC across all runs
 }
 
-// RunWarmReuse runs the warm-vs-cold epoch study.
+// RunWarmReuse runs the warm-vs-cold epoch study, one fanOut cell per
+// seed.
 func RunWarmReuse(wc WarmReuseConfig) (*WarmReuseResult, error) {
-	out := &WarmReuseResult{}
-	err := walkWarmReuse(wc, func(wres, cres *core.Result) {
-		out.WarmIters.Add(float64(len(wres.Iterations)))
-		out.ColdIters.Add(float64(len(cres.Iterations)))
-		out.WarmPivots.Add(float64(wres.LPPivots))
-		out.ColdPivots.Add(float64(cres.LPPivots))
-		out.Evicted += wres.EvictedColumns
+	if wc.Epochs < 2 {
+		return nil, fmt.Errorf("experiment: warm reuse needs ≥ 2 epochs, got %d", wc.Epochs)
+	}
+	if wc.DemandJitter < 0 || wc.DemandJitter >= 1 {
+		return nil, fmt.Errorf("experiment: demand jitter %g outside [0, 1)", wc.DemandJitter)
+	}
+	if err := wc.Net.Validate(); err != nil {
+		return nil, err
+	}
+	sums, err := fanOut(wc.Net, 1, wc.Net.Seeds, func(_, rep int) ([][]float64, error) {
+		vals := make([][]float64, 4)
+		err := warmReuseRep(wc, rep, func(warm, cold *core.Result) {
+			vals[0] = append(vals[0], float64(len(warm.Iterations)))
+			vals[1] = append(vals[1], float64(len(cold.Iterations)))
+			vals[2] = append(vals[2], float64(warm.LPPivots))
+			vals[3] = append(vals[3], float64(cold.LPPivots))
+		})
+		return vals, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	sum := sums[0]
+	return &WarmReuseResult{WarmIters: sum[0], ColdIters: sum[1], WarmPivots: sum[2], ColdPivots: sum[3]}, nil
 }
 
-// walkWarmReuse runs the study's solves: per seed, epoch 0 on the
-// persistent solver, then every later epoch both warm and TDMA-cold,
-// handing each such pair to visit. Any failed solve ends the walk with
-// its error.
-func walkWarmReuse(wc WarmReuseConfig, visit func(warm, cold *core.Result)) error {
-	if wc.Epochs < 2 {
-		return fmt.Errorf("experiment: warm reuse needs ≥ 2 epochs, got %d", wc.Epochs)
+// warmReuseRep runs seed rep of the study: epoch 0 on a persistent
+// solver, then every later epoch both warm and TDMA-cold, handing each
+// such pair to visit. Any failed solve ends the walk with its error.
+func warmReuseRep(wc WarmReuseConfig, rep int, visit func(warm, cold *core.Result)) error {
+	rng := stats.Fork(wc.Net.Seed, int64(rep))
+	inst, err := NewInstance(wc.Net, rng)
+	if err != nil {
+		return err
 	}
-	if wc.DemandJitter < 0 || wc.DemandJitter >= 1 {
-		return fmt.Errorf("experiment: demand jitter %g outside [0, 1)", wc.DemandJitter)
+	warm, _, err := wc.Net.solve(nil, inst.Network, inst.Demands)
+	if err != nil {
+		return fmt.Errorf("experiment: warm reuse epoch 0: %w", err)
 	}
-	for rep := 0; rep < wc.Net.Seeds; rep++ {
-		rng := stats.Fork(wc.Net.Seed, int64(rep))
-		inst, err := NewInstance(wc.Net, rng)
+	for e := 1; e < wc.Epochs; e++ {
+		demands := make([]video.Demand, len(inst.Demands))
+		for l, d := range inst.Demands {
+			f := 1.0
+			if wc.DemandJitter > 0 {
+				f = 1 + wc.DemandJitter*(2*rng.Float64()-1)
+			}
+			demands[l] = d.Scale(f)
+		}
+		_, wres, err := wc.Net.solve(warm, inst.Network, demands)
 		if err != nil {
-			return err
+			return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
 		}
-		warm, err := core.NewSolver(inst.Network, inst.Demands, wc.Net.solverOptions())
+		_, cres, err := wc.Net.solve(nil, inst.Network, demands)
 		if err != nil {
-			return fmt.Errorf("experiment: warm reuse: %w", err)
+			return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
 		}
-		if _, err := warm.Solve(context.Background()); err != nil {
-			return fmt.Errorf("experiment: warm reuse epoch 0: %w", err)
-		}
-		for e := 1; e < wc.Epochs; e++ {
-			demands := make([]video.Demand, len(inst.Demands))
-			for l, d := range inst.Demands {
-				f := 1.0
-				if wc.DemandJitter > 0 {
-					f = 1 + wc.DemandJitter*(2*rng.Float64()-1)
-				}
-				demands[l] = d.Scale(f)
-			}
-			if err := warm.SetDemands(demands); err != nil {
-				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
-			}
-			wres, err := warm.Solve(context.Background())
-			if err != nil {
-				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
-			}
-			coldSolver, err := core.NewSolver(inst.Network, demands, wc.Net.solverOptions())
-			if err != nil {
-				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
-			}
-			cres, err := coldSolver.Solve(context.Background())
-			if err != nil {
-				return fmt.Errorf("experiment: warm reuse epoch %d: %w", e, err)
-			}
-			visit(wres, cres)
-		}
+		visit(wres, cres)
 	}
 	return nil
 }
@@ -123,35 +112,23 @@ func FigWarmReuse(wc WarmReuseConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	point := func(s stats.Summary) []Point {
-		return []Point{{X: float64(wc.Epochs), Mean: s.Mean, CI95: s.CI95(), N: s.N}}
-	}
 	return &Figure{
 		ID:     "warmreuse",
 		Title:  "Cross-epoch warm reuse: per-epoch solver work, warm vs cold",
 		XLabel: "epochs",
 		YLabel: "work per epoch",
-		Series: []Series{
-			{Name: "warm CG iters", Points: point(res.WarmIters)},
-			{Name: "cold CG iters", Points: point(res.ColdIters)},
-			{Name: "warm LP pivots", Points: point(res.WarmPivots)},
-			{Name: "cold LP pivots", Points: point(res.ColdPivots)},
-		},
+		Series: curves([]string{"warm CG iters", "cold CG iters", "warm LP pivots", "cold LP pivots"},
+			[]float64{float64(wc.Epochs)},
+			[][]stats.Summary{{res.WarmIters, res.ColdIters, res.WarmPivots, res.ColdPivots}}),
 	}, nil
 }
 
 func init() {
 	Register(Driver{Name: "warmreuse", Synopsis: "per-epoch solver work with cross-epoch warm reuse vs cold restarts",
+		Scale: studyScale,
 		Run: func(env *RunEnv) error {
 			wc := DefaultWarmReuseConfig()
-			links, seeds := wc.Net.NumLinks, wc.Net.Seeds
 			wc.Net = env.Cfg
-			if !env.LinksSet {
-				wc.Net.NumLinks = links
-			}
-			if !env.SeedsSet {
-				wc.Net.Seeds = seeds
-			}
 			if env.Epochs > 0 {
 				wc.Epochs = env.Epochs
 			}

@@ -20,6 +20,7 @@ func init() {
 	experiment.Register(experiment.Driver{
 		Name:     "slices",
 		Synopsis: "3-class slice scenario (URLLC/eMBB/best-effort) through pncd over the v1 API",
+		Scale:    experiment.Scale{Links: 6},
 		Run:      runSlicesFig,
 	})
 }
@@ -63,14 +64,11 @@ type SlicesConfig struct {
 // forces load shedding, and per-class served-fraction accounting read
 // back from the wire reports. The per-class series also land in the
 // server's metrics registry (pnc_served_fraction_class_*), scraped
-// from /metrics like any other pnc_* family.
-func RunSlices(cfg SlicesConfig) (*SliceResult, error) {
+// from /metrics like any other pnc_* family. Every API call runs
+// under ctx.
+func RunSlices(ctx context.Context, cfg SlicesConfig) (*SliceResult, error) {
 	classes := experiment.SliceNames()
 	nc := len(classes)
-	ctx := context.Background()
-	if cfg.Net.Ctx != nil {
-		ctx = cfg.Net.Ctx
-	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 8
 	}
@@ -172,14 +170,10 @@ func RunSlices(cfg SlicesConfig) (*SliceResult, error) {
 	return res, nil
 }
 
-// runSlicesFig adapts RunSlices to the figure registry: reduced scale
-// by default (-links/-epochs override), table output.
+// runSlicesFig adapts RunSlices to the figure registry: table output.
 func runSlicesFig(env *experiment.RunEnv) error {
 	cfg := SlicesConfig{Net: env.Cfg, Epochs: env.Epochs}
-	if !env.LinksSet {
-		cfg.Net.NumLinks = 6
-	}
-	res, err := RunSlices(cfg)
+	res, err := RunSlices(env.Cfg.Context(), cfg)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package pncd
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestRunSlices(t *testing.T) {
 	cfg.NumChannels = 2
 	cfg.Seeds = 1
 	cfg.PricerBudget = 2000
-	res, err := RunSlices(SlicesConfig{Net: cfg, Epochs: 3})
+	res, err := RunSlices(context.Background(), SlicesConfig{Net: cfg, Epochs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSlicesDriverRegistered(t *testing.T) {
 	cfg.NumLinks = 3
 	cfg.NumChannels = 2
 	cfg.PricerBudget = 2000
-	env := &experiment.RunEnv{Cfg: cfg, Out: &out, Epochs: 2, LinksSet: true}
+	env := &experiment.RunEnv{Cfg: cfg, Out: &out, Epochs: 2}
 	if err := d.Run(env); err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,9 @@ type Metrics struct {
 }
 
 // Run streams the configured number of GOPs and returns the metrics.
-func Run(cfg Config) (*Metrics, error) {
+// Every GOP's solve runs under ctx: a canceled ctx truncates it to its
+// anytime plan.
+func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,7 +134,7 @@ func Run(cfg Config) (*Metrics, error) {
 			if err != nil {
 				return nil, fmt.Errorf("session: gop %d: %w", g, err)
 			}
-			res, err := solver.Solve(context.Background())
+			res, err := solver.Solve(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("session: gop %d: %w", g, err)
 			}
@@ -155,7 +157,7 @@ func Run(cfg Config) (*Metrics, error) {
 			if err != nil {
 				return nil, fmt.Errorf("session: gop %d: %w", g, err)
 			}
-			res, err := qs.Solve(context.Background())
+			res, err := qs.Solve(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("session: gop %d: %w", g, err)
 			}

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestValidate(t *testing.T) {
 func TestMinTimeDeliversEverything(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Mode = MinTime
-	m, err := Run(cfg)
+	m, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestMinTimeDeliversEverything(t *testing.T) {
 func TestQualityNeverStalls(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Mode = Quality
-	m, err := Run(cfg)
+	m, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +143,12 @@ func TestTradeOff(t *testing.T) {
 	// lower PSNR under overload.
 	cfg := baseConfig(t)
 	cfg.Mode = MinTime
-	minTime, err := Run(cfg)
+	minTime, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = Quality
-	quality, err := Run(cfg)
+	quality, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +171,12 @@ func TestLightLoadBothModesCoincide(t *testing.T) {
 	cfg.GOPs = 3
 
 	cfg.Mode = MinTime
-	minTime, err := Run(cfg)
+	minTime, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = Quality
-	quality, err := Run(cfg)
+	quality, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestOnTimeRatioEmpty(t *testing.T) {
 func TestRunRejectsInvalidConfigUpFront(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.GOPs = -1
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("invalid config accepted by Run")
 	}
 }
@@ -219,7 +220,7 @@ func TestMetricsAccumulateAcrossGOPs(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Mode = Quality
 	cfg.GOPs = 3
-	m, err := Run(cfg)
+	m, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +239,13 @@ func TestTraceStreamsAreIndependentPerLink(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Mode = Quality
 	cfg.GOPs = 1
-	m1, err := Run(cfg)
+	m1, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = m1
 	// Determinism: same config twice gives identical metrics.
-	m2, err := Run(cfg)
+	m2, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

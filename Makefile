@@ -54,6 +54,9 @@ lint: vet check-deprecated
 # back; and every campaign solve runs under the campaign context, so no
 # solve in the experiment, session or slice drivers may be handed a
 # fresh context.Background().
+# A cell's checkpoint file is a two-slot file written in place, so
+# internal/host reads and writes c.ckptPath only through
+# checkpoint.LoadImage/StoreImage (Evict may remove it).
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -105,6 +108,11 @@ check-deprecated:
 		echo "$$dups"; echo "$$extra"; \
 		echo "error: internal/lp has one simplex driver (sparse.go); the dense reference is only a basis inverse"; exit 1; \
 	else echo "one-simplex-driver check passed"; fi
+	@if grep -Hn 'ckptPath' $$(ls internal/host/*.go | grep -v '_test\.go$$') \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|ckptPath[[:space:]]+string)' \
+		| grep -vE 'c\.ckptPath (==|!=) ""|c\.ckptPath = filepath\.Join\(|checkpoint\.(LoadImage|StoreImage)\(c\.ckptPath[,)]|os\.Remove\(c\.ckptPath\)' ; then \
+		echo "error: internal/host reads and writes a cell's checkpoint file only through checkpoint.LoadImage/StoreImage"; exit 1; \
+	else echo "checkpoint-slot-file check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \
@@ -162,10 +170,13 @@ bench-full:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fuzz passes over every wire decoder — the control-plane frames, the
-# fault-event wire/spec decoders, the checkpoint snapshot decoder —
-# plus the sparse LU kernel (random pivot sequences checked against a
-# dense shadow and a fresh refactorization). FUZZTIME scales all
-# targets; fuzz-short is the CI setting.
+# fault-event wire/spec decoders, the checkpoint snapshot decoder and
+# slot-file reader — plus the sparse LU kernel (random pivot sequences
+# checked against a dense shadow and a fresh refactorization).
+# FUZZTIME scales all targets; fuzz-short is the CI setting. A slot
+# file is at least 8 KiB, and minimizing each new input of that size
+# with the default budget takes the whole run, so FuzzLoadImage caps
+# minimization.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -174,6 +185,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScheduleGrantUnmarshal -fuzztime $(FUZZTIME) ./internal/pnc
 	$(GO) test -fuzz FuzzFailureDecoders -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -fuzz FuzzLoadImage -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/checkpoint
 	$(GO) test -fuzz FuzzSparseLU -fuzztime $(FUZZTIME) ./internal/lp
 
 fuzz-short:

@@ -2,10 +2,11 @@
 // pnc.CoordState (demand fallbacks, control accounting, epoch counter,
 // and the cg engine snapshot: schedule pool, warm basis, GC stamps)
 // plus the fault injector's RNG position — as a CRC-guarded binary
-// image with atomic write-rename persistence. A restored coordinator
-// re-solves byte-identically to the one that wrote the snapshot (see
-// internal/pnc.ImportState and the chaos soak in internal/host), which
-// is what makes a supervised restart invisible to the data plane.
+// image, persisted in place in a two-slot file (see StoreImage). A
+// restored coordinator re-solves byte-identically to the one that wrote
+// the snapshot (see internal/pnc.ImportState and the chaos soak in
+// internal/host), which is what makes a supervised restart invisible
+// to the data plane.
 //
 // Image layout (little-endian):
 //
@@ -19,14 +20,25 @@
 // the coordinator schedules; restoring onto a network with a different
 // fingerprint yields ErrIncompatible too, so a snapshot can never leak
 // schedules across problem instances.
+//
+// Slot file layout (little-endian), two slots of capacity C each:
+//
+//	slot: magic "MWSL" | seq u64 | len u32 | CRC32(IEEE) u32 | image
+//
+// The file is 2C bytes and C is a power of two of at least 4096, so a
+// torn write reaches only the slot being written. The slot CRC covers
+// seq, len and the image bytes exactly as stored. StoreImage overwrites
+// the older slot in place with the next seq and fsyncs; LoadImage
+// returns the intact slot with the highest seq. The slot layer only
+// proves the bytes reached the disk whole: an image corrupted before
+// it was stored is stored whole, returned as the newest, and fails
+// Decode, so the older slot never stands in for it.
 package checkpoint
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 
 	"mmwave/internal/cg"
 	"mmwave/internal/core"
@@ -201,57 +213,6 @@ func Decode(data []byte) (*Snapshot, error) {
 			ErrCorrupt, len(s.Plan.Schedules), len(s.Plan.Tau))
 	}
 	return s, nil
-}
-
-// Save writes the snapshot atomically (Encode, then WriteFile). A
-// crash mid-save leaves either the previous checkpoint or none — never
-// a torn image.
-func Save(path string, s *Snapshot) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	if err := WriteFile(path, data); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
-}
-
-// WriteFile stores data at path atomically: it writes a temp file in
-// the target directory (named path's base plus ".tmp" and a random
-// suffix), fsyncs and closes it, then renames it over path. The temp
-// file is removed only when a step fails; after a successful rename it
-// no longer exists under its temp name. Callers that persist exact
-// bytes, such as a host storing a checkpoint image it may later
-// restore from, use it directly.
-func WriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
-}
-
-// Load reads and decodes a snapshot from disk.
-func Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return Decode(data)
 }
 
 // --- payload codecs ---

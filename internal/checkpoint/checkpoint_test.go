@@ -274,9 +274,10 @@ func TestOtherVersionsIncompatible(t *testing.T) {
 	}
 }
 
-// TestSaveLoadAtomic: Save is write-to-temp + rename — a reload sees
-// either the previous image or the new one, the temp file never
-// survives, and Load round-trips exactly.
+// TestSaveLoadAtomic: Save overwrites the older of the file's two
+// slots in place — a reload sees the newest intact image, which is
+// the previous one until the new slot is whole — no temp file is left
+// behind, and Load round-trips exactly.
 func TestSaveLoadAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cell0.ckpt")

@@ -51,8 +51,8 @@ func WithAdmission(maxCells, maxTotalLinks int) Option {
 // Options.CheckpointDir).
 func WithCheckpointDir(dir string) Option { return func(o *Options) { o.CheckpointDir = dir } }
 
-// WithWorkers bounds StepAll's parallelism (zero means one goroutine
-// per cell).
+// WithWorkers bounds StepAll's parallelism, the calling goroutine
+// included (zero means one worker per cell).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithTracer attaches a host_* span-event consumer.

@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mmwave/internal/checkpoint"
@@ -68,11 +69,12 @@ type Options struct {
 	MaxCells      int
 	MaxTotalLinks int
 	// CheckpointDir, when set, persists each cell's checkpoint to
-	// <dir>/cell<id>.ckpt through the atomic write-rename path (Evict
-	// removes the file); empty keeps checkpoints in memory.
+	// <dir>/cell<id>.ckpt, a two-slot file each epoch's image
+	// overwrites in place (checkpoint.StoreImage; Evict removes the
+	// file); empty keeps checkpoints in memory.
 	CheckpointDir string
-	// Workers bounds StepAll's parallelism; zero means one goroutine
-	// per cell.
+	// Workers bounds StepAll's parallelism, counting the calling
+	// goroutine; zero means one worker per cell.
 	Workers int
 	// Tracer/Metrics receive host_* span events and counters.
 	Tracer  *obs.Tracer
@@ -380,21 +382,18 @@ func (h *Host) Evict(id int) error {
 // byte-identical to the one the dead process would have run. The
 // host-side epoch counter resumes from the coordinator's completed-
 // epoch count. Returns (false, nil) when the host keeps checkpoints in
-// memory or none was written yet; a decode or restore failure leaves
-// the cell cold-started (the state Admit built) and is returned for
-// the caller to surface.
+// memory or none was written yet; a load, decode or restore failure
+// leaves the cell cold-started (the state Admit built), is counted in
+// host_cold_restarts_total, and is returned for the caller to surface.
 func (h *Host) Recover(c *Cell) (bool, error) {
 	if c.ckptPath == "" {
 		return false, nil
 	}
-	data, err := os.ReadFile(c.ckptPath)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
+	data, err := checkpoint.LoadImage(c.ckptPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
 	}
-	if err := h.restore(c, data); err != nil {
+	if err := h.restore(c, data, err); err != nil {
 		return false, err
 	}
 	c.lastCkpt = data
@@ -434,30 +433,35 @@ type FeedFunc func(cell *Cell, epoch int64) [][]byte
 // StepAll runs one scheduling epoch on every live cell concurrently
 // and returns the reports indexed by cell ID (evicted slots yield nil
 // entries). Cells are independent; each is stepped by exactly one
-// goroutine of the sharded worker pool.
+// worker. Workers claim cell indices from one counter, and the calling
+// goroutine is one of them, so a single worker starts no goroutine.
 func (h *Host) StepAll(ctx context.Context, feed FeedFunc) []*EpochReport {
 	reports := make([]*EpochReport, len(h.cells))
 	workers := h.opts.Workers
 	if workers <= 0 || workers > len(h.cells) {
 		workers = len(h.cells)
 	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(h.cells) {
+				return
+			}
+			if c := h.cells[i]; c != nil {
+				reports[i] = h.stepCell(ctx, c, feed)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if c := h.cells[i]; c != nil {
-					reports[i] = h.stepCell(ctx, c, feed)
-				}
-			}
+			work()
 		}()
 	}
-	for i := range h.cells {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return reports
 }
@@ -649,7 +653,7 @@ func (h *Host) checkpointCell(c *Cell, rep *EpochReport) {
 		h.metric("host_checkpoint_corruptions_total")
 	}
 	if c.ckptPath != "" {
-		if err := checkpoint.WriteFile(c.ckptPath, data); err != nil {
+		if err := checkpoint.StoreImage(c.ckptPath, data); err != nil {
 			h.metric("host_checkpoint_errors_total")
 			h.event("host.checkpoint_error", c.id, err.Error())
 			return
@@ -668,13 +672,12 @@ func (h *Host) checkpointCell(c *Cell, rep *EpochReport) {
 // since the fault environment survives a process death even when the
 // state does not.
 func (h *Host) killRestore(c *Cell, rep *EpochReport) {
+	var err error
 	data := c.lastCkpt
 	if c.ckptPath != "" {
-		if d, err := os.ReadFile(c.ckptPath); err == nil {
-			data = d
-		}
+		data, err = checkpoint.LoadImage(c.ckptPath)
 	}
-	if err := h.restore(c, data); err != nil {
+	if err := h.restore(c, data, err); err != nil {
 		rep.ColdRestarted = true
 		if berr := c.buildCoordinator(); berr != nil {
 			// The spec built once already; a rebuild failure means the
@@ -688,13 +691,17 @@ func (h *Host) killRestore(c *Cell, rep *EpochReport) {
 	rep.Restored = true
 }
 
-// restore decodes a checkpoint image and rebuilds the cell's
-// coordinator and injector from it, counting the outcome: a restore
-// in host_restores_total, or — for a corrupt image, one of another
-// format version, or one that does not fit the cell — a cold restart
-// in host_cold_restarts_total, with the error returned.
-func (h *Host) restore(c *Cell, data []byte) error {
-	snap, err := checkpoint.Decode(data)
+// restore decodes a checkpoint image — or takes the error loading it
+// — and rebuilds the cell's coordinator and injector from it, counting
+// the outcome: a restore in host_restores_total, or — for an image
+// that failed to load, a corrupt one, one of another format version,
+// or one that does not fit the cell — a cold restart in
+// host_cold_restarts_total, with the error returned.
+func (h *Host) restore(c *Cell, data []byte, err error) error {
+	var snap *checkpoint.Snapshot
+	if err == nil {
+		snap, err = checkpoint.Decode(data)
+	}
 	if err == nil {
 		err = h.restoreFromSnapshot(c, snap)
 	}

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -487,7 +489,7 @@ func TestCorruptCheckpointColdRestart(t *testing.T) {
 
 // TestRecoverOtherVersionColdRestart: a checkpoint written in another
 // image format version (here a well-formed image re-stamped as version
-// 7, CRC recomputed) is not decoded. Recover returns ErrIncompatible,
+// 7, CRC recomputed, and stored as the newest slot) is not decoded. Recover returns ErrIncompatible,
 // counts one cold restart and leaves the cold cell Admit built, which
 // still schedules; Evict then removes the host's checkpoint file.
 func TestRecoverOtherVersionColdRestart(t *testing.T) {
@@ -502,14 +504,14 @@ func TestRecoverOtherVersionColdRestart(t *testing.T) {
 		t.Fatalf("outcome %v err %v", rep.Outcome, rep.Err)
 	}
 	path := filepath.Join(dir, "cell0.ckpt")
-	data, err := os.ReadFile(path)
+	data, err := checkpoint.LoadImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint16(data[4:6], 7)
 	body := data[:len(data)-4]
 	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := checkpoint.StoreImage(path, data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -571,6 +573,43 @@ func TestStepAll(t *testing.T) {
 			if rep.Epoch != int64(epoch) {
 				t.Fatalf("cell %d: epoch %d, want %d", i, rep.Epoch, epoch)
 			}
+		}
+	}
+}
+
+// goroutineID parses the running goroutine's ID from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestStepAllSingleWorkerInline: with one worker, StepAll steps every
+// cell on the calling goroutine, in cell order.
+func TestStepAllSingleWorkerInline(t *testing.T) {
+	h := New(WithWorkers(1))
+	for i := 0; i < 3; i++ {
+		if _, err := h.Admit(CellSpec{Network: testNetwork(t, 50+int64(i), 3, 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	caller := goroutineID()
+	frames := demandFeed(t, video.TwoClass(2e6, 4e6))
+	var order []int
+	reps := h.StepAll(context.Background(), func(c *Cell, epoch int64) [][]byte {
+		if g := goroutineID(); g != caller {
+			t.Errorf("cell %d stepped on goroutine %s, caller is %s", c.ID(), g, caller)
+		}
+		order = append(order, c.ID())
+		return frames(c, epoch)
+	})
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Fatalf("cells stepped in order %v, want [0 1 2]", order)
+	}
+	for i, rep := range reps {
+		if rep == nil || rep.Outcome != OutcomeOK {
+			t.Fatalf("cell %d: report %+v", i, rep)
 		}
 	}
 }

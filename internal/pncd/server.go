@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,7 +37,7 @@ type Config struct {
 	// (cells live only in memory).
 	StateDir string
 	// Workers bounds batch-step parallelism (host.Options.Workers;
-	// zero means one goroutine per cell).
+	// zero means one worker per cell).
 	Workers int
 	// Watchdog is the per-epoch solve deadline (zero disables).
 	Watchdog time.Duration
@@ -694,12 +695,13 @@ func (s *Server) finishStep(cs *cellState) {
 	}
 }
 
-// record appends a report to the cell's ring and wakes followers.
+// record appends a report to the cell's ring, trimming the oldest in
+// place once the ring is full, and wakes followers.
 func (s *Server) record(cs *cellState, rep api.EpochReport) {
 	cs.mu.Lock()
 	cs.reports = append(cs.reports, rep)
 	if over := len(cs.reports) - s.cfg.ReportRetention; over > 0 {
-		cs.reports = append([]api.EpochReport(nil), cs.reports[over:]...)
+		cs.reports = slices.Delete(cs.reports, 0, over)
 	}
 	if cs.notify != nil {
 		close(cs.notify)

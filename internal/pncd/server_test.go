@@ -771,3 +771,32 @@ func TestRetiredBlockageKeysIgnored(t *testing.T) {
 		t.Fatalf("cell with retired keys: outcome %q, plan differs from the plain cell's", a.Outcome)
 	}
 }
+
+// TestRecordTrimsInPlace: once a cell's report ring is full, recording
+// a report trims the oldest in place — the only allocation is the
+// followers' fresh notify channel — and the ring keeps the newest
+// ReportRetention reports in order.
+func TestRecordTrimsInPlace(t *testing.T) {
+	const retention = 128
+	s := &Server{cfg: Config{ReportRetention: retention}}
+	cs := &cellState{notify: make(chan struct{})}
+	epoch := int64(0)
+	for ; epoch < 2*retention; epoch++ {
+		s.record(cs, api.EpochReport{Epoch: epoch})
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.record(cs, api.EpochReport{Epoch: epoch})
+		epoch++
+	})
+	if allocs != 1 {
+		t.Errorf("record on a full ring allocated %v times per call, want 1 (the notify channel)", allocs)
+	}
+	if len(cs.reports) != retention {
+		t.Fatalf("ring holds %d reports, want %d", len(cs.reports), retention)
+	}
+	for i, rep := range cs.reports {
+		if want := epoch - retention + int64(i); rep.Epoch != want {
+			t.Fatalf("ring slot %d holds epoch %d, want %d", i, rep.Epoch, want)
+		}
+	}
+}

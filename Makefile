@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet cover bench bench-full bench-smoke bench-diff fuzz fuzz-short soak-short trace-smoke figures examples lint check-deprecated clean
+.PHONY: all build test race vet cover bench bench-full bench-smoke bench-diff fuzz fuzz-short soak-short trace-smoke figures figures-check examples lint check-deprecated clean
 
 all: build vet test
 
@@ -57,6 +57,10 @@ lint: vet check-deprecated
 # A cell's checkpoint file is a two-slot file written in place, so
 # internal/host reads and writes c.ckptPath only through
 # checkpoint.LoadImage/StoreImage (Evict may remove it).
+# There is one PHY, the paper's: Table I gains and Shannon levels over
+# Γ, so the path-loss, Rician, antenna and 802.11ad models, the gain
+# generator interface, the angle helpers only they used and the
+# -channel-model/-rate-model selectors must not come back.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -113,6 +117,9 @@ check-deprecated:
 		| grep -vE 'c\.ckptPath (==|!=) ""|c\.ckptPath = filepath\.Join\(|checkpoint\.(LoadImage|StoreImage)\(c\.ckptPath[,)]|os\.Remove\(c\.ckptPath\)' ; then \
 		echo "error: internal/host reads and writes a cell's checkpoint file only through checkpoint.LoadImage/StoreImage"; exit 1; \
 	else echo "checkpoint-slot-file check passed"; fi
+	@if grep -rn --include='*.go' -E '\b(PathLoss|Rician|IEEE80211adSCRateTable|ChannelModel|RateModel|OffsetAngle|AngleDiff)\b|channel\.Generator\b|"mmwave/internal/antenna"|"-?(channel|rate)-model"' . ; then \
+		echo "error: one PHY, the paper's (Table I gains, Shannon levels over Γ; no other gain or rate model, no model selector)"; exit 1; \
+	else echo "one-phy check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \
@@ -233,24 +240,43 @@ pncd-smoke:
 	@echo "pncd smoke passed"
 
 # Regenerate every figure of EXPERIMENTS.md into results/ (slow: the
-# paper's full 50-seed sweeps).
+# paper's full 50-seed sweeps). RESULTS redirects the output.
+RESULTS ?= results
+
 figures:
-	mkdir -p results
-	$(GO) run ./cmd/mmwavesim -fig 1 | tee results/fig1.txt
-	$(GO) run ./cmd/mmwavesim -fig 2 | tee results/fig2.txt
-	$(GO) run ./cmd/mmwavesim -fig 3 | tee results/fig3.txt
-	$(GO) run ./cmd/mmwavesim -fig 4 | tee results/fig4.txt
-	$(GO) run ./cmd/mmwavesim -fig ablation -links 15 -seeds 20 | tee results/ablation.txt
-	$(GO) run ./cmd/mmwavesim -fig quality -links 20 -seeds 20 | tee results/quality.txt
-	$(GO) run ./cmd/mmwavesim -fig blockage | tee results/blockage.txt
-	$(GO) run ./cmd/mmwavesim -fig relay | tee results/relay.txt
-	$(GO) run ./cmd/mmwavesim -fig streaming | tee results/streaming.txt
-	$(GO) run ./cmd/mmwavesim -fig 1 -csv > results/fig1.csv
-	$(GO) run ./cmd/mmwavesim -fig 2 -csv > results/fig2.csv
-	$(GO) run ./cmd/mmwavesim -fig 3 -csv > results/fig3.csv
-	$(GO) run ./cmd/mmwaveplot -in results/fig1.csv -out results/fig1.svg -title "Fig 1" -xlabel "number of links" -ylabel "scheduling time (s)"
-	$(GO) run ./cmd/mmwaveplot -in results/fig2.csv -out results/fig2.svg -title "Fig 2" -xlabel "traffic demand" -ylabel "average delay (s)"
-	$(GO) run ./cmd/mmwaveplot -in results/fig3.csv -out results/fig3.svg -title "Fig 3" -xlabel "number of links" -ylabel "Jain fairness"
+	mkdir -p $(RESULTS)
+	$(GO) run ./cmd/mmwavesim -fig 1 | tee $(RESULTS)/fig1.txt
+	$(GO) run ./cmd/mmwavesim -fig 2 | tee $(RESULTS)/fig2.txt
+	$(GO) run ./cmd/mmwavesim -fig 3 | tee $(RESULTS)/fig3.txt
+	$(GO) run ./cmd/mmwavesim -fig 4 | tee $(RESULTS)/fig4.txt
+	$(GO) run ./cmd/mmwavesim -fig ablation -links 15 -seeds 20 | tee $(RESULTS)/ablation.txt
+	$(GO) run ./cmd/mmwavesim -fig quality -links 20 -seeds 20 | tee $(RESULTS)/quality.txt
+	$(GO) run ./cmd/mmwavesim -fig blockage | tee $(RESULTS)/blockage.txt
+	$(GO) run ./cmd/mmwavesim -fig relay | tee $(RESULTS)/relay.txt
+	$(GO) run ./cmd/mmwavesim -fig streaming | tee $(RESULTS)/streaming.txt
+	$(GO) run ./cmd/mmwavesim -fig 1 -csv > $(RESULTS)/fig1.csv
+	$(GO) run ./cmd/mmwavesim -fig 2 -csv > $(RESULTS)/fig2.csv
+	$(GO) run ./cmd/mmwavesim -fig 3 -csv > $(RESULTS)/fig3.csv
+	$(GO) run ./cmd/mmwaveplot -in $(RESULTS)/fig1.csv -out $(RESULTS)/fig1.svg -title "Fig 1" -xlabel "number of links" -ylabel "scheduling time (s)"
+	$(GO) run ./cmd/mmwaveplot -in $(RESULTS)/fig2.csv -out $(RESULTS)/fig2.svg -title "Fig 2" -xlabel "traffic demand" -ylabel "average delay (s)"
+	$(GO) run ./cmd/mmwaveplot -in $(RESULTS)/fig3.csv -out $(RESULTS)/fig3.svg -title "Fig 3" -xlabel "number of links" -ylabel "Jain fairness"
+
+# Regenerate every figure with `make figures` into a scratch directory
+# and require each file to match its committed copy in results/ byte
+# for byte: the paper-scale figs 1–3 (tables, CSVs, and the SVGs drawn
+# from the regenerated CSVs) and quality.txt, which no test checks, and
+# the rest, which TestFiguresMatchResults also checks. About 4 minutes
+# on 2 CPUs.
+FIGCHECK_DIR ?= /tmp/figures-check
+
+figures-check:
+	rm -rf $(FIGCHECK_DIR)
+	$(MAKE) --no-print-directory figures RESULTS=$(FIGCHECK_DIR)
+	@fail=0; for f in $(FIGCHECK_DIR)/*; do \
+		cmp "$$f" "results/$$(basename "$$f")" || fail=1; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "error: a regenerated figure differs from results/"; exit 1; fi; \
+	echo "figures check passed: $$(ls $(FIGCHECK_DIR) | wc -l) files match results/"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -88,8 +88,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		budget       = fs.Int("budget", 0, "pricing search budget in feasibility probes (0 = default)")
 		demand       = fs.Float64("demand", 1, "demand scale (multiples of one GOP volume)")
 		interference = fs.String("interference", "global", "interference model: global (paper's formulation) or per-channel (physical)")
-		chanModel    = fs.String("channel-model", "table-i", "gain model: table-i, path-loss, or rician")
-		rateModel    = fs.String("rate-model", "shannon", "rate table: shannon (eq. 2 over Γ) or 80211ad (MCS set)")
 		pmax         = fs.Float64("pmax", 0, "transmit power cap in W (0 = Table I default of 1 W)")
 		sweep        = fs.String("sweep", "", "comma-separated sweep values overriding the default x-axis")
 		rep          = fs.Int("rep", 0, "repetition index for -fig 4")
@@ -117,8 +115,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 	cfg.Seed = *seed
 	cfg.DemandScale = *demand
 	cfg.Interference = *interference
-	cfg.ChannelModel = *chanModel
-	cfg.RateModel = *rateModel
 	if *pmax > 0 {
 		cfg.PMax = *pmax
 	}

@@ -20,6 +20,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mmwave/internal/netmodel"
@@ -293,8 +294,10 @@ func (b *Benchmark2) Decide(nw *netmodel.Network, rem *sim.Remaining, slot int) 
 		if allDone(rem) {
 			return nil, nil
 		}
-		// Mutual drowning: serve the neediest pending link alone.
-		best, need := -1, -1.0
+		// Mutual drowning: serve the neediest pending link alone. remSum
+		// may be far below zero (overshoot is kept), so any pending link
+		// beats the starting need.
+		best, need := -1, math.Inf(-1)
 		for l := 0; l < nw.NumLinks(); l++ {
 			if rem.Done(l) {
 				continue

@@ -7,11 +7,9 @@
 //     gain from link l's transmitter to link l's receiver on channel k,
 //     already folded with the directional antenna pattern.
 //
-// Two generators are provided: the paper's Table I model (all gains and
-// angular factors drawn U[0,1] independently per channel, capturing
-// frequency selectivity abstractly) and a physical model combining
-// log-distance path loss, per-channel lognormal shadowing, and a
-// geometric antenna pattern.
+// The one generator is the paper's Table I model: every gain and
+// angular factor is an independent U[0,1] draw per channel, capturing
+// frequency selectivity abstractly.
 package channel
 
 import (
@@ -19,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 
-	"mmwave/internal/antenna"
 	"mmwave/internal/geom"
 )
 
@@ -82,15 +79,6 @@ func (g *Gains) Validate() error {
 	return nil
 }
 
-// Generator produces the gain structure for a set of links.
-type Generator interface {
-	// Generate draws gains for the given link geometry on numChannels
-	// channels using rng.
-	Generate(rng *rand.Rand, links []geom.Segment, numChannels int) *Gains
-	// String names the generator for experiment records.
-	String() string
-}
-
 // TableI is the paper's simulation model: every direct gain H_l^k and
 // every cross-gain factor G_{l'l}^k and Δ(θ(l',l)) is an independent
 // U[0,1] draw per channel (Table I of the paper). Link geometry is
@@ -98,9 +86,8 @@ type Generator interface {
 // draws.
 type TableI struct{}
 
-var _ Generator = TableI{}
-
-// Generate implements Generator.
+// Generate draws the gains of len(links) links on numChannels channels
+// from rng.
 func (TableI) Generate(rng *rand.Rand, links []geom.Segment, numChannels int) *Gains {
 	n := len(links)
 	g := newGains(n, numChannels)
@@ -122,166 +109,6 @@ func (TableI) Generate(rng *rand.Rand, links []geom.Segment, numChannels int) *G
 		}
 	}
 	return g
-}
-
-// String implements Generator.
-func (TableI) String() string { return "table-i-uniform" }
-
-// PathLoss is a physical gain model: log-distance path loss at 60 GHz
-// with per-channel lognormal shadowing, and cross gains attenuated by a
-// directional antenna pattern evaluated at the geometric offset angle.
-// Gains are normalized so that a link at ReferenceDist has unit mean
-// direct gain, keeping the same operating regime as the Table I model.
-type PathLoss struct {
-	Exponent      float64         // path loss exponent (indoor 60 GHz ≈ 2–2.5)
-	ShadowSigmaDB float64         // per-channel lognormal shadowing, dB
-	ReferenceDist float64         // distance with unit mean gain, meters
-	Pattern       antenna.Pattern // directional pattern for cross gains
-	RXPattern     bool            // also apply receive-side directivity
-
-	// BeamErr models codebook-quantized beam steering (§II's
-	// electronically steerable arrays pick the best sector, not the
-	// exact peer direction): each link's TX and RX boresights are
-	// misaligned by an independent uniform draw from [-BeamErr,
-	// +BeamErr] radians. The misalignment costs direct gain (pattern
-	// roll-off at the peer) and perturbs every interference angle.
-	BeamErr float64
-}
-
-var _ Generator = PathLoss{}
-
-// DefaultPathLoss returns a PathLoss model with parameters typical of
-// indoor 60 GHz deployments: exponent 2.2, 2 dB shadowing, 5 m
-// reference distance and a 30° Gaussian beam.
-func DefaultPathLoss() PathLoss {
-	return PathLoss{
-		Exponent:      2.2,
-		ShadowSigmaDB: 2,
-		ReferenceDist: 5,
-		Pattern:       antenna.Gaussian{Beamwidth: math.Pi / 6, SideLobe: 0.05},
-		RXPattern:     true,
-	}
-}
-
-// Generate implements Generator.
-func (p PathLoss) Generate(rng *rand.Rand, links []geom.Segment, numChannels int) *Gains {
-	n := len(links)
-	g := newGains(n, numChannels)
-	ref := p.ReferenceDist
-	if ref <= 0 {
-		ref = 1
-	}
-	gainAt := func(d float64) float64 {
-		if d < 0.1 {
-			d = 0.1 // clamp near-field distances
-		}
-		return math.Pow(ref/d, p.Exponent)
-	}
-	shadow := func() float64 {
-		if p.ShadowSigmaDB <= 0 {
-			return 1
-		}
-		return math.Pow(10, rng.NormFloat64()*p.ShadowSigmaDB/10)
-	}
-	// Per-link codebook misalignment of TX and RX boresights.
-	txErr := make([]float64, n)
-	rxErr := make([]float64, n)
-	if p.BeamErr > 0 {
-		for i := range txErr {
-			txErr[i] = (rng.Float64()*2 - 1) * p.BeamErr
-			rxErr[i] = (rng.Float64()*2 - 1) * p.BeamErr
-		}
-	}
-	for l, seg := range links {
-		// Misalignment costs direct gain via the pattern roll-off at
-		// the peer direction.
-		dir := p.Pattern.Gain(math.Abs(txErr[l]))
-		if p.RXPattern {
-			dir *= p.Pattern.Gain(math.Abs(rxErr[l]))
-		}
-		for k := 0; k < numChannels; k++ {
-			g.Direct[l][k] = gainAt(seg.Length()) * dir * shadow()
-		}
-	}
-	for lp := 0; lp < n; lp++ {
-		for l := 0; l < n; l++ {
-			if lp == l {
-				continue
-			}
-			d := links[lp].TX.Dist(links[l].RX)
-			dir := p.Pattern.Gain(geom.AngleDiff(geom.OffsetAngle(links[lp], links[l])+txErr[lp], 0))
-			if p.RXPattern {
-				dir *= p.Pattern.Gain(geom.AngleDiff(geom.ReceiveOffsetAngle(links[lp], links[l])+rxErr[l], 0))
-			}
-			for k := 0; k < numChannels; k++ {
-				g.Cross[lp][l][k] = gainAt(d) * dir * shadow()
-			}
-		}
-	}
-	return g
-}
-
-// String implements Generator.
-func (p PathLoss) String() string {
-	return fmt.Sprintf("path-loss(n=%.1f, σ=%.1fdB, %s)", p.Exponent, p.ShadowSigmaDB, p.Pattern)
-}
-
-// Rician decorates another generator with per-(pair, channel) Rician
-// small-scale fading: each gain is multiplied by |h|² where h has a
-// line-of-sight component of relative power K/(K+1) and a Rayleigh
-// scatter component. Large K approaches the underlying deterministic
-// gain (strong LOS, typical of short indoor 60 GHz paths); K = 0 is
-// pure Rayleigh.
-type Rician struct {
-	K    float64   // Rician K-factor (linear), ≥ 0
-	Base Generator // underlying large-scale model
-}
-
-var _ Generator = Rician{}
-
-// Generate implements Generator.
-func (r Rician) Generate(rng *rand.Rand, links []geom.Segment, numChannels int) *Gains {
-	base := r.Base
-	if base == nil {
-		base = DefaultPathLoss()
-	}
-	k := r.K
-	if k < 0 {
-		k = 0
-	}
-	g := base.Generate(rng, links, numChannels)
-	fade := func() float64 {
-		// h = sqrt(K/(K+1)) + CN(0, 1/(K+1)); return |h|².
-		los := math.Sqrt(k / (k + 1))
-		sigma := math.Sqrt(1 / (2 * (k + 1)))
-		re := los + sigma*rng.NormFloat64()
-		im := sigma * rng.NormFloat64()
-		return re*re + im*im
-	}
-	n := len(links)
-	for l := 0; l < n; l++ {
-		for c := 0; c < numChannels; c++ {
-			g.Direct[l][c] *= fade()
-		}
-		for j := 0; j < n; j++ {
-			if l == j {
-				continue
-			}
-			for c := 0; c < numChannels; c++ {
-				g.Cross[l][j][c] *= fade()
-			}
-		}
-	}
-	return g
-}
-
-// String implements Generator.
-func (r Rician) String() string {
-	base := r.Base
-	if base == nil {
-		base = DefaultPathLoss()
-	}
-	return fmt.Sprintf("rician(K=%.1f, %s)", r.K, base)
 }
 
 // newGains allocates a zeroed gain structure for n links and k

@@ -31,16 +31,6 @@ type Config struct {
 	LinkLenMin float64   // minimum TX–RX distance, m
 	LinkLenMax float64   // maximum TX–RX distance, m
 
-	// ChannelModel selects the gain generator: "table-i" (the paper's
-	// U[0,1] model), "path-loss" (geometric 60 GHz model), or "rician"
-	// (path loss with Rician small-scale fading).
-	ChannelModel string
-
-	// RateModel selects the discrete rate table: "shannon" (the
-	// paper's eq.-2 levels over Gammas) or "80211ad" (the IEEE
-	// 802.11ad single-carrier MCS set; Gammas is ignored).
-	RateModel string
-
 	// Interference selects the interference accounting: "global" (the
 	// paper's SP formulation, eqs. 26–28 — interference from every
 	// concurrent transmitter; reproduces the paper's scaling trends) or
@@ -134,8 +124,6 @@ func DefaultConfig() Config {
 		Room:         geom.Room{Width: 20, Height: 20},
 		LinkLenMin:   1,
 		LinkLenMax:   8,
-		ChannelModel: "table-i",
-		RateModel:    "shannon",
 		Interference: "global",
 		DemandScale:  1,
 		Video:        video.DefaultSession(),
@@ -167,10 +155,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: DemandScale = %g, want ≥ 0", c.DemandScale)
 	case c.Seeds <= 0:
 		return fmt.Errorf("experiment: Seeds = %d, want > 0", c.Seeds)
-	case c.ChannelModel != "table-i" && c.ChannelModel != "path-loss" && c.ChannelModel != "rician":
-		return fmt.Errorf("experiment: unknown channel model %q", c.ChannelModel)
-	case c.RateModel != "" && c.RateModel != "shannon" && c.RateModel != "80211ad":
-		return fmt.Errorf("experiment: unknown rate model %q", c.RateModel)
 	case c.Interference != "global" && c.Interference != "per-channel":
 		return fmt.Errorf("experiment: unknown interference model %q", c.Interference)
 	case c.Workers < 0:
@@ -183,7 +167,7 @@ func (c Config) Validate() error {
 
 // String summarizes the config in one line for experiment records.
 func (c Config) String() string {
-	return fmt.Sprintf("L=%d K=%d Pmax=%gW ρ=%gW W=%gMHz Γ=%v slot=%gms demand×%g model=%s interference=%s seeds=%d",
+	return fmt.Sprintf("L=%d K=%d Pmax=%gW ρ=%gW W=%gMHz Γ=%v slot=%gms demand×%g interference=%s seeds=%d",
 		c.NumLinks, c.NumChannels, c.PMax, c.Noise, c.BandwidthHz/1e6, c.Gammas,
-		c.SlotDuration*1e3, c.DemandScale, c.ChannelModel, c.Interference, c.Seeds)
+		c.SlotDuration*1e3, c.DemandScale, c.Interference, c.Seeds)
 }

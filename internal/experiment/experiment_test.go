@@ -36,9 +36,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero slot", func(c *Config) { c.SlotDuration = 0 }, true},
 		{"negative demand", func(c *Config) { c.DemandScale = -1 }, true},
 		{"zero seeds", func(c *Config) { c.Seeds = 0 }, true},
-		{"bad channel model", func(c *Config) { c.ChannelModel = "fancy" }, true},
 		{"bad interference", func(c *Config) { c.Interference = "psychic" }, true},
-		{"path loss ok", func(c *Config) { c.ChannelModel = "path-loss" }, false},
 		{"per-channel ok", func(c *Config) { c.Interference = "per-channel" }, false},
 		{"bad trace", func(c *Config) { c.Trace.FPS = 0 }, true},
 	}
@@ -99,20 +97,6 @@ func TestNewInstanceDeterministic(t *testing.T) {
 			if a.Network.Gains.Direct[l][k] != b.Network.Gains.Direct[l][k] {
 				t.Fatal("gains differ for identical seeds")
 			}
-		}
-	}
-}
-
-func TestNewInstanceModels(t *testing.T) {
-	for _, model := range []string{"table-i", "path-loss"} {
-		cfg := fastConfig()
-		cfg.ChannelModel = model
-		inst, err := NewInstance(cfg, stats.Fork(1, 0))
-		if err != nil {
-			t.Fatalf("%s: %v", model, err)
-		}
-		if err := inst.Network.Validate(); err != nil {
-			t.Fatalf("%s: %v", model, err)
 		}
 	}
 }
@@ -355,53 +339,6 @@ func TestRunBlockageValidation(t *testing.T) {
 	bc.Net.NumLinks = 0
 	if _, err := RunBlockage(bc); err == nil {
 		t.Error("invalid net config accepted")
-	}
-}
-
-func TestNewInstanceRicianAnd80211ad(t *testing.T) {
-	cfg := fastConfig()
-	cfg.ChannelModel = "rician"
-	inst, err := NewInstance(cfg, stats.Fork(2, 0))
-	if err != nil {
-		t.Fatalf("rician: %v", err)
-	}
-	if err := inst.Network.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The 802.11ad MCS set needs real SNR headroom; raise PMax and use
-	// the geometric model so short links reach MCS thresholds.
-	cfg = fastConfig()
-	cfg.RateModel = "80211ad"
-	cfg.ChannelModel = "path-loss"
-	cfg.PMax = 10
-	inst, err = NewInstance(cfg, stats.Fork(3, 0))
-	if err != nil {
-		t.Fatalf("80211ad: %v", err)
-	}
-	if inst.Network.Rates.Levels() != 12 {
-		t.Errorf("rate levels = %d, want 12", inst.Network.Rates.Levels())
-	}
-	// And the solver must run end to end on it.
-	res, err := RunOn(cfg, Proposed, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exec.TotalTime <= 0 {
-		t.Error("no scheduling time under the MCS table")
-	}
-}
-
-func TestConfigValidateNewModels(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RateModel = "lte"
-	if cfg.Validate() == nil {
-		t.Error("unknown rate model accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.RateModel = "" // legacy zero value allowed, means shannon
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("empty rate model rejected: %v", err)
 	}
 }
 

@@ -51,18 +51,7 @@ func NewInstance(cfg Config, rng *rand.Rand) (*Instance, error) {
 // drawNetwork samples the gain structure and topology.
 func drawNetwork(cfg Config, rng *rand.Rand) (*netmodel.Network, error) {
 	segs := cfg.Room.PlaceLinks(rng, cfg.NumLinks, cfg.LinkLenMin, cfg.LinkLenMax)
-	var gen channel.Generator
-	switch cfg.ChannelModel {
-	case "table-i":
-		gen = channel.TableI{}
-	case "path-loss":
-		gen = channel.DefaultPathLoss()
-	case "rician":
-		gen = channel.Rician{K: 6, Base: channel.DefaultPathLoss()}
-	default:
-		return nil, fmt.Errorf("experiment: unknown channel model %q", cfg.ChannelModel)
-	}
-	gains := gen.Generate(rng, segs, cfg.NumChannels)
+	gains := channel.TableI{}.Generate(rng, segs, cfg.NumChannels)
 
 	links := make([]netmodel.Link, cfg.NumLinks)
 	noise := make([]float64, cfg.NumLinks)
@@ -71,9 +60,6 @@ func drawNetwork(cfg Config, rng *rand.Rand) (*netmodel.Network, error) {
 		noise[i] = cfg.Noise
 	}
 	rates := netmodel.NewShannonRateTable(cfg.BandwidthHz, cfg.Gammas)
-	if cfg.RateModel == "80211ad" {
-		rates = netmodel.IEEE80211adSCRateTable()
-	}
 	interference := netmodel.Global
 	if cfg.Interference == "per-channel" {
 		interference = netmodel.PerChannel

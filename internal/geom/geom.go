@@ -1,6 +1,6 @@
 // Package geom provides the 2-D geometry used by the mmWave network
-// model: node positions, link endpoints, distances, and the angular
-// offsets between link boresights that drive directional antenna gains.
+// model: node positions, link endpoints, distances, and random link
+// placement in a room.
 package geom
 
 import (
@@ -19,11 +19,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// AngleTo returns the bearing from p to q in radians, in (-π, π].
-func (p Point) AngleTo(q Point) float64 {
-	return math.Atan2(q.Y-p.Y, q.X-p.X)
-}
-
 // String renders the point as "(x, y)".
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 
@@ -31,43 +26,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 // one mmWave link.
 type Segment struct {
 	TX, RX Point
-}
-
-// Length returns the TX–RX distance.
-func (s Segment) Length() float64 { return s.TX.Dist(s.RX) }
-
-// Boresight returns the transmit beam direction (TX toward RX) in
-// radians.
-func (s Segment) Boresight() float64 { return s.TX.AngleTo(s.RX) }
-
-// OffsetAngle returns |θ(l1, l2)|: the absolute angular offset between
-// the boresight of the interfering transmitter (l1's TX aims at l1's
-// RX) and the direction from l1's TX to l2's RX. This is the argument
-// of the directional gain function Δ(θ) in the paper's interference
-// model H_{l'l} = G·Δ(θ(l', l)).
-func OffsetAngle(l1, l2 Segment) float64 {
-	return AngleDiff(l1.Boresight(), l1.TX.AngleTo(l2.RX))
-}
-
-// ReceiveOffsetAngle returns the offset between l2's receive boresight
-// (RX toward its own TX) and the direction from l2's RX to l1's TX.
-// Used by pattern models that account for receive-side directivity.
-func ReceiveOffsetAngle(l1, l2 Segment) float64 {
-	rxBoresight := l2.RX.AngleTo(l2.TX)
-	return AngleDiff(rxBoresight, l2.RX.AngleTo(l1.TX))
-}
-
-// AngleDiff returns the absolute difference between two angles, folded
-// into [0, π].
-func AngleDiff(a, b float64) float64 {
-	d := math.Mod(a-b, 2*math.Pi)
-	if d < 0 {
-		d += 2 * math.Pi
-	}
-	if d > math.Pi {
-		d = 2*math.Pi - d
-	}
-	return d
 }
 
 // Room describes a rectangular indoor deployment area.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDist(t *testing.T) {
@@ -15,97 +14,6 @@ func TestDist(t *testing.T) {
 	}
 	if d := a.Dist(a); d != 0 {
 		t.Errorf("self distance = %v, want 0", d)
-	}
-}
-
-func TestAngleTo(t *testing.T) {
-	o := Point{0, 0}
-	tests := []struct {
-		to   Point
-		want float64
-	}{
-		{Point{1, 0}, 0},
-		{Point{0, 1}, math.Pi / 2},
-		{Point{-1, 0}, math.Pi},
-		{Point{0, -1}, -math.Pi / 2},
-		{Point{1, 1}, math.Pi / 4},
-	}
-	for _, tc := range tests {
-		if got := o.AngleTo(tc.to); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("AngleTo(%v) = %v, want %v", tc.to, got, tc.want)
-		}
-	}
-}
-
-func TestAngleDiff(t *testing.T) {
-	tests := []struct {
-		a, b, want float64
-	}{
-		{0, 0, 0},
-		{0, math.Pi / 2, math.Pi / 2},
-		{-math.Pi + 0.1, math.Pi - 0.1, 0.2}, // wraparound
-		{0, 2 * math.Pi, 0},
-		{0.1, -0.1, 0.2},
-	}
-	for _, tc := range tests {
-		if got := AngleDiff(tc.a, tc.b); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("AngleDiff(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestAngleDiffPropertyRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	check := func(uint32) bool {
-		a := (rng.Float64() - 0.5) * 20
-		b := (rng.Float64() - 0.5) * 20
-		d := AngleDiff(a, b)
-		if d < 0 || d > math.Pi+1e-12 {
-			return false
-		}
-		// Symmetry.
-		return math.Abs(d-AngleDiff(b, a)) < 1e-12
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSegment(t *testing.T) {
-	s := Segment{TX: Point{0, 0}, RX: Point{0, 2}}
-	if l := s.Length(); math.Abs(l-2) > 1e-12 {
-		t.Errorf("Length = %v, want 2", l)
-	}
-	if b := s.Boresight(); math.Abs(b-math.Pi/2) > 1e-12 {
-		t.Errorf("Boresight = %v, want π/2", b)
-	}
-}
-
-func TestOffsetAngle(t *testing.T) {
-	// l1 points east; l2's receiver sits due north of l1's TX → the
-	// offset between l1's boresight and the direction to l2's RX is 90°.
-	l1 := Segment{TX: Point{0, 0}, RX: Point{5, 0}}
-	l2 := Segment{TX: Point{3, 3}, RX: Point{0, 4}}
-	got := OffsetAngle(l1, l2)
-	want := l1.TX.AngleTo(l2.RX) // boresight is 0
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("OffsetAngle = %v, want %v", got, want)
-	}
-
-	// A receiver dead ahead on the boresight has zero offset.
-	l3 := Segment{TX: Point{0, 0}, RX: Point{9, 0}}
-	if got := OffsetAngle(l1, l3); got != 0 {
-		t.Errorf("on-boresight offset = %v, want 0", got)
-	}
-}
-
-func TestReceiveOffsetAngle(t *testing.T) {
-	// l2 receives looking west (RX → TX direction); l1's TX is due west
-	// of l2's RX → zero receive offset.
-	l1 := Segment{TX: Point{-5, 0}, RX: Point{-5, 5}}
-	l2 := Segment{TX: Point{-10, 0}, RX: Point{0, 0}}
-	if got := ReceiveOffsetAngle(l1, l2); math.Abs(got) > 1e-12 {
-		t.Errorf("ReceiveOffsetAngle = %v, want 0", got)
 	}
 }
 
@@ -128,7 +36,7 @@ func TestPlaceLinks(t *testing.T) {
 		t.Fatalf("placed %d links, want 50", len(links))
 	}
 	for i, l := range links {
-		d := l.Length()
+		d := l.TX.Dist(l.RX)
 		if d < 2-1e-9 || d > 6+1e-9 {
 			t.Errorf("link %d length %v outside [2, 6]", i, d)
 		}
@@ -145,7 +53,7 @@ func TestPlaceLinksSwappedBounds(t *testing.T) {
 	room := Room{Width: 20, Height: 20}
 	links := room.PlaceLinks(rng, 5, 6, 2) // min > max: should swap
 	for _, l := range links {
-		if d := l.Length(); d < 2-1e-9 || d > 6+1e-9 {
+		if d := l.TX.Dist(l.RX); d < 2-1e-9 || d > 6+1e-9 {
 			t.Errorf("length %v outside swapped bounds", d)
 		}
 	}

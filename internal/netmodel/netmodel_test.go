@@ -411,34 +411,3 @@ func TestSoloRateAndBestChannel(t *testing.T) {
 		t.Errorf("SoloRate below threshold = %v, want 0", r)
 	}
 }
-
-func TestIEEE80211adRateTable(t *testing.T) {
-	rt := IEEE80211adSCRateTable()
-	if err := rt.Validate(); err != nil {
-		t.Fatalf("MCS table invalid: %v", err)
-	}
-	if rt.Levels() != 12 {
-		t.Errorf("levels = %d, want 12 (MCS 1–12)", rt.Levels())
-	}
-	// MCS 1: 385 Mb/s at ≈1 dB (linear 1.259).
-	if math.Abs(rt.Rates[0]-385e6) > 1 {
-		t.Errorf("MCS1 rate = %v, want 385e6", rt.Rates[0])
-	}
-	if math.Abs(rt.Gammas[0]-math.Pow(10, 0.1)) > 1e-9 {
-		t.Errorf("MCS1 threshold = %v, want 1 dB linear", rt.Gammas[0])
-	}
-	// Top MCS: 4.62 Gb/s at 15 dB.
-	if math.Abs(rt.Rates[11]-4620e6) > 1 {
-		t.Errorf("MCS12 rate = %v, want 4620e6", rt.Rates[11])
-	}
-	// The table must interoperate with the solver machinery.
-	nw := testNetwork(2, 2, 0.01)
-	nw.PMax = 10 // the MCS thresholds need real SNR headroom
-	nw.Rates = rt
-	if err := nw.Validate(); err != nil {
-		t.Fatalf("network with MCS table invalid: %v", err)
-	}
-	if q := rt.BestLevel(math.Pow(10, 1.6)); q < 10 {
-		t.Errorf("16 dB SINR reaches level %d, want ≥ 10", q)
-	}
-}

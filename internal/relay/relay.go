@@ -53,9 +53,6 @@ type Expanded struct {
 // Selector chooses routes for sessions over a set of relay candidate
 // positions.
 type Selector struct {
-	// Generator draws gains for the expanded geometry. Nil means the
-	// paper's Table I model.
-	Generator channel.Generator
 	// MinDirectRate is the solo-rate floor (bits/s) below which a
 	// session is considered for relaying. Zero relays only sessions
 	// with no feasible direct rate at all.
@@ -66,9 +63,9 @@ type Selector struct {
 // rate is below the floor try every relay candidate and take the one
 // minimizing the serial two-hop time (d/r₁ + d/r₂, the store-and-
 // forward bound); sessions keep their direct link when no relay beats
-// it. Gains for the expanded link set are drawn from the selector's
-// generator using rng — pass a deterministic stream for reproducible
-// instances.
+// it. Gains for the expanded link set are drawn from the paper's
+// Table I model using rng — pass a deterministic stream for
+// reproducible instances.
 func (s Selector) Select(nw *netmodel.Network, demands []video.Demand, relays []geom.Point, rng *rand.Rand) (*Expanded, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, fmt.Errorf("relay: %w", err)
@@ -76,11 +73,6 @@ func (s Selector) Select(nw *netmodel.Network, demands []video.Demand, relays []
 	if len(demands) != nw.NumLinks() {
 		return nil, fmt.Errorf("relay: %d demands for %d sessions", len(demands), nw.NumLinks())
 	}
-	gen := s.Generator
-	if gen == nil {
-		gen = channel.TableI{}
-	}
-
 	// Pass 1: geometry of the expanded link set. Relay node IDs start
 	// after the original node ID space.
 	maxNode := 0
@@ -107,7 +99,7 @@ func (s Selector) Select(nw *netmodel.Network, demands []video.Demand, relays []
 	// evaluation and the final instance are consistent per candidate
 	// geometry. For simplicity and determinism, candidate evaluation
 	// uses distance-based estimates only (path loss ∝ d^-2), while the
-	// final gains come from the configured generator; selection is a
+	// final gains come from the Table I model; selection is a
 	// heuristic and P1 on the expanded network does the real work.
 	soloRate := func(l int) float64 {
 		best := 0.0
@@ -174,7 +166,7 @@ func (s Selector) Select(nw *netmodel.Network, demands []video.Demand, relays []
 	for i, h := range hops {
 		segs[i] = h.seg
 	}
-	gains := gen.Generate(rng, segs, nw.NumChannels)
+	gains := channel.TableI{}.Generate(rng, segs, nw.NumChannels)
 	links := make([]netmodel.Link, len(hops))
 	noise := make([]float64, len(hops))
 	baseNoise := nw.Noise[0]

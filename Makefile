@@ -4,6 +4,12 @@
 
 GO ?= go
 
+# Recipes run under bash with pipefail, so a failing command piped
+# through `tee` (make figures) or into benchjson (make bench, bench-diff)
+# fails the recipe instead of taking the status of the last command.
+SHELL := /bin/bash
+.SHELLFLAGS := -o pipefail -c
+
 .PHONY: all build test race vet cover bench bench-full bench-smoke bench-diff fuzz fuzz-short soak-short trace-smoke figures figures-check examples lint check-deprecated clean
 
 all: build vet test
@@ -178,12 +184,15 @@ bench-full:
 
 # Fuzz passes over every wire decoder — the control-plane frames, the
 # fault-event wire/spec decoders, the checkpoint snapshot decoder and
-# slot-file reader — plus the sparse LU kernel (random pivot sequences
-# checked against a dense shadow and a fresh refactorization).
+# slot-file reader, the v1 response codec (held to encoding/json on
+# arbitrary bytes) and the v1 request bodies with their conversions —
+# plus the sparse LU kernel (random pivot sequences checked against a
+# dense shadow and a fresh refactorization).
 # FUZZTIME scales all targets; fuzz-short is the CI setting. A slot
 # file is at least 8 KiB, and minimizing each new input of that size
 # with the default budget takes the whole run, so FuzzLoadImage caps
-# minimization.
+# minimization; so does FuzzWireResponses, seeded with a 44 KB step
+# body.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -194,6 +203,8 @@ fuzz:
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -fuzz FuzzLoadImage -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/checkpoint
 	$(GO) test -fuzz FuzzSparseLU -fuzztime $(FUZZTIME) ./internal/lp
+	$(GO) test -fuzz FuzzWireResponses -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/api
+	$(GO) test -fuzz FuzzWireRequests -fuzztime $(FUZZTIME) ./internal/api
 
 fuzz-short:
 	$(MAKE) fuzz FUZZTIME=10s

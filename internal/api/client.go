@@ -30,7 +30,10 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 }
 
 // do issues one request; in is JSON-encoded when non-nil, out is
-// JSON-decoded when non-nil. Non-2xx responses decode into *Error.
+// JSON-decoded when non-nil. Non-2xx responses decode into *Error. An
+// out with its own codec (the plan-bearing responses) decodes the
+// whole body through its UnmarshalJSON, skipping encoding/json's
+// scanner.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -58,6 +61,13 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
+	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		return u.UnmarshalJSON(b)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -171,7 +181,7 @@ func (c *Client) Plan(ctx context.Context, id int) (PlanResponse, error) {
 // Reports fetches the cell's retained epoch reports with epoch >
 // since (pass -1 for all retained).
 func (c *Client) Reports(ctx context.Context, id int, since int64) ([]EpochReport, error) {
-	var out []EpochReport
+	var out ReportList
 	path := fmt.Sprintf("%s/reports?since=%d", cellPath(id), since)
 	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
@@ -204,7 +214,7 @@ func (c *Client) StreamReports(ctx context.Context, id int, since int64, fn func
 			continue
 		}
 		var rep EpochReport
-		if err := json.Unmarshal(line, &rep); err != nil {
+		if err := rep.UnmarshalJSON(line); err != nil {
 			return fmt.Errorf("api: bad stream line: %w", err)
 		}
 		if err := fn(rep); err != nil {

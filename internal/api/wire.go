@@ -14,6 +14,14 @@
 // shortest round-tripping decimal form, so a plan fetched over the
 // wire decodes bit-identical to the solver's output — byte-identity
 // of recovered state is testable across the API boundary.
+//
+// Codec: the plan-bearing responses (PlanResponse, EpochReport,
+// StepResponse, ReportList) encode and decode by hand, without
+// reflection (codec.go). Their encoding is byte-identical to
+// encoding/json's. Their decoder parses the canonical form in one pass
+// and hands any other input to encoding/json, so it decodes exactly
+// what encoding/json would. Every other wire type, requests included,
+// goes through encoding/json.
 package api
 
 import (
@@ -510,6 +518,10 @@ type Health struct {
 type StepResponse struct {
 	Reports []EpochReport `json:"reports"`
 }
+
+// ReportList is the body of GET /v1/cells/{id}/reports: the cell's
+// retained reports with epoch > since, oldest first.
+type ReportList []EpochReport
 
 // CreateCellResponse returns the admitted cell's identity.
 type CreateCellResponse struct {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -334,7 +335,25 @@ func (s *Server) routes() {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_ = encodeLine(w, v)
+}
+
+// encodeLine writes v and a newline as json.Encoder.Encode does. A
+// json.Marshaler's bytes are written as they are: the api codec's
+// (the plan-bearing responses) are already the compact, HTML-escaped
+// bytes the encoder would write, and passing them through it would
+// only re-scan them.
+func encodeLine(w io.Writer, v any) error {
+	m, ok := v.(json.Marshaler)
+	if !ok {
+		return json.NewEncoder(w).Encode(v)
+	}
+	b, err := m.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // refuseDraining answers mutating requests during drain.
@@ -745,7 +764,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	follow := r.URL.Query().Get("follow") != ""
 	if !follow {
-		writeJSON(w, http.StatusOK, s.reportsSince(cs, since))
+		writeJSON(w, http.StatusOK, api.ReportList(s.reportsSince(cs, since)))
 		return
 	}
 
@@ -755,13 +774,12 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	for {
 		cs.mu.Lock()
 		wait := cs.notify
 		cs.mu.Unlock()
 		for _, rep := range s.reportsSince(cs, since) {
-			if err := enc.Encode(rep); err != nil {
+			if err := encodeLine(w, rep); err != nil {
 				return
 			}
 			if rep.Epoch > since {

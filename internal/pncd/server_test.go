@@ -1,6 +1,7 @@
 package pncd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -798,5 +799,104 @@ func TestRecordTrimsInPlace(t *testing.T) {
 		if want := epoch - retention + int64(i); rep.Epoch != want {
 			t.Fatalf("ring slot %d holds epoch %d, want %d", i, rep.Epoch, want)
 		}
+	}
+}
+
+// TestResponseBodiesAsEncoder: the plan-bearing responses of a 16-cell
+// server — the batch step, each plan, a report list and a follow-stream
+// line — are exactly the bytes json.Encoder writes for the values they
+// decode to.
+func TestResponseBodiesAsEncoder(t *testing.T) {
+	ctx := context.Background()
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	client := api.NewClient(hs.URL, hs.Client())
+	const cells = 16
+	gen := testLoad(t, 4, 5)
+	for c := 0; c < cells; c++ {
+		if _, err := client.CreateCell(ctx, api.CellSpec{Instance: &api.Instance{Links: 4, Channels: 2, Seed: int64(c)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(method, path string) []byte {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, method, hs.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, body.Bytes())
+		}
+		return body.Bytes()
+	}
+	check := func(body []byte, v any) {
+		t.Helper()
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%T body differs from json.Encoder:\n got %s\nwant %s", v, body, want.Bytes())
+		}
+	}
+	for ep := int64(0); ep < 2; ep++ {
+		for c := 0; c < cells; c++ {
+			if _, err := client.SubmitDemands(ctx, c, demandsFor(gen, c, ep)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var step api.StepResponse
+		check(get(http.MethodPost, api.PathPrefix+"/step"), &step)
+		if len(step.Reports) != cells {
+			t.Fatalf("step returned %d reports", len(step.Reports))
+		}
+	}
+	for c := 0; c < cells; c++ {
+		var plan api.PlanResponse
+		check(get(http.MethodGet, fmt.Sprintf("%s/cells/%d/plan", api.PathPrefix, c)), &plan)
+		if len(plan.Plan.Schedules) == 0 {
+			t.Fatalf("cell %d: empty plan", c)
+		}
+	}
+	var list api.ReportList
+	check(get(http.MethodGet, api.PathPrefix+"/cells/3/reports?since=-1"), &list)
+	if len(list) != 2 {
+		t.Fatalf("report list holds %d reports", len(list))
+	}
+
+	// The follow stream's first line is the first retained report.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+api.PathPrefix+"/cells/3/reports?since=-1&follow=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hs.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep api.EpochReport
+	check(line, &rep)
+	if rep.Epoch != 0 || rep.Cell != 3 {
+		t.Fatalf("first streamed report is cell %d epoch %d", rep.Cell, rep.Epoch)
 	}
 }

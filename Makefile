@@ -187,12 +187,15 @@ bench-full:
 # slot-file reader, the v1 response codec (held to encoding/json on
 # arbitrary bytes) and the v1 request bodies with their conversions —
 # plus the sparse LU kernel (random pivot sequences checked against a
-# dense shadow and a fresh refactorization).
+# dense shadow and a fresh refactorization) and the probe solver's
+# border caches (Probe/Push/Pop/Reset sequences checked bit for bit
+# against a fresh replay).
 # FUZZTIME scales all targets; fuzz-short is the CI setting. A slot
 # file is at least 8 KiB, and minimizing each new input of that size
 # with the default budget takes the whole run, so FuzzLoadImage caps
 # minimization; so does FuzzWireResponses, seeded with a 44 KB step
-# body.
+# body, and FuzzProbeSolverReuse, whose every execution replays each
+# probe's committed pattern.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -205,6 +208,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSparseLU -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -fuzz FuzzWireResponses -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/api
 	$(GO) test -fuzz FuzzWireRequests -fuzztime $(FUZZTIME) ./internal/api
+	$(GO) test -fuzz FuzzProbeSolverReuse -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/netmodel
 
 fuzz-short:
 	$(MAKE) fuzz FUZZTIME=10s

@@ -643,8 +643,8 @@ func channelTaken(siblings []int, assign []assignChoice, k int) bool {
 func (st *pricerState) feasibleWith(k, ci, q int) bool {
 	st.probes++
 	// The probe solver already holds the committed pattern's
-	// factorization, so the question costs one O(m²) bordered solve and
-	// zero allocations. It is unarmed only under fixed power and in the
+	// factorization, so the question costs at most one O(m²) bordered
+	// solve (O(m) for a sibling level it rejects) and zero allocations. It is unarmed only under fixed power and in the
 	// test-only reference mode, which assemble the pattern instead.
 	if st.probe != nil {
 		return st.probe.Probe(st.cands[ci].link, k, st.nw.Rates.Gammas[q])

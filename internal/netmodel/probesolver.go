@@ -12,8 +12,29 @@ import "math"
 // MinPowersAssigned), the solver maintains a bordered LU factorization
 // of the committed pattern's matrix: Push appends one row/column to
 // the factors in O(m²), Pop truncates them in O(1), and Probe answers
-// the bordered system for a tentative extra link with three triangular
-// solves — O(m²) per probe.
+// the bordered system for a tentative extra link.
+//
+// The border row of a probe at threshold γ is r = −(γ/h)·gRow, so its
+// row solve is w = (γ/h)·ŵ with ŵ = (−gRow)·U⁻¹ independent of γ, and
+// the bordered solution is p = (b − (γ/h)·ŵ·z)/(1 − (γ/h)·ŵ·y) for
+// the new link and x = x₀ − p·v for the committed ones, where x₀ are
+// the committed pattern's own powers (U⁻¹z) and v = U⁻¹y. Everything
+// but the scalar γ/h is cached, one slot per depth:
+//
+//   - the border column y = L⁻¹c and its raw gains, keyed on the probed
+//     link and (under PerChannel masking) its channel, with v solved
+//     the first time a probe of that column gets past the new link's
+//     box check;
+//   - the border row ŵ, its raw gains and the scalars ŵ·y and ŵ·z,
+//     keyed on the probed link and channel;
+//   - the committed powers x₀, which Push writes for the extended
+//     pattern as the bordered solution [x₀ − p·v; p] it commits.
+//
+// A sibling probe — the same link and channel at another level — is
+// therefore rejected in O(1) by the new link's box check or in O(m)
+// by the committed links'; only a probe that passes every box pays
+// the O(m²) SINR verification, and a probe of a new link or channel
+// the O(m²) solves of its slots.
 //
 // The factorization is unpivoted. For feasible patterns I − F is a
 // nonsingular M-matrix (spectral radius of F below one), for which
@@ -41,7 +62,7 @@ type ProbeSolver struct {
 	// U on and above the diagonal, unit-diagonal L strictly below.
 	lu []float64
 	// ut holds U transposed (ut[j·cap+i] = U[i][j]), so the row solve
-	// w·U = r walks memory contiguously instead of at stride cap.
+	// ŵ·U = −gRow walks memory contiguously instead of at stride cap.
 	ut []float64
 	// g holds the committed raw gain matrix: g[i·cap+j] is the gain of
 	// transmitter j into receiver i on i's channel, masked to zero for
@@ -50,36 +71,44 @@ type ProbeSolver struct {
 	b []float64 // committed RHS b_i = γ_i·ρ_i/h_i
 	z []float64 // forward solve L⁻¹·b of the committed system
 
-	// Border column cache, one slot per depth: slot d holds the column
-	// solve L⁻¹c (colY) and the raw gains new→committed (colG) of the
-	// (colLink[d], colKey[d]) last probed at depth d. Both depend only
-	// on the committed rows 0..d−1 and on the probed link — plus its
-	// channel under PerChannel masking — never on γ, so every sibling
-	// probe of one search node reuses them. A Push writing row r
-	// invalidates the slots d > r: it stamps rowGen[r+1] with a fresh
-	// push count, and slot d is valid only while colGen[d] still equals
+	// Border caches, one slot per depth, all stamped alike: a Push
+	// writing row r stamps rowGen[r+1] with a fresh push count, and a
+	// slot at depth d is valid only while its stamp still equals
 	// rowGen[d], the stamp of row d−1. Rows below d−1 cannot change
 	// without row d−1 being popped and pushed again, so one stamp
 	// covers them all. Pop and Reset only truncate and stamp nothing.
-	colY, colG []float64
-	colLink    []int
-	colKey     []int
-	colGen     []uint64
-	rowGen     []uint64 // rowGen[r+1] stamps row r; rowGen[0] is the empty pattern
-	pushes     uint64
+	rowGen []uint64 // rowGen[r+1] stamps row r; rowGen[0] is the empty pattern
+	pushes uint64
 
-	// Probe scratch, valid between a successful Probe and the matching
-	// Push (Push adopts them instead of recomputing). y and gCol view
-	// the current depth's cache slot.
-	y, w, x    []float64 // bordered column/row solves and the power vector
-	gRow, gCol []float64 // raw gains committed→new and new→committed
-	pendLink   int
-	pendChan   int
-	pendGamma  float64
-	pendB      float64
-	pendU      float64
-	pendZ      float64
-	pendOK     bool
+	// Column slot d: y = L⁻¹c (colY) and the raw gains new→committed
+	// (colG) of the (colLink[d], colKey[d]) last probed at depth d, and
+	// v = U⁻¹y (colV) once colVOK[d] is set. None depends on γ; the key
+	// is the channel under PerChannel masking and −1 otherwise.
+	colY, colG, colV []float64
+	colLink, colKey  []int
+	colGen           []uint64
+	colVOK           []bool
+
+	// Row slot d: ŵ (rowW), the raw gains committed→new (rowG) and the
+	// scalars ŵ·y (rowWY) and ŵ·z (rowWZ) of the (rowLink[d],
+	// rowChan[d]) last probed at depth d. The row is solved after the
+	// column, and y is a function of the same link, channel and
+	// committed rows, so ŵ·y stays valid exactly as long as ŵ does.
+	rowW, rowG   []float64
+	rowWY, rowWZ []float64
+	rowLink      []int
+	rowChan      []int
+	rowStamp     []uint64
+
+	// x0[d·cap:] holds x₀, the committed powers of the depth-d pattern
+	// ((cap+1) slots). Push writes depth m+1's from depth m's, so slot d
+	// is valid exactly as long as the rows below d.
+	x0 []float64
+
+	// Probe scratch: views of the current depth's slots, and the
+	// bordered power vector of the last probe that reached the boxes.
+	y, gCol, gRow, wh []float64
+	x                 []float64
 }
 
 // NewProbeSolver returns an empty solver for patterns of at most
@@ -88,26 +117,35 @@ func NewProbeSolver(nw *Network, capacity int) *ProbeSolver {
 	if capacity < 1 {
 		capacity = 1
 	}
+	sq := capacity * capacity
 	return &ProbeSolver{
-		nw:      nw,
-		cap:     capacity,
-		links:   make([]int, 0, capacity),
-		chans:   make([]int, 0, capacity),
-		gammas:  make([]float64, 0, capacity),
-		lu:      make([]float64, capacity*capacity),
-		ut:      make([]float64, capacity*capacity),
-		g:       make([]float64, capacity*capacity),
-		b:       make([]float64, 0, capacity),
-		z:       make([]float64, 0, capacity),
-		colY:    make([]float64, capacity*capacity),
-		colG:    make([]float64, capacity*capacity),
-		colLink: make([]int, capacity),
-		colKey:  make([]int, capacity),
-		colGen:  make([]uint64, capacity),
-		rowGen:  make([]uint64, capacity+1),
-		w:       make([]float64, capacity),
-		x:       make([]float64, capacity),
-		gRow:    make([]float64, capacity),
+		nw:       nw,
+		cap:      capacity,
+		links:    make([]int, 0, capacity),
+		chans:    make([]int, 0, capacity),
+		gammas:   make([]float64, 0, capacity),
+		lu:       make([]float64, sq),
+		ut:       make([]float64, sq),
+		g:        make([]float64, sq),
+		b:        make([]float64, 0, capacity),
+		z:        make([]float64, 0, capacity),
+		rowGen:   make([]uint64, capacity+1),
+		colY:     make([]float64, sq),
+		colG:     make([]float64, sq),
+		colV:     make([]float64, sq),
+		colLink:  make([]int, capacity),
+		colKey:   make([]int, capacity),
+		colGen:   make([]uint64, capacity),
+		colVOK:   make([]bool, capacity),
+		rowW:     make([]float64, sq),
+		rowG:     make([]float64, sq),
+		rowWY:    make([]float64, capacity),
+		rowWZ:    make([]float64, capacity),
+		rowLink:  make([]int, capacity),
+		rowChan:  make([]int, capacity),
+		rowStamp: make([]uint64, capacity),
+		x0:       make([]float64, sq+capacity),
+		x:        make([]float64, capacity),
 	}
 }
 
@@ -120,7 +158,6 @@ func (s *ProbeSolver) Reset() {
 	s.gammas = s.gammas[:0]
 	s.b = s.b[:0]
 	s.z = s.z[:0]
-	s.pendOK = false
 }
 
 // Depth returns the committed pattern size.
@@ -142,10 +179,9 @@ func (s *ProbeSolver) interferes(tk, vk int) bool {
 // Probe tests whether the committed pattern extended by link on
 // channel k at SINR threshold gamma admits powers within [0, PMax].
 // The committed factorization is untouched; a subsequent
-// Push(link, k, gamma) commits the extension in O(m²) by adopting the
-// probe's bordered solves.
+// Push(link, k, gamma) commits the extension in O(m) from the caches
+// this probe filled.
 func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
-	s.pendOK = false
 	nw := s.nw
 	m := s.m
 	h := nw.Gains.Direct[link][k]
@@ -160,7 +196,8 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 		return false // capacity exhausted (callers size for the worst case)
 	}
 
-	u := s.border(link, k, gamma, h)
+	s.border(link, k)
+	u, zNew := s.pivot(gamma, h, bNew)
 	if math.Abs(u) < 1e-9 {
 		// Near-singular border: defer to the pivoted reference solve
 		// rather than dividing by noise. (For genuinely singular systems
@@ -168,24 +205,20 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 		return s.probeReference(link, k, gamma)
 	}
 
-	// Solve the bordered system: z is cached for the committed rows, so
-	// only the last entry and the back substitution remain.
-	zNew := s.borderZ(bNew)
+	// Solve the bordered system: the new link's power from the cached
+	// scalars, then the committed powers as x₀ − p·v.
 	p := zNew / u
 	if p < -1e-9 || p > nw.PMax*(1+1e-7) {
 		return false
 	}
-	for i := m - 1; i >= 0; i-- {
-		v := s.z[i] - s.y[i]*p
-		row := s.lu[i*s.cap:]
-		for j := i + 1; j < m; j++ {
-			v -= row[j] * s.x[j]
-		}
-		v /= row[i]
-		if v < -1e-9 || v > nw.PMax*(1+1e-7) {
+	x0 := s.x0[m*s.cap : m*s.cap+m]
+	v := s.columnV()
+	for i := 0; i < m; i++ {
+		xi := x0[i] - p*v[i]
+		if xi < -1e-9 || xi > nw.PMax*(1+1e-7) {
 			return false
 		}
-		s.x[i] = v
+		s.x[i] = xi
 	}
 
 	// Clamp and verify the SINR thresholds exactly as the reference
@@ -211,34 +244,36 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 	for j := 0; j < m; j++ {
 		newInterf += s.gRow[j] * s.x[j]
 	}
-	if h*pc < gamma*(1-1e-6)*(nw.Noise[link]+newInterf) {
-		return false
-	}
-
-	s.pendLink, s.pendChan, s.pendGamma = link, k, gamma
-	s.pendB, s.pendU, s.pendZ = bNew, u, zNew
-	s.pendOK = true
-	return true
+	return h*pc >= gamma*(1-1e-6)*(nw.Noise[link]+newInterf)
 }
 
-// border computes the bordered factors of the committed pattern
-// extended by link on channel k at threshold gamma (h is the link's
-// direct gain on k) and returns the bordered pivot u = 1 − w·y. The
-// column solve y = L⁻¹c and its raw gains gCol come from the depth's
-// cache slot when it holds the same link and channel key; otherwise
-// they are solved and stored there. The γ-dependent row solve
-// w = r·U⁻¹ and its raw gains gRow are computed on every call.
-func (s *ProbeSolver) border(link, k int, gamma, h float64) float64 {
+// pivot returns the bordered pivot u = 1 − (γ/h)·ŵ·y and the new
+// entry zNew = bNew − (γ/h)·ŵ·z of the forward-solved right-hand side,
+// from the current depth's row slot. Probe and Push share it, so a
+// committed row is the same bits whichever path filled the slot.
+func (s *ProbeSolver) pivot(gamma, h, bNew float64) (u, zNew float64) {
+	sc := gamma / h
+	return 1 - sc*s.rowWY[s.m], bNew - sc*s.rowWZ[s.m]
+}
+
+// border points y, gCol, gRow and wh at the current depth's slots for
+// link on channel k, solving whichever slot does not already hold
+// them: the column y = L⁻¹c with its raw gains gCol, then the row
+// ŵ = (−gRow)·U⁻¹ with its raw gains gRow and the scalars ŵ·y, ŵ·z.
+func (s *ProbeSolver) border(link, k int) {
 	m := s.m
 	off := m * s.cap
 	s.y = s.colY[off : off+m]
 	s.gCol = s.colG[off : off+m]
+	s.gRow = s.rowG[off : off+m]
+	s.wh = s.rowW[off : off+m]
 	key := k
 	if s.nw.Interference != PerChannel {
 		key = -1 // the column never depends on the channel
 	}
 	cross := s.nw.Gains.Cross
-	if s.colLink[m] != link || s.colKey[m] != key || s.colGen[m] != s.rowGen[m] {
+	stamp := s.rowGen[m]
+	if s.colLink[m] != link || s.colKey[m] != key || s.colGen[m] != stamp {
 		// Border column c (new variable in committed rows), forward
 		// solved: y ← L⁻¹c.
 		for j := 0; j < m; j++ {
@@ -259,39 +294,53 @@ func (s *ProbeSolver) border(link, k int, gamma, h float64) float64 {
 			}
 			s.y[i] = v
 		}
-		s.colLink[m], s.colKey[m], s.colGen[m] = link, key, s.rowGen[m]
+		s.colLink[m], s.colKey[m], s.colGen[m] = link, key, stamp
+		s.colVOK[m] = false
 	}
-
-	// Border row r (committed variables in the new row), solved on the
-	// transpose: w ← r·U⁻¹, then the pivot u = 1 − w·y.
-	var u float64 = 1
-	for j := 0; j < m; j++ {
-		lj, kj := s.links[j], s.chans[j]
-		var gji float64 // column j→new
-		if s.interferes(kj, k) {
-			gji = cross[lj][link][k]
+	if s.rowLink[m] != link || s.rowChan[m] != k || s.rowStamp[m] != stamp {
+		// Border row r = −(γ/h)·gRow (committed variables in the new
+		// row) without its γ/h: ŵ ← (−gRow)·U⁻¹, solved on the
+		// transpose, with ŵ·y and ŵ·z alongside.
+		var wy, wz float64
+		for j := 0; j < m; j++ {
+			lj, kj := s.links[j], s.chans[j]
+			var gji float64 // column j→new
+			if s.interferes(kj, k) {
+				gji = cross[lj][link][k]
+			}
+			s.gRow[j] = gji
+			v := -gji
+			col := s.ut[j*s.cap:]
+			for i := 0; i < j; i++ {
+				v -= s.wh[i] * col[i]
+			}
+			v /= col[j]
+			s.wh[j] = v
+			wy += v * s.y[j]
+			wz += v * s.z[j]
 		}
-		s.gRow[j] = gji
-		v := -gamma * gji / h
-		col := s.ut[j*s.cap:]
-		for i := 0; i < j; i++ {
-			v -= s.w[i] * col[i]
-		}
-		v /= col[j]
-		s.w[j] = v
-		u -= v * s.y[j]
+		s.rowWY[m], s.rowWZ[m] = wy, wz
+		s.rowLink[m], s.rowChan[m], s.rowStamp[m] = link, k, stamp
 	}
-	return u
 }
 
-// borderZ returns the new entry of the forward-solved right-hand side
-// for a bordered row with b-entry bNew.
-func (s *ProbeSolver) borderZ(bNew float64) float64 {
-	zNew := bNew
-	for i := 0; i < s.m; i++ {
-		zNew -= s.w[i] * s.z[i]
+// columnV returns v = U⁻¹y for the current depth's column slot,
+// back-solving it the first time it is asked for.
+func (s *ProbeSolver) columnV() []float64 {
+	m := s.m
+	v := s.colV[m*s.cap : m*s.cap+m]
+	if !s.colVOK[m] {
+		for i := m - 1; i >= 0; i-- {
+			vi := s.y[i]
+			row := s.lu[i*s.cap:]
+			for j := i + 1; j < m; j++ {
+				vi -= row[j] * v[j]
+			}
+			v[i] = vi / row[i]
+		}
+		s.colVOK[m] = true
 	}
-	return zNew
+	return v
 }
 
 // noise returns the receiver noise of committed row i.
@@ -309,8 +358,7 @@ func clamp01(p, pmax float64) float64 {
 }
 
 // probeReference answers one probe with the pivoted full solve,
-// used when the bordered pivot is too small to trust. It leaves no
-// pending extension, so a following Push recomputes the border.
+// used when the bordered pivot is too small to trust.
 func (s *ProbeSolver) probeReference(link, k int, gamma float64) bool {
 	m := s.m
 	active := make([]int, m+1)
@@ -324,46 +372,54 @@ func (s *ProbeSolver) probeReference(link, k int, gamma float64) bool {
 }
 
 // Push commits link on channel k at threshold gamma as the new last
-// row/column of the factors. After a successful Probe with the same
-// arguments it adopts the probe's bordered solves; otherwise — the
-// probe was answered by the reference fallback, refused at rounding
-// level, or the caller probed other alternatives before choosing — it
-// computes them first, without the feasibility checks: the caller
-// vouches that the extension is feasible, and probes on top of a
-// degenerate row still verify every SINR threshold and fall back to
-// the reference solve when their own pivot is too small. Each row
-// depends only on the rows before it and its own (link, k, gamma), so
-// both ways produce bit-identical factors.
+// row/column of the factors, from the depth's border slots: after a
+// Probe of the same link and channel that reached the committed
+// links' box check they are already filled and the commit is O(m);
+// otherwise — the caller probed other alternatives before choosing,
+// or the probe stopped earlier — the missing ones are solved first,
+// without the feasibility checks: the caller vouches that the
+// extension is feasible, and probes on top of a degenerate row still
+// verify every SINR threshold and fall back to the reference solve
+// when their own pivot is too small. The L row is (γ/h)·ŵ, the pivot
+// and z entry come from pivot, and the extended pattern's powers are
+// the bordered solution [x₀ − p·v; p]; each slot depends only on the
+// rows before it and its own (link, k), so both ways produce
+// bit-identical factors and powers.
 func (s *ProbeSolver) Push(link, k int, gamma float64) {
-	if !s.pendOK || s.pendLink != link || s.pendChan != k || s.pendGamma != gamma {
-		h := s.nw.Gains.Direct[link][k]
-		s.pendU = s.border(link, k, gamma, h)
-		s.pendB = gamma * s.nw.Noise[link] / h
-		s.pendZ = s.borderZ(s.pendB)
-	}
+	h := s.nw.Gains.Direct[link][k]
+	s.border(link, k)
+	bNew := gamma * s.nw.Noise[link] / h
+	u, zNew := s.pivot(gamma, h, bNew)
+	sc := gamma / h
 	m := s.m
 	row := s.lu[m*s.cap:]
 	urow := s.ut[m*s.cap:]
 	grow := s.g[m*s.cap:]
 	for j := 0; j < m; j++ {
-		row[j] = s.w[j]            // L entries of the new row
+		row[j] = sc * s.wh[j]      // L entries of the new row
 		s.lu[j*s.cap+m] = s.y[j]   // U entries of the new column
 		urow[j] = s.y[j]           // ... and of the transposed copy
 		grow[j] = s.gRow[j]        // raw gains committed→new receiver
 		s.g[j*s.cap+m] = s.gCol[j] // raw gains new→committed receivers
 	}
-	row[m] = s.pendU
-	urow[m] = s.pendU
-	grow[m] = s.nw.Gains.Direct[link][k]
+	row[m] = u
+	urow[m] = u
+	grow[m] = h
+	p := zNew / u
+	x0, v := s.x0[m*s.cap:m*s.cap+m], s.columnV()
+	next := s.x0[(m+1)*s.cap:]
+	for i := 0; i < m; i++ {
+		next[i] = x0[i] - p*v[i]
+	}
+	next[m] = p
 	s.links = append(s.links, link)
 	s.chans = append(s.chans, k)
 	s.gammas = append(s.gammas, gamma)
-	s.b = append(s.b, s.pendB)
-	s.z = append(s.z, s.pendZ)
+	s.b = append(s.b, bNew)
+	s.z = append(s.z, zNew)
 	s.m++
-	s.pendOK = false
 	s.pushes++
-	s.rowGen[m+1] = s.pushes // row m changed: deeper border columns are stale
+	s.rowGen[m+1] = s.pushes // row m changed: deeper slots are stale
 }
 
 // Pop removes the most recently committed link. The factors of the
@@ -378,5 +434,4 @@ func (s *ProbeSolver) Pop() {
 	s.gammas = s.gammas[:s.m]
 	s.b = s.b[:s.m]
 	s.z = s.z[:s.m]
-	s.pendOK = false
 }

@@ -224,16 +224,149 @@ func committedBlock(mat []float64, m, stride int) []float64 {
 	return out
 }
 
-// TestProbeSolverBorderReuseBitExact walks one ProbeSolver through a
-// seeded random sequence of Probe, Push (after a matching probe, and
-// cold — committing an alternative probed earlier), Pop and Reset, and
-// after every probe replays the committed pattern into a fresh solver:
-// the verdict, the bordered solves, the pivot and the power vector
-// must agree bit for bit, and so must the committed factors after
-// every commit. The walk reuses cached border columns across sibling
-// probes and, through nearSingularNetwork, commits rows whose probe
-// was answered by the reference fallback; both are counted and must
-// occur.
+// reuseWalk drives one ProbeSolver through Probe, Push, Pop and Reset
+// and holds it to fresh replays of its committed pattern: after every
+// probe the verdict, every border cache entry the walked solver holds
+// valid at its depth (border column y and v = U⁻¹y, border row ŵ with
+// ŵ·y and ŵ·z, committed powers x₀) and the power vector must equal a
+// fresh solver's bit for bit, and after every commit so must the
+// committed factors.
+type reuseWalk struct {
+	tb    testing.TB
+	nw    *Network
+	ps    *ProbeSolver
+	stack []probeEntry
+}
+
+func newReuseWalk(tb testing.TB, nw *Network) *reuseWalk {
+	return &reuseWalk{tb: tb, nw: nw, ps: NewProbeSolver(nw, nw.NumLinks()*nw.NumChannels)}
+}
+
+// replay returns a fresh solver holding the walk's committed pattern.
+func (w *reuseWalk) replay() *ProbeSolver {
+	fresh := NewProbeSolver(w.nw, w.ps.cap)
+	for _, e := range w.stack {
+		fresh.Push(e.l, e.k, e.g)
+	}
+	return fresh
+}
+
+// free reports whether link may be probed on channel k on top of the
+// committed pattern: once per link, or once per (link, channel) under
+// MultiChannel.
+func (w *reuseWalk) free(l, k int) bool {
+	for _, e := range w.stack {
+		if e.l == l && (e.k == k || !w.nw.MultiChannel) {
+			return false
+		}
+	}
+	return true
+}
+
+// probe probes (l, k, g), checks it against a fresh replay and reports
+// the verdict and whether the reference fallback answered it.
+func (w *reuseWalk) probe(l, k int, g float64) (got, refAnswered bool) {
+	w.tb.Helper()
+	ps, m := w.ps, len(w.stack)
+	got = ps.Probe(l, k, g)
+	fresh := w.replay()
+	if want := fresh.Probe(l, k, g); got != want {
+		w.tb.Fatalf("Probe(%d,%d,%g) = %v, fresh replay = %v, stack %v", l, k, g, got, want, w.stack)
+	}
+	if !borderReached(w.nw, l, k, g, m) {
+		return got, false
+	}
+	if what := borderDiff(ps, fresh); what != "" {
+		w.tb.Fatalf("Probe(%d,%d,%g): %s differs from a fresh replay, stack %v", l, k, g, what, w.stack)
+	}
+	refAnswered = referenceAnswered(ps, l, k, g)
+	if got && !refAnswered && !sameBits(ps.x[:m], fresh.x[:m]) {
+		w.tb.Fatalf("Probe(%d,%d,%g): power vector differs from a fresh replay, stack %v", l, k, g, w.stack)
+	}
+	return got, refAnswered
+}
+
+// push commits (l, k, g) and checks the factors against a fresh replay.
+func (w *reuseWalk) push(l, k int, g float64) {
+	w.tb.Helper()
+	w.ps.Push(l, k, g)
+	w.stack = append(w.stack, probeEntry{l, k, g})
+	ps, fresh, m := w.ps, w.replay(), len(w.stack)
+	if !sameBits(committedBlock(ps.lu, m, ps.cap), committedBlock(fresh.lu, m, fresh.cap)) ||
+		!sameBits(committedBlock(ps.ut, m, ps.cap), committedBlock(fresh.ut, m, fresh.cap)) ||
+		!sameBits(committedBlock(ps.g, m, ps.cap), committedBlock(fresh.g, m, fresh.cap)) ||
+		!sameBits(ps.z, fresh.z) || !sameBits(ps.b, fresh.b) ||
+		!sameBits(ps.x0[m*ps.cap:m*ps.cap+m], fresh.x0[m*fresh.cap:m*fresh.cap+m]) {
+		w.tb.Fatalf("committed factors differ from a fresh replay of %v", w.stack)
+	}
+}
+
+func (w *reuseWalk) pop() {
+	w.ps.Pop()
+	w.stack = w.stack[:len(w.stack)-1]
+}
+
+func (w *reuseWalk) reset() {
+	w.ps.Reset()
+	w.stack = w.stack[:0]
+}
+
+// feasibleWith reports the reference verdict on the committed pattern
+// extended by (l, k, g).
+func (w *reuseWalk) feasibleWith(l, k int, g float64) bool {
+	m := len(w.stack)
+	return w.nw.FeasibleAssigned(patternOf(append(w.stack[:m:m], probeEntry{l, k, g})))
+}
+
+// borderReached reports whether a probe of link on channel k at gamma
+// on top of a depth-m pattern gets past Probe's early exits to the
+// border slots.
+func borderReached(nw *Network, link, k int, gamma float64, m int) bool {
+	h := nw.Gains.Direct[link][k]
+	return h > 0 && gamma*nw.Noise[link]/h <= nw.PMax*(1+1e-9) && m < nw.NumLinks()*nw.NumChannels
+}
+
+// referenceAnswered reports whether a probe of link on channel k at
+// gamma, whose border slots are filled, has a pivot small enough for
+// the reference fallback.
+func referenceAnswered(ps *ProbeSolver, link, k int, gamma float64) bool {
+	h := ps.nw.Gains.Direct[link][k]
+	u, _ := ps.pivot(gamma, h, gamma*ps.nw.Noise[link]/h)
+	return math.Abs(u) < 1e-9
+}
+
+// borderDiff compares the border slots ps used for its last probe at
+// its current depth with those of fresh, a solver holding the same
+// committed pattern that has just answered the same probe, and names
+// the first entry that differs in any bit ("" if none). The lazily
+// solved v = U⁻¹y is compared whenever ps holds it valid, solving it
+// in fresh on demand, so a cache kept past its invalidation shows here
+// even if no verdict moves.
+func borderDiff(ps, fresh *ProbeSolver) string {
+	m := ps.m
+	switch {
+	case !sameBits(ps.y, fresh.y) || !sameBits(ps.gCol, fresh.gCol):
+		return "border column y = L⁻¹c"
+	case !sameBits(ps.wh, fresh.wh) || !sameBits(ps.gRow, fresh.gRow):
+		return "border row ŵ"
+	case !sameBits([]float64{ps.rowWY[m], ps.rowWZ[m]}, []float64{fresh.rowWY[m], fresh.rowWZ[m]}):
+		return "ŵ·y or ŵ·z"
+	case ps.colVOK[m] && !sameBits(ps.colV[m*ps.cap:m*ps.cap+m], fresh.columnV()):
+		return "v = U⁻¹y"
+	case !sameBits(ps.x0[m*ps.cap:m*ps.cap+m], fresh.x0[m*fresh.cap:m*fresh.cap+m]):
+		return "committed powers x₀"
+	}
+	return ""
+}
+
+// TestProbeSolverBorderReuseBitExact walks one ProbeSolver (a
+// reuseWalk) through a seeded random sequence of Probe, Push (after a
+// matching probe, and cold — committing an alternative probed
+// earlier), Pop and Reset, holding it to fresh replays bit for bit and
+// every verdict to the reference solve. The walk reuses cached border
+// slots across sibling probes and, through nearSingularNetwork,
+// commits rows whose probe was answered by the reference fallback;
+// both are counted and must occur.
 func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range []struct {
@@ -250,37 +383,10 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 			var reused, referenced, referencePushed int
 			for inst := 0; inst < 6; inst++ {
 				nw := nearSingularNetwork(rng, tc.model, tc.multi)
-				capacity := nw.NumLinks() * nw.NumChannels
-				ps := NewProbeSolver(nw, capacity)
-				var stack []probeEntry
+				w := newReuseWalk(t, nw)
 				var last probeEntry
 				lastDepth := -1 // depth of the previous probe; −1 after a row write
 
-				replay := func() *ProbeSolver {
-					fresh := NewProbeSolver(nw, capacity)
-					for _, e := range stack {
-						fresh.Push(e.l, e.k, e.g)
-					}
-					return fresh
-				}
-				checkFactors := func(step int) {
-					fresh := replay()
-					m := len(stack)
-					if !sameBits(committedBlock(ps.lu, m, ps.cap), committedBlock(fresh.lu, m, fresh.cap)) ||
-						!sameBits(committedBlock(ps.ut, m, ps.cap), committedBlock(fresh.ut, m, fresh.cap)) ||
-						!sameBits(committedBlock(ps.g, m, ps.cap), committedBlock(fresh.g, m, fresh.cap)) ||
-						!sameBits(ps.z, fresh.z) || !sameBits(ps.b, fresh.b) {
-						t.Fatalf("instance %d step %d: committed factors differ from a fresh replay of %v", inst, step, stack)
-					}
-				}
-				free := func(l, k int) bool {
-					for _, e := range stack {
-						if e.l == l && (e.k == k || !tc.multi) {
-							return false
-						}
-					}
-					return true
-				}
 				draw := func() (int, int, float64) {
 					if last.g != 0 && rng.Intn(2) == 0 {
 						// Sibling probe: same link, another (channel, level).
@@ -300,73 +406,50 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 				for step := 0; step < 600; step++ {
 					switch op := rng.Intn(12); {
 					case op == 0:
-						ps.Reset()
-						stack, last, lastDepth = stack[:0], probeEntry{}, -1
-						continue
-					case op <= 2 && len(stack) > 0:
-						ps.Pop()
-						stack = stack[:len(stack)-1]
+						w.reset()
 						last, lastDepth = probeEntry{}, -1
 						continue
-					case op == 3 && last.g != 0 && free(last.l, last.k):
-						// Commit an alternative that is not the pending probe.
+					case op <= 2 && len(w.stack) > 0:
+						w.pop()
+						last, lastDepth = probeEntry{}, -1
+						continue
+					case op == 3 && last.g != 0 && w.free(last.l, last.k):
+						// Commit an alternative that is not the last probe.
 						l := last.l
 						k := rng.Intn(nw.NumChannels)
 						g := nw.Rates.Gammas[rng.Intn(nw.Rates.Levels())]
-						if !free(l, k) || (k == last.k && g == last.g) {
+						if !w.free(l, k) || (k == last.k && g == last.g) || !w.feasibleWith(l, k, g) {
 							continue
 						}
-						pat := append(stack[:len(stack):len(stack)], probeEntry{l, k, g})
-						if !nw.FeasibleAssigned(patternOf(pat)) {
-							continue
-						}
-						ps.Push(l, k, g)
-						stack = pat
+						w.push(l, k, g)
 						last, lastDepth = probeEntry{}, -1
-						checkFactors(step)
 						continue
 					}
 
 					l, k, g := draw()
-					if !free(l, k) {
+					if !w.free(l, k) {
 						continue
 					}
-					if lastDepth == len(stack) && l == last.l && (tc.model == Global || k == last.k) {
+					if lastDepth == len(w.stack) && l == last.l && (tc.model == Global || k == last.k) {
 						reused++
 					}
-					got := ps.Probe(l, k, g)
-					fresh := replay()
-					want := fresh.Probe(l, k, g)
-					m := len(stack)
-					if got != want || ps.pendOK != fresh.pendOK {
-						t.Fatalf("instance %d step %d: Probe(%d,%d,%g) = %v (pending %v), fresh replay = %v (pending %v), stack %v",
-							inst, step, l, k, g, got, ps.pendOK, want, fresh.pendOK, stack)
-					}
-					if ps.pendOK && (!sameBits(ps.x[:m], fresh.x[:m]) || !sameBits(ps.y, fresh.y) ||
-						!sameBits(ps.w[:m], fresh.w[:m]) || !sameBits(ps.gCol, fresh.gCol) ||
-						!sameBits(ps.gRow[:m], fresh.gRow[:m]) ||
-						!sameBits([]float64{ps.pendB, ps.pendU, ps.pendZ}, []float64{fresh.pendB, fresh.pendU, fresh.pendZ})) {
-						t.Fatalf("instance %d step %d: Probe(%d,%d,%g) bordered solve differs from a fresh replay, stack %v",
-							inst, step, l, k, g, stack)
-					}
-					if want != nw.FeasibleAssigned(patternOf(append(stack[:m:m], probeEntry{l, k, g}))) {
+					got, refAnswered := w.probe(l, k, g)
+					if got != w.feasibleWith(l, k, g) {
 						t.Fatalf("instance %d step %d: Probe(%d,%d,%g) = %v disagrees with the reference solve", inst, step, l, k, g, got)
 					}
-					last, lastDepth = probeEntry{l, k, g}, m
+					last, lastDepth = probeEntry{l, k, g}, len(w.stack)
 					if !got {
 						continue
 					}
-					if !ps.pendOK {
+					if refAnswered {
 						referenced++
 					}
 					if rng.Intn(2) == 0 {
-						if !ps.pendOK {
+						if refAnswered {
 							referencePushed++
 						}
-						ps.Push(l, k, g)
-						stack = append(stack, probeEntry{l, k, g})
+						w.push(l, k, g)
 						last, lastDepth = probeEntry{}, -1
-						checkFactors(step)
 					}
 				}
 			}
@@ -377,4 +460,143 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 			t.Logf("%d sibling probes, %d reference-answered probes, %d of them committed", reused, referenced, referencePushed)
 		})
 	}
+}
+
+// TestProbeSolverLevelSweep probes as the pricing DFS does: at each
+// node, every free link on every channel at every level from the
+// highest down, descending into a random subset of the feasible
+// extensions (Push, recurse, Pop) before the sweep goes on, so the
+// probes after a Pop reuse the border slots the subtree left behind.
+// Every verdict must equal FeasibleAssigned on the same pattern, and
+// every probe a fresh replay bit for bit. The sweep must see border
+// row reuse (consecutive probes of one link and channel at one depth),
+// rejections, acceptances and probes that follow a Push/Pop.
+func TestProbeSolverLevelSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range []struct {
+		name  string
+		model InterferenceModel
+		multi bool
+	}{
+		{"global", Global, false},
+		{"per-channel", PerChannel, false},
+		{"global/multi-channel", Global, true},
+		{"per-channel/multi-channel", PerChannel, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var probes, rowReused, accepted, afterPop int
+			for inst := 0; inst < 4; inst++ {
+				nw := randomNetwork(rng, 7, 3)
+				nw.Interference = tc.model
+				nw.MultiChannel = tc.multi
+				w := newReuseWalk(t, nw)
+				nodes := 0
+				var dfs func(first int)
+				dfs = func(first int) {
+					nodes++
+					var last probeEntry
+					popped := false
+					for l := first; l < nw.NumLinks(); l++ {
+						for k := 0; k < nw.NumChannels; k++ {
+							if !w.free(l, k) {
+								continue
+							}
+							for q := nw.Rates.Levels() - 1; q >= 0; q-- {
+								g := nw.Rates.Gammas[q]
+								if last.l == l && last.k == k && last.g != 0 {
+									rowReused++
+								}
+								if popped {
+									afterPop++
+									popped = false
+								}
+								probes++
+								got, _ := w.probe(l, k, g)
+								if want := w.feasibleWith(l, k, g); got != want {
+									t.Fatalf("instance %d: Probe(%d,%d,%g) = %v, FeasibleAssigned = %v, stack %v",
+										inst, l, k, g, got, want, w.stack)
+								}
+								last = probeEntry{l, k, g}
+								if !got {
+									continue
+								}
+								accepted++
+								if nodes < 400 && rng.Intn(3) == 0 {
+									next := l + 1
+									if tc.multi {
+										next = l
+									}
+									w.push(l, k, g)
+									dfs(next)
+									w.pop()
+									popped = true
+								}
+							}
+						}
+					}
+				}
+				dfs(0)
+				if len(w.stack) != 0 {
+					t.Fatalf("sweep left %d links committed", len(w.stack))
+				}
+			}
+			if rowReused == 0 || accepted == 0 || accepted == probes || afterPop == 0 {
+				t.Fatalf("sweep missed a path: %d probes, %d reusing the border row, %d accepted, %d after a Pop",
+					probes, rowReused, accepted, afterPop)
+			}
+			t.Logf("%d probes, %d reusing the border row, %d accepted, %d after a Pop", probes, rowReused, accepted, afterPop)
+		})
+	}
+}
+
+// FuzzProbeSolverReuse drives a ProbeSolver with a byte-coded sequence
+// of Probe, Push, Pop and Reset on a fixed network with a near-singular
+// pair (the reuseWalk of TestProbeSolverBorderReuseBitExact); every
+// probe and commit must agree bit for bit with a fresh solver's replay
+// of the committed pattern. Each op takes two bytes: the first picks
+// the operation, the second the link, channel and level. A Push
+// commits its extension only when the reference solve finds it
+// feasible, as callers vouch.
+func FuzzProbeSolverReuse(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 9, 1, 9, 0, 17, 2, 0, 0, 3, 3, 0})
+	f.Add([]byte{0, 5, 0, 21, 0, 37, 1, 5, 0, 0, 0, 64, 1, 0, 2, 0, 4, 0, 0, 5})
+	models := []struct {
+		model InterferenceModel
+		multi bool
+	}{{Global, false}, {PerChannel, false}, {Global, true}, {PerChannel, true}}
+	nws := make([]*Network, len(models))
+	rng := rand.New(rand.NewSource(5))
+	for i, m := range models {
+		nws[i] = nearSingularNetwork(rng, m.model, m.multi)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 || len(ops) > 256 {
+			return
+		}
+		nw := nws[int(ops[0])%len(nws)]
+		w := newReuseWalk(t, nw)
+		links, chans, levels := nw.NumLinks(), nw.NumChannels, nw.Rates.Levels()
+		for i := 1; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			l := arg % links
+			k := (arg / links) % chans
+			g := nw.Rates.Gammas[(arg/(links*chans))%levels]
+			switch ops[i] % 8 {
+			case 0, 1, 2, 3:
+				if w.free(l, k) {
+					w.probe(l, k, g)
+				}
+			case 4, 5:
+				if w.free(l, k) && w.feasibleWith(l, k, g) {
+					w.push(l, k, g)
+				}
+			case 6:
+				if len(w.stack) > 0 {
+					w.pop()
+				}
+			case 7:
+				w.reset()
+			}
+		}
+	})
 }

@@ -563,45 +563,37 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, func(raw json.RawMessage) ([][]byte, bool, error) {
-		var demands []api.Demand
-		if err := json.Unmarshal(raw, &demands); err != nil {
-			return nil, false, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
-		}
-		frames := make([][]byte, len(demands))
-		for i, d := range demands {
-			f, err := d.Frame()
-			if err != nil {
-				return nil, false, err
-			}
-			frames[i] = f
-		}
-		return frames, false, nil
-	})
+	s.handleSubmit(w, r, false, decodeFrames[api.Demand])
 }
 
 func (s *Server) handleCSI(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, func(raw json.RawMessage) ([][]byte, bool, error) {
-		var updates []api.CSI
-		if err := json.Unmarshal(raw, &updates); err != nil {
-			return nil, false, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+	s.handleSubmit(w, r, true, decodeFrames[api.CSI])
+}
+
+// decodeFrames decodes the first JSON value of a request body as a
+// list of T straight from the capped reader, in one pass (anything
+// after that value is not read), and encodes each item as its uplink
+// frame. A malformed, over-cap or wrong-typed body is bad-request.
+func decodeFrames[T interface{ Frame() ([]byte, error) }](dec *json.Decoder) ([][]byte, error) {
+	var items []T
+	if err := dec.Decode(&items); err != nil {
+		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+	}
+	frames := make([][]byte, len(items))
+	for i, it := range items {
+		f, err := it.Frame()
+		if err != nil {
+			return nil, err
 		}
-		frames := make([][]byte, len(updates))
-		for i, u := range updates {
-			f, err := u.Frame()
-			if err != nil {
-				return nil, false, err
-			}
-			frames[i] = f
-		}
-		return frames, true, nil
-	})
+		frames[i] = f
+	}
+	return frames, nil
 }
 
 // handleSubmit is the shared demand/CSI ingest path: decode, encode to
 // binary uplink frames (validating), and queue for the next step.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request,
-	decode func(json.RawMessage) ([][]byte, bool, error)) {
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, isCSI bool,
+	decode func(*json.Decoder) ([][]byte, error)) {
 	if s.refuseDraining(w) {
 		return
 	}
@@ -609,12 +601,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request,
 	if !ok {
 		return
 	}
-	var raw json.RawMessage
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&raw); err != nil {
-		api.WriteError(w, &api.Error{Code: api.CodeBadRequest, Message: err.Error()})
-		return
-	}
-	frames, isCSI, err := decode(raw)
+	frames, err := decode(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)))
 	if err != nil {
 		api.WriteError(w, err)
 		return

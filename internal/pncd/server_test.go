@@ -652,6 +652,89 @@ func TestDeleteRemovesStateFiles(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyDecode pins how the demands and CSI endpoints read a
+// body: its first JSON value is decoded as the item list and anything
+// after it is ignored; null is an empty list; a malformed, over-cap or
+// wrong-typed body, or an item whose frame cannot be encoded, is
+// bad-request; a list that would overflow the uplink queue is
+// admission-refused. Every refusal leaves the queue as it was.
+func TestSubmitBodyDecode(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	client := api.NewClient(hs.URL, hs.Client())
+	nw := testNetwork(t, 61)
+	wire := api.NetworkFromModel(nw)
+	st, err := client.CreateCell(context.Background(), api.CellSpec{Network: &wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := func() int {
+		cs := srv.lookup(st.Cell)
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		return len(cs.queue)
+	}
+	limit := maxQueuedFramesPerLink * nw.NumLinks()
+	list := func(item string, n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + "]"
+	}
+	for _, ep := range []struct{ path, item, badType string }{
+		{"/demands", `{"link":1,"hp":1000,"lp":2000}`, `[{"link":1,"hp":"lots"}]`},
+		{"/csi", `{"link":1,"gains":[1e-7,2e-7]}`, `[{"link":1,"gains":"flat"}]`},
+	} {
+		for _, tc := range []struct {
+			name, body string
+			code       api.Code // "" means accepted
+			accepted   int
+		}{
+			{"one item", list(ep.item, 1), "", 1},
+			{"trailing bytes after the first value", list(ep.item, 2) + ` {"not":"read"`, "", 2},
+			{"null", `null`, "", 0},
+			{"empty list", `[]`, "", 0},
+			{"malformed", "[" + ep.item + ",", api.CodeBadRequest, 0},
+			{"empty body", ``, api.CodeBadRequest, 0},
+			{"object, not a list", ep.item, api.CodeBadRequest, 0},
+			{"wrong-typed field", ep.badType, api.CodeBadRequest, 0},
+			{"link out of frame range", `[{"link":70000}]`, api.CodeBadRequest, 0},
+			{"over the byte cap", `[{"link":1,"pad":"` + strings.Repeat("a", maxBodyBytes) + `"}]`, api.CodeBadRequest, 0},
+			{"over the queue bound", list(ep.item, limit+1), api.CodeAdmission, 0},
+		} {
+			before := queued()
+			resp, err := hs.Client().Post(hs.URL+api.PathPrefix+"/cells/"+fmt.Sprint(st.Cell)+ep.path,
+				"application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.code == "" {
+				var out api.SubmitResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted || err != nil || out.Accepted != tc.accepted {
+					t.Errorf("%s %s: status %d accepted %d (%v), want 202 accepting %d",
+						ep.path, tc.name, resp.StatusCode, out.Accepted, err, tc.accepted)
+				}
+			} else {
+				var apiErr *api.Error
+				err = api.DecodeError(resp)
+				resp.Body.Close()
+				if !errors.As(err, &apiErr) || apiErr.Code != tc.code {
+					t.Errorf("%s %s: status %d error %v, want %s", ep.path, tc.name, resp.StatusCode, err, tc.code)
+				}
+			}
+			if got := queued() - before; got != tc.accepted {
+				t.Errorf("%s %s: queue grew by %d frames, want %d", ep.path, tc.name, got, tc.accepted)
+			}
+		}
+		if _, err := client.StepCell(context.Background(), st.Cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBodyCap: a create body over maxBodyBytes is refused as
 // bad-request and admits nothing, while a paper-scale network create
 // (30 links, 5 channels) is well inside the cap.

@@ -35,7 +35,11 @@ lint: vet check-deprecated
 # too: its option, search and CLI flag must not come back. So is dual
 # stabilization: its policy, option and center must not come back
 # anywhere outside perfbench/. Nor may the multi-column and
-# heuristic-first toggles: the engine owns that policy. Persisted state
+# heuristic-first toggles: the engine owns that policy. Nor may
+# heuristic-first pricing itself: every round runs the configured
+# pricer once, so cg.Options has no Heuristic pricer, the keep-pace gate
+# and its halted-exact state are gone, core picks no heuristic pricer
+# and the greedy pricer peels no column batch. Persisted state
 # has one image format and one fingerprint: the retired checkpoint
 # readers, the gains-only warm-solver hash and the second counter path
 # of mmwavesim -v must not come back. internal/lp has one simplex driver:
@@ -47,7 +51,9 @@ lint: vet check-deprecated
 # options are only New and WithPricer (perfbench calls them); and the
 # shims perfbench alone keeps alive (PricerWorkers, StabRounds,
 # BranchBoundPricer.Parallel) are referenced nowhere else but where
-# they are declared and documented. An injected hang runs its epoch
+# they are declared and documented, and so are the always-zero
+# HeuristicHits/ExactFallbacks stats perfbench still reads. An injected
+# hang runs its epoch
 # under an already-expired deadline, so the host's pricer gate and the
 # engine's fallback pricer must not come back, and Options.Tracer is
 # the one way a tracer reaches a solve (no context-carried tracer).
@@ -80,8 +86,12 @@ check-deprecated:
 		echo "error: dual stabilization was removed (every round prices at the true master duals)"; exit 1; \
 	else echo "no-stabilization check passed"; fi
 	@if grep -rn --include='*.go' -E 'HeuristicPolicy|HeuristicFirst|HeuristicPricing|WithMultiColumn|MultiColumn\.Disable|Disable: true' . ; then \
-		echo "error: the CG engine owns its loop policy (a pricer's PoolLeaves decides multi-column; the heuristic runs only after a budget-truncated exact round)"; exit 1; \
+		echo "error: the CG engine owns its loop policy (a pricer's PoolLeaves decides multi-column)"; exit 1; \
 	else echo "no-loop-toggles check passed"; fi
+	@if grep -rn --include='*.go' -E '\b(keepPace|exactHalted|heuristicPricer|PoolColumns)\b|\bHeuristic:' . | grep -v '^\./perfbench/' || \
+		grep -n -E '^[[:space:]]+Heuristic[[:space:]]' internal/cg/*.go ; then \
+		echo "error: heuristic-first pricing was removed (every round runs the configured pricer once and yields a Theorem-1 bound)"; exit 1; \
+	else echo "one-pricer-per-round check passed"; fi
 	@if grep -rn --include='*.go' -E 'gainsFingerprint|minVersion|r\.ver\b|legacyDuals|experiment\.Telemetry|\bTelemetry\{' . ; then \
 		echo "error: one checkpoint format (no legacy readers), one fingerprint (netmodel.Network.Fingerprint), one counter path (obs.Registry)"; exit 1; \
 	else echo "one-format-one-fingerprint check passed"; fi
@@ -106,9 +116,9 @@ check-deprecated:
 		grep -n 'Solve(context\.Background())' $$(ls internal/experiment/*.go internal/session/*.go | grep -v '_test\.go$$') internal/pncd/slices.go ; then \
 		echo "error: one campaign harness (reduced scales live on Driver.Scale; every campaign solve runs under the campaign context)"; exit 1; \
 	else echo "one-campaign-harness check passed"; fi
-	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
-		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|Parallel)[[:space:]]+int$$)' ; then \
-		echo "error: PricerWorkers, StabRounds and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \
+	@if grep -rn --include='*.go' -E '\b(PricerWorkers|StabRounds|HeuristicHits|ExactFallbacks)\b|\.Parallel *=' . | grep -v '^\./perfbench/' \
+		| grep -vE '^\./internal/(core/core|core/pricer|cg/stats)\.go:[0-9]+:[[:space:]]*(//|(PricerWorkers|StabRounds|HeuristicHits|ExactFallbacks|Parallel)[[:space:]]+int$$)' ; then \
+		echo "error: PricerWorkers, StabRounds, HeuristicHits, ExactFallbacks and BranchBoundPricer.Parallel are no-op shims kept only for perfbench/"; exit 1; \
 	else echo "perfbench-shims check passed"; fi
 	@dups=$$(grep -hoE '^func \([a-z]+ \*?[A-Za-z]+\) (fill|run|runDual|pivot|pivotDual|driveOutArtificials|tryWarmStart|encodeBasis)\(' \
 		$$(ls internal/lp/*.go | grep -v '_test\.go$$') | sed -E 's/.*\) ([A-Za-z]+)\($$/\1/' | sort | uniq -d); \

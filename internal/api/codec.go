@@ -402,8 +402,6 @@ func (e *encoder) result(r *EpochResult) {
 		e.raw(`,"warm_solve":true`)
 	}
 	e.omitInt(`,"cg_iterations":`, int64(r.CGIterations))
-	e.omitInt(`,"cg_heuristic_hits":`, int64(r.CGHeuristicHits))
-	e.omitInt(`,"cg_exact_fallbacks":`, int64(r.CGExactFallbacks))
 	e.omitInt(`,"cg_columns_added":`, int64(r.CGColumnsAdded))
 	e.raw("}")
 }
@@ -876,14 +874,8 @@ func (d *decoder) result() *EpochResult {
 		case "cg_iterations":
 			d.once(&seen, 17)
 			r.CGIterations = d.int()
-		case "cg_heuristic_hits":
-			d.once(&seen, 18)
-			r.CGHeuristicHits = d.int()
-		case "cg_exact_fallbacks":
-			d.once(&seen, 19)
-			r.CGExactFallbacks = d.int()
 		case "cg_columns_added":
-			d.once(&seen, 20)
+			d.once(&seen, 18)
 			r.CGColumnsAdded = d.int()
 		default:
 			d.fail()

@@ -185,7 +185,7 @@ func edgeReports() []EpochReport {
 			StaleLinks: []int{1, 2}, ExpiredLinks: []int{3}, DeferredLinks: []int{-4},
 			DroppedGrants: 2, Retries: 5, LostFrames: 6, BackoffSeconds: 0.25,
 			TruncatedSolve: true, WarmSolve: true,
-			CGIterations: 9, CGHeuristicHits: 8, CGExactFallbacks: 1, CGColumnsAdded: 40,
+			CGIterations: 9, CGColumnsAdded: 40,
 		},
 	}
 	plain := full
@@ -355,7 +355,7 @@ func TestCodecDecodeMatchesEncodingJSON(t *testing.T) {
 		"null", " null ", `{"reports":null}`, `{"reports":[null]}`, `{"reports":[{},null,{"cell":2}]}`,
 		`{"cell":1,"cell":2}`, `{"cell":1,"Cell":2}`, `{"CELL":5,"EpOcH":6}`, `{"plan":{"tau":[1],"tau":[2,3]}}`,
 		`{"reports":[{"cell":1}],"reports":[{"epoch":2}]}`, `{"reports":[],"Reports":[{"cell":3}]}`,
-		`{"outcome":"ok","result":{"cg_stab_rounds":4,"retries":1}}`, `{"pricer_workers":2}`, `{"unknown":{"a":[1,{}]}}`,
+		`{"outcome":"ok","result":{"cg_stab_rounds":4,"retries":1}}`, `{"result":{"cg_heuristic_hits":8,"cg_exact_fallbacks":1}}`, `{"pricer_workers":2}`, `{"unknown":{"a":[1,{}]}}`,
 		`{"cell":null}`, `{"plan":null}`, `{"result":null}`, `{"plan":{"schedules":[null,[null]]}}`, `{"plan":{"objective":null}}`,
 		`{"cell":1.0}`, `{"cell":1e2}`, `{"cell":-0}`, `{"cell":01}`, `{"cell":9223372036854775808}`, `{"epoch":-9223372036854775808}`,
 		`{"plan":{"objective":1e400}}`, `{"plan":{"objective":-1e400}}`, `{"plan":{"objective":4.9e-325}}`, `{"plan":{"objective":1E+2}}`,
@@ -395,6 +395,30 @@ func checkDecode(t testing.TB, wt wireType, data []byte) {
 	b, errB := wt.encRef(got)
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {
 		t.Fatalf("%s %q: re-encodes as\n%s (%v)\nvs encoding/json\n%s (%v)", wt.name, data, a, errA, b, errB)
+	}
+}
+
+// TestRetiredKeysDecode: an epoch report from a build that still sent
+// the heuristic-pricing counters decodes, the retired keys ignored and
+// every live field kept.
+func TestRetiredKeysDecode(t *testing.T) {
+	data := []byte(`{"cell":3,"epoch":7,"outcome":"ok","plan":{"schedules":null,"tau":null,"objective":0.5},"plan_age":0,` +
+		`"result":{"control_seconds":0.001,"control_messages":4,"cg_iterations":9,"cg_heuristic_hits":8,"cg_exact_fallbacks":1,"cg_columns_added":40}}`)
+	var got EpochReport
+	if err := got.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	want := EpochReport{Cell: 3, Epoch: 7, Outcome: "ok", Plan: Plan{Objective: 0.5},
+		Result: &EpochResult{ControlSeconds: 0.001, ControlMessages: 4, CGIterations: 9, CGColumnsAdded: 40}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded\n%#v\nwant\n%#v", got, want)
+	}
+	var step StepResponse
+	if err := step.UnmarshalJSON([]byte(`{"reports":[` + string(data) + `]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if len(step.Reports) != 1 || !reflect.DeepEqual(step.Reports[0], want) {
+		t.Fatalf("step decoded %#v, want one report %#v", step.Reports, want)
 	}
 }
 

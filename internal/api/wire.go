@@ -420,11 +420,10 @@ type EpochResult struct {
 	// Column-generation telemetry for the epoch's P1 solve — additive
 	// v1 fields (omitempty keeps pre-existing decoders and goldens
 	// byte-compatible), zero when the epoch served a cached plan and
-	// ran no solve.
-	CGIterations     int `json:"cg_iterations,omitempty"`
-	CGHeuristicHits  int `json:"cg_heuristic_hits,omitempty"`
-	CGExactFallbacks int `json:"cg_exact_fallbacks,omitempty"`
-	CGColumnsAdded   int `json:"cg_columns_added,omitempty"`
+	// ran no solve. The retired cg_stab_rounds, cg_heuristic_hits and
+	// cg_exact_fallbacks keys are still accepted and ignored.
+	CGIterations   int `json:"cg_iterations,omitempty"`
+	CGColumnsAdded int `json:"cg_columns_added,omitempty"`
 }
 
 // EpochReport is the wire form of host.EpochReport: what one cell did
@@ -479,8 +478,6 @@ func ReportFromHost(rep *host.EpochReport) EpochReport {
 		}
 		if sr := r.Solver; sr != nil {
 			wire.CGIterations = sr.Rounds
-			wire.CGHeuristicHits = sr.HeuristicHits
-			wire.CGExactFallbacks = sr.ExactFallbacks
 			wire.CGColumnsAdded = sr.ColumnsAdded
 		}
 		if len(r.ShedByClass) > 2 {

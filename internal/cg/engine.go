@@ -50,16 +50,6 @@ type MasterModel interface {
 type Options struct {
 	// Pricer generates columns. Required.
 	Pricer Pricer
-	// Heuristic, when non-nil, is a cheap pricer (typically the greedy
-	// interference-free builder, possibly peeling a column batch) tried
-	// ahead of the exact pricer in every round that follows a
-	// budget-truncated exact round. Its column is taken only when it is
-	// new to the pool, improves at the true master duals and keeps pace
-	// with the exact frontier (keepPace); otherwise the exact pricer
-	// fires in the same round. Heuristic rounds are never exact: they
-	// emit no Theorem-1 bound and never declare convergence. Nil prices
-	// exactly every round.
-	Heuristic Pricer
 	// MaxIterations caps column-generation rounds; zero means 500.
 	MaxIterations int
 	// Tolerance on the reduced cost: the engine stops when
@@ -170,8 +160,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	defer span.End()
 
 	colHist := e.opts.Metrics.Histogram("cg_columns_per_round")
-	lastPhi := 0.0       // last exact round's best reduced cost (≤ 0)
-	exactHalted := false // last exact round hit its budget mid-search
 
 	for iter := 0; iter < e.opts.MaxIterations; iter++ {
 		mpSol, err := e.solveMaster()
@@ -181,34 +169,9 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		lambda := e.model.Duals(mpSol)
 		upper := e.model.Upper(mpSol)
 
-		// Heuristic-first: the heuristic column substitutes for a round
-		// of exact pricing only when substitution actually wins. The
-		// exact pricer must be running into its budget (a truncated
-		// argmax is no better than any improving column, while a
-		// completed search delivers far stronger batches than the
-		// greedy ever will), and the heuristic column must be new to
-		// the pool, improve at the true duals, and keep pace with the
-		// exact walk's frontier. Otherwise the exact pricer fires in
-		// the same round.
-		var pr *PriceResult
-		heuristic := false
-		if e.opts.Heuristic != nil && exactHalted {
-			if hr, herr := e.opts.Heuristic.Price(e.nw, lambda); herr == nil && hr.Schedule != nil {
-				phiH := 1 - hr.Schedule.Value(e.nw, lambda)
-				if phiH < -e.opts.Tolerance && phiH <= keepPace*lastPhi &&
-					!st.pool.Contains(hr.Schedule) {
-					pr = hr
-					heuristic = true
-					st.stats.HeuristicHits++
-				}
-			}
-			if !heuristic {
-				st.stats.ExactFallbacks++
-			}
-		}
-		if pr == nil {
-			pr, err = e.price(ctx, lambda)
-		}
+		// Every round runs the configured pricer once, so every round
+		// feeds the Theorem-1 bound and may declare convergence.
+		pr, err := e.price(ctx, lambda)
 		st.stats.Rounds++
 		if err != nil {
 			return nil, fmt.Errorf("cg: pricing failed at iteration %d: %w", iter, err)
@@ -218,22 +181,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		st.stats.PricerNodes += pr.Nodes
 
 		phi := 1 - pr.Value // reduced cost of the best found column
-		if !heuristic {
-			// The keep-pace bar references the exact walk's frontier: a
-			// self-referential bar would let the greedy coast on its own
-			// decaying progress.
-			lastPhi = phi
-			exactHalted = !pr.Exact && pr.Schedule != nil
-		}
-		// Theorem-1 bounds and convergence may only come from exact
-		// pricing rounds: heuristic columns prove nothing about the
-		// maximal Ψ.
-		pure := !heuristic
-		var lower float64
-		var hasBound bool
-		if pure {
-			lower, hasBound = e.model.Bound(upper, pr)
-		}
+		lower, hasBound := e.model.Bound(upper, pr)
 		if hasBound && lower > bestLower {
 			bestLower = lower
 		}
@@ -246,7 +194,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			Phi:        phi,
 			PoolSize:   st.pool.Len(),
 			PricerNode: pr.Nodes,
-			Exact:      pure && pr.Exact,
+			Exact:      pr.Exact,
 		})
 		span.Emit(obs.Event{
 			Name:   "cg.iteration",
@@ -265,10 +213,10 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			return e.finishTruncated(out, mpSol, lambda, bestLower, ctx), nil
 		}
 
-		converged := pure && pr.Exact && phi >= -e.opts.Tolerance
+		converged := pr.Exact && phi >= -e.opts.Tolerance
 		gapMet := e.opts.GapTarget > 0 && upper > 0 &&
 			(upper-bestLower)/upper <= e.opts.GapTarget
-		if converged || gapMet || (pure && (pr.Schedule == nil || phi >= -e.opts.Tolerance)) {
+		if converged || gapMet || pr.Schedule == nil || phi >= -e.opts.Tolerance {
 			out.Sol = mpSol
 			out.LowerBound = bestLower
 			out.Converged = converged
@@ -276,22 +224,13 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			return out, nil
 		}
 
-		// Admit this round's batch: the pricer's best column plus any
-		// pooled near-optimal leaves, each re-priced at the true duals
-		// (schedule.Pool dedups structurally identical columns).
+		// Admit this round's batch: the pricer's best column, improving
+		// by the test above, plus any pooled near-optimal leaves, each
+		// re-priced at the true duals (schedule.Pool dedups structurally
+		// identical columns).
 		added := 0
-		if pr.Schedule != nil {
-			vTrue := pr.Value
-			if heuristic {
-				// Value a heuristic column exactly as the keep-pace
-				// test did, so admission agrees with that test.
-				vTrue = pr.Schedule.Value(e.nw, lambda)
-			}
-			if 1-vTrue < -e.opts.Tolerance {
-				if _, ok := st.pool.Add(pr.Schedule); ok {
-					added++
-				}
-			}
+		if _, ok := st.pool.Add(pr.Schedule); ok {
+			added++
 		}
 		for _, sc := range pr.Extras {
 			if sc != nil && 1-sc.Value(e.nw, lambda) < -e.opts.Tolerance {
@@ -417,8 +356,6 @@ func (e *Engine) publishRun(out *Outcome) {
 	}
 	m.Counter("cg_warm_masters_total").Add(int64(out.Stats.WarmMasters))
 	m.Counter("cg_gc_evicted_columns_total").Add(int64(out.Stats.EvictedColumns))
-	m.Counter("cg_heuristic_price_hits_total").Add(int64(out.Stats.HeuristicHits))
-	m.Counter("cg_exact_fallbacks_total").Add(int64(out.Stats.ExactFallbacks))
 	m.Gauge("cg_pool_columns").Set(float64(e.state.pool.Len()))
 	m.Counter("cg_lp_ft_updates_total").Add(int64(out.Stats.LPEtaUpdates))
 	if e.state.lastFill > 0 {

@@ -36,12 +36,11 @@ type Stats struct {
 	// true master duals. The field stays only because the benchmark
 	// harness still reads it.
 	StabRounds int
-	// HeuristicHits counts rounds where the heuristic pricer's column
-	// passed the reduced-cost test and the exact pricer never ran.
-	HeuristicHits int
-	// ExactFallbacks counts rounds where the heuristic pricer ran first
-	// but failed the reduced-cost test, forcing the exact pricer in the
-	// same round.
+	// HeuristicHits and ExactFallbacks are always zero: every round
+	// runs the configured pricer once, with no heuristic pass ahead of
+	// it. The fields stay only because the benchmark harness still
+	// reads them.
+	HeuristicHits  int
 	ExactFallbacks int
 	// ColumnsAdded counts columns admitted to the pool by pricing
 	// rounds.
@@ -61,8 +60,6 @@ func (s Stats) delta(prev Stats) Stats {
 		LPEtaUpdates:       s.LPEtaUpdates - prev.LPEtaUpdates,
 		WarmMasters:        s.WarmMasters - prev.WarmMasters,
 		EvictedColumns:     s.EvictedColumns - prev.EvictedColumns,
-		HeuristicHits:      s.HeuristicHits - prev.HeuristicHits,
-		ExactFallbacks:     s.ExactFallbacks - prev.ExactFallbacks,
 		ColumnsAdded:       s.ColumnsAdded - prev.ColumnsAdded,
 	}
 }

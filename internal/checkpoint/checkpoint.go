@@ -71,8 +71,10 @@ const (
 	// Version 8 is the first whose CoordState.SolverFP holds the whole-
 	// network fingerprint (netmodel.Network.Fingerprint); version 9
 	// drops the retired blockage fault class from the injector image
-	// (its two config fields and its stream's draw count).
-	version = 9
+	// (its two config fields and its stream's draw count); version 10
+	// drops the two always-zero heuristic-pricing counters from the
+	// engine stats.
+	version = 10
 	// headerLen is magic + version + fingerprint; trailerLen the CRC.
 	headerLen  = 4 + 2 + 8
 	trailerLen = 4
@@ -379,8 +381,7 @@ func encodeEngine(w *writer, s *cg.StateSnapshot) {
 	for _, v := range []int{
 		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves, s.Stats.PricerNodes,
 		s.Stats.LPPivots, s.Stats.LPRefactorizations, s.Stats.LPEtaUpdates,
-		s.Stats.WarmMasters, s.Stats.EvictedColumns,
-		s.Stats.HeuristicHits, s.Stats.ExactFallbacks, s.Stats.ColumnsAdded,
+		s.Stats.WarmMasters, s.Stats.EvictedColumns, s.Stats.ColumnsAdded,
 	} {
 		w.i64(int64(v))
 	}
@@ -410,8 +411,7 @@ func decodeEngine(r *reader) *cg.StateSnapshot {
 	for _, p := range []*int{
 		&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves, &s.Stats.PricerNodes,
 		&s.Stats.LPPivots, &s.Stats.LPRefactorizations, &s.Stats.LPEtaUpdates,
-		&s.Stats.WarmMasters, &s.Stats.EvictedColumns,
-		&s.Stats.HeuristicHits, &s.Stats.ExactFallbacks, &s.Stats.ColumnsAdded,
+		&s.Stats.WarmMasters, &s.Stats.EvictedColumns, &s.Stats.ColumnsAdded,
 	} {
 		*p = int(r.i64())
 	}

@@ -267,7 +267,7 @@ func TestOtherVersionsIncompatible(t *testing.T) {
 	if _, err := Decode(restamp(data, version)); err != nil {
 		t.Fatalf("restamping at the current version broke the image: %v", err)
 	}
-	for _, v := range []uint16{0, 2, 3, 6, 7, 8, version + 1} {
+	for _, v := range []uint16{0, 2, 3, 6, 7, 8, 9, version + 1} {
 		if _, err := Decode(restamp(data, v)); !errors.Is(err, ErrIncompatible) {
 			t.Errorf("version %d image: got %v, want ErrIncompatible", v, err)
 		}

@@ -5,12 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mmwave/internal/netmodel"
 )
 
 // allOff reproduces the historical exact loop: a pricer that never
-// exhausts its budget never opens the heuristic gate, so every round
-// is priced exactly, and with no leaf pool it adds one column per
-// round.
+// exhausts its budget prices every round exactly, and with no leaf pool
+// it adds one column per round.
 func allOff() []Option {
 	p := NewBranchBoundPricer(1 << 40)
 	p.PoolLeaves = 0
@@ -20,9 +21,9 @@ func allOff() []Option {
 // TestAcceleratedSolveProperties is the acceptance property for the
 // accelerated engine, across ≥50 seeded Table-I-style instances:
 //
-//  1. the default solve (multi-column + heuristic-first pricing, both
-//     on) converges to an objective within 1e-9 relative
-//     of the all-off exact loop's optimum;
+//  1. the default solve (multi-column pricing on) converges to an
+//     objective within 1e-9 relative of the all-off exact loop's
+//     optimum;
 //  2. its Theorem-1 bounds are valid and monotone at every iteration —
 //     the running lower bound never decreases, never exceeds the final
 //     objective, and the master upper bound never falls below it;
@@ -105,5 +106,56 @@ func TestAcceleratedSolveProperties(t *testing.T) {
 			t.Fatalf("instance %d: canceled solve not flagged Truncated", i)
 		}
 		auditPlan(t, "anytime", nw, demands, resT.Plan)
+	}
+}
+
+// countingPricer counts the calls that reach the pricer it wraps.
+type countingPricer struct {
+	inner *BranchBoundPricer
+	calls int
+}
+
+func (c *countingPricer) String() string { return c.inner.String() }
+
+func (c *countingPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+	c.calls++
+	return c.inner.Price(nw, lambda)
+}
+
+func (c *countingPricer) PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+	c.calls++
+	return c.inner.PriceContext(ctx, nw, lambda)
+}
+
+// TestOnePricerPerRound: every column-generation round runs the
+// configured pricer exactly once, also after budget-truncated rounds,
+// so every round yields a Theorem-1 bound.
+func TestOnePricerPerRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	nw := servableNetwork(rng, 14, 3)
+	demands := uniformDemands(14, 4e6, 2e6)
+	p := &countingPricer{inner: NewBranchBoundPricer(50)}
+	s, err := New(nw, demands, WithPricer(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := 0
+	for _, it := range res.Iterations {
+		if !it.Exact {
+			truncated++
+		}
+		if it.Lower <= 0 {
+			t.Errorf("round %d yields no lower bound (Lower = %v)", it.Iter, it.Lower)
+		}
+	}
+	if truncated < 2 {
+		t.Fatalf("%d budget-truncated rounds, want at least 2 to exercise the round after one", truncated)
+	}
+	if p.calls != res.Rounds || res.Rounds != len(res.Iterations) {
+		t.Errorf("pricer calls %d, rounds %d, iterations %d: want all equal", p.calls, res.Rounds, len(res.Iterations))
 	}
 }

@@ -176,7 +176,6 @@ type Options struct {
 func (o Options) engineOptions() cg.Options {
 	return cg.Options{
 		Pricer:        o.Pricer,
-		Heuristic:     o.heuristicPricer(),
 		MaxIterations: o.MaxIterations,
 		Tolerance:     o.Tolerance,
 		GapTarget:     o.GapTarget,
@@ -185,24 +184,6 @@ func (o Options) engineOptions() cg.Options {
 		Tracer:        o.Tracer,
 		Metrics:       o.Metrics,
 	}
-}
-
-// heuristicPricer picks the heuristic-first pricer for the engine: the
-// greedy builder, peeling a column batch. It returns nil — pricing
-// exactly every round — when the main pricer is already the greedy
-// heuristic (running it twice per round buys nothing), or when the main
-// pricer prices fixed-power columns (the greedy builder adapts powers,
-// and the fixed-power ablation's master pool must stay PMax-only).
-func (o Options) heuristicPricer() cg.Pricer {
-	switch p := o.Pricer.(type) {
-	case *BranchBoundPricer:
-		if p.FixedPower {
-			return nil
-		}
-	case GreedyPricer:
-		return nil
-	}
-	return GreedyPricer{PoolColumns: cg.MultiColumnPolicy{}.Columns()}
 }
 
 // Solver runs column generation on one network instance, holding the

@@ -803,18 +803,10 @@ var greedyScratchPool sync.Pool
 // GreedyPricer is a fast heuristic pricer: it greedily activates
 // candidates in descending contribution order at the highest feasible
 // level on their best feasible channel. It never proves optimality
-// (Exact is false unless nothing is activatable) and serves as a
-// baseline for pricing-ablation experiments, as the branch-and-bound
-// incumbent seed, and as the engine's heuristic-first pricer.
-type GreedyPricer struct {
-	// PoolColumns, when > 1, peels up to PoolColumns−1 additional
-	// columns into PriceResult.Extras: each peel re-runs the greedy
-	// pass excluding every link activated by the previous column, so
-	// one heuristic round can cover disjoint slices of the network.
-	// Zero (the historical zero value) returns only the single best
-	// column.
-	PoolColumns int
-}
+// (Exact is false unless nothing is activatable) and serves as the
+// branch-and-bound incumbent seed and as the greedy-pricing ablation's
+// pricer.
+type GreedyPricer struct{}
 
 var _ Pricer = GreedyPricer{}
 
@@ -822,7 +814,7 @@ var _ Pricer = GreedyPricer{}
 func (GreedyPricer) String() string { return "greedy" }
 
 // Price implements Pricer.
-func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
 	L := nw.NumLinks()
 	if err := checkDuals(nw, lambda); err != nil {
 		return nil, err
@@ -876,92 +868,58 @@ func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceRes
 	defer greedyScratchPool.Put(sc)
 	probe, used := sc.probe, sc.nodeUsed
 
-	// runPass is one greedy build over the items, skipping excluded
-	// links; peeling re-runs it with the previous columns' links
-	// excluded to batch disjoint columns into Extras.
-	runPass := func(excluded []bool) (*schedule.Schedule, float64, error) {
-		var accLinks, accChans, accLevels []int
-		var accGammas []float64
-		var layers []schedule.Layer
-		clear(used)
-		var value float64
-		for _, it := range items {
-			if excluded != nil && excluded[it.link] {
-				continue
-			}
-			tx, rx := sc.linkTX[it.link], sc.linkRX[it.link]
-			if used[tx] || used[rx] {
-				continue
-			}
-			bestK, bestQ := -1, -1
-			for k := 0; k < nw.NumChannels; k++ {
-				solo := nw.Rates.BestLevel(nw.Gains.Direct[it.link][k] * nw.PMax / nw.Noise[it.link])
-				for q := solo; q >= 0; q-- {
-					if bestQ >= q {
-						break // cannot beat the incumbent channel choice
-					}
-					if probe.Probe(it.link, k, nw.Rates.Gammas[q]) {
-						bestK, bestQ = k, q
-						break
-					}
+	var accLinks, accChans, accLevels []int
+	var accGammas []float64
+	var layers []schedule.Layer
+	clear(used)
+	var value float64
+	for _, it := range items {
+		tx, rx := sc.linkTX[it.link], sc.linkRX[it.link]
+		if used[tx] || used[rx] {
+			continue
+		}
+		bestK, bestQ := -1, -1
+		for k := 0; k < nw.NumChannels; k++ {
+			solo := nw.Rates.BestLevel(nw.Gains.Direct[it.link][k] * nw.PMax / nw.Noise[it.link])
+			for q := solo; q >= 0; q-- {
+				if bestQ >= q {
+					break // cannot beat the incumbent channel choice
+				}
+				if probe.Probe(it.link, k, nw.Rates.Gammas[q]) {
+					bestK, bestQ = k, q
+					break
 				}
 			}
-			if bestK < 0 {
-				continue
-			}
-			probe.Push(it.link, bestK, nw.Rates.Gammas[bestQ])
-			accLinks = append(accLinks, it.link)
-			accChans = append(accChans, bestK)
-			accLevels = append(accLevels, bestQ)
-			accGammas = append(accGammas, nw.Rates.Gammas[bestQ])
-			layers = append(layers, it.layer)
-			used[tx], used[rx] = true, true
-			value += it.lam * nw.Rates.Rates[bestQ]
 		}
-		if len(accLinks) == 0 {
-			return nil, 0, nil
+		if bestK < 0 {
+			continue
 		}
-		powers, ok := nw.MinPowersAssigned(accLinks, accChans, accGammas)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: internal: greedy activation set infeasible")
-		}
-		var out schedule.Schedule
-		for i, l := range accLinks {
-			out.Assignments = append(out.Assignments, schedule.Assignment{
-				Link:    l,
-				Channel: accChans[i],
-				Level:   accLevels[i],
-				Layer:   layers[i],
-				Power:   powers[i],
-			})
-		}
-		out.Normalize()
-		return &out, value, nil
+		probe.Push(it.link, bestK, nw.Rates.Gammas[bestQ])
+		accLinks = append(accLinks, it.link)
+		accChans = append(accChans, bestK)
+		accLevels = append(accLevels, bestQ)
+		accGammas = append(accGammas, nw.Rates.Gammas[bestQ])
+		layers = append(layers, it.layer)
+		used[tx], used[rx] = true, true
+		value += it.lam * nw.Rates.Rates[bestQ]
 	}
-
-	sched, value, err := runPass(nil)
-	if err != nil {
-		return nil, err
-	}
-	if sched == nil {
+	if len(accLinks) == 0 {
 		return &PriceResult{Value: 0, Exact: len(items) == 0, RelaxValue: relax}, nil
 	}
-	res := &PriceResult{Schedule: sched, Value: value, Exact: false, RelaxValue: relax}
-	if g.PoolColumns > 1 {
-		excluded := make([]bool, L)
-		last := sched
-		for peel := 1; peel < g.PoolColumns; peel++ {
-			for _, a := range last.Assignments {
-				excluded[a.Link] = true
-			}
-			probe.Reset()
-			sc, v, perr := runPass(excluded)
-			if perr != nil || sc == nil || v <= 1+1e-9 {
-				break
-			}
-			res.Extras = append(res.Extras, sc)
-			last = sc
-		}
+	powers, ok := nw.MinPowersAssigned(accLinks, accChans, accGammas)
+	if !ok {
+		return nil, fmt.Errorf("core: internal: greedy activation set infeasible")
 	}
-	return res, nil
+	var out schedule.Schedule
+	for i, l := range accLinks {
+		out.Assignments = append(out.Assignments, schedule.Assignment{
+			Link:    l,
+			Channel: accChans[i],
+			Level:   accLevels[i],
+			Layer:   layers[i],
+			Power:   powers[i],
+		})
+	}
+	out.Normalize()
+	return &PriceResult{Schedule: &out, Value: value, Exact: false, RelaxValue: relax}, nil
 }

@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -135,4 +136,40 @@ func TestErrorTaxonomyAcrossBoundaries(t *testing.T) {
 			t.Errorf("empty spec admitted with %v, want ErrAdmission", err)
 		}
 	})
+}
+
+// TestAdmitValidatesPolicy: admission refuses a degradation policy the
+// coordinator cannot run — a negative decay would schedule negative
+// demand every stale epoch, and an unbounded retry budget would spin
+// inside an unwatched ingest — and still admits the default policy and
+// the ones the experiment drivers build.
+func TestAdmitValidatesPolicy(t *testing.T) {
+	nw := testNetwork(t, 71, 4, 2)
+	lossy := &faults.Config{CtrlLoss: 1, Seed: 5}
+	h := New()
+	for name, p := range map[string]pnc.DegradePolicy{
+		"negative decay":   {StalenessLimit: 4, StalenessDecay: -1},
+		"huge retries":     {MaxRetries: 1 << 40},
+		"negative retries": {MaxRetries: -1},
+		"NaN budget":       {EpochBudget: math.NaN()},
+	} {
+		if _, err := h.Admit(CellSpec{Network: nw, Policy: p, Faults: lossy}); !errors.Is(err, ErrAdmission) {
+			t.Errorf("%s: admitted with %v, want ErrAdmission", name, err)
+		}
+	}
+	if n := len(h.Cells()); n != 0 {
+		t.Fatalf("refused specs left %d cells", n)
+	}
+	budgeted := pnc.DefaultDegradePolicy()
+	budgeted.EpochBudget = 0.02 // the chaos soak's calibrated epoch budget
+	for name, p := range map[string]pnc.DegradePolicy{
+		"zero":     {},
+		"default":  pnc.DefaultDegradePolicy(),
+		"budgeted": budgeted,
+		"slices":   {EpochBudget: 1.0 / 3, StalenessDecayByClass: []float64{1, 0.9, 0.5}},
+	} {
+		if _, err := h.Admit(CellSpec{Network: nw, Policy: p, Faults: lossy}); err != nil {
+			t.Errorf("%s policy refused: %v", name, err)
+		}
+	}
 }

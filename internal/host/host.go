@@ -295,6 +295,9 @@ func (h *Host) admit(spec CellSpec, id int) (*Cell, error) {
 			return nil, fmt.Errorf("%w: %v", ErrAdmission, err)
 		}
 	}
+	if err := spec.Policy.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrAdmission, err)
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.opts.MaxCells > 0 && h.liveCellsLocked() >= h.opts.MaxCells {

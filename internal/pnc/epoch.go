@@ -33,7 +33,7 @@ var (
 // exactly the original fail-hard epoch behavior.
 type DegradePolicy struct {
 	// MaxRetries bounds control-frame retransmissions after a lost or
-	// corrupted attempt.
+	// corrupted attempt, at most MaxRetriesCap.
 	MaxRetries int
 	// RetryBackoff is the base of the exponential backoff between
 	// retransmissions, in seconds; attempt k waits 2^(k-1)·RetryBackoff.
@@ -74,6 +74,47 @@ func DefaultDegradePolicy() DegradePolicy {
 		StalenessLimit: 4,
 		StalenessDecay: 0.8,
 	}
+}
+
+// MaxRetriesCap is the largest MaxRetries Validate accepts. Each
+// retry runs inside the epoch's ingest, which no watchdog bounds, and
+// attempt k waits 2^(k-1)·RetryBackoff, so the cap keeps both the loop
+// and the backoff's shift small.
+const MaxRetriesCap = 16
+
+// Validate reports a policy the coordinator cannot run: MaxRetries
+// outside [0, MaxRetriesCap], a negative staleness limit, a negative or
+// non-finite backoff or budget, or a decay outside [0, 1] (a negative
+// decay would schedule negative demand on the next stale epoch).
+func (p DegradePolicy) Validate() error {
+	if p.MaxRetries < 0 || p.MaxRetries > MaxRetriesCap {
+		return fmt.Errorf("pnc: MaxRetries = %d, want 0..%d", p.MaxRetries, MaxRetriesCap)
+	}
+	if p.StalenessLimit < 0 {
+		return fmt.Errorf("pnc: StalenessLimit = %d, want ≥ 0", p.StalenessLimit)
+	}
+	if p.SolveBudget < 0 {
+		return fmt.Errorf("pnc: SolveBudget = %v, want ≥ 0", p.SolveBudget)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"RetryBackoff", p.RetryBackoff}, {"EpochBudget", p.EpochBudget}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("pnc: %s = %g, want a finite value ≥ 0", f.name, f.v)
+		}
+	}
+	decays := append([]float64{p.StalenessDecay}, p.StalenessDecayByClass...)
+	for i, d := range decays {
+		if !(d >= 0 && d <= 1) {
+			name := "StalenessDecay"
+			if i > 0 {
+				name = fmt.Sprintf("StalenessDecayByClass[%d]", i-1)
+			}
+			return fmt.Errorf("pnc: %s = %g, want a decay in [0, 1]", name, d)
+		}
+	}
+	return nil
 }
 
 // EpochResult is the outcome of one scheduling epoch.

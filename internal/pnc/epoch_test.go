@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"mmwave/internal/core"
 	"mmwave/internal/faults"
@@ -386,5 +387,41 @@ func TestEpochSolveBudgetTruncates(t *testing.T) {
 	}
 	if res.Plan.Objective <= 0 || len(res.Grants) == 0 {
 		t.Fatal("truncated epoch produced no usable plan")
+	}
+}
+
+// TestDegradePolicyValidate: Validate refuses each hostile field and
+// accepts the zero, default and capped policies.
+func TestDegradePolicyValidate(t *testing.T) {
+	for name, p := range map[string]DegradePolicy{
+		"zero":    {},
+		"default": DefaultDegradePolicy(),
+		"capped":  {MaxRetries: MaxRetriesCap, RetryBackoff: 1, StalenessDecay: 1, StalenessDecayByClass: []float64{0, 1}},
+		"budgets": {EpochBudget: 0.5, SolveBudget: time.Second},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s policy refused: %v", name, err)
+		}
+	}
+	for name, p := range map[string]DegradePolicy{
+		"negative retries":      {MaxRetries: -1},
+		"retries over the cap":  {MaxRetries: MaxRetriesCap + 1},
+		"huge retries":          {MaxRetries: 1 << 40},
+		"negative staleness":    {StalenessLimit: -1},
+		"negative backoff":      {RetryBackoff: -1e-3},
+		"NaN backoff":           {RetryBackoff: math.NaN()},
+		"infinite backoff":      {RetryBackoff: math.Inf(1)},
+		"negative epoch budget": {EpochBudget: -1},
+		"infinite epoch budget": {EpochBudget: math.Inf(1)},
+		"negative solve budget": {SolveBudget: -time.Millisecond},
+		"negative decay":        {StalenessDecay: -1},
+		"decay above one":       {StalenessDecay: 1.5},
+		"NaN decay":             {StalenessDecay: math.NaN()},
+		"negative class decay":  {StalenessDecayByClass: []float64{1, -0.5}},
+		"class decay above one": {StalenessDecayByClass: []float64{2}},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, p)
+		}
 	}
 }

@@ -432,6 +432,19 @@ func (s *Server) resolveSpec(spec api.CellSpec) (cellRecord, [][]byte, error) {
 		return cellRecord{}, nil, &api.Error{Code: api.CodeBadRequest,
 			Message: "exactly one of network or instance must be set"}
 	}
+	// A policy or fault rate out of range is the request's fault, not a
+	// capacity refusal that eviction could lift: answer it before
+	// admission would.
+	if spec.Policy != nil {
+		if err := spec.Policy.ToModel().Validate(); err != nil {
+			return cellRecord{}, nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+		}
+	}
+	if spec.Faults != nil {
+		if err := spec.Faults.ToModel().Validate(); err != nil {
+			return cellRecord{}, nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+		}
+	}
 	rec := cellRecord{
 		Control: spec.Control,
 		Solve:   spec.Solve,

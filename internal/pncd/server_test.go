@@ -812,6 +812,36 @@ func TestOversizedInstanceRefused(t *testing.T) {
 	}
 }
 
+// TestHostileSpecBadRequest: a create body whose degradation policy
+// or fault rates are out of range is the request's fault — bad-request,
+// not the admission-refused that tells a client to retry after
+// evictions — and admits no cell.
+func TestHostileSpecBadRequest(t *testing.T) {
+	ctx := context.Background()
+	_, client := newTestServer(t, Config{})
+	in := &api.Instance{Links: 4, Channels: 2, Seed: 9}
+	for name, spec := range map[string]api.CellSpec{
+		"negative decay":      {Instance: in, Policy: &api.Policy{StalenessLimit: 4, StalenessDecay: -1}},
+		"huge retries":        {Instance: in, Policy: &api.Policy{MaxRetries: 1 << 40}, Faults: &api.Faults{CtrlLoss: 1}},
+		"negative backoff":    {Instance: in, Policy: &api.Policy{RetryBackoff: -1}},
+		"class decay above 1": {Instance: in, Policy: &api.Policy{StalenessDecayByClass: []float64{1, 2}}},
+		"loss above 1":        {Instance: in, Faults: &api.Faults{CtrlLoss: 2}},
+	} {
+		_, err := client.CreateCell(ctx, spec)
+		var apiErr *api.Error
+		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+			t.Errorf("%s: error %v, want bad-request", name, err)
+		}
+	}
+	if cells, err := client.Cells(ctx); err != nil || len(cells) != 0 {
+		t.Fatalf("hostile specs admitted cells %+v (%v)", cells, err)
+	}
+	if _, err := client.CreateCell(ctx, api.CellSpec{Instance: in, Policy: &api.Policy{MaxRetries: 3, RetryBackoff: 2e-3,
+		StalenessLimit: 4, StalenessDecay: 0.8}, Faults: &api.Faults{CtrlLoss: 0.2}}); err != nil {
+		t.Fatalf("default policy refused: %v", err)
+	}
+}
+
 // TestRetiredBlockageKeysIgnored: the v1 create body still accepts the
 // retired blockage_rate/blockage_slots fault keys. The cell is
 // admitted, carries no fault injector, and plans exactly like the same

@@ -323,12 +323,6 @@ func (p *Pool) Len() int { return len(p.schedules) }
 // At returns the schedule at index i.
 func (p *Pool) At(i int) *Schedule { return p.schedules[i] }
 
-// Contains reports whether an identical schedule is pooled.
-func (p *Pool) Contains(s *Schedule) bool {
-	_, ok := p.index[s.Key()]
-	return ok
-}
-
 // Compact retains only the schedules keep selects, preserving their
 // relative order, and rebuilds the dedup index. It returns the old→new
 // index mapping (-1 for removed entries), which callers use to remap

@@ -73,6 +73,11 @@ lint: vet check-deprecated
 # Γ, so the path-loss, Rician, antenna and 802.11ad models, the gain
 # generator interface, the angle helpers only they used and the
 # -channel-model/-rate-model selectors must not come back.
+# There is one response encoder, encoding/json: no non-test
+# internal/api file declares a MarshalJSON method, and pncd's
+# encodeLine and the ReportList type (which only dodged json.Encoder's
+# re-scan of hand-encoded bytes) must not come back outside perfbench/.
+# Nor may lp.Solution.ReducedCost, a per-solve pass no caller read.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -136,6 +141,10 @@ check-deprecated:
 	@if grep -rn --include='*.go' -E '\b(PathLoss|Rician|IEEE80211adSCRateTable|ChannelModel|RateModel|OffsetAngle|AngleDiff)\b|channel\.Generator\b|"mmwave/internal/antenna"|"-?(channel|rate)-model"' . ; then \
 		echo "error: one PHY, the paper's (Table I gains, Shannon levels over Γ; no other gain or rate model, no model selector)"; exit 1; \
 	else echo "one-phy check passed"; fi
+	@if grep -rn --include='*.go' -E '\b(encodeLine|ReportList|ReducedCost)\b' . | grep -v '^\./perfbench/' || \
+		grep -Hn -E '^func \([^)]*\) MarshalJSON\(' $$(ls internal/api/*.go | grep -v '_test\.go$$') ; then \
+		echo "error: one response encoder (encoding/json: no MarshalJSON in internal/api, no encodeLine or ReportList) and no lp.Solution.ReducedCost"; exit 1; \
+	else echo "one-response-encoder check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \
@@ -194,7 +203,7 @@ bench-full:
 
 # Fuzz passes over every wire decoder — the control-plane frames, the
 # fault-event wire/spec decoders, the checkpoint snapshot decoder and
-# slot-file reader, the v1 response codec (held to encoding/json on
+# slot-file reader, the v1 response decoder (held to encoding/json on
 # arbitrary bytes) and the v1 request bodies with their conversions —
 # plus the sparse LU kernel (random pivot sequences checked against a
 # dense shadow and a fresh refactorization) and the probe solver's

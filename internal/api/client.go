@@ -31,7 +31,7 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 
 // do issues one request; in is JSON-encoded when non-nil, out is
 // JSON-decoded when non-nil. Non-2xx responses decode into *Error. An
-// out with its own codec (the plan-bearing responses) decodes the
+// out with its own decoder (the plan-bearing responses) decodes the
 // whole body through its UnmarshalJSON, skipping encoding/json's
 // scanner.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
@@ -179,9 +179,9 @@ func (c *Client) Plan(ctx context.Context, id int) (PlanResponse, error) {
 }
 
 // Reports fetches the cell's retained epoch reports with epoch >
-// since (pass -1 for all retained).
+// since (pass -1 for all retained), oldest first.
 func (c *Client) Reports(ctx context.Context, id int, since int64) ([]EpochReport, error) {
-	var out ReportList
+	var out []EpochReport
 	path := fmt.Sprintf("%s/reports?since=%d", cellPath(id), since)
 	err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err

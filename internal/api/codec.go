@@ -3,69 +3,33 @@ package api
 import (
 	"encoding/base64"
 	"encoding/json"
-	"math"
 	"reflect"
 	"strconv"
 )
 
-// The plan-bearing v1 responses — PlanResponse, EpochReport,
-// StepResponse and ReportList — are most of what pncd writes and
-// Client reads each epoch, so they encode and decode here by hand
-// instead of through encoding/json's reflection and byte-at-a-time
-// scanner.
+// The plan-bearing v1 responses — PlanResponse, EpochReport and
+// StepResponse — are most of what Client reads each epoch, so they
+// decode here by hand instead of through encoding/json's reflection
+// and byte-at-a-time scanner. They encode through encoding/json like
+// every other wire type; there is one encoder.
 //
-// Encoding appends exactly the bytes json.Marshal writes for the same
-// fields: declared order, the same omitempty rules, null for nil
-// slices, base64 grants, encoding/json's float format and its
-// HTML-safe string escaping. The v1 wire form is therefore unchanged;
-// TestCodecByteIdentity pins it against json.Marshal of the
-// method-less shadow types below.
-//
-// Decoding parses the canonical form (what the encoder writes, with
-// any whitespace between tokens) in one pass. Input outside it —
-// unknown, retired, case-folded or repeated keys, null where the
-// encoder never writes one, a string escape or non-ASCII byte, a
-// number out of range or non-integral where an int is wanted, trailing
-// bytes — goes to json.Unmarshal into the shadow type, so every input
-// decodes to what encoding/json gives. The fast path decodes only into
-// a zero value, parses into a fresh one and assigns it only on success;
-// FuzzWireResponses holds the two paths to the same values and the
-// same errors. ReportList's shadow is plain []EpochReport.
+// Decoding parses the canonical form (what encoding/json writes for
+// these types, with any whitespace between tokens) in one pass. Input
+// outside it — unknown, retired, case-folded or repeated keys, null
+// where encoding/json never writes one, a string escape or non-ASCII
+// byte, a number out of range or non-integral where an int is wanted,
+// trailing bytes — goes to json.Unmarshal into the method-less shadow
+// type below, so every input decodes to what encoding/json gives. The
+// fast path decodes only into a zero value, parses into a fresh one
+// and assigns it only on success; FuzzWireResponses holds the two
+// paths to the same values and the same errors. A []EpochReport (the
+// reports list) decodes through encoding/json, which calls
+// (*EpochReport).UnmarshalJSON for each element.
 type (
 	planResponseJSON PlanResponse
 	epochReportJSON  EpochReport
 	stepResponseJSON StepResponse
 )
-
-// MarshalJSON encodes the plan response in its v1 wire form.
-func (p PlanResponse) MarshalJSON() ([]byte, error) {
-	e := encoder{b: make([]byte, 0, 64+planSize(p.Plan))}
-	e.planResponse(p)
-	return e.done()
-}
-
-// MarshalJSON encodes the epoch report in its v1 wire form.
-func (r EpochReport) MarshalJSON() ([]byte, error) {
-	e := encoder{b: make([]byte, 0, reportSize(r))}
-	e.report(r)
-	return e.done()
-}
-
-// MarshalJSON encodes the step response in its v1 wire form.
-func (s StepResponse) MarshalJSON() ([]byte, error) {
-	e := encoder{b: make([]byte, 0, 16+reportsSize(s.Reports))}
-	e.raw(`{"reports":`)
-	e.reports(s.Reports)
-	e.raw("}")
-	return e.done()
-}
-
-// MarshalJSON encodes the report list in its v1 wire form.
-func (l ReportList) MarshalJSON() ([]byte, error) {
-	e := encoder{b: make([]byte, 0, reportsSize(l))}
-	e.reports(l)
-	return e.done()
-}
 
 // UnmarshalJSON decodes a plan response as encoding/json would.
 func (p *PlanResponse) UnmarshalJSON(data []byte) error {
@@ -109,325 +73,6 @@ func (s *StepResponse) UnmarshalJSON(data []byte) error {
 // and it does so through UnmarshalJSON too (a repeated "reports" key
 // redecodes each report in place), so a used value takes the fallback.
 func fresh[T any](p *T) bool { return reflect.ValueOf(p).Elem().IsZero() }
-
-// UnmarshalJSON decodes a report list as encoding/json would.
-func (l *ReportList) UnmarshalJSON(data []byte) error {
-	if fresh(l) {
-		d := decoder{data: data}
-		if v := array(&d, (*decoder).report); d.end() {
-			*l = v
-			return nil
-		}
-	}
-	return json.Unmarshal(data, (*[]EpochReport)(l))
-}
-
-// planSize, reportSize and reportsSize estimate an encoding's length,
-// so the encoder allocates its buffer once.
-func planSize(p Plan) int {
-	n := 64 + 24*len(p.Tau)
-	for _, s := range p.Schedules {
-		n += 4 + 72*len(s)
-	}
-	return n
-}
-
-func reportSize(r EpochReport) int {
-	n := 192 + len(r.Error) + planSize(r.Plan)
-	if res := r.Result; res != nil {
-		n += 512 + 48*len(res.Demands)
-		for _, g := range res.Grants {
-			n += 4 + base64.StdEncoding.EncodedLen(len(g))
-		}
-	}
-	return n
-}
-
-func reportsSize(rs []EpochReport) int {
-	n := 4
-	for _, r := range rs {
-		n += reportSize(r)
-	}
-	return n
-}
-
-// encoder appends the v1 wire form; err keeps the first unencodable
-// value (a NaN or infinite float).
-type encoder struct {
-	b   []byte
-	err error
-}
-
-// done returns the encoding, or nothing and the error.
-func (e *encoder) done() ([]byte, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.b, nil
-}
-
-func (e *encoder) raw(s string) { e.b = append(e.b, s...) }
-
-func (e *encoder) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
-
-// float formats f as encoding/json's float encoder does: 'f', or 'e'
-// when |f| < 1e-6 or |f| ≥ 1e21, with e-09 trimmed to e-9.
-func (e *encoder) float(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f),
-				Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-			e.b[n-2] = e.b[n-1]
-			e.b = e.b[:n-1]
-		}
-	}
-}
-
-// str writes s quoted. A string needing any escape — a quote,
-// backslash, <, > or &, a control byte, DEL or any non-ASCII byte —
-// goes through json.Marshal, so escaping stays encoding/json's own.
-func (e *encoder) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
-			e.b = append(e.b, q...)
-			return
-		}
-	}
-	e.b = append(e.b, '"')
-	e.b = append(e.b, s...)
-	e.b = append(e.b, '"')
-}
-
-func (e *encoder) floats(vs []float64) {
-	if vs == nil {
-		e.raw("null")
-		return
-	}
-	e.raw("[")
-	for i, v := range vs {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.float(v)
-	}
-	e.raw("]")
-}
-
-func (e *encoder) ints(vs []int) {
-	e.raw("[")
-	for i, v := range vs {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.int(int64(v))
-	}
-	e.raw("]")
-}
-
-func (e *encoder) planResponse(p PlanResponse) {
-	e.raw(`{"cell":`)
-	e.int(int64(p.Cell))
-	e.raw(`,"epoch":`)
-	e.int(p.Epoch)
-	e.raw(`,"plan":`)
-	e.plan(p.Plan)
-	e.raw(`,"plan_age":`)
-	e.int(p.PlanAge)
-	e.raw("}")
-}
-
-func (e *encoder) plan(p Plan) {
-	e.raw(`{"schedules":`)
-	if p.Schedules == nil {
-		e.raw("null")
-	} else {
-		e.raw("[")
-		for i, as := range p.Schedules {
-			if i > 0 {
-				e.raw(",")
-			}
-			if as == nil {
-				e.raw("null")
-				continue
-			}
-			e.raw("[")
-			for j, a := range as {
-				if j > 0 {
-					e.raw(",")
-				}
-				e.raw(`{"link":`)
-				e.int(int64(a.Link))
-				e.raw(`,"channel":`)
-				e.int(int64(a.Channel))
-				e.raw(`,"level":`)
-				e.int(int64(a.Level))
-				e.raw(`,"layer":`)
-				e.int(int64(a.Layer))
-				e.raw(`,"power":`)
-				e.float(a.Power)
-				e.raw("}")
-			}
-			e.raw("]")
-		}
-		e.raw("]")
-	}
-	e.raw(`,"tau":`)
-	e.floats(p.Tau)
-	e.raw(`,"objective":`)
-	e.float(p.Objective)
-	e.raw("}")
-}
-
-func (e *encoder) reports(rs []EpochReport) {
-	if rs == nil {
-		e.raw("null")
-		return
-	}
-	e.raw("[")
-	for i, r := range rs {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.report(r)
-	}
-	e.raw("]")
-}
-
-func (e *encoder) report(r EpochReport) {
-	e.raw(`{"cell":`)
-	e.int(int64(r.Cell))
-	e.raw(`,"epoch":`)
-	e.int(r.Epoch)
-	e.raw(`,"outcome":`)
-	e.str(r.Outcome)
-	if r.Error != "" {
-		e.raw(`,"error":`)
-		e.str(r.Error)
-	}
-	e.raw(`,"plan":`)
-	e.plan(r.Plan)
-	e.raw(`,"plan_age":`)
-	e.int(r.PlanAge)
-	if r.NoPlan {
-		e.raw(`,"no_plan":true`)
-	}
-	if r.Panicked {
-		e.raw(`,"panicked":true`)
-	}
-	if r.Restored {
-		e.raw(`,"restored":true`)
-	}
-	if r.ColdRestarted {
-		e.raw(`,"cold_restarted":true`)
-	}
-	if r.Result != nil {
-		e.raw(`,"result":`)
-		e.result(r.Result)
-	}
-	e.raw("}")
-}
-
-func (e *encoder) result(r *EpochResult) {
-	e.raw(`{"control_seconds":`)
-	e.float(r.ControlSeconds)
-	e.raw(`,"control_messages":`)
-	e.int(r.ControlMessages)
-	if len(r.Grants) > 0 {
-		e.raw(`,"grants":[`)
-		for i, g := range r.Grants {
-			if i > 0 {
-				e.raw(",")
-			}
-			if g == nil {
-				e.raw("null")
-				continue
-			}
-			e.raw(`"`)
-			e.b = base64.StdEncoding.AppendEncode(e.b, g)
-			e.raw(`"`)
-		}
-		e.raw("]")
-	}
-	if len(r.Demands) > 0 {
-		e.raw(`,"demands":[`)
-		for i, dm := range r.Demands {
-			if i > 0 {
-				e.raw(",")
-			}
-			e.raw(`{"link":`)
-			e.int(int64(dm.Link))
-			e.raw(`,"hp":`)
-			e.float(dm.HPBits)
-			e.raw(`,"lp":`)
-			e.float(dm.LPBits)
-			if len(dm.Classes) > 0 {
-				e.raw(`,"classes":`)
-				e.floats(dm.Classes)
-			}
-			e.raw("}")
-		}
-		e.raw("]")
-	}
-	if r.Degraded {
-		e.raw(`,"degraded":true`)
-	}
-	e.omitFloat(`,"shed_lp_bits":`, r.ShedLPBits)
-	e.omitFloat(`,"shed_hp_bits":`, r.ShedHPBits)
-	if len(r.ShedByClass) > 0 {
-		e.raw(`,"shed_by_class":`)
-		e.floats(r.ShedByClass)
-	}
-	e.omitInts(`,"stale_links":`, r.StaleLinks)
-	e.omitInts(`,"expired_links":`, r.ExpiredLinks)
-	e.omitInts(`,"deferred_links":`, r.DeferredLinks)
-	e.omitInt(`,"dropped_grants":`, int64(r.DroppedGrants))
-	e.omitInt(`,"retries":`, r.Retries)
-	e.omitInt(`,"lost_frames":`, r.LostFrames)
-	e.omitFloat(`,"backoff_seconds":`, r.BackoffSeconds)
-	if r.TruncatedSolve {
-		e.raw(`,"truncated_solve":true`)
-	}
-	if r.WarmSolve {
-		e.raw(`,"warm_solve":true`)
-	}
-	e.omitInt(`,"cg_iterations":`, int64(r.CGIterations))
-	e.omitInt(`,"cg_columns_added":`, int64(r.CGColumnsAdded))
-	e.raw("}")
-}
-
-// omitFloat, omitInt and omitInts write an omitempty member: key is
-// the separator, quoted name and colon.
-func (e *encoder) omitFloat(key string, v float64) {
-	if v != 0 {
-		e.raw(key)
-		e.float(v)
-	}
-}
-
-func (e *encoder) omitInt(key string, v int64) {
-	if v != 0 {
-		e.raw(key)
-		e.int(v)
-	}
-}
-
-func (e *encoder) omitInts(key string, vs []int) {
-	if len(vs) > 0 {
-		e.raw(key)
-		e.ints(vs)
-	}
-}
 
 // decoder parses the canonical form. bad records that the input left
 // it; every read after that returns a zero value, and the caller

@@ -19,50 +19,34 @@ import (
 )
 
 // stepRef is StepResponse with every level reflective, the reference
-// its codec must match.
+// its decoder must match.
 type stepRef struct {
 	Reports []epochReportJSON `json:"reports"`
 }
 
-func listToRef(l []EpochReport) []epochReportJSON {
-	if l == nil {
-		return nil
-	}
-	r := make([]epochReportJSON, len(l))
-	for i, rep := range l {
-		r[i] = epochReportJSON(rep)
-	}
-	return r
-}
-
-func listFromRef(r []epochReportJSON) ReportList {
+func listFromRef(r []epochReportJSON) []EpochReport {
 	if r == nil {
 		return nil
 	}
-	l := make(ReportList, len(r))
+	l := make([]EpochReport, len(r))
 	for i, rep := range r {
 		l[i] = EpochReport(rep)
 	}
 	return l
 }
 
-func stepToRef(s StepResponse) stepRef { return stepRef{Reports: listToRef(s.Reports)} }
-
-func stepFromRef(r stepRef) StepResponse { return StepResponse{Reports: listFromRef(r.Reports)} }
-
-// wireType runs one codec type both ways: through its own methods
+// wireType decodes one response type two ways: through the codec
 // (fast) and through encoding/json's reflection over its shadow (ref).
 // Each decode starts from a zero value.
 type wireType struct {
-	name            string
-	fast, ref       func(data []byte) (any, error)
-	encFast, encRef func(v any) ([]byte, error)
+	name      string
+	fast, ref func(data []byte) (any, error)
 }
 
 func newWireType[T any, PT interface {
 	*T
 	json.Unmarshaler
-}, R any](name string, marshal func(T) ([]byte, error), toRef func(T) R, fromRef func(R) T) wireType {
+}, R any](name string, fromRef func(R) T) wireType {
 	return wireType{
 		name: name,
 		fast: func(data []byte) (any, error) {
@@ -70,26 +54,33 @@ func newWireType[T any, PT interface {
 			err := PT(&v).UnmarshalJSON(data)
 			return v, err
 		},
-		ref: func(data []byte) (any, error) {
-			var r R
-			err := json.Unmarshal(data, &r)
-			return fromRef(r), err
-		},
-		encFast: func(v any) ([]byte, error) { return marshal(v.(T)) },
-		encRef:  func(v any) ([]byte, error) { return json.Marshal(toRef(v.(T))) },
+		ref: refDecoder(fromRef),
 	}
 }
 
+func refDecoder[T, R any](fromRef func(R) T) func(data []byte) (any, error) {
+	return func(data []byte) (any, error) {
+		var r R
+		err := json.Unmarshal(data, &r)
+		return fromRef(r), err
+	}
+}
+
+// wireTypes are the codec's three types and the reports list, which
+// encoding/json decodes by calling the codec for each element.
 var wireTypes = []wireType{
-	newWireType("PlanResponse", PlanResponse.MarshalJSON,
-		func(p PlanResponse) planResponseJSON { return planResponseJSON(p) },
-		func(r planResponseJSON) PlanResponse { return PlanResponse(r) }),
-	newWireType("EpochReport", EpochReport.MarshalJSON,
-		func(r EpochReport) epochReportJSON { return epochReportJSON(r) },
-		func(r epochReportJSON) EpochReport { return EpochReport(r) }),
-	newWireType("StepResponse", StepResponse.MarshalJSON, stepToRef, stepFromRef),
-	newWireType("ReportList", ReportList.MarshalJSON,
-		func(l ReportList) []epochReportJSON { return listToRef(l) }, listFromRef),
+	newWireType("PlanResponse", func(r planResponseJSON) PlanResponse { return PlanResponse(r) }),
+	newWireType("EpochReport", func(r epochReportJSON) EpochReport { return EpochReport(r) }),
+	newWireType("StepResponse", func(r stepRef) StepResponse { return StepResponse{Reports: listFromRef(r.Reports)} }),
+	{
+		name: "[]EpochReport",
+		fast: func(data []byte) (any, error) {
+			var l []EpochReport
+			err := json.Unmarshal(data, &l)
+			return l, err
+		},
+		ref: refDecoder(listFromRef),
+	},
 }
 
 // typeOf returns v's wire type.
@@ -101,7 +92,7 @@ func typeOf(v any) wireType {
 		return wireTypes[1]
 	case StepResponse:
 		return wireTypes[2]
-	case ReportList:
+	case []EpochReport:
 		return wireTypes[3]
 	}
 	panic(fmt.Sprintf("no wire type for %T", v))
@@ -200,11 +191,12 @@ func edgeReports() []EpochReport {
 	}
 }
 
-// codecCorpus is every value the codec tests encode.
+// codecCorpus is every value the codec tests decode from its
+// json.Marshal encoding.
 func codecCorpus(tb testing.TB) []any {
 	step, plans := wireBodies(tb)
 	vals := []any{step, StepResponse{}, StepResponse{Reports: []EpochReport{}}, StepResponse{Reports: edgeReports()},
-		ReportList(step.Reports), ReportList(nil), ReportList{}, ReportList(edgeReports())}
+		step.Reports, []EpochReport(nil), []EpochReport{}, edgeReports()}
 	for _, p := range plans {
 		vals = append(vals, p)
 	}
@@ -214,34 +206,6 @@ func codecCorpus(tb testing.TB) []any {
 		vals = append(vals, r)
 	}
 	return vals
-}
-
-// TestCodecByteIdentity pins the wire form: each codec encoding equals
-// the reflective json.Marshal of the shadow type byte for byte, and
-// json.Marshal of the value itself (which calls MarshalJSON and then
-// compacts and HTML-escapes its output) changes nothing.
-func TestCodecByteIdentity(t *testing.T) {
-	for _, v := range codecCorpus(t) {
-		wt := typeOf(v)
-		got, err := wt.encFast(v)
-		if err != nil {
-			t.Fatalf("%s: %v", wt.name, err)
-		}
-		want, err := wt.encRef(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s encodes differently from encoding/json:\n got %s\nwant %s", wt.name, got, want)
-		}
-		via, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(via, want) {
-			t.Fatalf("%s: json.Marshal through MarshalJSON differs:\n got %s\nwant %s", wt.name, via, want)
-		}
-	}
 }
 
 // TestWireBodiesShape keeps the real bodies what the codec tests rely
@@ -264,38 +228,15 @@ func TestWireBodiesShape(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsNaN: an unencodable float is an error on both
-// encoders, with no bytes.
-func TestCodecRejectsNaN(t *testing.T) {
-	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		vals := []any{
-			PlanResponse{Plan: Plan{Objective: f}},
-			EpochReport{Result: &EpochResult{BackoffSeconds: f}},
-			StepResponse{Reports: []EpochReport{{Plan: Plan{Tau: []float64{1, f}}}}},
-		}
-		for _, v := range vals {
-			wt := typeOf(v)
-			if b, err := wt.encFast(v); err == nil || b != nil {
-				t.Fatalf("%s with %v: codec returned %q, %v", wt.name, f, b, err)
-			}
-			if _, err := wt.encRef(v); err == nil {
-				t.Fatalf("%s with %v: encoding/json encoded it", wt.name, f)
-			}
-			if _, err := json.Marshal(v); err == nil {
-				t.Fatalf("%s with %v: json.Marshal encoded it", wt.name, f)
-			}
-		}
-	}
-}
-
-// TestCodecFastPathTakesCanonical: every encoding the codec writes is
-// parsed by the fast path itself, not handed to the fallback, into the
-// value encoding/json decodes (an empty omitempty slice comes back nil).
+// TestCodecFastPathTakesCanonical: every encoding json.Marshal writes
+// is parsed by the fast path itself, not handed to the fallback, into
+// the value encoding/json decodes (an empty omitempty slice comes back
+// nil).
 func TestCodecFastPathTakesCanonical(t *testing.T) {
 	escaped := 0
 	for _, v := range codecCorpus(t) {
 		wt := typeOf(v)
-		data, err := wt.encFast(v)
+		data, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +252,7 @@ func TestCodecFastPathTakesCanonical(t *testing.T) {
 			d.report()
 		case StepResponse:
 			d.stepResponse()
-		case ReportList:
+		case []EpochReport:
 			array(&d, (*decoder).report)
 		}
 		if !d.end() {
@@ -336,9 +277,9 @@ func TestCodecFastPathTakesCanonical(t *testing.T) {
 // both sides, as encoding/json.
 func TestCodecDecodeMatchesEncodingJSON(t *testing.T) {
 	step, plans := wireBodies(t)
-	stepBody, _ := step.MarshalJSON()
-	planBody, _ := plans[0].MarshalJSON()
-	reportBody, _ := step.Reports[3].MarshalJSON()
+	stepBody, _ := json.Marshal(step)
+	planBody, _ := json.Marshal(plans[0])
+	reportBody, _ := json.Marshal(step.Reports[3])
 	indent := func(b []byte) string {
 		var out bytes.Buffer
 		if err := json.Indent(&out, b, "  ", "\t"); err != nil {
@@ -376,8 +317,7 @@ func TestCodecDecodeMatchesEncodingJSON(t *testing.T) {
 }
 
 // checkDecode requires the codec to decode data as encoding/json does:
-// the same error-or-not and, on success, the same value, which then
-// re-encodes to the same bytes both ways.
+// the same error-or-not and, on success, the same value.
 func checkDecode(t testing.TB, wt wireType, data []byte) {
 	t.Helper()
 	got, gotErr := wt.fast(data)
@@ -390,11 +330,6 @@ func checkDecode(t testing.TB, wt wireType, data []byte) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s %q: codec decoded\n%#v\nencoding/json decoded\n%#v", wt.name, data, got, want)
-	}
-	a, errA := wt.encFast(got)
-	b, errB := wt.encRef(got)
-	if errA != nil || errB != nil || !bytes.Equal(a, b) {
-		t.Fatalf("%s %q: re-encodes as\n%s (%v)\nvs encoding/json\n%s (%v)", wt.name, data, a, errA, b, errB)
 	}
 }
 
@@ -444,12 +379,12 @@ func TestCodecDecodeIntoUsed(t *testing.T) {
 
 // FuzzWireResponses holds the codec to encoding/json on arbitrary
 // bytes: each type's UnmarshalJSON errors exactly when json.Unmarshal
-// into its reflective shadow does, decodes the same value otherwise,
-// and that value re-encodes to the same bytes through both encoders.
+// into its reflective shadow does, and decodes the same value
+// otherwise.
 func FuzzWireResponses(f *testing.F) {
 	step, plans := wireBodies(f)
 	for _, v := range []any{step, plans[0], plans[3], step.Reports[0], step.Reports[3], StepResponse{Reports: edgeReports()},
-		ReportList(step.Reports[:2])} {
+		step.Reports[:2]} {
 		b, err := json.Marshal(v)
 		if err != nil {
 			f.Fatal(err)
@@ -523,32 +458,22 @@ func FuzzWireRequests(f *testing.F) {
 	})
 }
 
-// BenchmarkWireCodec encodes and decodes the real 16-report step body
-// and one plan body, through the codec and through encoding/json's
-// reflection over the shadow types, and reports throughput.
+// BenchmarkWireCodec decodes the real 16-report step body and one plan
+// body, through the codec and through encoding/json's reflection over
+// the shadow types, and reports throughput.
 func BenchmarkWireCodec(b *testing.B) {
 	step, plans := wireBodies(b)
 	for _, v := range []any{step, plans[0]} {
 		wt := typeOf(v)
-		data, err := wt.encFast(v)
+		data, err := json.Marshal(v)
 		if err != nil {
 			b.Fatal(err)
 		}
 		name := strings.TrimSuffix(wt.name, "Response")
 		for _, c := range []struct {
 			path string
-			enc  func(any) ([]byte, error)
 			dec  func([]byte) (any, error)
-		}{{"codec", wt.encFast, wt.fast}, {"encoding_json", wt.encRef, wt.ref}} {
-			b.Run(name+"/encode/"+c.path, func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.enc(v); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		}{{"codec", wt.fast}, {"encoding_json", wt.ref}} {
 			b.Run(name+"/decode/"+c.path, func(b *testing.B) {
 				b.SetBytes(int64(len(data)))
 				b.ReportAllocs()

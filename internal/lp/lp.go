@@ -208,10 +208,6 @@ type Solution struct {
 	// the repair case even when the repair needed zero pivots or proved
 	// the tightened problem infeasible.
 	Warm bool
-	// ReducedCost holds each structural variable's reduced cost
-	// c_j − yᵀa_j at the returned basis (zero for basic variables; valid
-	// when optimal).
-	ReducedCost []float64
 	// EtaUpdates counts the product-form basis updates applied between
 	// refactorizations: one per pivot, with either basis inverse.
 	EtaUpdates int

@@ -45,12 +45,7 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 				return &Solution{Status: StatusUnbounded, X: x}, nil
 			}
 		}
-		sol := &Solution{
-			Status:      StatusOptimal,
-			X:           x,
-			Dual:        nil,
-			ReducedCost: append([]float64(nil), p.C...),
-		}
+		sol := &Solution{Status: StatusOptimal, X: x}
 		sol.Objective = p.Objective(x)
 		return sol, nil
 	}

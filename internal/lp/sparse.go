@@ -922,16 +922,7 @@ func (s *spx) solve(p *Problem, opt Options, maxIter int) (*Solution, error) {
 		}
 	}
 
-	// Reduced costs in internal row scaling equal the caller's exactly:
-	// scaling multiplies a_ij and divides y_i by the same factor.
 	yInt := s.pricingDuals(s.phase2Costs())
-	rc := make([]float64, s.nStruct)
-	for j := 0; j < s.nStruct; j++ {
-		if s.isBasic(j) {
-			continue // exact zero for basic variables
-		}
-		rc[j] = s.costs[j] - s.colDot(yInt, j)
-	}
 	// Undo equilibration and row flips so the duals refer to the
 	// caller's original rows.
 	dual := make([]float64, s.m)
@@ -950,7 +941,6 @@ func (s *spx) solve(p *Problem, opt Options, maxIter int) (*Solution, error) {
 		Refactorizations: s.refactorizations,
 		Basis:            s.encodeBasis(),
 		Warm:             warmUsed,
-		ReducedCost:      rc,
 		EtaUpdates:       s.etaUpdates,
 		FillRatio:        s.inv.fillRatio(),
 	}

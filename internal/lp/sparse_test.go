@@ -190,49 +190,6 @@ func TestDifferentialColgenShape(t *testing.T) {
 	t.Logf("%d/%d cold colgen-shape solves agree with dense pivot for pivot", agree, instances)
 }
 
-// TestSparseReducedCosts pins the ReducedCost contract on the sparse
-// path: entries are reported in caller units (scale invariant), basic
-// variables read exactly zero, and nonbasic-at-lower entries are
-// non-negative at optimality.
-func TestSparseReducedCosts(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for inst := 0; inst < 40; inst++ {
-		p := randomFeasibleLP(rng, 2+rng.Intn(6), 1+rng.Intn(5))
-		sol, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != StatusOptimal {
-			continue
-		}
-		if sol.ReducedCost == nil {
-			t.Fatal("sparse path reported no reduced costs")
-		}
-		basic := map[int]bool{}
-		for _, bv := range sol.Basis {
-			if bv.Kind == BasisStructural {
-				basic[bv.Index] = true
-			}
-		}
-		for j, rc := range sol.ReducedCost {
-			if basic[j] && rc != 0 {
-				t.Fatalf("instance %d: basic var %d has rc %g, want exact 0", inst, j, rc)
-			}
-			if !basic[j] && rc < -1e-6 {
-				t.Fatalf("instance %d: nonbasic var %d has rc %g < 0 at optimality", inst, j, rc)
-			}
-			// Cross-check against duals: rc_j = c_j − yᵀa_j in caller units.
-			want := p.C[j]
-			for i := range p.A {
-				want -= sol.Dual[i] * p.A[i][j]
-			}
-			if math.Abs(rc-want) > 1e-6*(1+math.Abs(want)) {
-				t.Fatalf("instance %d: rc[%d]=%g, duals imply %g", inst, j, rc, want)
-			}
-		}
-	}
-}
-
 // dualRepairStart reports whether basis sends a solve of p down the
 // dual-repair path: it decodes and factorizes, is primal infeasible,
 // and prices out dual feasible.

@@ -987,7 +987,7 @@ func TestResponseBodiesAsEncoder(t *testing.T) {
 			t.Fatalf("cell %d: empty plan", c)
 		}
 	}
-	var list api.ReportList
+	var list []api.EpochReport
 	check(get(http.MethodGet, api.PathPrefix+"/cells/3/reports?since=-1"), &list)
 	if len(list) != 2 {
 		t.Fatalf("report list holds %d reports", len(list))

@@ -5,8 +5,8 @@
 GO ?= go
 
 # Recipes run under bash with pipefail, so a failing command piped
-# through `tee` (make figures) or into benchjson (make bench, bench-diff)
-# fails the recipe instead of taking the status of the last command.
+# into benchjson (make bench, bench-diff) fails the recipe instead of
+# taking the status of the last command.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
@@ -78,6 +78,10 @@ lint: vet check-deprecated
 # encodeLine and the ReportList type (which only dodged json.Encoder's
 # re-scan of hand-encoded bytes) must not come back outside perfbench/.
 # Nor may lp.Solution.ReducedCost, a per-solve pass no caller read.
+# One run records every figure: mmwavesim -record DIR writes the
+# tables, CSVs and SVGs from the in-memory figures, so the -csv output
+# switch, the cmd/mmwaveplot CSV-to-SVG tool, plot.ParseCSV, the Fig. 4
+# CSV renderer and RunEnv's CSV bit must not come back.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -145,6 +149,11 @@ check-deprecated:
 		grep -Hn -E '^func \([^)]*\) MarshalJSON\(' $$(ls internal/api/*.go | grep -v '_test\.go$$') ; then \
 		echo "error: one response encoder (encoding/json: no MarshalJSON in internal/api, no encodeLine or ReportList) and no lp.Solution.ReducedCost"; exit 1; \
 	else echo "one-response-encoder check passed"; fi
+	@if [ -e cmd/mmwaveplot ] || \
+		grep -rn --include='*.go' -E '"-?csv"|mmwaveplot|ParseCSV|RenderConvergenceCSV|env\.CSV\b' . || \
+		grep -rn -E 'mmwaveplot|mmwavesim.* -csv\b' .github/ ; then \
+		echo "error: one run records every figure (mmwavesim -record DIR; no -csv switch, no cmd/mmwaveplot, no CSV parser)"; exit 1; \
+	else echo "one-figure-recorder check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \
@@ -273,34 +282,22 @@ pncd-smoke:
 		if kill -0 $$(cat /tmp/pncd-smoke/pid) 2>/dev/null; then echo "pncd did not drain"; kill -9 $$(cat /tmp/pncd-smoke/pid); exit 1; fi
 	@echo "pncd smoke passed"
 
-# Regenerate every figure of EXPERIMENTS.md into results/ (slow: the
-# paper's full 50-seed sweeps). RESULTS redirects the output.
+# Regenerate every recorded figure of EXPERIMENTS.md into results/
+# (slow: the paper's full 50-seed sweeps). One mmwavesim -record run
+# writes all of them, each campaign run once: Figs. 1 and 3 share one
+# link sweep, and the SVGs are drawn from the in-memory figures. The
+# recorded set is declared in internal/experiment/record.go. RESULTS
+# redirects the output.
 RESULTS ?= results
 
 figures:
-	mkdir -p $(RESULTS)
-	$(GO) run ./cmd/mmwavesim -fig 1 | tee $(RESULTS)/fig1.txt
-	$(GO) run ./cmd/mmwavesim -fig 2 | tee $(RESULTS)/fig2.txt
-	$(GO) run ./cmd/mmwavesim -fig 3 | tee $(RESULTS)/fig3.txt
-	$(GO) run ./cmd/mmwavesim -fig 4 | tee $(RESULTS)/fig4.txt
-	$(GO) run ./cmd/mmwavesim -fig ablation -links 15 -seeds 20 | tee $(RESULTS)/ablation.txt
-	$(GO) run ./cmd/mmwavesim -fig quality -links 20 -seeds 20 | tee $(RESULTS)/quality.txt
-	$(GO) run ./cmd/mmwavesim -fig blockage | tee $(RESULTS)/blockage.txt
-	$(GO) run ./cmd/mmwavesim -fig relay | tee $(RESULTS)/relay.txt
-	$(GO) run ./cmd/mmwavesim -fig streaming | tee $(RESULTS)/streaming.txt
-	$(GO) run ./cmd/mmwavesim -fig 1 -csv > $(RESULTS)/fig1.csv
-	$(GO) run ./cmd/mmwavesim -fig 2 -csv > $(RESULTS)/fig2.csv
-	$(GO) run ./cmd/mmwavesim -fig 3 -csv > $(RESULTS)/fig3.csv
-	$(GO) run ./cmd/mmwaveplot -in $(RESULTS)/fig1.csv -out $(RESULTS)/fig1.svg -title "Fig 1" -xlabel "number of links" -ylabel "scheduling time (s)"
-	$(GO) run ./cmd/mmwaveplot -in $(RESULTS)/fig2.csv -out $(RESULTS)/fig2.svg -title "Fig 2" -xlabel "traffic demand" -ylabel "average delay (s)"
-	$(GO) run ./cmd/mmwaveplot -in $(RESULTS)/fig3.csv -out $(RESULTS)/fig3.svg -title "Fig 3" -xlabel "number of links" -ylabel "Jain fairness"
+	$(GO) run ./cmd/mmwavesim -record $(RESULTS)
 
 # Regenerate every figure with `make figures` into a scratch directory
 # and require each file to match its committed copy in results/ byte
-# for byte: the paper-scale figs 1–3 (tables, CSVs, and the SVGs drawn
-# from the regenerated CSVs) and quality.txt, which no test checks, and
-# the rest, which TestFiguresMatchResults also checks. About 4 minutes
-# on 2 CPUs.
+# for byte: the paper-scale figs 1–3 (tables, CSVs and SVGs), which no
+# test regenerates, and the rest, which TestFiguresMatchResults also
+# checks. About 2 minutes on 2 CPUs.
 FIGCHECK_DIR ?= /tmp/figures-check
 
 figures-check:

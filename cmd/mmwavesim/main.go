@@ -17,21 +17,25 @@
 //	mmwavesim -fig slices            # 3-class slice scenario through pncd (v1 API)
 //	mmwavesim -fig warmreuse         # per-epoch solver work, warm vs cold
 //	mmwavesim -fig help              # list every registered figure
+//	mmwavesim -record results        # write every recorded figure into a directory
 //	mmwavesim -print-config          # echo Table I parameters
 //
 // Scale knobs (-links, -channels, -seeds, -budget, …) override the
 // paper's Table I defaults, or the figure's reduced default scale for
-// the figures that run smaller (4, blockage, relay, streaming,
-// faultsweep, chaossoak, slices, warmreuse); -csv switches the output
-// format. The observability flags capture a campaign's internals
+// the figures that run smaller (4, ablation, quality, blockage, relay,
+// streaming, faultsweep, chaossoak, slices, warmreuse). -record DIR runs
+// each campaign of the recorded results once, at its figure's default
+// scale unless a flag overrides it, and writes every table, CSV and SVG
+// chart into DIR; Figs. 1 and 3 come from one link sweep. The
+// observability flags capture a campaign's internals
 // without changing its output: -trace FILE records structured solver
 // events as JSONL, -metrics FILE dumps the campaign's counter/histogram
 // exposition, -pprof ADDR serves net/http/pprof for the run's duration,
 // and -cpuprofile/-heapprofile write pprof captures of the whole
 // campaign. SIGINT/SIGTERM stop a campaign gracefully: the sweep halts
 // at the next cell boundary, in-flight solves truncate to their anytime
-// plans, no figure is rendered, the run exits 1, and every artifact
-// file is still flushed before exit.
+// plans, no figure is rendered or recorded, the run exits 1, and every
+// artifact file is still flushed before exit.
 package main
 
 import (
@@ -43,6 +47,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -80,7 +85,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 	var (
 		figure       = fs.String("fig", "", "figure to reproduce (\"help\" lists all)")
 		printConfig  = fs.Bool("print-config", false, "print the simulation parameters (Table I) and exit")
-		csv          = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		recordDir    = fs.String("record", "", "run every recorded figure once and write its tables, CSVs and SVG charts into this directory")
 		links        = fs.Int("links", 0, "number of links ‖L‖ (0 = Table I default)")
 		channels     = fs.Int("channels", 0, "number of channels ‖K‖ (0 = Table I default)")
 		seeds        = fs.Int("seeds", 0, "repetitions per point (0 = Table I default of 50)")
@@ -107,26 +112,53 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	// Table I at the figure's reduced default scale, then the explicit
-	// scale flags, so an explicit flag always wins.
+	// A driver's run: Table I at its reduced default scale, then the
+	// explicit scale flags, so an explicit flag always wins. The figure
+	// is held back in rendered until the run ends (see below), and the
+	// tracer and the metrics registry are attached once they exist.
 	driver, known := experiment.Lookup(*figure)
 	flags := experiment.Scale{Links: *links, Seeds: *seeds, Channels: *channels, Budget: *budget}
-	cfg := flags.Of(driver.Scale.Of(experiment.DefaultConfig()))
-	cfg.Seed = *seed
-	cfg.DemandScale = *demand
-	cfg.Interference = *interference
-	if *pmax > 0 {
-		cfg.PMax = *pmax
+	var (
+		xs       []float64
+		failures []faults.LinkFailure
+		tracer   *obs.Tracer
+		metrics  *obs.Registry
+		rendered bytes.Buffer
+	)
+	envFor := func(d experiment.Driver) *experiment.RunEnv {
+		cfg := flags.Of(d.Scale.Of(experiment.DefaultConfig()))
+		cfg.Seed = *seed
+		cfg.DemandScale = *demand
+		cfg.Interference = *interference
+		if *pmax > 0 {
+			cfg.PMax = *pmax
+		}
+		cfg.Workers = *workers
+		cfg.Ctx = ctx
+		cfg.Tracer = tracer
+		cfg.Metrics = metrics
+		return &experiment.RunEnv{
+			Cfg:      cfg,
+			XS:       xs,
+			Out:      &rendered,
+			Rep:      *rep,
+			Cells:    *cells,
+			Epochs:   *epochs,
+			Retries:  *retries,
+			Failures: failures,
+		}
 	}
-	cfg.Workers = *workers
-	cfg.Ctx = ctx
 
 	if *printConfig {
-		fmt.Fprintln(stdout, cfg)
+		fmt.Fprintln(stdout, envFor(driver).Cfg)
 		return 0
 	}
-	if *figure == "" {
-		fmt.Fprintln(os.Stderr, "mmwavesim: pass -fig NAME (-fig help lists figures) or -print-config; see -h")
+	if *recordDir != "" && *figure != "" {
+		fmt.Fprintln(os.Stderr, "mmwavesim: -record writes every recorded figure; it takes no -fig")
+		return 2
+	}
+	if *figure == "" && *recordDir == "" {
+		fmt.Fprintln(os.Stderr, "mmwavesim: pass -fig NAME (-fig help lists figures), -record DIR or -print-config; see -h")
 		return 2
 	}
 	if *figure == "help" {
@@ -136,12 +168,11 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		}
 		return 0
 	}
-	if !known {
+	if !known && *recordDir == "" {
 		fmt.Fprintf(os.Stderr, "mmwavesim: unknown figure %q (-fig help lists figures)\n", *figure)
 		return 2
 	}
 
-	var xs []float64
 	if *sweep != "" {
 		for _, part := range strings.Split(*sweep, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -152,7 +183,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 			xs = append(xs, v)
 		}
 	}
-	var failures []faults.LinkFailure
 	if *failSpec != "" {
 		evs, err := faults.ParseFailures(*failSpec)
 		if err != nil {
@@ -172,10 +202,10 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 			return 1
 		}
 		traceSink = obs.NewJSONLSink(f)
-		cfg.Tracer = obs.New(traceSink)
+		tracer = obs.New(traceSink)
 	}
 	if *metricsFile != "" || *verbose {
-		cfg.Metrics = obs.NewRegistry()
+		metrics = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
 		bound, shutdown, err := obs.ServePprof(*pprofAddr)
@@ -192,27 +222,20 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		return 1
 	}
 
-	// The figure is held back until the run ends: a driver outside the
+	// The output is held back until the run ends: a driver outside the
 	// sweep harness (fig 4, streaming, chaossoak, slices) can finish on
-	// truncated plans, so an interrupted campaign renders nothing and
-	// never exits 0.
-	var rendered bytes.Buffer
-	env := &experiment.RunEnv{
-		Cfg:      cfg,
-		XS:       xs,
-		CSV:      *csv,
-		Out:      &rendered,
-		Rep:      *rep,
-		Cells:    *cells,
-		Epochs:   *epochs,
-		Retries:  *retries,
-		Failures: failures,
-	}
-	runErr := driver.Run(env)
-	if ctx.Err() != nil {
-		runErr = context.Cause(ctx)
-	} else if _, err := stdout.Write(rendered.Bytes()); err != nil && runErr == nil {
-		runErr = err
+	// truncated plans, so an interrupted campaign renders or records
+	// nothing and never exits 0.
+	var runErr error
+	if *recordDir != "" {
+		runErr = record(*recordDir, envFor)
+	} else {
+		runErr = driver.Run(envFor(driver))
+		if ctx.Err() != nil {
+			runErr = context.Cause(ctx)
+		} else if _, err := stdout.Write(rendered.Bytes()); err != nil && runErr == nil {
+			runErr = err
+		}
 	}
 
 	// Finish the captures before reporting, so a completed process
@@ -231,7 +254,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		}
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(cfg.Metrics, *metricsFile); err != nil {
+		if err := writeMetrics(metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "mmwavesim: -metrics: %v\n", err)
 			if runErr == nil {
 				runErr = err
@@ -248,9 +271,28 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) int {
 		return 1
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "mmwavesim: telemetry: %s\n", telemetry(cfg.Metrics))
+		fmt.Fprintf(os.Stderr, "mmwavesim: telemetry: %s\n", telemetry(metrics))
 	}
 	return 0
+}
+
+// record runs every recorded campaign and writes its files into dir,
+// only once the last campaign has ended, so a failed or interrupted run
+// leaves dir as it was.
+func record(dir string, envFor func(experiment.Driver) *experiment.RunEnv) error {
+	files, err := experiment.Record(envFor)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // telemetry renders the -v solver summary from the campaign's registry.
@@ -263,7 +305,7 @@ func telemetry(m *obs.Registry) string {
 }
 
 // writeMetrics dumps the registry's text exposition to path ("-" means
-// stderr, so -csv output on stdout stays clean).
+// stderr, so the figure on stdout stays clean).
 func writeMetrics(reg *obs.Registry, path string) error {
 	if path == "-" {
 		return reg.WriteText(os.Stderr)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mmwave/internal/experiment"
 	"mmwave/internal/obs"
 )
 
@@ -53,9 +54,6 @@ func TestRunFig1Tiny(t *testing.T) {
 	if code := run(args); code != 0 {
 		t.Errorf("exit code = %d, want 0", code)
 	}
-	if code := run(append(args, "-csv")); code != 0 {
-		t.Errorf("csv exit code = %d, want 0", code)
-	}
 }
 
 func TestRunFig4Tiny(t *testing.T) {
@@ -99,9 +97,6 @@ func TestRunFaultSweepTiny(t *testing.T) {
 		"-epochs", "2", "-sweep", "0,0.2", "-budget", "500", "-fail", "0@0+3"}
 	if code := run(args); code != 0 {
 		t.Errorf("exit code = %d, want 0", code)
-	}
-	if code := run(append(args, "-csv")); code != 0 {
-		t.Errorf("csv exit code = %d, want 0", code)
 	}
 }
 
@@ -190,19 +185,81 @@ func TestRunInterrupted(t *testing.T) {
 
 // TestRunInterruptedRendersNothing: an interrupted campaign prints no
 // figure, also from the drivers that run their solves outside the
-// sweep harness and would finish on truncated plans.
+// sweep harness and would finish on truncated plans, and an interrupted
+// -record run writes nothing into its directory.
 func TestRunInterruptedRendersNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	scale := []string{"-links", "4", "-channels", "2", "-seeds", "1", "-sweep", "4", "-budget", "500"}
 	for _, fig := range []string{"1", "4", "streaming"} {
 		var out bytes.Buffer
-		args := []string{"-fig", fig, "-links", "4", "-channels", "2", "-seeds", "1", "-sweep", "4", "-budget", "500"}
+		args := append([]string{"-fig", fig}, scale...)
 		if code := runCtx(ctx, args, &out); code != 1 {
 			t.Errorf("-fig %s: exit code = %d, want 1", fig, code)
 		}
 		if out.Len() != 0 {
 			t.Errorf("-fig %s: interrupted run rendered:\n%s", fig, out.String())
 		}
+	}
+
+	dir := t.TempDir()
+	old := filepath.Join(dir, "fig1.txt")
+	if err := os.WriteFile(old, []byte("recorded earlier\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := runCtx(ctx, append([]string{"-record", dir}, scale...), &out); code != 1 {
+		t.Errorf("-record: exit code = %d, want 1", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-record: interrupted run printed:\n%s", out.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("-record: interrupted run left %d files in its directory, want the 1 it found", len(entries))
+	}
+	if data, err := os.ReadFile(old); err != nil || string(data) != "recorded earlier\n" {
+		t.Errorf("-record: interrupted run changed an existing file: %q, %v", data, err)
+	}
+}
+
+// TestRunRecordTiny: one -record run writes every recorded file, and
+// Figs. 1 and 3, drawn from one link sweep, print exactly what -fig 1
+// and -fig 3 print under the same flags.
+func TestRunRecordTiny(t *testing.T) {
+	dir := t.TempDir()
+	scale := []string{"-links", "4", "-channels", "2", "-seeds", "2", "-sweep", "3,4", "-budget", "500"}
+	if code := run(append([]string{"-record", dir}, scale...)); code != 0 {
+		t.Fatalf("exit code = %d, want 0", code)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 15 {
+		t.Errorf("-record wrote %d files, want 15", len(entries))
+	}
+	for _, fig := range []string{"1", "3"} {
+		var want bytes.Buffer
+		if code := runCtx(context.Background(), append([]string{"-fig", fig}, scale...), &want); code != 0 {
+			t.Fatalf("-fig %s: exit code %d", fig, code)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "fig"+fig+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("recorded fig%s.txt differs from -fig %s:\n got:\n%s\nwant:\n%s", fig, fig, got, want.Bytes())
+		}
+	}
+}
+
+func TestRunRecordWithFigure(t *testing.T) {
+	if code := run([]string{"-record", t.TempDir(), "-fig", "1"}); code != 2 {
+		t.Errorf("exit code = %d, want 2", code)
 	}
 }
 
@@ -245,32 +302,38 @@ func TestRunChaosSoakChannels(t *testing.T) {
 // TestFiguresMatchResults regenerates the recorded figures that run in
 // seconds and compares each byte for byte with its file under
 // results/ or testdata/, so a change that moves a solver walk must
-// regenerate the golden it moves.
+// regenerate the golden it moves. The results/ entries are the -record
+// set's campaigns that run at a reduced default scale; the paper-scale
+// sweeps (Figs. 1–3) take minutes and are checked by make
+// figures-check.
 func TestFiguresMatchResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates twelve figures (several seconds)")
+		t.Skip("regenerates thirteen figures (several seconds)")
 	}
-	for _, tc := range []struct {
-		golden string // relative to this package
-		args   []string
-	}{
-		{"../../results/fig4.txt", []string{"-fig", "4"}},
-		{"../../results/ablation.txt", []string{"-fig", "ablation", "-links", "15", "-seeds", "20"}},
-		{"../../results/blockage.txt", []string{"-fig", "blockage"}},
-		{"../../results/relay.txt", []string{"-fig", "relay"}},
-		{"../../results/streaming.txt", []string{"-fig", "streaming"}},
+	type golden struct {
+		path string // relative to this package
+		args []string
+	}
+	var goldens []golden
+	for _, rec := range experiment.Recordings() {
+		if d, _ := experiment.Lookup(rec.Driver); d.Scale != (experiment.Scale{}) {
+			goldens = append(goldens, golden{"../../results/" + rec.File, []string{"-fig", rec.Driver}})
+		}
+	}
+	goldens = append(goldens,
 		// Reduced-scale runs of the sweep figures and the studies that
 		// are too slow to record at full scale.
-		{"testdata/fig1-reduced.txt", []string{"-fig", "1", "-sweep", "6,10", "-seeds", "4"}},
-		{"testdata/fig2-reduced.txt", []string{"-fig", "2", "-links", "8", "-seeds", "4"}},
-		{"testdata/fig3-reduced.txt", []string{"-fig", "3", "-sweep", "6,10", "-seeds", "4"}},
-		{"testdata/quality-reduced.txt", []string{"-fig", "quality", "-links", "8", "-seeds", "4"}},
-		{"testdata/faultsweep-reduced.txt", []string{"-fig", "faultsweep", "-links", "8", "-seeds", "3"}},
-		{"testdata/warmreuse-reduced.txt", []string{"-fig", "warmreuse", "-links", "8", "-seeds", "3"}},
-		{"testdata/slices-reduced.txt", []string{"-fig", "slices"}},
-	} {
-		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
-			want, err := os.ReadFile(tc.golden)
+		golden{"testdata/fig1-reduced.txt", []string{"-fig", "1", "-sweep", "6,10", "-seeds", "4"}},
+		golden{"testdata/fig2-reduced.txt", []string{"-fig", "2", "-links", "8", "-seeds", "4"}},
+		golden{"testdata/fig3-reduced.txt", []string{"-fig", "3", "-sweep", "6,10", "-seeds", "4"}},
+		golden{"testdata/quality-reduced.txt", []string{"-fig", "quality", "-links", "8", "-seeds", "4"}},
+		golden{"testdata/faultsweep-reduced.txt", []string{"-fig", "faultsweep", "-links", "8", "-seeds", "3"}},
+		golden{"testdata/warmreuse-reduced.txt", []string{"-fig", "warmreuse", "-links", "8", "-seeds", "3"}},
+		golden{"testdata/slices-reduced.txt", []string{"-fig", "slices"}},
+	)
+	for _, tc := range goldens {
+		t.Run(filepath.Base(tc.path), func(t *testing.T) {
+			want, err := os.ReadFile(tc.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +343,7 @@ func TestFiguresMatchResults(t *testing.T) {
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("mmwavesim %s differs from %s:\n got:\n%s\nwant:\n%s",
-					strings.Join(tc.args, " "), tc.golden, got.Bytes(), want)
+					strings.Join(tc.args, " "), tc.path, got.Bytes(), want)
 			}
 		})
 	}

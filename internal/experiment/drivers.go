@@ -22,20 +22,24 @@ var (
 // dispatch is a registry lookup, so adding a figure is one Register
 // call next to its implementation — no switch to extend.
 func init() {
+	// Figs. 1 and 3 read two metrics of one link sweep; each driver
+	// prints its own.
 	Register(Driver{Name: "1", Synopsis: "scheduling time vs number of links (Fig. 1)",
-		Run: rendered(func(env *RunEnv) (*Figure, error) { return Fig1(env.Cfg, env.XS) })})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { fig1, _, err := LinkSweep(env.Cfg, env.XS); return fig1, err })})
 	Register(Driver{Name: "2", Synopsis: "average delay vs traffic demand (Fig. 2)",
 		Run: rendered(func(env *RunEnv) (*Figure, error) { return Fig2(env.Cfg, env.XS) })})
 	Register(Driver{Name: "3", Synopsis: "Jain fairness vs number of links (Fig. 3)",
-		Run: rendered(func(env *RunEnv) (*Figure, error) { return Fig3(env.Cfg, env.XS) })})
+		Run: rendered(func(env *RunEnv) (*Figure, error) { _, fig3, err := LinkSweep(env.Cfg, env.XS); return fig3, err })})
 	// Fig. 4 needs a provably convergent run: a scale where exact
 	// pricing completes.
 	Register(Driver{Name: "4", Synopsis: "convergence trace of one instance (Fig. 4)",
 		Scale: Scale{Links: 8, Budget: 100_000_000}, Run: runFig4})
 	Register(Driver{Name: "ablation", Synopsis: "design-choice ablations of the proposed scheme",
-		Run: rendered(func(env *RunEnv) (*Figure, error) { return Ablation(env.Cfg) })})
+		Scale: Scale{Links: 15, Seeds: 20},
+		Run:   rendered(func(env *RunEnv) (*Figure, error) { return Ablation(env.Cfg) })})
 	Register(Driver{Name: "quality", Synopsis: "PSNR within one GOP period (§III extension)",
-		Run: rendered(func(env *RunEnv) (*Figure, error) { return FigQuality(env.Cfg, env.XS) })})
+		Scale: Scale{Links: 20, Seeds: 20},
+		Run:   rendered(func(env *RunEnv) (*Figure, error) { return FigQuality(env.Cfg, env.XS) })})
 	Register(Driver{Name: "blockage", Synopsis: "re-optimization under link blockage churn",
 		Scale: studyScale, Run: runBlockageFig})
 	Register(Driver{Name: "relay", Synopsis: "dual-hop recovery of blocked sessions",
@@ -55,7 +59,7 @@ func rendered(build func(env *RunEnv) (*Figure, error)) func(env *RunEnv) error 
 		if err != nil {
 			return err
 		}
-		return env.renderFigure(fig)
+		return Render(env.Out, fig)
 	}
 }
 
@@ -101,9 +105,6 @@ func runFig4(env *RunEnv) error {
 	conv, err := Fig4(env.Cfg, env.Rep)
 	if err != nil {
 		return err
-	}
-	if env.CSV {
-		return RenderConvergenceCSV(env.Out, conv)
 	}
 	return RenderConvergence(env.Out, conv)
 }

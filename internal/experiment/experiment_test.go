@@ -150,7 +150,7 @@ func TestProposedNeverWorseThanBenchmarks(t *testing.T) {
 
 func TestFig1Shape(t *testing.T) {
 	cfg := fastConfig()
-	fig, err := Fig1(cfg, []float64{4, 6})
+	fig, _, err := LinkSweep(cfg, []float64{4, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,12 @@ func TestFig2DemandMonotone(t *testing.T) {
 
 func TestFig3Range(t *testing.T) {
 	cfg := fastConfig()
-	fig, err := Fig3(cfg, []float64{4})
+	_, fig, err := LinkSweep(cfg, []float64{4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fig.ID != "fig3" || len(fig.Series) != 3 {
+		t.Fatalf("figure shape wrong: %+v", fig)
 	}
 	for _, s := range fig.Series {
 		for _, p := range s.Points {
@@ -255,7 +258,7 @@ func TestAblationRuns(t *testing.T) {
 func TestRenderFormats(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Seeds = 1
-	fig, err := Fig1(cfg, []float64{4})
+	fig, _, err := LinkSweep(cfg, []float64{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +295,7 @@ func TestRenderFormats(t *testing.T) {
 
 func TestSweepValidatesConfig(t *testing.T) {
 	cfg := fastConfig()
-	if _, err := Fig1(cfg, []float64{0}); err == nil {
+	if _, _, err := LinkSweep(cfg, []float64{0}); err == nil {
 		t.Error("zero-link sweep value accepted")
 	}
 }
@@ -471,17 +474,5 @@ func TestNewInstanceUnservableGainModel(t *testing.T) {
 	cfg.Gammas = []float64{1e9}
 	if _, err := NewInstance(cfg, stats.Fork(1, 0)); err == nil {
 		t.Error("unservable parameterization accepted")
-	}
-}
-
-func TestRenderConvergenceCSV(t *testing.T) {
-	conv := &Convergence{Iter: []int{0, 1}, Upper: []float64{2, 1.5}, Lower: []float64{0.5, 1}, Phi: []float64{-1, 0}}
-	var buf bytes.Buffer
-	if err := RenderConvergenceCSV(&buf, conv); err != nil {
-		t.Fatal(err)
-	}
-	want := "x,upper_mean,upper_ci95,lower_mean,lower_ci95\n0,2,0,0.5,0\n1,1.5,0,1,0\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
 	}
 }

@@ -84,22 +84,27 @@ func sweepFigure(cfg Config, names []string, xs []float64, apply func(Config, fl
 	return curves(names, xs, sums), nil
 }
 
-// schemeSweep is sweepFigure over the schemes of Figs. 1–3: one series
-// per algorithm, sampling metric m of its run on each instance.
-func schemeSweep(cfg Config, xs []float64, apply func(Config, float64) Config, m metric) ([]Series, error) {
+// schemeSweep is sweepFigure over the schemes of Figs. 1–3: every
+// algorithm runs once per instance, and each metric of ms samples that
+// run. The series come metric by metric, one per algorithm.
+func schemeSweep(cfg Config, xs []float64, apply func(Config, float64) Config, ms ...metric) ([]Series, error) {
 	algos := AllAlgorithms()
-	names := make([]string, len(algos))
-	for i, a := range algos {
-		names[i] = string(a)
+	var names []string
+	for range ms {
+		for _, a := range algos {
+			names = append(names, string(a))
+		}
 	}
 	return sweepFigure(cfg, names, xs, apply, func(pointCfg Config, inst *Instance) ([][]float64, error) {
-		vals := make([][]float64, len(algos))
+		vals := make([][]float64, len(names))
 		for i, algo := range algos {
 			res, err := RunOn(pointCfg, algo, inst)
 			if err != nil {
 				return nil, err
 			}
-			vals[i] = []float64{m(res)}
+			for mi, m := range ms {
+				vals[mi*len(algos)+i] = []float64{m(res)}
+			}
 		}
 		return vals, nil
 	})
@@ -117,24 +122,36 @@ func DefaultLinkSweep() []float64 { return []float64{10, 15, 20, 25, 30} }
 // of the nominal per-GOP demand).
 func DefaultDemandSweep() []float64 { return []float64{0.5, 1, 1.5, 2, 2.5} }
 
-// Fig1 reproduces Figure 1: overall scheduling time (seconds) versus
-// the number of links, for the proposed scheme and both benchmarks.
-func Fig1(cfg Config, linkCounts []float64) (*Figure, error) {
+// LinkSweep reproduces Figures 1 and 3 from one campaign over the
+// number of links: each scheme runs once per instance, and that run
+// yields both Fig. 1's overall scheduling time and Fig. 3's Jain
+// fairness index of per-link delay.
+func LinkSweep(cfg Config, linkCounts []float64) (fig1, fig3 *Figure, err error) {
 	if linkCounts == nil {
 		linkCounts = DefaultLinkSweep()
 	}
 	series, err := schemeSweep(cfg, linkCounts, withLinks,
-		func(r *RunResult) float64 { return r.Exec.TotalTime })
+		func(r *RunResult) float64 { return r.Exec.TotalTime },
+		func(r *RunResult) float64 { return stats.Jain(r.Exec.Completion) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Figure{
+	n := len(AllAlgorithms())
+	fig1 = &Figure{
 		ID:     "fig1",
 		Title:  "Overall scheduling time versus number of links",
 		XLabel: "number of links",
 		YLabel: "scheduling time (s)",
-		Series: series,
-	}, nil
+		Series: series[:n],
+	}
+	fig3 = &Figure{
+		ID:     "fig3",
+		Title:  "Fairness (Jain index of per-link delay) versus number of links",
+		XLabel: "number of links",
+		YLabel: "Jain fairness index",
+		Series: series[n:],
+	}
+	return fig1, fig3, nil
 }
 
 // Fig2 reproduces Figure 2: average per-link delay versus traffic
@@ -154,26 +171,6 @@ func Fig2(cfg Config, demandScales []float64) (*Figure, error) {
 		Title:  "Average delay versus per-link traffic demand",
 		XLabel: "traffic demand (× nominal GOP volume)",
 		YLabel: "average delay (s)",
-		Series: series,
-	}, nil
-}
-
-// Fig3 reproduces Figure 3: Jain fairness index of per-link delay
-// versus the number of links.
-func Fig3(cfg Config, linkCounts []float64) (*Figure, error) {
-	if linkCounts == nil {
-		linkCounts = DefaultLinkSweep()
-	}
-	series, err := schemeSweep(cfg, linkCounts, withLinks,
-		func(r *RunResult) float64 { return stats.Jain(r.Exec.Completion) })
-	if err != nil {
-		return nil, err
-	}
-	return &Figure{
-		ID:     "fig3",
-		Title:  "Fairness (Jain index of per-link delay) versus number of links",
-		XLabel: "number of links",
-		YLabel: "Jain fairness index",
 		Series: series,
 	}, nil
 }

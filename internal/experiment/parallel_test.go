@@ -33,9 +33,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		name string
 		run  func(cfg Config) (any, error)
 	}{
-		{"fig1", func(cfg Config) (any, error) { return Fig1(cfg, []float64{4, 5}) }},
+		{"fig1", func(cfg Config) (any, error) { fig1, _, err := LinkSweep(cfg, []float64{4, 5}); return fig1, err }},
 		{"fig2", func(cfg Config) (any, error) { return Fig2(cfg, []float64{0.5, 1}) }},
-		{"fig3", func(cfg Config) (any, error) { return Fig3(cfg, []float64{4, 5}) }},
+		{"fig3", func(cfg Config) (any, error) { _, fig3, err := LinkSweep(cfg, []float64{4, 5}); return fig3, err }},
 		{"ablation", func(cfg Config) (any, error) { return Ablation(cfg) }},
 		{"quality", func(cfg Config) (any, error) { return FigQuality(cfg, []float64{0.5, 1}) }},
 		{"blockage", func(cfg Config) (any, error) {
@@ -142,7 +142,7 @@ func TestTelemetryAccumulates(t *testing.T) {
 	cfg.Workers = 4
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
-	if _, err := Fig1(cfg, []float64{4, 5}); err != nil {
+	if _, _, err := LinkSweep(cfg, []float64{4, 5}); err != nil {
 		t.Fatal(err)
 	}
 	// 2 points × 4 reps, proposed runs once per (point, rep).

@@ -15,7 +15,6 @@ import (
 type RunEnv struct {
 	Cfg Config    // base campaign config
 	XS  []float64 // -sweep values (nil = the driver's default x-axis)
-	CSV bool      // -csv: render figures as CSV instead of a table
 	Out io.Writer // destination for the rendered figure
 
 	Rep      int                  // -rep: repetition index (fig 4)
@@ -45,14 +44,6 @@ func (s Scale) Of(cfg Config) Config {
 		cfg.PricerBudget = s.Budget
 	}
 	return cfg
-}
-
-// renderFigure writes a figure to env.Out in the configured format.
-func (env *RunEnv) renderFigure(fig *Figure) error {
-	if env.CSV {
-		return RenderCSV(env.Out, fig)
-	}
-	return Render(env.Out, fig)
 }
 
 // Driver reproduces one figure of the evaluation. Drivers register

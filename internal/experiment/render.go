@@ -79,21 +79,6 @@ func RenderCSV(w io.Writer, f *Figure) error {
 	return nil
 }
 
-// RenderConvergenceCSV writes the Fig. 4 trace in the same
-// mean/ci-pair CSV shape the figure renderer consumes (the trace is a
-// single deterministic run, so every ci column is zero).
-func RenderConvergenceCSV(w io.Writer, c *Convergence) error {
-	if _, err := fmt.Fprintln(w, "x,upper_mean,upper_ci95,lower_mean,lower_ci95"); err != nil {
-		return err
-	}
-	for i := range c.Iter {
-		if _, err := fmt.Fprintf(w, "%d,%g,0,%g,0\n", c.Iter[i], c.Upper[i], c.Lower[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RenderConvergence writes the Fig. 4 trace: iteration, upper bound,
 // best lower bound, and Φ.
 func RenderConvergence(w io.Writer, c *Convergence) error {

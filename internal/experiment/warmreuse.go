@@ -136,6 +136,6 @@ func init() {
 			if err != nil {
 				return err
 			}
-			return env.renderFigure(fig)
+			return Render(env.Out, fig)
 		}})
 }

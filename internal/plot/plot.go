@@ -1,12 +1,9 @@
-// Package plot renders the experiment harness's CSV output as SVG line
+// Package plot renders the experiment harness's figures as SVG line
 // charts with error bars — a stdlib-only replacement for the Matlab
-// plotting the paper used. It understands exactly the format
-// experiment.RenderCSV emits: a header `x,<name>_mean,<name>_ci95,...`
-// followed by numeric rows.
+// plotting the paper used.
 package plot
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -22,75 +19,11 @@ type Series struct {
 	Err  []float64 // half-width; zeros mean no bar
 }
 
-// ParseCSV reads the experiment harness's CSV format.
-func ParseCSV(r io.Reader) ([]Series, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("plot: empty input")
-	}
-	header := strings.Split(strings.TrimSpace(sc.Text()), ",")
-	if len(header) < 3 || header[0] != "x" {
-		return nil, fmt.Errorf("plot: header %q is not the harness CSV format", sc.Text())
-	}
-	if (len(header)-1)%2 != 0 {
-		return nil, fmt.Errorf("plot: header has %d value columns, want mean/ci pairs", len(header)-1)
-	}
-	nSeries := (len(header) - 1) / 2
-	series := make([]Series, nSeries)
-	for i := 0; i < nSeries; i++ {
-		name := strings.TrimSuffix(header[1+2*i], "_mean")
-		series[i].Name = name
-		if header[2+2*i] != name+"_ci95" {
-			return nil, fmt.Errorf("plot: column %q does not pair with %q", header[2+2*i], header[1+2*i])
-		}
-	}
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != len(header) {
-			return nil, fmt.Errorf("plot: line %d has %d fields, want %d", line, len(fields), len(header))
-		}
-		x, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("plot: line %d x: %w", line, err)
-		}
-		for i := 0; i < nSeries; i++ {
-			mean, err := strconv.ParseFloat(fields[1+2*i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("plot: line %d series %d mean: %w", line, i, err)
-			}
-			ci, err := strconv.ParseFloat(fields[2+2*i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("plot: line %d series %d ci: %w", line, i, err)
-			}
-			series[i].X = append(series[i].X, x)
-			series[i].Y = append(series[i].Y, mean)
-			series[i].Err = append(series[i].Err, ci)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for _, s := range series {
-		if len(s.X) == 0 {
-			return nil, fmt.Errorf("plot: no data rows")
-		}
-	}
-	return series, nil
-}
-
-// Options styles a chart.
+// Options labels a chart.
 type Options struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int // pixels; 0 means 640
-	Height int // pixels; 0 means 420
 }
 
 // Default curve colors (colorblind-safe Okabe–Ito subset).
@@ -101,15 +34,9 @@ func SVG(w io.Writer, opt Options, series []Series) error {
 	if len(series) == 0 {
 		return fmt.Errorf("plot: no series")
 	}
-	width := opt.Width
-	if width <= 0 {
-		width = 640
-	}
-	height := opt.Height
-	if height <= 0 {
-		height = 420
-	}
 	const (
+		width   = 640 // pixels
+		height  = 420
 		marginL = 70
 		marginR = 20
 		marginT = 40

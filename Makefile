@@ -82,6 +82,12 @@ lint: vet check-deprecated
 # tables, CSVs and SVGs from the in-memory figures, so the -csv output
 # switch, the cmd/mmwaveplot CSV-to-SVG tool, plot.ParseCSV, the Fig. 4
 # CSV renderer and RunEnv's CSV bit must not come back.
+# There is one trace encoder, encoding/json from obs.Event's struct
+# tags: no non-test internal/obs file declares appendJSON,
+# appendJSONFloat or appendJSONString. Nor may the helpers no program
+# called come back: Network.MinPowers and SharesNode (the general form
+# is MinPowersAssigned) and Schedule.RateVectors and ActiveLinks (the
+# general form is RateVectorsByClass).
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -154,6 +160,10 @@ check-deprecated:
 		grep -rn -E 'mmwaveplot|mmwavesim.* -csv\b' .github/ ; then \
 		echo "error: one run records every figure (mmwavesim -record DIR; no -csv switch, no cmd/mmwaveplot, no CSV parser)"; exit 1; \
 	else echo "one-figure-recorder check passed"; fi
+	@if grep -Hn -E '^func (\([^)]*\) )?appendJSON(Float|String)?\(' $$(ls internal/obs/*.go | grep -v '_test\.go$$') || \
+		grep -rn --include='*.go' -E '\b(MinPowers|RateVectors|ActiveLinks)\(|\bSharesNode\b' . ; then \
+		echo "error: one trace encoder (encoding/json from obs.Event's tags) and no unused helpers (use MinPowersAssigned, RateVectorsByClass)"; exit 1; \
+	else echo "one-trace-encoder check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \
@@ -191,8 +201,11 @@ bench:
 # baseline and the run. Both runs pin -cpu 1 like `make bench`.
 # -work lists the deterministic work counters the benchmarks report:
 # when a gated benchmark's ns/op regresses but every shared counter is
-# unchanged, the walk is identical and the slowdown is co-tenant CPU
-# noise, so the gate excuses it instead of failing an unmodified tree.
+# unchanged, the walk is identical, and the gate excuses the slowdown
+# as co-tenant CPU noise only up to the run's machine-speed factor (the
+# median now/old ns/op ratio of the counter-identical benchmarks) plus
+# the 20%: a uniformly slower machine passes, one rung slower than the
+# rest fails.
 # Other benchmarks stay report-only: at -benchtime=1x their noise
 # floor is above any sane threshold.
 bench-diff:

@@ -18,11 +18,14 @@
 // against the baseline. -match restricts the gate to benchmarks whose
 // name matches a regular expression (micro-benchmarks too noisy for a
 // single-iteration CI run stay report-only). -work lists deterministic
-// work counters (e.g. 'pivots/op,nodes/op'): an ns/op regression is
+// work counters (e.g. 'pivots/op,nodes/op'). An ns/op regression is
 // excused when the benchmark shares at least one listed counter with
-// the baseline and every shared one is byte-for-byte unchanged — the
-// same algorithmic walk cannot have regressed, so the wall-clock delta
-// is co-tenant CPU noise, which must not fail an unmodified tree. A
+// the baseline, every shared one is byte-for-byte unchanged, and its
+// ns/op ratio is within N percent of the run's machine-speed factor:
+// the median now/old ratio over the gated benchmarks whose counters
+// are identical. The same walk slowed down as much as the rest of the
+// run is co-tenant CPU noise, which must not fail an unmodified tree;
+// one rung slower than the rest is a real slowdown, and fails. A
 // gate that compares nothing — no benchmark matching -match is in both
 // the baseline and the run, e.g. because `go test` appended a -N
 // GOMAXPROCS suffix the baseline's names lack — fails with exit code
@@ -62,7 +65,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		gate   = fs.Float64("gate", 0, "with -diff: fail (exit 3) on ns/op regressions above this percentage")
 		match  = fs.String("match", "", "with -diff: restrict the diff report and the gate to benchmarks matching this regexp")
 		reduce = fs.String("reduce", "", "collapse duplicate benchmark names (-count>1 runs): 'min' keeps the per-metric minimum")
-		work   = fs.String("work", "", "with -gate: comma-separated deterministic work metrics; an ns/op regression is excused when every shared one is unchanged")
+		work   = fs.String("work", "", "with -gate: comma-separated deterministic work metrics; an ns/op regression is excused when every shared one is unchanged and it is within the gate of the run's median speed factor")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -243,17 +246,28 @@ func workUnits(v string) []string {
 
 // gateRegressions applies the CI regression gate: any benchmark shared
 // with the baseline (and matching re, when given) whose ns/op grew by
-// more than pct percent counts as a failure — unless the benchmark
-// shares at least one of the deterministic work counters with the
-// baseline and every shared counter is unchanged, in which case the
-// identical algorithmic walk proves the wall-clock delta is scheduler
-// noise and the regression is excused (logged, not counted). compared
-// counts the benchmarks whose ns/op the gate actually checked.
+// more than pct percent counts as a failure. A regression is excused
+// (logged, not counted) only when the benchmark shares at least one of
+// the deterministic work counters with the baseline, every shared
+// counter is unchanged, and its now/old ns/op ratio is at most the
+// run's machine-speed factor times 1+pct/100. The factor is the median
+// ratio over the gated benchmarks whose counters are identical: a
+// uniformly slower machine moves every rung alike, while a rung whose
+// identical walk got slower than the others is a real slowdown.
+// compared counts the benchmarks whose ns/op the gate actually checked.
 func gateRegressions(w io.Writer, base, cur *benchparse.Document, pct float64, re *regexp.Regexp, work []string) (failures, compared int) {
 	byName := make(map[string]benchparse.Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		byName[b.Name] = b
 	}
+	type rung struct {
+		name     string
+		old, now float64
+		shared   int  // listed work counters both runs report
+		same     bool // shared > 0 and every shared counter is unchanged
+	}
+	var rungs []rung
+	var sameRatios []float64
 	for _, b := range cur.Benchmarks {
 		if re != nil && !re.MatchString(b.Name) {
 			continue
@@ -267,19 +281,47 @@ func gateRegressions(w io.Writer, base, cur *benchparse.Document, pct float64, r
 		if !hasOld || !hasNow || old <= 0 {
 			continue
 		}
-		compared++
-		if now > old*(1+pct/100) {
-			if shared, same := workUnchanged(ref, b, work); shared > 0 && same {
-				fmt.Fprintf(w, "NOISE %s ns/op: %g → %g (%+.1f%%) excused: %d work metric(s) unchanged\n",
-					b.Name, old, now, 100*(now-old)/old, shared)
-				continue
-			}
-			fmt.Fprintf(w, "GATE %s ns/op: %g → %g (%+.1f%% > +%g%% allowed)\n",
-				b.Name, old, now, 100*(now-old)/old, pct)
-			failures++
+		shared, same := workUnchanged(ref, b, work)
+		g := rung{name: b.Name, old: old, now: now, shared: shared, same: shared > 0 && same}
+		if g.same {
+			sameRatios = append(sameRatios, now/old)
 		}
+		rungs = append(rungs, g)
 	}
-	return failures, compared
+	factor := median(sameRatios)
+	for _, g := range rungs {
+		if g.now <= g.old*(1+pct/100) {
+			continue
+		}
+		ratio := g.now / g.old
+		if g.same && ratio <= factor*(1+pct/100) {
+			fmt.Fprintf(w, "NOISE %s ns/op: %g → %g (%+.1f%%) excused: %d work metric(s) unchanged, within the run's speed factor %.3g×\n",
+				g.name, g.old, g.now, 100*(ratio-1), g.shared, factor)
+			continue
+		}
+		why := ""
+		if g.same {
+			why = fmt.Sprintf("; work unchanged, but %.3g× is over the run's speed factor %.3g×", ratio, factor)
+		}
+		fmt.Fprintf(w, "GATE %s ns/op: %g → %g (%+.1f%% > +%g%% allowed%s)\n",
+			g.name, g.old, g.now, 100*(ratio-1), pct, why)
+		failures++
+	}
+	return failures, len(rungs)
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), or 0 for none. xs is sorted in place.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
+	}
+	return (xs[mid-1] + xs[mid]) / 2
 }
 
 // workUnchanged reports how many of the work metrics both runs carry

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,10 +98,45 @@ func TestRunGate(t *testing.T) {
 		t.Fatal("match-excluded regression still failed the gate")
 	}
 
+	// A ladder whose rungs keep their work counters: one rung planted
+	// 2× slower fails against the run's median speed factor (1×), while
+	// every rung uniformly 1.5× slower is the machine, and passes.
+	ladder := filepath.Join(t.TempDir(), "ladder.json")
+	if code := run([]string{"-out", ladder}, strings.NewReader(ladderRun(1, 1, 1, 1)), &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
+		t.Fatal("ladder baseline write failed")
+	}
+	work := []string{"-diff", ladder, "-gate", "10", "-work", "probes/op"}
+	stdout.Reset()
+	if code := run(work, strings.NewReader(ladderRun(1, 2, 1, 1)), &stdout, &bytes.Buffer{}); code != 3 {
+		t.Fatalf("one rung 2× slower = %d, want 3:\n%s", code, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "GATE BenchmarkRung1-8 ns/op") || strings.Count(stdout.String(), "GATE ") != 1 {
+		t.Errorf("want one GATE line, for BenchmarkRung1:\n%s", stdout.String())
+	}
+	stdout.Reset()
+	if code := run(work, strings.NewReader(ladderRun(1.5, 1.5, 1.5, 1.5)), &stdout, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("uniformly 1.5× slower = %d, want 0:\n%s", code, stdout.String())
+	}
+	if strings.Count(stdout.String(), "NOISE ") != 4 {
+		t.Errorf("want four excused rungs:\n%s", stdout.String())
+	}
+
 	// -gate without -diff is a usage error.
 	if code := run([]string{"-gate", "10"}, strings.NewReader(runB), &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 		t.Fatal("-gate without -diff accepted")
 	}
+}
+
+// ladderRun renders a four-rung run whose rung i takes slow[i] times
+// 1000 ns/op with an unchanged probes/op work counter.
+func ladderRun(slow ...float64) string {
+	var b strings.Builder
+	b.WriteString("goos: linux\npkg: mmwave\n")
+	for i, f := range slow {
+		fmt.Fprintf(&b, "BenchmarkRung%d-8   10   %g ns/op   %d probes/op\n", i, 1000*f, 100*(i+1))
+	}
+	b.WriteString("PASS\n")
+	return b.String()
 }
 
 // TestRunGateComparesNothing: a gate whose -match selects no benchmark

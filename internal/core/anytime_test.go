@@ -100,7 +100,8 @@ func TestSolveCanceledAnytime(t *testing.T) {
 	hp := make([]float64, 8)
 	lp := make([]float64, 8)
 	for i, sc := range res.Plan.Schedules {
-		rhp, rlp := sc.RateVectors(nw)
+		rv := sc.RateVectorsByClass(nw)
+		rhp, rlp := rv[0], rv[1]
 		for l := 0; l < 8; l++ {
 			hp[l] += rhp[l] * res.Plan.Tau[i]
 			lp[l] += rlp[l] * res.Plan.Tau[i]

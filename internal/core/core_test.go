@@ -169,7 +169,8 @@ func bruteForceP1(t *testing.T, nw *netmodel.Network, demands []video.Demand) fl
 	colHP := make([][]float64, n)
 	colLP := make([][]float64, n)
 	for j := 0; j < n; j++ {
-		colHP[j], colLP[j] = pool.At(j).RateVectors(nw)
+		rv := pool.At(j).RateVectorsByClass(nw)
+		colHP[j], colLP[j] = rv[0], rv[1]
 	}
 	for l := 0; l < L; l++ {
 		row := make([]float64, n)
@@ -251,7 +252,8 @@ func TestSolverPlanFeasible(t *testing.T) {
 	gotHP := make([]float64, L)
 	gotLP := make([]float64, L)
 	for i, sc := range res.Plan.Schedules {
-		hp, lpr := sc.RateVectors(nw)
+		rv := sc.RateVectorsByClass(nw)
+		hp, lpr := rv[0], rv[1]
 		for l := 0; l < L; l++ {
 			gotHP[l] += hp[l] * res.Plan.Tau[i]
 			gotLP[l] += lpr[l] * res.Plan.Tau[i]

@@ -30,7 +30,7 @@ func TestSolverMaxIterations(t *testing.T) {
 	// solution is feasible for P1).
 	gotHP := make([]float64, nw.NumLinks())
 	for i, sc := range res.Plan.Schedules {
-		hp, _ := sc.RateVectors(nw)
+		hp := sc.RateVectorsByClass(nw)[0]
 		for l := range gotHP {
 			gotHP[l] += hp[l] * res.Plan.Tau[i]
 		}

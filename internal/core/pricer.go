@@ -22,7 +22,7 @@ import (
 //  2. Links with zero dual value never belong to an optimal schedule —
 //     they add interference and earn nothing.
 //  3. Per-channel SINR feasibility of an active set with chosen levels
-//     reduces to the minimal-power test (netmodel.MinPowers), which is
+//     reduces to the minimal-power test (netmodel.MinPowersAssigned), which is
 //     monotone: supersets and higher levels are never easier.
 //
 // The search branches over candidate links in descending best-case

@@ -119,8 +119,7 @@ func bruteForceQuality(t *testing.T, nw *netmodel.Network, demands []video.Deman
 	for l := 0; l < L; l++ {
 		row := make([]float64, nVars)
 		for j := 0; j < n; j++ {
-			hp, _ := pool.At(j).RateVectors(nw)
-			row[j] = hp[l]
+			row[j] = pool.At(j).RateVectorsByClass(nw)[0][l]
 		}
 		row[n+l] = -1
 		p.AddRow(row, lppkg.GE, 0)
@@ -128,8 +127,7 @@ func bruteForceQuality(t *testing.T, nw *netmodel.Network, demands []video.Deman
 	for l := 0; l < L; l++ {
 		row := make([]float64, nVars)
 		for j := 0; j < n; j++ {
-			_, lpr := pool.At(j).RateVectors(nw)
-			row[j] = lpr[l]
+			row[j] = pool.At(j).RateVectorsByClass(nw)[1][l]
 		}
 		row[n+L+l] = -1
 		p.AddRow(row, lppkg.GE, 0)

@@ -7,10 +7,10 @@ import (
 	"mmwave/internal/netmodel"
 )
 
-// ExampleNetwork_MinPowers demonstrates the power-control feasibility
-// primitive: the minimal transmit powers letting two co-channel links
-// meet their SINR thresholds simultaneously.
-func ExampleNetwork_MinPowers() {
+// ExampleNetwork_MinPowersAssigned demonstrates the power-control
+// feasibility primitive: the minimal transmit powers letting two
+// co-channel links meet their SINR thresholds simultaneously.
+func ExampleNetwork_MinPowersAssigned() {
 	nw := &netmodel.Network{
 		Links: []netmodel.Link{
 			{TXNode: 0, RXNode: 1},
@@ -30,7 +30,7 @@ func ExampleNetwork_MinPowers() {
 		BandwidthHz: 200e6,
 	}
 	// Both links want γ = 0.5 on channel 0 despite 0.5 cross gain.
-	powers, ok := nw.MinPowers(0, []int{0, 1}, []float64{0.5, 0.5})
+	powers, ok := nw.MinPowersAssigned([]int{0, 1}, []int{0, 0}, []float64{0.5, 0.5})
 	fmt.Printf("feasible: %v\n", ok)
 	fmt.Printf("P0 = %.4f W, P1 = %.4f W\n", powers[0], powers[1])
 	// The symmetric solution P = γρ/(1−γc) = 0.05/0.75.

@@ -249,14 +249,6 @@ func (n *Network) Validate() error {
 	return nil
 }
 
-// SharesNode reports whether two links have a node in common; such
-// links cannot be active simultaneously (half-duplex, eq. 31).
-func (n *Network) SharesNode(l1, l2 int) bool {
-	a, b := n.Links[l1], n.Links[l2]
-	return a.TXNode == b.TXNode || a.TXNode == b.RXNode ||
-		a.RXNode == b.TXNode || a.RXNode == b.RXNode
-}
-
 // SINR evaluates the SINR at link l's receiver on channel k when the
 // links in active transmit with the given powers (parallel slices).
 // Link l must appear in active.
@@ -312,26 +304,12 @@ type powerScratch struct {
 // performs millions of them.
 var powerPool = sync.Pool{New: func() interface{} { return &powerScratch{} }}
 
-// MinPowers computes the component-wise minimal power vector that
-// satisfies SINR_l ≥ gamma[i] for every active link l = active[i] on
-// the single shared channel k, subject to 0 ≤ P ≤ PMax. It returns
-// (powers, true) when such a vector exists and (nil, false) otherwise.
-// Interference is co-channel by construction (every link is on k), so
-// the result is identical under both interference models.
-func (n *Network) MinPowers(k int, active []int, gamma []float64) ([]float64, bool) {
-	if len(active) == 0 {
-		return nil, true
-	}
-	chans := make([]int, len(active))
-	for i := range chans {
-		chans[i] = k
-	}
-	return n.MinPowersAssigned(active, chans, gamma)
-}
-
-// MinPowersAssigned is the channel-assignment-aware generalization of
-// MinPowers: active[i] transmits on chans[i] and must reach SINR
-// gamma[i] under the network's interference model.
+// MinPowersAssigned computes the component-wise minimal power vector
+// within [0, PMax] under which every active link active[i],
+// transmitting on channel chans[i], reaches SINR gamma[i] under the
+// network's interference model. It returns (powers, true) when such a
+// vector exists and (nil, false) otherwise; the empty pattern is
+// feasible.
 //
 // The thresholds define the linear system (I − F)·P = b with
 // F_{ij} = γ_i·H_{l_j,l_i}^{k_i}/H_{l_i}^{k_i} over interfering pairs

@@ -224,17 +224,6 @@ func TestNetworkFingerprint(t *testing.T) {
 	}
 }
 
-func TestSharesNode(t *testing.T) {
-	nw := testNetwork(3, 1, 0)
-	if nw.SharesNode(0, 1) {
-		t.Error("disjoint links reported sharing a node")
-	}
-	nw.Links[1].TXNode = nw.Links[0].RXNode
-	if !nw.SharesNode(0, 1) {
-		t.Error("shared node not detected")
-	}
-}
-
 func TestSINR(t *testing.T) {
 	nw := testNetwork(2, 1, 0.5)
 	// Both links at power 1: SINR = 1·1 / (0.1 + 0.5·1) = 1/0.6.
@@ -256,7 +245,7 @@ func TestSINR(t *testing.T) {
 func TestMinPowersSingleLink(t *testing.T) {
 	nw := testNetwork(1, 1, 0)
 	// γ = 0.5 → P = γρ/H = 0.05.
-	p, ok := nw.MinPowers(0, []int{0}, []float64{0.5})
+	p, ok := nw.MinPowersAssigned([]int{0}, []int{0}, []float64{0.5})
 	if !ok {
 		t.Fatal("single link infeasible")
 	}
@@ -270,7 +259,7 @@ func TestMinPowersSymmetricPair(t *testing.T) {
 	// P = γ(ρ + cP) → P = γρ/(1−γc).
 	nw := testNetwork(2, 1, 0.5)
 	gamma := 0.5
-	p, ok := nw.MinPowers(0, []int{0, 1}, []float64{gamma, gamma})
+	p, ok := nw.MinPowersAssigned([]int{0, 1}, []int{0, 0}, []float64{gamma, gamma})
 	if !ok {
 		t.Fatal("pair infeasible")
 	}
@@ -291,7 +280,7 @@ func TestMinPowersSymmetricPair(t *testing.T) {
 func TestMinPowersInfeasibleCoupling(t *testing.T) {
 	// γ·c ≥ 1 makes the pair infeasible regardless of power.
 	nw := testNetwork(2, 1, 1.0)
-	if _, ok := nw.MinPowers(0, []int{0, 1}, []float64{1.5, 1.5}); ok {
+	if _, ok := nw.MinPowersAssigned([]int{0, 1}, []int{0, 0}, []float64{1.5, 1.5}); ok {
 		t.Error("infeasible coupling accepted")
 	}
 }
@@ -300,7 +289,7 @@ func TestMinPowersPMaxBound(t *testing.T) {
 	// Solo with threshold needing P > Pmax: γρ/H = 20·0.1 = 2 > 1.
 	nw := testNetwork(1, 1, 0)
 	nw.Rates = RateTable{Gammas: []float64{20}, Rates: []float64{1}}
-	if _, ok := nw.MinPowers(0, []int{0}, []float64{20}); ok {
+	if _, ok := nw.MinPowersAssigned([]int{0}, []int{0}, []float64{20}); ok {
 		t.Error("over-PMax requirement accepted")
 	}
 }
@@ -308,14 +297,14 @@ func TestMinPowersPMaxBound(t *testing.T) {
 func TestMinPowersZeroGain(t *testing.T) {
 	nw := testNetwork(1, 1, 0)
 	nw.Gains.Direct[0][0] = 0
-	if _, ok := nw.MinPowers(0, []int{0}, []float64{0.1}); ok {
+	if _, ok := nw.MinPowersAssigned([]int{0}, []int{0}, []float64{0.1}); ok {
 		t.Error("zero direct gain accepted")
 	}
 }
 
 func TestMinPowersEmptySet(t *testing.T) {
 	nw := testNetwork(2, 1, 0.1)
-	if _, ok := nw.MinPowers(0, nil, nil); !ok {
+	if _, ok := nw.MinPowersAssigned(nil, nil, nil); !ok {
 		t.Error("empty active set must be feasible")
 	}
 }
@@ -326,15 +315,16 @@ func TestMinPowersPropertyFeasibility(t *testing.T) {
 		nw := randomNetwork(rng, 2+rng.Intn(5), 1+rng.Intn(3))
 		k := rng.Intn(nw.NumChannels)
 		// Random subset of links with random levels.
-		var active []int
+		var active, chans []int
 		var gammas []float64
 		for l := 0; l < nw.NumLinks(); l++ {
 			if rng.Float64() < 0.5 {
 				active = append(active, l)
+				chans = append(chans, k)
 				gammas = append(gammas, nw.Rates.Gammas[rng.Intn(nw.Rates.Levels())])
 			}
 		}
-		p, ok := nw.MinPowers(k, active, gammas)
+		p, ok := nw.MinPowersAssigned(active, chans, gammas)
 		if !ok {
 			return true // infeasibility is a legal outcome
 		}
@@ -367,8 +357,9 @@ func TestMinPowersPropertyMonotone(t *testing.T) {
 		for i := range gammas {
 			gammas[i] = nw.Rates.Gammas[0]
 		}
-		pAll, okAll := nw.MinPowers(0, subset, gammas)
-		pSub, okSub := nw.MinPowers(0, subset[:len(subset)-1], gammas[:len(gammas)-1])
+		chans := make([]int, len(subset)) // all on channel 0
+		pAll, okAll := nw.MinPowersAssigned(subset, chans, gammas)
+		pSub, okSub := nw.MinPowersAssigned(subset[:len(subset)-1], chans[:len(chans)-1], gammas[:len(gammas)-1])
 		if !okAll {
 			return true
 		}

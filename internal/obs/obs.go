@@ -11,9 +11,11 @@
 //     receivers; the disabled paths perform no allocation (pinned by
 //     testing.AllocsPerRun) and the instrumented algorithms never
 //     branch on whether a consumer is attached, so plans are
-//     byte-identical with tracing on and off.
+//     byte-identical with tracing on and off. An attached JSONL sink
+//     does allocate per event.
 //   - Output is deterministic given deterministic inputs. JSONL events
-//     encode their fields in a fixed order, and the metrics exposition
+//     encode through encoding/json from Event's struct tags, which
+//     fix the field order, and the metrics exposition
 //     sorts metric names and formats numbers canonically, so two runs
 //     that observe the same values produce the same bytes (event
 //     timestamps are the one intentionally wall-clock-dependent field;
@@ -25,18 +27,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Event is one structured trace record. The zero value plus a Name is
-// valid; zero-valued fields are omitted from the JSONL encoding. The
-// typed fields cover the repository's hot-path schemas (the
-// column-generation iteration event carries Iter, Phi, Upper, Lower,
-// Pool, Probes, and Nodes) so emitting an event allocates nothing
-// beyond what the caller puts on its stack.
+// valid. Its json tags are the trace format: JSONLSink writes and
+// DecodeJSONL reads the fields in declaration order, omitting the
+// zero-valued ones. The typed fields cover the repository's hot-path
+// schemas (the column-generation iteration event carries Iter, Phi,
+// Upper, Lower, Pool, Probes, and Nodes), so a disabled tracer passes
+// events by value without allocating.
 type Event struct {
 	T      int64   `json:"t,omitempty"`    // ns since the tracer started
 	Span   string  `json:"span,omitempty"` // enclosing span name
@@ -51,97 +53,6 @@ type Event struct {
 	Nodes  int     `json:"nodes,omitempty"`
 	N      float64 `json:"n,omitempty"`   // generic numeric payload
 	Msg    string  `json:"msg,omitempty"` // generic string payload
-}
-
-// appendJSON encodes the event as one JSON object in fixed field order
-// (no trailing newline). The encoding round-trips through the struct's
-// json tags.
-func (e *Event) appendJSON(buf []byte) []byte {
-	buf = append(buf, '{')
-	if e.T != 0 {
-		buf = append(buf, `"t":`...)
-		buf = strconv.AppendInt(buf, e.T, 10)
-		buf = append(buf, ',')
-	}
-	if e.Span != "" {
-		buf = append(buf, `"span":`...)
-		buf = appendJSONString(buf, e.Span)
-		buf = append(buf, ',')
-	}
-	if e.SpanID != 0 {
-		buf = append(buf, `"sid":`...)
-		buf = strconv.AppendUint(buf, e.SpanID, 10)
-		buf = append(buf, ',')
-	}
-	buf = append(buf, `"ev":`...)
-	buf = appendJSONString(buf, e.Name)
-	if e.Iter != 0 {
-		buf = append(buf, `,"iter":`...)
-		buf = strconv.AppendInt(buf, int64(e.Iter), 10)
-	}
-	if e.Phi != 0 {
-		buf = append(buf, `,"phi":`...)
-		buf = appendJSONFloat(buf, e.Phi)
-	}
-	if e.Upper != 0 {
-		buf = append(buf, `,"ub":`...)
-		buf = appendJSONFloat(buf, e.Upper)
-	}
-	if e.Lower != 0 {
-		buf = append(buf, `,"lb":`...)
-		buf = appendJSONFloat(buf, e.Lower)
-	}
-	if e.Pool != 0 {
-		buf = append(buf, `,"pool":`...)
-		buf = strconv.AppendInt(buf, int64(e.Pool), 10)
-	}
-	if e.Probes != 0 {
-		buf = append(buf, `,"probes":`...)
-		buf = strconv.AppendInt(buf, int64(e.Probes), 10)
-	}
-	if e.Nodes != 0 {
-		buf = append(buf, `,"nodes":`...)
-		buf = strconv.AppendInt(buf, int64(e.Nodes), 10)
-	}
-	if e.N != 0 {
-		buf = append(buf, `,"n":`...)
-		buf = appendJSONFloat(buf, e.N)
-	}
-	if e.Msg != "" {
-		buf = append(buf, `,"msg":`...)
-		buf = appendJSONString(buf, e.Msg)
-	}
-	return append(buf, '}')
-}
-
-// appendJSONFloat appends v in the shortest round-tripping decimal
-// form. Non-finite values (not representable in JSON) are clamped to
-// null-safe strings so a sink never emits invalid JSON.
-func appendJSONFloat(buf []byte, v float64) []byte {
-	if v != v || v > 1.7976931348623157e308 || v < -1.7976931348623157e308 {
-		return append(buf, `"non-finite"`...)
-	}
-	return strconv.AppendFloat(buf, v, 'g', -1, 64)
-}
-
-// appendJSONString appends s as a JSON string, escaping the characters
-// JSON requires (the event vocabulary is ASCII identifiers, so the
-// slow path through encoding/json is reserved for exotic input).
-func appendJSONString(buf []byte, s string) []byte {
-	simple := true
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			simple = false
-			break
-		}
-	}
-	if simple {
-		buf = append(buf, '"')
-		buf = append(buf, s...)
-		return append(buf, '"')
-	}
-	b, _ := json.Marshal(s)
-	return append(buf, b...)
 }
 
 // Sink consumes trace events. Implementations must be safe for
@@ -246,14 +157,17 @@ func (s *Span) End() {
 	s.t.Emit(Event{Span: s.name, SpanID: s.id, Name: "span.end", N: float64(dur)})
 }
 
-// JSONLSink writes one JSON object per event to an io.Writer. It is
-// safe for concurrent use; write errors are latched and reported by
-// Err/Close rather than interrupting the instrumented computation.
+// JSONLSink writes one JSON object per event to an io.Writer, encoded
+// by encoding/json from Event's struct tags. It is safe for concurrent
+// use. Encode errors (a non-finite float has no JSON spelling) and
+// write errors are latched and reported by Err/Close rather than
+// interrupting the instrumented computation; once one is latched, later
+// events are dropped. An enabled sink allocates per event.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
+	enc *json.Encoder
 	c   io.Closer
-	buf []byte
 	err error
 	n   int64
 }
@@ -261,7 +175,9 @@ type JSONLSink struct {
 // NewJSONLSink wraps w in a buffered JSONL sink. If w is also an
 // io.Closer, Close closes it after flushing.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{w: bufio.NewWriter(w)}
+	bw := bufio.NewWriter(w)
+	s := &JSONLSink{w: bw, enc: json.NewEncoder(bw)}
+	s.enc.SetEscapeHTML(false)
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
@@ -275,9 +191,7 @@ func (s *JSONLSink) Emit(e Event) {
 	if s.err != nil {
 		return
 	}
-	s.buf = e.appendJSON(s.buf[:0])
-	s.buf = append(s.buf, '\n')
-	if _, err := s.w.Write(s.buf); err != nil {
+	if err := s.enc.Encode(e); err != nil {
 		s.err = err
 		return
 	}
@@ -291,7 +205,7 @@ func (s *JSONLSink) Events() int64 {
 	return s.n
 }
 
-// Err returns the first write error, if any.
+// Err returns the first encode or write error, if any.
 func (s *JSONLSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"os"
 	"reflect"
@@ -85,6 +88,45 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if last := got[len(got)-1]; last.Name != "span.end" {
 		t.Errorf("last event = %+v, want span.end", last)
+	}
+}
+
+// TestJSONLNonFiniteIsEncodeError: a NaN has no JSON spelling, so the
+// sink latches the encode error, writes no line for that event, drops
+// the events after it, and Close reports the error; the events written
+// before it still decode.
+func TestJSONLNonFiniteIsEncodeError(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	tr := New(sink)
+	tr.Clock = func() int64 { return 7 }
+
+	before := []Event{{Name: "cg.iteration", Iter: 1, Phi: -0.5}, {Name: "epoch.shed", N: 2}}
+	for _, e := range before {
+		tr.Emit(e)
+	}
+	tr.Emit(Event{Name: "cg.iteration", Iter: 2, Phi: math.NaN()})
+	tr.Emit(Event{Name: "after"})
+	err := tr.Close()
+	var unsupported *json.UnsupportedValueError
+	if !errors.As(err, &unsupported) {
+		t.Fatalf("Close = %v, want a *json.UnsupportedValueError", err)
+	}
+	if sink.Events() != int64(len(before)) {
+		t.Errorf("sink recorded %d events, want %d", sink.Events(), len(before))
+	}
+	if n := strings.Count(buf.String(), "\n"); n != len(before) {
+		t.Errorf("wrote %d lines, want %d:\n%s", n, len(before), buf.String())
+	}
+	got, derr := DecodeJSONL(bytes.NewReader(buf.Bytes()))
+	if derr != nil {
+		t.Fatalf("decode: %v", derr)
+	}
+	for i := range before {
+		before[i].T = 7
+	}
+	if !reflect.DeepEqual(got, before) {
+		t.Errorf("decoded %+v, want %+v", got, before)
 	}
 }
 

@@ -7,11 +7,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1011,5 +1015,193 @@ func TestResponseBodiesAsEncoder(t *testing.T) {
 	check(line, &rep)
 	if rep.Epoch != 0 || rep.Cell != 3 {
 		t.Fatalf("first streamed report is cell %d epoch %d", rep.Cell, rep.Epoch)
+	}
+}
+
+// TestHostileClients drives the server over HTTP with hostile clients
+// while 20 batch steps run on two 4-link × 2-channel cells. Eight
+// goroutines flood cell 0's /demands with bodies that fit the body cap
+// but together overrun its 16·L-frame uplink queue, and one raw
+// connection sends cell 1 a demands request that declares more body
+// bytes than it writes, then closes. Every step must still serve the
+// well-behaved cell 1 a fresh plan, each flood request must be accepted
+// (202) or refused as admission-refused, cell 0's queue must never
+// exceed its bound, the aborted body must queue nothing, and Drain must
+// return.
+func TestHostileClients(t *testing.T) {
+	const steps, flooders = 20, 8
+	ctx := context.Background()
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	var connMu sync.Mutex
+	closed := make(map[string]chan struct{}) // client address → closed on the server side
+	hs.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if st != http.StateClosed {
+			return
+		}
+		connMu.Lock()
+		if ch := closed[c.RemoteAddr().String()]; ch != nil {
+			close(ch)
+		}
+		connMu.Unlock()
+	}
+	hs.Start()
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	client := api.NewClient(hs.URL, hs.Client())
+
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := client.CreateCell(ctx, api.CellSpec{Instance: &api.Instance{Links: 4, Channels: 2, Seed: seed}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const links = 4
+	limit := maxQueuedFramesPerLink * links
+	queued := func(id int) int {
+		cs := srv.lookup(id)
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		return len(cs.queue)
+	}
+	var overBound atomic.Int64 // largest queue length above the bound seen
+	checkBound := func() {
+		if n := queued(0); n > limit {
+			overBound.Store(int64(n))
+		}
+	}
+
+	// A flood body: three demand reports per link, 12 frames. Eight
+	// flooders submit 96 frames before a step drains 64 at most.
+	gen := testLoad(t, links, 5)
+	var flood []api.Demand
+	for ep := int64(0); ep < 3; ep++ {
+		flood = append(flood, demandsFor(gen, 0, ep)...)
+	}
+	floodBody, err := json.Marshal(flood)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted, refused, unexpected atomic.Int64
+	var firstUnexpected atomic.Value
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < flooders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			url := hs.URL + api.PathPrefix + "/cells/0/demands"
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := hs.Client().Post(url, "application/json", bytes.NewReader(floodBody))
+				if err != nil {
+					unexpected.Add(1)
+					firstUnexpected.CompareAndSwap(nil, err.Error())
+					continue
+				}
+				var apiErr *api.Error
+				switch {
+				case resp.StatusCode == http.StatusAccepted:
+					accepted.Add(1)
+				case errors.As(api.DecodeError(resp), &apiErr) && apiErr.Code == api.CodeAdmission:
+					refused.Add(1)
+				default:
+					unexpected.Add(1)
+					firstUnexpected.CompareAndSwap(nil, fmt.Sprintf("HTTP %d", resp.StatusCode))
+				}
+				_, _ = io.Copy(io.Discard, resp.Body) // drained so the connection is reused
+				resp.Body.Close()
+				checkBound()
+			}
+		}()
+	}
+	stopFlood := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopFlood()
+	// No step runs before the flood has overrun cell 0's queue once.
+	for deadline := time.Now().Add(time.Second); refused.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never overran cell 0's uplink queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// abort sends cell 1 a demands request that declares a longer body
+	// than it writes, closes the connection, and waits until the server
+	// has closed its end too (the handler has returned).
+	abort := func() {
+		conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		connMu.Lock()
+		closed[conn.LocalAddr().String()] = done
+		connMu.Unlock()
+		partial := `[{"link":0,"hp":1000000,"lp":3000000},{"link":1,"hp":`
+		fmt.Fprintf(conn, "POST %s/cells/1/demands HTTP/1.1\r\nHost: pncd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+			api.PathPrefix, 4*len(partial), partial)
+		conn.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the server kept the aborted connection open")
+		}
+	}
+
+	well := testLoad(t, links, 6)
+	for step := int64(0); step < steps; step++ {
+		if _, err := client.SubmitDemands(ctx, 1, demandsFor(well, 1, step)); err != nil {
+			t.Fatalf("step %d: cell 1 submission: %v", step, err)
+		}
+		if step == steps/2 {
+			before := queued(1)
+			abort()
+			if got := queued(1); got != before {
+				t.Fatalf("the aborted body changed cell 1's queue: %d → %d frames", before, got)
+			}
+		}
+		reports, err := client.StepAll(ctx)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkBound()
+		var rep *api.EpochReport
+		for i := range reports {
+			if reports[i].Cell == 1 {
+				rep = &reports[i]
+			}
+		}
+		if rep == nil || rep.Outcome != "ok" || rep.NoPlan || rep.PlanAge != 0 || len(rep.Plan.Schedules) == 0 {
+			t.Fatalf("step %d: cell 1 got no fresh plan: %+v", step, rep)
+		}
+		plan, err := client.Plan(ctx, 1)
+		if err != nil {
+			t.Fatalf("step %d: cell 1 plan: %v", step, err)
+		}
+		if plan.PlanAge != 0 || plan.Epoch != step+1 {
+			t.Fatalf("step %d: cell 1 plan = epoch %d age %d, want epoch %d age 0", step, plan.Epoch, plan.PlanAge, step+1)
+		}
+	}
+	stopFlood()
+
+	if n := unexpected.Load(); n > 0 {
+		t.Errorf("%d flood requests got neither 202 nor admission-refused (first: %v)", n, firstUnexpected.Load())
+	}
+	if n := overBound.Load(); n > 0 {
+		t.Errorf("cell 0's uplink queue reached %d frames, over its bound %d", n, limit)
+	}
+	if accepted.Load() == 0 {
+		t.Error("no flood request was accepted")
+	}
+	t.Logf("flood: %d accepted, %d refused", accepted.Load(), refused.Load())
+	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(dctx); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

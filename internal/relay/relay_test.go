@@ -158,9 +158,10 @@ func TestRelayedInstanceSolvesEndToEnd(t *testing.T) {
 	// Hop demands are all served.
 	served := make([]float64, exp.Network.NumLinks())
 	for i, sc := range res.Plan.Schedules {
-		hp, lpr := sc.RateVectors(exp.Network)
-		for l := range served {
-			served[l] += (hp[l] + lpr[l]) * res.Plan.Tau[i]
+		for _, r := range sc.RateVectorsByClass(exp.Network) {
+			for l := range served {
+				served[l] += r[l] * res.Plan.Tau[i]
+			}
 		}
 	}
 	for l, d := range exp.Demands {

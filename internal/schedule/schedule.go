@@ -128,23 +128,6 @@ func (s *Schedule) RateVectorsByClass(nw *netmodel.Network) [][]float64 {
 	return out
 }
 
-// RateVectors returns the two-class (HP, LP) rate vectors of the
-// schedule — the classic view of RateVectorsByClass, kept for the
-// paper's two-layer call sites and tests.
-func (s *Schedule) RateVectors(nw *netmodel.Network) (hp, lp []float64) {
-	hp = make([]float64, nw.NumLinks())
-	lp = make([]float64, nw.NumLinks())
-	for _, a := range s.Assignments {
-		rate := nw.Rates.Rates[a.Level]
-		if a.Layer == HP {
-			hp[a.Link] = rate
-		} else if a.Layer == LP {
-			lp[a.Link] = rate
-		}
-	}
-	return hp, lp
-}
-
 // Value returns the pricing objective Σ_l λ_l(class)·r_l^s of the
 // schedule under class-major dual prices lambda[c][l].
 func (s *Schedule) Value(nw *netmodel.Network, lambda [][]float64) float64 {
@@ -228,16 +211,6 @@ func (s *Schedule) Validate(nw *netmodel.Network) error {
 		}
 	}
 	return nil
-}
-
-// ActiveLinks returns the sorted link indices active in the schedule.
-func (s *Schedule) ActiveLinks() []int {
-	out := make([]int, 0, len(s.Assignments))
-	for _, a := range s.Assignments {
-		out = append(out, a.Link)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TDMA builds the paper's initial column set Ŝ for the master problem:

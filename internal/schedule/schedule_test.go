@@ -111,7 +111,8 @@ func TestRateVectorsAndValue(t *testing.T) {
 		{Link: 0, Channel: 0, Level: 4, Layer: HP, Power: 0.05},
 		{Link: 2, Channel: 1, Level: 1, Layer: LP, Power: 0.02},
 	}}
-	hp, lp := s.RateVectors(nw)
+	rv := s.RateVectorsByClass(nw)
+	hp, lp := rv[0], rv[1]
 	if hp[0] != nw.Rates.Rates[4] || lp[0] != 0 {
 		t.Errorf("link0 rates = (%v, %v)", hp[0], lp[0])
 	}
@@ -260,17 +261,6 @@ func TestPool(t *testing.T) {
 	}
 	if p.At(1).Assignments[0].Link != 1 {
 		t.Error("At returned wrong schedule")
-	}
-}
-
-func TestActiveLinks(t *testing.T) {
-	s := &Schedule{Assignments: []Assignment{{Link: 4}, {Link: 1}, {Link: 3}}}
-	got := s.ActiveLinks()
-	want := []int{1, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ActiveLinks = %v, want %v", got, want)
-		}
 	}
 }
 

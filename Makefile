@@ -194,8 +194,8 @@ bench:
 
 # Compare the current tree against the committed baseline: first a
 # report-only diff of the whole suite, then the regression gate — the
-# ablation, Fig-1, sparse-LP, probe and pricer-node micro-benchmarks
-# re-run with -count=3
+# ablation, Fig-1, sparse-LP, probe, pricer-node and exact-pricer
+# micro-benchmarks re-run with -count=3
 # and fail the build (exit 3) when their min-of-3 ns/op regresses more
 # than 20%, or (exit 4) when the gate finds none of them in both the
 # baseline and the run. Both runs pin -cpu 1 like `make bench`.
@@ -210,9 +210,9 @@ bench:
 # floor is above any sane threshold.
 bench-diff:
 	$(GO) test -bench=. -benchtime=1x -cpu 1 -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
-	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkProbe|BenchmarkPricerNode' -benchtime=1x -count=3 -cpu 1 -benchmem -run='^$$' . | \
+	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkProbe|BenchmarkPricerNode|BenchmarkPricerExact' -benchtime=1x -count=3 -cpu 1 -benchmem -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -reduce min -diff BENCH_baseline.json \
-		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkProbe|BenchmarkPricerNode' \
+		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkProbe|BenchmarkPricerNode|BenchmarkPricerExact' \
 		-work 'sched_s,iters,pivots/op,nodes/op,probes/op,masters/op'
 
 # Single-iteration smoke over every package (CI).

@@ -414,10 +414,14 @@ func tableINetwork(b *testing.B) *netmodel.Network {
 // uncommitted link at every (channel, level) pair. "siblings" orders
 // the sweep as the pricing search does — one link across all its
 // (channel, level) pairs before the next — so consecutive probes share
-// their border column; "distinct" asks the same questions link-
-// innermost, so every probe solves its border from scratch;
-// "reference" answers them with the full pivoted solve. probes/op and
-// feasible/op are identical across the three.
+// their border; "distinct" asks the same questions link-innermost, so
+// consecutive probes never share one and each reads the border its
+// link and channel left in the solver's per-(link, channel) caches;
+// "reference" answers them with the full pivoted solve; "levels" asks
+// the siblings' questions as the pricing search now does, one
+// ProbeDown per (link, channel) from the highest level down, taking
+// every level below its answer as feasible. probes/op and feasible/op
+// are identical across the four.
 func BenchmarkProbe(b *testing.B) {
 	nw := tableINetwork(b)
 	const depth = 6
@@ -457,6 +461,13 @@ func BenchmarkProbe(b *testing.B) {
 			}
 		}
 	}
+	type pair struct{ link, k int }
+	var pairs []pair
+	for _, q := range siblings {
+		if n := len(pairs); n == 0 || pairs[n-1] != (pair{q.link, q.k}) {
+			pairs = append(pairs, pair{q.link, q.k})
+		}
+	}
 	linksX := append(links, 0)
 	chansX := append(chans, 0)
 	gammasX := append(gammas, 0)
@@ -492,6 +503,22 @@ func BenchmarkProbe(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
 		})
 	}
+	b.Run("levels", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		top := nw.Rates.Levels() - 1
+		feasible := 0
+		for i := 0; i < b.N; i++ {
+			for _, pr := range pairs {
+				feasible += 1 + ps.ProbeDown(pr.link, pr.k, nw.Rates.Gammas, top, 0)
+			}
+		}
+		b.StopTimer()
+		probes := float64(b.N * len(siblings))
+		b.ReportMetric(float64(len(siblings)), "probes/op")
+		b.ReportMetric(float64(feasible)/float64(b.N), "feasible/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
+	})
 }
 
 // BenchmarkPricerNode times the pricing rung: one branch-and-bound
@@ -517,6 +544,79 @@ func BenchmarkPricerNode(b *testing.B) {
 	p.PoolLeaves = 0
 	if _, err := p.Price(nw, lambda); err != nil {
 		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var nodes, probes float64
+	for i := 0; i < b.N; i++ {
+		res, err := p.Price(nw, lambda)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += float64(res.Nodes)
+		probes += float64(res.Probes)
+	}
+	b.StopTimer()
+	b.ReportMetric(nodes/float64(b.N), "nodes/op")
+	b.ReportMetric(probes/float64(b.N), "probes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
+}
+
+// hardestRound records the duals of the pricing call that spends the
+// most probes among the calls it sees.
+type hardestRound struct {
+	inner  *core.BranchBoundPricer
+	nw     *netmodel.Network
+	lambda [][]float64
+	probes int
+}
+
+func (h *hardestRound) String() string { return h.inner.String() }
+
+// Price implements core.Pricer.
+func (h *hardestRound) Price(nw *netmodel.Network, lambda [][]float64) (*core.PriceResult, error) {
+	res, err := h.inner.Price(nw, lambda)
+	if err == nil && res.Probes > h.probes {
+		h.nw, h.probes = nw, res.Probes
+		h.lambda = make([][]float64, len(lambda))
+		for c := range lambda {
+			h.lambda[c] = append([]float64(nil), lambda[c]...)
+		}
+	}
+	return res, err
+}
+
+// BenchmarkPricerExact times the pricing rung as exact-proof runs it:
+// one branch-and-bound Price call with an unlimited probe budget and
+// the default leaf pool, on exact-proof's shape (6 links, 2 channels).
+// The network and duals are those of the call that probes most among
+// all the column-generation rounds of one batch of 16 proofs drawn at
+// the default seed, so the call completes a search of the size that
+// dominates exact-proof's time. It reports the DFS nodes and
+// feasibility probes per call and the time per node and per probe. One
+// untimed call first warms the pricer's pooled search state.
+func BenchmarkPricerExact(b *testing.B) {
+	cfg := benchConfig()
+	cfg.NumLinks, cfg.NumChannels = 6, 2
+	rec := &hardestRound{inner: core.NewBranchBoundPricer(1 << 40)}
+	for i := int64(0); i < 16; i++ {
+		inst, err := experiment.NewInstance(cfg, stats.Fork(cfg.Seed, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := core.NewSolver(inst.Network, inst.Demands, core.Options{Pricer: rec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nw, lambda := rec.nw, rec.lambda
+	p := core.NewBranchBoundPricer(1 << 40)
+	if res, err := p.Price(nw, lambda); err != nil || !res.Exact {
+		b.Fatalf("unlimited-budget search: exact %v, err %v", res != nil && res.Exact, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,7 +11,11 @@ type Stats struct {
 	// Rounds counts column-generation rounds (pricing calls).
 	Rounds int
 	// Probes counts pricing feasibility probes — the unit of real work
-	// in the search.
+	// in the search and of the pricer's budget. A probe is one
+	// feasibility question the search asks: one (candidate, channel,
+	// level). A level the pricer answers without solving, because a
+	// higher level of the same candidate and channel was feasible and
+	// feasibility is monotone in the threshold, still counts one.
 	Probes int
 	// MasterSolves counts master-LP solves.
 	MasterSolves int

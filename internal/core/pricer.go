@@ -28,7 +28,13 @@ import (
 // The search branches over candidate links in descending best-case
 // contribution order; each link either stays idle or picks a
 // (channel, level). Sub-trees are pruned by an optimistic suffix bound
-// and by per-channel power feasibility.
+// and by per-channel power feasibility. At each node and channel the
+// levels that can still beat the incumbent run from the highest down
+// to a cutoff fixed by the bound; one ProbeDown of the incremental
+// probe solver finds the highest feasible one, and by fact 3 every
+// level below it down to the cutoff is feasible too, so those are
+// explored without asking. Every level examined counts one probe
+// (the budget unit), whether it was solved or known by monotonicity.
 type BranchBoundPricer struct {
 	probeBudget int
 
@@ -67,10 +73,15 @@ type BranchBoundPricer struct {
 
 var _ ContextPricer = (*BranchBoundPricer)(nil)
 
-// defaultPricerBudget bounds pricing feasibility probes per call. Each
-// probe is one power-control feasibility test, the unit of real work
-// in the search; bounding probes bounds wall-clock time regardless of
-// instance shape.
+// defaultPricerBudget bounds pricing feasibility probes per call. A
+// probe is one feasibility question the search asks — may this
+// candidate join on this channel at this level? — the unit of real
+// work in the search; bounding probes bounds wall-clock time regardless
+// of instance shape. The probe solver answers a channel's levels in
+// one sweep and takes the levels below a feasible one as feasible
+// (fact 3 below), but each level the search examines still counts one
+// probe, so the budget truncates the same walk whichever way its
+// questions are answered.
 const defaultPricerBudget = 60_000
 
 // NewBranchBoundPricer returns the default pricer: it may spend up to
@@ -154,8 +165,16 @@ type pricerState struct {
 	// an O(m³) rebuild. One solver covers both interference models —
 	// the PerChannel masking zeroes cross-channel matrix entries, and
 	// since the committed blocks are always feasible, the full-pattern
-	// verdict equals the probed channel's block verdict.
+	// verdict equals the probed channel's block verdict. It is armed
+	// unless power is fixed, and the greedy seed runs on it first.
+	// sweep is set when it also answers the DFS's probes (not under
+	// fixed power or in the test-only reference mode).
 	probe *netmodel.ProbeSolver
+	sweep bool
+
+	// seed is the greedy seed's scratch: probe, the dense node maps
+	// and the seed's own node occupancy.
+	seed greedyScratch
 
 	// Scratch buffers reused across feasibility probes (assembled-path
 	// probes only: fixed power or reference mode).
@@ -296,11 +315,12 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 	// bound prunes most of the tree, and the exact search can only
 	// improve on it.
 	if !p.FixedPower {
-		if seed, err := (GreedyPricer{}).Price(nw, lambda); err == nil && seed.Schedule != nil {
+		if seed, err := greedyPrice(nw, lambda, &st.seed); err == nil && seed.Schedule != nil {
 			if assign, ok := seedAssignment(cands, seed.Schedule); ok {
 				st.bestVal, st.bestAssign = seed.Value, assign
 			}
 		}
+		st.probe.Reset() // the DFS grows its own pattern from empty
 	}
 
 	st.dfs(0, 0)
@@ -361,6 +381,7 @@ func (p *BranchBoundPricer) getState(done <-chan struct{}, nw *netmodel.Network,
 		st.linkTX, st.linkRX, nodes = denseNodes(nw)
 		st.nodeOwner = make([]int, nodes)
 		st.probe = nil
+		st.seed = greedyScratch{linkTX: st.linkTX, linkRX: st.linkRX, nodeUsed: make([]bool, nodes)}
 	}
 	for n := range st.nodeOwner {
 		st.nodeOwner[n] = -1
@@ -376,13 +397,19 @@ func (p *BranchBoundPricer) getState(done <-chan struct{}, nw *netmodel.Network,
 	for i := range st.assign {
 		st.assign[i] = assignChoice{channel: -1}
 	}
-	if !st.fixedPower && !st.reference {
+	// The solver's capacity covers every DFS depth (one row per
+	// candidate) and the greedy seed's (one per link). Sizing it for
+	// all links at once keeps calls whose candidate count grows from
+	// rebuilding it.
+	st.sweep = !st.fixedPower && !st.reference
+	if !st.fixedPower {
 		if st.probe == nil || st.probe.Cap() < len(cands) {
-			st.probe = netmodel.NewProbeSolver(nw, len(cands))
+			st.probe = netmodel.NewProbeSolver(nw, max(len(cands), nw.NumLinks()))
 		} else {
 			st.probe.Reset()
 		}
 	}
+	st.seed.probe = st.probe
 	return st
 }
 
@@ -401,7 +428,7 @@ func (st *pricerState) activate(k, ci, q int) {
 	st.chActive[k] = append(st.chActive[k], ci)
 	st.chLevels[k] = append(st.chLevels[k], st.nw.Rates.Gammas[q])
 	st.assign[ci] = assignChoice{channel: k, level: q}
-	if st.probe != nil {
+	if st.sweep {
 		st.probe.Push(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
 	}
 }
@@ -411,7 +438,7 @@ func (st *pricerState) deactivate(k, ci int) {
 	st.chActive[k] = st.chActive[k][:len(st.chActive[k])-1]
 	st.chLevels[k] = st.chLevels[k][:len(st.chLevels[k])-1]
 	st.assign[ci] = assignChoice{channel: -1}
-	if st.probe != nil {
+	if st.sweep {
 		st.probe.Pop()
 	}
 }
@@ -490,6 +517,7 @@ func (st *pricerState) dfs(i int, value float64) {
 
 	if nodeFree {
 		st.nodeOwner[tx], st.nodeOwner[rx] = c.link, c.link
+		rates, lam, rest, limit := st.nw.Rates.Rates, c.lam, st.suffixBest[i+1], target+1e-15
 		// Try channels in descending direct-gain order: feasible
 		// high-gain placements first to tighten the incumbent early.
 	channels:
@@ -498,16 +526,18 @@ func (st *pricerState) dfs(i int, value float64) {
 			if channelTaken(st.sibling[i], st.assign, k) {
 				continue
 			}
-			maxQ := c.qmax[k]
-			for q := maxQ; q >= 0; q-- {
-				if value+c.lam*st.nw.Rates.Rates[q]+st.suffixBest[i+1] <= target+1e-15 {
-					break // lower q only shrinks this branch's bound further
+			// lo is the lowest level whose optimistic bound still beats
+			// the target; lower levels only shrink it further.
+			lo := 0
+			for q := c.qmax[k]; q >= 0; q-- {
+				if value+lam*rates[q]+rest <= limit {
+					lo = q + 1
+					break
 				}
-				if !st.feasibleWith(k, i, q) {
-					continue
-				}
+			}
+			for q := st.firstFeasible(k, i, c.qmax[k], lo); q >= lo; q = st.nextFeasible(k, i, q-1, lo) {
 				st.activate(k, i, q)
-				st.dfs(i+1, value+c.lam*st.nw.Rates.Rates[q])
+				st.dfs(i+1, value+lam*rates[q])
 				st.deactivate(k, i)
 				if st.halted {
 					break channels
@@ -635,20 +665,53 @@ func channelTaken(siblings []int, assign []assignChoice, k int) bool {
 	return false
 }
 
+// firstFeasible returns the highest level in [lo, hi] at which
+// candidate ci fits on channel k on top of the current activation
+// pattern, or lo−1 if none does, and counts one probe per level it
+// examines. The probe solver already holds the committed pattern's
+// factorization, so it answers the levels on one border: an O(m)
+// border extension at most, O(1) or O(m) per rejected level and one
+// O(m²) verification for the accepted one, with zero allocations.
+// Under fixed power and in the test-only reference mode each level is
+// asked on its own.
+func (st *pricerState) firstFeasible(k, ci, hi, lo int) int {
+	if st.sweep {
+		q := st.probe.ProbeDown(st.cands[ci].link, k, st.nw.Rates.Gammas, hi, lo)
+		st.probes += hi - max(q, lo) + 1
+		return q
+	}
+	for q := hi; q >= lo; q-- {
+		if st.feasibleWith(k, ci, q) {
+			return q
+		}
+	}
+	return lo - 1
+}
+
+// nextFeasible is firstFeasible for the levels below one found
+// feasible: q+1 fits, and feasibility is monotone in γ (fact 3 of
+// BranchBoundPricer), so the probe solver's answer at q is known
+// without asking. It still counts the probe, so the budget and the
+// telemetry see one probe per level, as the per-level paths do.
+func (st *pricerState) nextFeasible(k, ci, q, lo int) int {
+	if q < lo {
+		return q
+	}
+	if st.sweep {
+		st.probes++
+		return q
+	}
+	return st.firstFeasible(k, ci, q, lo)
+}
+
 // feasibleWith tests whether the current activation pattern plus
 // candidate ci on channel k at level q admits a power assignment
-// within PMax. Under the per-channel interference model only channel
+// within PMax by assembling the pattern and solving it, and counts
+// the probe. Under the per-channel interference model only channel
 // k's active set matters; under the global model the whole
 // cross-channel pattern is checked.
 func (st *pricerState) feasibleWith(k, ci, q int) bool {
 	st.probes++
-	// The probe solver already holds the committed pattern's
-	// factorization, so the question costs at most one O(m²) bordered
-	// solve (O(m) for a sibling level it rejects) and zero allocations. It is unarmed only under fixed power and in the
-	// test-only reference mode, which assemble the pattern instead.
-	if st.probe != nil {
-		return st.probe.Probe(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
-	}
 	active := st.scratchLinks[:0]
 	chans := st.scratchChans[:0]
 	gammas := st.scratchGammas[:0]
@@ -788,16 +851,17 @@ func denseNodes(nw *netmodel.Network) (tx, rx []int, n int) {
 
 // greedyScratch is the greedy heuristic's per-network working set: the
 // probe solver plus the dense node maps and occupancy of its
-// half-duplex check.
+// half-duplex check. The probe solver's capacity must cover every
+// usable link with a positive dual.
 type greedyScratch struct {
 	probe          *netmodel.ProbeSolver
 	linkTX, linkRX []int
 	nodeUsed       []bool
 }
 
-// greedyScratchPool recycles greedyScratch values: the branch-and-bound
-// pricer seeds from greedy on every Price call, so the solver's factors
-// and scratch survive across CG iterations.
+// greedyScratchPool recycles the standalone GreedyPricer's scratch. The
+// branch-and-bound pricer's seed keeps its own in its pooled state, so
+// a process pricing many networks does not rebuild it per call.
 var greedyScratchPool sync.Pool
 
 // GreedyPricer is a fast heuristic pricer: it greedily activates
@@ -815,10 +879,24 @@ func (GreedyPricer) String() string { return "greedy" }
 
 // Price implements Pricer.
 func (GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
-	L := nw.NumLinks()
 	if err := checkDuals(nw, lambda); err != nil {
 		return nil, err
 	}
+	sc, _ := greedyScratchPool.Get().(*greedyScratch)
+	if sc == nil || sc.probe.Cap() < nw.NumLinks() || sc.probe.Network() != nw {
+		sc = &greedyScratch{probe: netmodel.NewProbeSolver(nw, nw.NumLinks())}
+		var nodes int
+		sc.linkTX, sc.linkRX, nodes = denseNodes(nw)
+		sc.nodeUsed = make([]bool, nodes)
+	}
+	defer greedyScratchPool.Put(sc)
+	return greedyPrice(nw, lambda, sc)
+}
+
+// greedyPrice runs the greedy heuristic on validated duals with the
+// given scratch.
+func greedyPrice(nw *netmodel.Network, lambda [][]float64, sc *greedyScratch) (*PriceResult, error) {
+	L := nw.NumLinks()
 	type item struct {
 		link  int
 		layer schedule.Layer
@@ -856,17 +934,8 @@ func (GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResul
 	// The accepted set grows one link at a time, so the incremental
 	// probe solver answers each candidate placement in O(m²) without
 	// assembling (or allocating) the pattern.
-	sc, _ := greedyScratchPool.Get().(*greedyScratch)
-	if sc == nil || sc.probe.Cap() < L || sc.probe.Network() != nw {
-		sc = &greedyScratch{probe: netmodel.NewProbeSolver(nw, L)}
-		var nodes int
-		sc.linkTX, sc.linkRX, nodes = denseNodes(nw)
-		sc.nodeUsed = make([]bool, nodes)
-	} else {
-		sc.probe.Reset()
-	}
-	defer greedyScratchPool.Put(sc)
 	probe, used := sc.probe, sc.nodeUsed
+	probe.Reset()
 
 	var accLinks, accChans, accLevels []int
 	var accGammas []float64
@@ -881,14 +950,9 @@ func (GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResul
 		bestK, bestQ := -1, -1
 		for k := 0; k < nw.NumChannels; k++ {
 			solo := nw.Rates.BestLevel(nw.Gains.Direct[it.link][k] * nw.PMax / nw.Noise[it.link])
-			for q := solo; q >= 0; q-- {
-				if bestQ >= q {
-					break // cannot beat the incumbent channel choice
-				}
-				if probe.Probe(it.link, k, nw.Rates.Gammas[q]) {
-					bestK, bestQ = k, q
-					break
-				}
+			// Only levels above the incumbent channel's can beat it.
+			if q := probe.ProbeDown(it.link, k, nw.Rates.Gammas, solo, bestQ+1); q > bestQ {
+				bestK, bestQ = k, q
 			}
 		}
 		if bestK < 0 {

@@ -25,32 +25,53 @@ func randomDuals(rng *rand.Rand, L int) (hp, lp []float64) {
 }
 
 // TestPricerIncrementalMatchesReference prices seeded Table-I style
-// instances twice — once with the incremental bordered-LU probe solver
-// and once with the full pivoted solve on every probe — and requires
-// byte-identical schedules, values, and search telemetry. This is the
-// load-bearing equivalence check for the probe-solver rewrite: equal
-// node and probe counts mean the two searches explored the same tree.
+// instances twice — once with the incremental bordered-LU probe solver,
+// which answers a channel's levels in one ProbeDown sweep and takes the
+// levels below a feasible one as feasible, and once with the full
+// pivoted solve asked level by level — and requires identical search
+// telemetry (nodes, probes, exactness), value and relaxation bound,
+// argmax schedule and pooled extras. This is the load-bearing
+// equivalence check for the probe solver: equal node and probe counts
+// mean the two searches explored the same tree, and under a probe
+// budget that truncates the search they also mean the sweep counts one
+// probe per level exactly as the per-level search does. The fixed-power
+// case holds the per-level path's own counting to the same walk.
 func TestPricerIncrementalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range []struct {
 		name         string
 		interference netmodel.InterferenceModel
 		multiChannel bool
+		fixedPower   bool
+		budget       int
 	}{
-		{"global", netmodel.Global, false},
-		{"per-channel", netmodel.PerChannel, false},
-		{"global/multi-channel", netmodel.Global, true},
+		{name: "global", interference: netmodel.Global},
+		{name: "per-channel", interference: netmodel.PerChannel},
+		{name: "global/multi-channel", interference: netmodel.Global, multiChannel: true},
+		{name: "per-channel/multi-channel", interference: netmodel.PerChannel, multiChannel: true},
+		{name: "global/truncated", interference: netmodel.Global, budget: 400},
+		{name: "per-channel/truncated", interference: netmodel.PerChannel, budget: 150},
+		{name: "global/multi-channel/truncated", interference: netmodel.Global, multiChannel: true, budget: 400},
+		{name: "fixed-power", interference: netmodel.Global, fixedPower: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			truncated := 0
 			for inst := 0; inst < 6; inst++ {
 				nw := randomNetwork(rng, 10, 3)
 				nw.Interference = tc.interference
 				nw.MultiChannel = tc.multiChannel
 				hp, lp := randomDuals(rng, nw.NumLinks())
+				if tc.interference == netmodel.PerChannel {
+					// Per-channel blocks interfere little: duals this
+					// small would let the greedy seed close most
+					// searches at the root.
+					hp, lp = pricingDuals(rng, nw.NumLinks())
+				}
 
-				fast := NewBranchBoundPricer(0)
-				ref := NewBranchBoundPricer(0)
+				fast := NewBranchBoundPricer(tc.budget)
+				ref := NewBranchBoundPricer(tc.budget)
 				ref.referenceProbes = true
+				fast.FixedPower, ref.FixedPower = tc.fixedPower, tc.fixedPower
 
 				got, err := fast.Price(nw, [][]float64{hp, lp})
 				if err != nil {
@@ -60,16 +81,26 @@ func TestPricerIncrementalMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("instance %d: reference pricer: %v", inst, err)
 				}
-				if got.Value != want.Value || got.Exact != want.Exact ||
+				if got.Value != want.Value || got.RelaxValue != want.RelaxValue || got.Exact != want.Exact ||
 					got.Nodes != want.Nodes || got.Probes != want.Probes {
-					t.Fatalf("instance %d: fast (value=%v exact=%v nodes=%d probes=%d) != reference (value=%v exact=%v nodes=%d probes=%d)",
-						inst, got.Value, got.Exact, got.Nodes, got.Probes,
-						want.Value, want.Exact, want.Nodes, want.Probes)
+					t.Fatalf("instance %d: fast (value=%v relax=%v exact=%v nodes=%d probes=%d) != reference (value=%v relax=%v exact=%v nodes=%d probes=%d)",
+						inst, got.Value, got.RelaxValue, got.Exact, got.Nodes, got.Probes,
+						want.Value, want.RelaxValue, want.Exact, want.Nodes, want.Probes)
 				}
 				if !reflect.DeepEqual(got.Schedule, want.Schedule) {
 					t.Fatalf("instance %d: schedules differ:\nfast: %+v\nreference: %+v",
 						inst, got.Schedule, want.Schedule)
 				}
+				if !reflect.DeepEqual(got.Extras, want.Extras) {
+					t.Fatalf("instance %d: pooled extras differ:\nfast: %+v\nreference: %+v",
+						inst, got.Extras, want.Extras)
+				}
+				if !got.Exact {
+					truncated++
+				}
+			}
+			if tc.budget > 0 && truncated == 0 {
+				t.Fatalf("budget %d truncated none of the searches", tc.budget)
 			}
 		})
 	}

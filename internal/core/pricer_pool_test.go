@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -76,4 +77,49 @@ func TestPooledPricerConcurrentRace(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestPricerSeedScratchPerNetwork prices two networks alternately with
+// two pricers, one network each, as the cells of a multi-cell host do,
+// and requires no more allocations per call than each pricer pricing
+// its network alone: the greedy seed's probe solver and node maps live
+// in each pricer's pooled state, keyed on its network, so alternating
+// networks rebuilds neither.
+func TestPricerSeedScratchPerNetwork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(53))
+	type cell struct {
+		nw     *netmodel.Network
+		lambda [][]float64
+	}
+	var cells [2]cell
+	for i := range cells {
+		nw := servableNetwork(rng, 8, 2)
+		hp, lp := pricingDuals(rng, nw.NumLinks())
+		cells[i] = cell{nw, [][]float64{hp, lp}}
+	}
+	price := func(p *BranchBoundPricer, c cell) {
+		if _, err := p.Price(c.nw, c.lambda); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A collection empties sync.Pools, which would charge a rebuild to
+	// whichever measurement it fell in.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var alone float64
+	for _, c := range cells {
+		p := NewBranchBoundPricer(5000)
+		alone += testing.AllocsPerRun(20, func() { price(p, c) })
+	}
+	pa, pb := NewBranchBoundPricer(5000), NewBranchBoundPricer(5000)
+	alternating := testing.AllocsPerRun(20, func() {
+		price(pa, cells[0])
+		price(pb, cells[1])
+	})
+	if alternating > alone {
+		t.Fatalf("two pricers alternating over two networks allocate %v per pair of calls, each alone %v", alternating, alone)
+	}
+	t.Logf("%v allocations per pair of calls, alternating or alone", alternating)
 }

@@ -12,29 +12,38 @@ import "math"
 // MinPowersAssigned), the solver maintains a bordered LU factorization
 // of the committed pattern's matrix: Push appends one row/column to
 // the factors in O(m²), Pop truncates them in O(1), and Probe answers
-// the bordered system for a tentative extra link.
+// the bordered system for a tentative extra link. ProbeDown answers
+// the levels of one (link, channel) from the highest down, on one
+// border, and stops at the first feasible one.
 //
 // The border row of a probe at threshold γ is r = −(γ/h)·gRow, so its
 // row solve is w = (γ/h)·ŵ with ŵ = (−gRow)·U⁻¹ independent of γ, and
 // the bordered solution is p = (b − (γ/h)·ŵ·z)/(1 − (γ/h)·ŵ·y) for
 // the new link and x = x₀ − p·v for the committed ones, where x₀ are
 // the committed pattern's own powers (U⁻¹z) and v = U⁻¹y. Everything
-// but the scalar γ/h is cached, one slot per depth:
+// but the scalar γ/h is cached:
 //
-//   - the border column y = L⁻¹c and its raw gains, keyed on the probed
-//     link and (under PerChannel masking) its channel, with v solved
-//     the first time a probe of that column gets past the new link's
-//     box check;
-//   - the border row ŵ, its raw gains and the scalars ŵ·y and ŵ·z,
-//     keyed on the probed link and channel;
-//   - the committed powers x₀, which Push writes for the extended
-//     pattern as the bordered solution [x₀ − p·v; p] it commits.
+//   - the border column y = L⁻¹c and its raw gains, one vector per
+//     probed link and (under PerChannel masking) channel;
+//   - the border row ŵ, its raw gains and the running sums ŵ·y and
+//     ŵ·z, one vector per probed link and channel;
+//   - v, one slot per depth, solved the first time a probe of that
+//     column at that depth gets past the new link's box check;
+//   - the committed powers x₀, one slot per depth, which Push writes
+//     for the extended pattern as the bordered solution [x₀ − p·v; p]
+//     it commits.
 //
-// A sibling probe — the same link and channel at another level — is
-// therefore rejected in O(1) by the new link's box check or in O(m)
-// by the committed links'; only a probe that passes every box pays
-// the O(m²) SINR verification, and a probe of a new link or channel
-// the O(m²) solves of its slots.
+// The border vectors are prefix-stable: entry j of y, of ŵ and of the
+// running sums reads only committed rows 0..j and the probed (link,
+// channel), so a vector solved at one depth stays valid at a deeper
+// one up to the first row that has since been rewritten, and a probe
+// solves only the entries past that prefix — O(m) per new row. v and
+// x₀ come from back substitution, which reads every row, so they stay
+// per depth.
+//
+// A level of the same link and channel is therefore rejected in O(1)
+// by the new link's box check or in O(m) by the committed links'; only
+// a level that passes every box pays the O(m²) SINR verification.
 //
 // The factorization is unpivoted. For feasible patterns I − F is a
 // nonsingular M-matrix (spectral radius of F below one), for which
@@ -71,53 +80,70 @@ type ProbeSolver struct {
 	b []float64 // committed RHS b_i = γ_i·ρ_i/h_i
 	z []float64 // forward solve L⁻¹·b of the committed system
 
-	// Border caches, one slot per depth, all stamped alike: a Push
-	// writing row r stamps rowGen[r+1] with a fresh push count, and a
-	// slot at depth d is valid only while its stamp still equals
-	// rowGen[d], the stamp of row d−1. Rows below d−1 cannot change
-	// without row d−1 being popped and pushed again, so one stamp
-	// covers them all. Pop and Reset only truncate and stamp nothing.
+	// Every cache entry carries the stamp of the newest row it read: a
+	// Push writing row r stamps rowGen[r+1] with a fresh push count, and
+	// an entry that read rows 0..j is valid only while its stamp still
+	// equals rowGen[j+1]. Rows below j cannot change without row j being
+	// popped and pushed again, so one stamp covers them all, and an
+	// entry valid implies every entry before it in its vector valid.
+	// Pop and Reset only truncate and stamp nothing.
 	rowGen []uint64 // rowGen[r+1] stamps row r; rowGen[0] is the empty pattern
 	pushes uint64
 
-	// Column slot d: y = L⁻¹c (colY) and the raw gains new→committed
-	// (colG) of the (colLink[d], colKey[d]) last probed at depth d, and
-	// v = U⁻¹y (colV) once colVOK[d] is set. None depends on γ; the key
-	// is the channel under PerChannel masking and −1 otherwise.
-	colY, colG, colV []float64
-	colLink, colKey  []int
-	colGen           []uint64
-	colVOK           []bool
+	// Border column vectors, cap entries each, one per (link, key) at
+	// offset (link·colKeys + key)·cap: y = L⁻¹c (colY) and the raw gains
+	// new→committed (colG), entry j stamped in colStamp. None depends
+	// on γ; the key is the channel under PerChannel masking and 0
+	// otherwise (colKeys is 1).
+	colKeys    int
+	colY, colG []float64
+	colStamp   []uint64
 
-	// Row slot d: ŵ (rowW), the raw gains committed→new (rowG) and the
-	// scalars ŵ·y (rowWY) and ŵ·z (rowWZ) of the (rowLink[d],
-	// rowChan[d]) last probed at depth d. The row is solved after the
-	// column, and y is a function of the same link, channel and
-	// committed rows, so ŵ·y stays valid exactly as long as ŵ does.
+	// Border row vectors, one per (link, channel) at offset
+	// (link·channels + channel)·cap: ŵ (rowW), the raw gains
+	// committed→new (rowG) and the running sums ŵ·y (rowWY) and ŵ·z
+	// (rowWZ) over entries 0..j, entry j stamped in rowStamp. The row is
+	// solved after the column, and y_j reads the same rows as ŵ_j, so
+	// the sums stay valid exactly as long as ŵ does.
 	rowW, rowG   []float64
 	rowWY, rowWZ []float64
-	rowLink      []int
-	rowChan      []int
 	rowStamp     []uint64
+
+	// colOff and rowOff locate the current border's column and row
+	// vectors, set by border. They are offsets, not slices, so pointing
+	// them at another vector writes no pointer.
+	colOff, rowOff int
+
+	// Slot d of colV holds v = U⁻¹y at depth d for the column vector at
+	// offset vCol[d], valid while vGen[d] equals rowGen[d].
+	colV []float64
+	vCol []int
+	vGen []uint64
 
 	// x0[d·cap:] holds x₀, the committed powers of the depth-d pattern
 	// ((cap+1) slots). Push writes depth m+1's from depth m's, so slot d
 	// is valid exactly as long as the rows below d.
 	x0 []float64
 
-	// Probe scratch: views of the current depth's slots, and the
-	// bordered power vector of the last probe that reached the boxes.
-	y, gCol, gRow, wh []float64
-	x                 []float64
+	// x is the bordered power vector of the last probe that reached the
+	// committed links' boxes.
+	x []float64
 }
 
 // NewProbeSolver returns an empty solver for patterns of at most
-// capacity links over the given immutable network.
+// capacity links over the given immutable network. Its border caches
+// hold links × channels × capacity entries.
 func NewProbeSolver(nw *Network, capacity int) *ProbeSolver {
 	if capacity < 1 {
 		capacity = 1
 	}
+	colKeys := 1
+	if nw.Interference == PerChannel {
+		colKeys = nw.NumChannels
+	}
 	sq := capacity * capacity
+	cols := nw.NumLinks() * colKeys * capacity
+	rows := nw.NumLinks() * nw.NumChannels * capacity
 	return &ProbeSolver{
 		nw:       nw,
 		cap:      capacity,
@@ -130,20 +156,18 @@ func NewProbeSolver(nw *Network, capacity int) *ProbeSolver {
 		b:        make([]float64, 0, capacity),
 		z:        make([]float64, 0, capacity),
 		rowGen:   make([]uint64, capacity+1),
-		colY:     make([]float64, sq),
-		colG:     make([]float64, sq),
+		colKeys:  colKeys,
+		colY:     make([]float64, cols),
+		colG:     make([]float64, cols),
+		colStamp: make([]uint64, cols),
+		rowW:     make([]float64, rows),
+		rowG:     make([]float64, rows),
+		rowWY:    make([]float64, rows),
+		rowWZ:    make([]float64, rows),
+		rowStamp: make([]uint64, rows),
 		colV:     make([]float64, sq),
-		colLink:  make([]int, capacity),
-		colKey:   make([]int, capacity),
-		colGen:   make([]uint64, capacity),
-		colVOK:   make([]bool, capacity),
-		rowW:     make([]float64, sq),
-		rowG:     make([]float64, sq),
-		rowWY:    make([]float64, capacity),
-		rowWZ:    make([]float64, capacity),
-		rowLink:  make([]int, capacity),
-		rowChan:  make([]int, capacity),
-		rowStamp: make([]uint64, capacity),
+		vCol:     make([]int, capacity),
+		vGen:     make([]uint64, capacity),
 		x0:       make([]float64, sq+capacity),
 		x:        make([]float64, capacity),
 	}
@@ -180,23 +204,51 @@ func (s *ProbeSolver) interferes(tk, vk int) bool {
 // channel k at SINR threshold gamma admits powers within [0, PMax].
 // The committed factorization is untouched; a subsequent
 // Push(link, k, gamma) commits the extension in O(m) from the caches
-// this probe filled.
+// this probe filled. It is ProbeDown's one-level case.
 func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
+	g := [1]float64{gamma}
+	return s.ProbeDown(link, k, g[:], 0, 0) == 0
+}
+
+// ProbeDown asks Probe's question for link on channel k at thresholds
+// gammas[hi], gammas[hi−1], …, gammas[lo] in turn and returns the
+// first level whose extension is feasible, or lo−1 if none is. Each
+// answer is the one Probe gives for that threshold; the border is
+// solved once, for the first level that passes the new link's
+// interference-free power cap, and every level after it only rescales
+// it by its γ/h.
+func (s *ProbeSolver) ProbeDown(link, k int, gammas []float64, hi, lo int) int {
+	nw := s.nw
+	h := nw.Gains.Direct[link][k]
+	if h <= 0 || s.m >= s.cap {
+		// No direct gain makes every threshold unreachable; a full
+		// solver has no room (callers size for the worst case).
+		return lo - 1
+	}
+	bordered := false
+	for q := hi; q >= lo; q-- {
+		gamma := gammas[q]
+		bNew := gamma * nw.Noise[link] / h
+		if bNew > nw.PMax*(1+1e-9) {
+			continue // even interference-free power exceeds the cap
+		}
+		if !bordered {
+			s.border(link, k)
+			bordered = true
+		}
+		if s.feasible(link, k, h, gamma, bNew) {
+			return q
+		}
+	}
+	return lo - 1
+}
+
+// feasible answers one level on the current border: link on channel k
+// (direct gain h) at threshold gamma, whose interference-free power
+// bNew is within the cap.
+func (s *ProbeSolver) feasible(link, k int, h, gamma, bNew float64) bool {
 	nw := s.nw
 	m := s.m
-	h := nw.Gains.Direct[link][k]
-	if h <= 0 {
-		return false // no direct gain: threshold unreachable
-	}
-	bNew := gamma * nw.Noise[link] / h
-	if bNew > nw.PMax*(1+1e-9) {
-		return false // even interference-free power exceeds the cap
-	}
-	if m >= s.cap {
-		return false // capacity exhausted (callers size for the worst case)
-	}
-
-	s.border(link, k)
 	u, zNew := s.pivot(gamma, h, bNew)
 	if math.Abs(u) < 1e-9 {
 		// Near-singular border: defer to the pivoted reference solve
@@ -213,27 +265,30 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 	}
 	x0 := s.x0[m*s.cap : m*s.cap+m]
 	v := s.columnV()
+	x := s.x[:m]
 	for i := 0; i < m; i++ {
 		xi := x0[i] - p*v[i]
 		if xi < -1e-9 || xi > nw.PMax*(1+1e-7) {
 			return false
 		}
-		s.x[i] = xi
+		x[i] = xi
 	}
 
 	// Clamp and verify the SINR thresholds exactly as the reference
 	// solve does: roundoff never certifies a violating vector.
 	pc := clamp01(p, nw.PMax)
 	for i := 0; i < m; i++ {
-		s.x[i] = clamp01(s.x[i], nw.PMax)
+		x[i] = clamp01(x[i], nw.PMax)
 	}
+	_, gCol := s.borderCol()
+	_, gRow := s.borderRow()
 	for i := 0; i < m; i++ {
 		row := s.g[i*s.cap:]
-		signal := row[i] * s.x[i]
-		interference := s.gCol[i] * pc
+		signal := row[i] * x[i]
+		interference := gCol[i] * pc
 		for j := 0; j < m; j++ {
 			if j != i {
-				interference += row[j] * s.x[j]
+				interference += row[j] * x[j]
 			}
 		}
 		if signal < s.gammas[i]*(1-1e-6)*(s.noise(i)+interference) {
@@ -242,103 +297,129 @@ func (s *ProbeSolver) Probe(link, k int, gamma float64) bool {
 	}
 	var newInterf float64
 	for j := 0; j < m; j++ {
-		newInterf += s.gRow[j] * s.x[j]
+		newInterf += gRow[j] * x[j]
 	}
 	return h*pc >= gamma*(1-1e-6)*(nw.Noise[link]+newInterf)
 }
 
 // pivot returns the bordered pivot u = 1 − (γ/h)·ŵ·y and the new
 // entry zNew = bNew − (γ/h)·ŵ·z of the forward-solved right-hand side,
-// from the current depth's row slot. Probe and Push share it, so a
-// committed row is the same bits whichever path filled the slot.
+// from the current border's row sums. Probe and Push share it, so a
+// committed row is the same bits whichever path filled the caches.
 func (s *ProbeSolver) pivot(gamma, h, bNew float64) (u, zNew float64) {
+	var wy, wz float64
+	if s.m > 0 {
+		wy, wz = s.rowWY[s.rowOff+s.m-1], s.rowWZ[s.rowOff+s.m-1]
+	}
 	sc := gamma / h
-	return 1 - sc*s.rowWY[s.m], bNew - sc*s.rowWZ[s.m]
+	return 1 - sc*wy, bNew - sc*wz
 }
 
-// border points y, gCol, gRow and wh at the current depth's slots for
-// link on channel k, solving whichever slot does not already hold
-// them: the column y = L⁻¹c with its raw gains gCol, then the row
-// ŵ = (−gRow)·U⁻¹ with its raw gains gRow and the scalars ŵ·y, ŵ·z.
+// borderCol returns the current border's column y = L⁻¹c and its raw
+// gains new→committed, over the committed rows.
+func (s *ProbeSolver) borderCol() (y, gCol []float64) {
+	o := s.colOff
+	return s.colY[o : o+s.m], s.colG[o : o+s.m]
+}
+
+// borderRow returns the current border's row ŵ and its raw gains
+// committed→new, over the committed rows.
+func (s *ProbeSolver) borderRow() (wh, gRow []float64) {
+	o := s.rowOff
+	return s.rowW[o : o+s.m], s.rowG[o : o+s.m]
+}
+
+// validPrefix returns how many leading entries of the stamped vector
+// are still valid at depth m. Validity is prefix-closed, so the scan
+// runs down from the top and stops at the first valid entry: a hit
+// costs O(1) and a miss as many steps as entries to re-solve.
+func (s *ProbeSolver) validPrefix(stamp []uint64, m int) int {
+	for m > 0 && stamp[m-1] != s.rowGen[m] {
+		m--
+	}
+	return m
+}
+
+// border points colOff and rowOff at link's vectors on channel k and
+// solves whichever of their entries are stale at the current depth:
+// the column y = L⁻¹c with its raw gains, then the row
+// ŵ = (−gRow)·U⁻¹ with its raw gains and the running sums ŵ·y, ŵ·z.
 func (s *ProbeSolver) border(link, k int) {
 	m := s.m
-	off := m * s.cap
-	s.y = s.colY[off : off+m]
-	s.gCol = s.colG[off : off+m]
-	s.gRow = s.rowG[off : off+m]
-	s.wh = s.rowW[off : off+m]
-	key := k
-	if s.nw.Interference != PerChannel {
-		key = -1 // the column never depends on the channel
+	key := 0
+	if s.colKeys > 1 {
+		key = k // the column depends on the channel only through masking
 	}
+	s.colOff = (link*s.colKeys + key) * s.cap
+	s.rowOff = (link*s.nw.NumChannels + k) * s.cap
 	cross := s.nw.Gains.Cross
-	stamp := s.rowGen[m]
-	if s.colLink[m] != link || s.colKey[m] != key || s.colGen[m] != stamp {
-		// Border column c (new variable in committed rows), forward
-		// solved: y ← L⁻¹c.
-		for j := 0; j < m; j++ {
-			lj, kj := s.links[j], s.chans[j]
-			var gij float64 // new→row j
-			if s.interferes(k, kj) {
-				gij = cross[link][lj][kj]
-			}
-			s.gCol[j] = gij
-			// c_j lives in row j: scaled by row j's −γ_j/h_j.
-			s.y[j] = -s.gammas[j] * gij / s.g[j*s.cap+j]
+	o := s.colOff
+	y, gCol, colStamp := s.colY[o:o+m], s.colG[o:o+m], s.colStamp[o:o+m]
+	for j := s.validPrefix(colStamp, m); j < m; j++ {
+		// Entry j of the border column c (new variable in committed
+		// rows), forward solved: y_j ← c_j − Σ_{i<j} L_ji·y_i.
+		lj, kj := s.links[j], s.chans[j]
+		var gij float64 // new→row j
+		if s.interferes(k, kj) {
+			gij = cross[link][lj][kj]
 		}
-		for i := 0; i < m; i++ {
-			v := s.y[i]
-			row := s.lu[i*s.cap:]
-			for j := 0; j < i; j++ {
-				v -= row[j] * s.y[j]
-			}
-			s.y[i] = v
+		gCol[j] = gij
+		// c_j lives in row j: scaled by row j's −γ_j/h_j.
+		v := -s.gammas[j] * gij / s.g[j*s.cap+j]
+		row := s.lu[j*s.cap:]
+		for i := 0; i < j; i++ {
+			v -= row[i] * y[i]
 		}
-		s.colLink[m], s.colKey[m], s.colGen[m] = link, key, stamp
-		s.colVOK[m] = false
+		y[j] = v
+		colStamp[j] = s.rowGen[j+1]
 	}
-	if s.rowLink[m] != link || s.rowChan[m] != k || s.rowStamp[m] != stamp {
-		// Border row r = −(γ/h)·gRow (committed variables in the new
-		// row) without its γ/h: ŵ ← (−gRow)·U⁻¹, solved on the
-		// transpose, with ŵ·y and ŵ·z alongside.
-		var wy, wz float64
-		for j := 0; j < m; j++ {
-			lj, kj := s.links[j], s.chans[j]
-			var gji float64 // column j→new
-			if s.interferes(kj, k) {
-				gji = cross[lj][link][k]
-			}
-			s.gRow[j] = gji
-			v := -gji
-			col := s.ut[j*s.cap:]
-			for i := 0; i < j; i++ {
-				v -= s.wh[i] * col[i]
-			}
-			v /= col[j]
-			s.wh[j] = v
-			wy += v * s.y[j]
-			wz += v * s.z[j]
+	o = s.rowOff
+	wh, gRow, rowStamp := s.rowW[o:o+m], s.rowG[o:o+m], s.rowStamp[o:o+m]
+	wys, wzs := s.rowWY[o:o+m], s.rowWZ[o:o+m]
+	for j := s.validPrefix(rowStamp, m); j < m; j++ {
+		// Entry j of the border row r = −(γ/h)·gRow (committed
+		// variables in the new row) without its γ/h: ŵ ← (−gRow)·U⁻¹,
+		// solved on the transpose, with the sums ŵ·y and ŵ·z carried
+		// on from entry j−1.
+		lj, kj := s.links[j], s.chans[j]
+		var gji float64 // column j→new
+		if s.interferes(kj, k) {
+			gji = cross[lj][link][k]
 		}
-		s.rowWY[m], s.rowWZ[m] = wy, wz
-		s.rowLink[m], s.rowChan[m], s.rowStamp[m] = link, k, stamp
+		gRow[j] = gji
+		v := -gji
+		col := s.ut[j*s.cap:]
+		for i := 0; i < j; i++ {
+			v -= wh[i] * col[i]
+		}
+		v /= col[j]
+		wh[j] = v
+		var wy, wz float64
+		if j > 0 {
+			wy, wz = wys[j-1], wzs[j-1]
+		}
+		wys[j] = wy + v*y[j]
+		wzs[j] = wz + v*s.z[j]
+		rowStamp[j] = s.rowGen[j+1]
 	}
 }
 
-// columnV returns v = U⁻¹y for the current depth's column slot,
-// back-solving it the first time it is asked for.
+// columnV returns v = U⁻¹y for the current border's column at the
+// current depth, back-solving it the first time it is asked for.
 func (s *ProbeSolver) columnV() []float64 {
 	m := s.m
 	v := s.colV[m*s.cap : m*s.cap+m]
-	if !s.colVOK[m] {
+	if s.vCol[m] != s.colOff || s.vGen[m] != s.rowGen[m] {
+		y, _ := s.borderCol()
 		for i := m - 1; i >= 0; i-- {
-			vi := s.y[i]
+			vi := y[i]
 			row := s.lu[i*s.cap:]
 			for j := i + 1; j < m; j++ {
 				vi -= row[j] * v[j]
 			}
 			v[i] = vi / row[i]
 		}
-		s.colVOK[m] = true
+		s.vCol[m], s.vGen[m] = s.colOff, s.rowGen[m]
 	}
 	return v
 }
@@ -372,19 +453,17 @@ func (s *ProbeSolver) probeReference(link, k int, gamma float64) bool {
 }
 
 // Push commits link on channel k at threshold gamma as the new last
-// row/column of the factors, from the depth's border slots: after a
-// Probe of the same link and channel that reached the committed
-// links' box check they are already filled and the commit is O(m);
-// otherwise — the caller probed other alternatives before choosing,
-// or the probe stopped earlier — the missing ones are solved first,
-// without the feasibility checks: the caller vouches that the
-// extension is feasible, and probes on top of a degenerate row still
-// verify every SINR threshold and fall back to the reference solve
-// when their own pivot is too small. The L row is (γ/h)·ŵ, the pivot
-// and z entry come from pivot, and the extended pattern's powers are
-// the bordered solution [x₀ − p·v; p]; each slot depends only on the
-// rows before it and its own (link, k), so both ways produce
-// bit-identical factors and powers.
+// row/column of the factors, from the border caches: after a probe of
+// the same link and channel that reached the committed links' box
+// check they are already filled and the commit is O(m); otherwise the
+// stale entries are solved first, without the feasibility checks: the
+// caller vouches that the extension is feasible, and probes on top of
+// a degenerate row still verify every SINR threshold and fall back to
+// the reference solve when their own pivot is too small. The L row is
+// (γ/h)·ŵ, the pivot and z entry come from pivot, and the extended
+// pattern's powers are the bordered solution [x₀ − p·v; p]; each cache
+// entry depends only on the rows it read and its own (link, k), so
+// both ways produce bit-identical factors and powers.
 func (s *ProbeSolver) Push(link, k int, gamma float64) {
 	h := s.nw.Gains.Direct[link][k]
 	s.border(link, k)
@@ -392,15 +471,17 @@ func (s *ProbeSolver) Push(link, k int, gamma float64) {
 	u, zNew := s.pivot(gamma, h, bNew)
 	sc := gamma / h
 	m := s.m
+	y, gCol := s.borderCol()
+	wh, gRow := s.borderRow()
 	row := s.lu[m*s.cap:]
 	urow := s.ut[m*s.cap:]
 	grow := s.g[m*s.cap:]
 	for j := 0; j < m; j++ {
-		row[j] = sc * s.wh[j]      // L entries of the new row
-		s.lu[j*s.cap+m] = s.y[j]   // U entries of the new column
-		urow[j] = s.y[j]           // ... and of the transposed copy
-		grow[j] = s.gRow[j]        // raw gains committed→new receiver
-		s.g[j*s.cap+m] = s.gCol[j] // raw gains new→committed receivers
+		row[j] = sc * wh[j]      // L entries of the new row
+		s.lu[j*s.cap+m] = y[j]   // U entries of the new column
+		urow[j] = y[j]           // ... and of the transposed copy
+		grow[j] = gRow[j]        // raw gains committed→new receiver
+		s.g[j*s.cap+m] = gCol[j] // raw gains new→committed receivers
 	}
 	row[m] = u
 	urow[m] = u
@@ -419,7 +500,7 @@ func (s *ProbeSolver) Push(link, k int, gamma float64) {
 	s.z = append(s.z, zNew)
 	s.m++
 	s.pushes++
-	s.rowGen[m+1] = s.pushes // row m changed: deeper slots are stale
+	s.rowGen[m+1] = s.pushes // row m changed: entries that read it are stale
 }
 
 // Pop removes the most recently committed link. The factors of the

@@ -286,6 +286,49 @@ func (w *reuseWalk) probe(l, k int, g float64) (got, refAnswered bool) {
 	return got, refAnswered
 }
 
+// probeDown sweeps link l on channel k from level hi down to lo with
+// ProbeDown and checks the answer against a per-level Probe sequence on
+// a fresh replay: the same first feasible level, and the same border
+// vectors and power vector, bit for bit.
+func (w *reuseWalk) probeDown(l, k, hi, lo int) int {
+	w.tb.Helper()
+	ps, m, gammas := w.ps, len(w.stack), w.nw.Rates.Gammas
+	got := ps.ProbeDown(l, k, gammas, hi, lo)
+	fresh := w.replay()
+	want, reached := lo-1, false
+	for q := hi; q >= lo; q-- {
+		reached = reached || borderReached(w.nw, l, k, gammas[q], m)
+		if fresh.Probe(l, k, gammas[q]) {
+			want = q
+			break
+		}
+	}
+	if got != want {
+		w.tb.Fatalf("ProbeDown(%d,%d,%d..%d) = %d, per-level Probe on a fresh replay = %d, stack %v", l, k, hi, lo, got, want, w.stack)
+	}
+	if !reached {
+		return got
+	}
+	if what := borderDiff(ps, fresh); what != "" {
+		w.tb.Fatalf("ProbeDown(%d,%d,%d..%d): %s differs from a fresh replay, stack %v", l, k, hi, lo, what, w.stack)
+	}
+	if got >= lo && !referenceAnswered(ps, l, k, gammas[got]) && !sameBits(ps.x[:m], fresh.x[:m]) {
+		w.tb.Fatalf("ProbeDown(%d,%d,%d..%d): power vector differs from a fresh replay, stack %v", l, k, hi, lo, w.stack)
+	}
+	return got
+}
+
+// firstFeasible returns the reference verdict's highest feasible level
+// in [lo, hi] for (l, k) on top of the committed pattern, or lo−1.
+func (w *reuseWalk) firstFeasible(l, k, hi, lo int) int {
+	for q := hi; q >= lo; q-- {
+		if w.feasibleWith(l, k, w.nw.Rates.Gammas[q]) {
+			return q
+		}
+	}
+	return lo - 1
+}
+
 // push commits (l, k, g) and checks the factors against a fresh replay.
 func (w *reuseWalk) push(l, k int, g float64) {
 	w.tb.Helper()
@@ -335,23 +378,32 @@ func referenceAnswered(ps *ProbeSolver, link, k int, gamma float64) bool {
 	return math.Abs(u) < 1e-9
 }
 
-// borderDiff compares the border slots ps used for its last probe at
+// borderDiff compares the border vectors ps used for its last probe at
 // its current depth with those of fresh, a solver holding the same
 // committed pattern that has just answered the same probe, and names
-// the first entry that differs in any bit ("" if none). The lazily
-// solved v = U⁻¹y is compared whenever ps holds it valid, solving it
-// in fresh on demand, so a cache kept past its invalidation shows here
-// even if no verdict moves.
+// the first entry that differs in any bit ("" if none). The border
+// vectors are compared over every committed row, so an entry kept past
+// its invalidation, or a running sum not carried on from its prefix,
+// shows here even if no verdict moves. The lazily solved v = U⁻¹y is
+// compared whenever ps holds it valid, solving it in fresh on demand.
 func borderDiff(ps, fresh *ProbeSolver) string {
 	m := ps.m
+	y, gCol := ps.borderCol()
+	fy, fgCol := fresh.borderCol()
+	wh, gRow := ps.borderRow()
+	fwh, fgRow := fresh.borderRow()
+	sums := func(s *ProbeSolver) []float64 {
+		o := s.rowOff
+		return append(append([]float64(nil), s.rowWY[o:o+m]...), s.rowWZ[o:o+m]...)
+	}
 	switch {
-	case !sameBits(ps.y, fresh.y) || !sameBits(ps.gCol, fresh.gCol):
+	case !sameBits(y, fy) || !sameBits(gCol, fgCol):
 		return "border column y = L⁻¹c"
-	case !sameBits(ps.wh, fresh.wh) || !sameBits(ps.gRow, fresh.gRow):
+	case !sameBits(wh, fwh) || !sameBits(gRow, fgRow):
 		return "border row ŵ"
-	case !sameBits([]float64{ps.rowWY[m], ps.rowWZ[m]}, []float64{fresh.rowWY[m], fresh.rowWZ[m]}):
-		return "ŵ·y or ŵ·z"
-	case ps.colVOK[m] && !sameBits(ps.colV[m*ps.cap:m*ps.cap+m], fresh.columnV()):
+	case !sameBits(sums(ps), sums(fresh)):
+		return "running sums ŵ·y or ŵ·z"
+	case ps.vCol[m] == ps.colOff && ps.vGen[m] == ps.rowGen[m] && !sameBits(ps.colV[m*ps.cap:m*ps.cap+m], fresh.columnV()):
 		return "v = U⁻¹y"
 	case !sameBits(ps.x0[m*ps.cap:m*ps.cap+m], fresh.x0[m*fresh.cap:m*fresh.cap+m]):
 		return "committed powers x₀"
@@ -360,8 +412,9 @@ func borderDiff(ps, fresh *ProbeSolver) string {
 }
 
 // TestProbeSolverBorderReuseBitExact walks one ProbeSolver (a
-// reuseWalk) through a seeded random sequence of Probe, Push (after a
-// matching probe, and cold — committing an alternative probed
+// reuseWalk) through a seeded random sequence of Probe, ProbeDown over
+// a random band of levels, Push (after a matching probe, at a level
+// below a sweep's answer, and cold — committing an alternative probed
 // earlier), Pop and Reset, holding it to fresh replays bit for bit and
 // every verdict to the reference solve. The walk reuses cached border
 // slots across sibling probes and, through nearSingularNetwork,
@@ -380,7 +433,7 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 		{"per-channel/multi-channel", PerChannel, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var reused, referenced, referencePushed int
+			var reused, referenced, referencePushed, swept, sweptBelow int
 			for inst := 0; inst < 6; inst++ {
 				nw := nearSingularNetwork(rng, tc.model, tc.multi)
 				w := newReuseWalk(t, nw)
@@ -430,6 +483,31 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 					if !w.free(l, k) {
 						continue
 					}
+					if rng.Intn(4) == 0 {
+						// Level sweep over a random band, committing the
+						// first feasible level or one below it.
+						hi := rng.Intn(nw.Rates.Levels())
+						lo := rng.Intn(hi + 1)
+						q := w.probeDown(l, k, hi, lo)
+						if want := w.firstFeasible(l, k, hi, lo); q != want {
+							t.Fatalf("instance %d step %d: ProbeDown(%d,%d,%d..%d) = %d, reference first feasible level %d", inst, step, l, k, hi, lo, q, want)
+						}
+						swept++
+						last, lastDepth = probeEntry{l, k, nw.Rates.Gammas[hi]}, len(w.stack)
+						if q < lo || rng.Intn(2) == 0 {
+							continue
+						}
+						if q2 := lo + rng.Intn(q-lo+1); q2 < q {
+							// A level below a feasible one is feasible too.
+							if !w.feasibleWith(l, k, nw.Rates.Gammas[q2]) {
+								t.Fatalf("instance %d step %d: (%d,%d) feasible at level %d but not at %d", inst, step, l, k, q, q2)
+							}
+							q, sweptBelow = q2, sweptBelow+1
+						}
+						w.push(l, k, nw.Rates.Gammas[q])
+						last, lastDepth = probeEntry{}, -1
+						continue
+					}
 					if lastDepth == len(w.stack) && l == last.l && (tc.model == Global || k == last.k) {
 						reused++
 					}
@@ -453,11 +531,12 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 					}
 				}
 			}
-			if reused == 0 || referenced == 0 || referencePushed == 0 {
-				t.Fatalf("walk missed a path: %d sibling probes, %d reference-answered probes, %d of them committed",
-					reused, referenced, referencePushed)
+			if reused == 0 || referenced == 0 || referencePushed == 0 || swept == 0 || sweptBelow == 0 {
+				t.Fatalf("walk missed a path: %d sibling probes, %d reference-answered probes, %d of them committed, %d level sweeps, %d commits below a sweep's answer",
+					reused, referenced, referencePushed, swept, sweptBelow)
 			}
-			t.Logf("%d sibling probes, %d reference-answered probes, %d of them committed", reused, referenced, referencePushed)
+			t.Logf("%d sibling probes, %d reference-answered probes, %d of them committed, %d level sweeps, %d commits below a sweep's answer",
+				reused, referenced, referencePushed, swept, sweptBelow)
 		})
 	}
 }
@@ -466,11 +545,16 @@ func TestProbeSolverBorderReuseBitExact(t *testing.T) {
 // node, every free link on every channel at every level from the
 // highest down, descending into a random subset of the feasible
 // extensions (Push, recurse, Pop) before the sweep goes on, so the
-// probes after a Pop reuse the border slots the subtree left behind.
-// Every verdict must equal FeasibleAssigned on the same pattern, and
-// every probe a fresh replay bit for bit. The sweep must see border
-// row reuse (consecutive probes of one link and channel at one depth),
-// rejections, acceptances and probes that follow a Push/Pop.
+// probes after a Pop reuse the border vectors the subtree left behind.
+// Half the nodes ask level by level with Probe; the other half ask
+// ProbeDown once per (link, channel) and take every level below its
+// answer as feasible without probing it, committing those levels cold
+// after the subtree of the level above has popped. Every verdict must
+// equal FeasibleAssigned on the same pattern, and every probe and sweep
+// a fresh replay bit for bit. The sweep must see border row reuse
+// (consecutive probes of one link and channel at one depth),
+// rejections, acceptances, probes that follow a Push/Pop, and levels
+// taken as feasible below a ProbeDown answer.
 func TestProbeSolverLevelSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {
@@ -484,16 +568,33 @@ func TestProbeSolverLevelSweep(t *testing.T) {
 		{"per-channel/multi-channel", PerChannel, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var probes, rowReused, accepted, afterPop int
+			var probes, rowReused, accepted, afterPop, sweeps, implied int
 			for inst := 0; inst < 4; inst++ {
 				nw := randomNetwork(rng, 7, 3)
 				nw.Interference = tc.model
 				nw.MultiChannel = tc.multi
 				w := newReuseWalk(t, nw)
+				top := nw.Rates.Levels() - 1
 				nodes := 0
 				var dfs func(first int)
+				// descend commits (l, k) at level q and explores below it
+				// for a random third of the feasible extensions.
+				descend := func(l, k, q int) bool {
+					if nodes >= 400 || rng.Intn(3) != 0 {
+						return false
+					}
+					next := l + 1
+					if tc.multi {
+						next = l
+					}
+					w.push(l, k, nw.Rates.Gammas[q])
+					dfs(next)
+					w.pop()
+					return true
+				}
 				dfs = func(first int) {
 					nodes++
+					sweep := rng.Intn(2) == 0
 					var last probeEntry
 					popped := false
 					for l := first; l < nw.NumLinks(); l++ {
@@ -501,7 +602,27 @@ func TestProbeSolverLevelSweep(t *testing.T) {
 							if !w.free(l, k) {
 								continue
 							}
-							for q := nw.Rates.Levels() - 1; q >= 0; q-- {
+							if sweep {
+								sweeps++
+								q := w.probeDown(l, k, top, 0)
+								if want := w.firstFeasible(l, k, top, 0); q != want {
+									t.Fatalf("instance %d: ProbeDown(%d,%d) = %d, reference first feasible level %d, stack %v",
+										inst, l, k, q, want, w.stack)
+								}
+								for lev := q; lev >= 0; lev-- {
+									if lev < q {
+										implied++
+										if !w.feasibleWith(l, k, nw.Rates.Gammas[lev]) {
+											t.Fatalf("instance %d: (%d,%d) feasible at level %d but not at %d, stack %v",
+												inst, l, k, q, lev, w.stack)
+										}
+									}
+									accepted++
+									descend(l, k, lev)
+								}
+								continue
+							}
+							for q := top; q >= 0; q-- {
 								g := nw.Rates.Gammas[q]
 								if last.l == l && last.k == k && last.g != 0 {
 									rowReused++
@@ -521,14 +642,7 @@ func TestProbeSolverLevelSweep(t *testing.T) {
 									continue
 								}
 								accepted++
-								if nodes < 400 && rng.Intn(3) == 0 {
-									next := l + 1
-									if tc.multi {
-										next = l
-									}
-									w.push(l, k, g)
-									dfs(next)
-									w.pop()
+								if descend(l, k, q) {
 									popped = true
 								}
 							}
@@ -540,17 +654,108 @@ func TestProbeSolverLevelSweep(t *testing.T) {
 					t.Fatalf("sweep left %d links committed", len(w.stack))
 				}
 			}
-			if rowReused == 0 || accepted == 0 || accepted == probes || afterPop == 0 {
-				t.Fatalf("sweep missed a path: %d probes, %d reusing the border row, %d accepted, %d after a Pop",
-					probes, rowReused, accepted, afterPop)
+			if rowReused == 0 || accepted == 0 || accepted == probes || afterPop == 0 || sweeps == 0 || implied == 0 {
+				t.Fatalf("sweep missed a path: %d probes, %d reusing the border row, %d accepted, %d after a Pop, %d ProbeDown sweeps, %d levels below their answers",
+					probes, rowReused, accepted, afterPop, sweeps, implied)
 			}
-			t.Logf("%d probes, %d reusing the border row, %d accepted, %d after a Pop", probes, rowReused, accepted, afterPop)
+			t.Logf("%d probes, %d reusing the border row, %d accepted, %d after a Pop, %d ProbeDown sweeps, %d levels below their answers",
+				probes, rowReused, accepted, afterPop, sweeps, implied)
 		})
 	}
 }
 
+// TestProbeSolverBorderPrefixReuse checks that a probe extends the
+// border vectors it already holds instead of re-solving them: after a
+// probe of (link, channel) at depth m, entries 0..m−1 of its column and
+// row vectors must survive a Push of another link and a second probe of
+// the same (link, channel) one row deeper, which solves entry m only;
+// a Pop and a Push of a different last row must re-solve that row's
+// entry and nothing below it. The kept entries are overwritten with a
+// sentinel after the first probe, so an entry the solver re-solved — a
+// stamp that no longer matches, a prefix scan that gives up early —
+// shows as a lost sentinel. The bit-exact walks cannot see this: a
+// re-solved entry has the same bits as a kept one.
+func TestProbeSolverBorderPrefixReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	for _, model := range []InterferenceModel{Global, PerChannel} {
+		nw := randomNetwork(rng, 8, 2)
+		nw.Interference = model
+		ps := NewProbeSolver(nw, nw.NumLinks())
+		g := nw.Rates.Gammas[0]
+		// Commit three links on channel 0, keep the rest as spares to
+		// push between the probes of link 0.
+		var spares []int
+		for l := 1; l < nw.NumLinks(); l++ {
+			if ps.Depth() < 3 && ps.Probe(l, 0, g) {
+				ps.Push(l, 0, g)
+			} else {
+				spares = append(spares, l)
+			}
+		}
+		m := ps.Depth()
+		if m < 3 || !borderReached(nw, 0, 0, g, m) {
+			t.Fatalf("%v: committed %d links, want 3 and a reachable border for link 0", model, m)
+		}
+		// vectors returns link 0's border vectors on channel 0 over n rows.
+		vectors := func(n int) [][]float64 {
+			c, r := ps.colOff, ps.rowOff
+			return [][]float64{ps.colY[c : c+n], ps.colG[c : c+n], ps.rowW[r : r+n], ps.rowG[r : r+n], ps.rowWY[r : r+n], ps.rowWZ[r : r+n]}
+		}
+		// kept reports whether entries 0..n−1 all still hold the sentinel.
+		kept := func(n int) bool {
+			for _, v := range vectors(n) {
+				for _, x := range v {
+					if math.Float64bits(x) != math.Float64bits(sentinel) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		pushSpare := func() {
+			for i, l := range spares {
+				if ps.Probe(l, 0, g) {
+					ps.Push(l, 0, g)
+					spares = append(spares[:i], spares[i+1:]...)
+					return
+				}
+			}
+			t.Fatalf("%v: no spare link fits at depth %d", model, ps.Depth())
+		}
+
+		ps.Probe(0, 0, g)
+		for _, v := range vectors(m) {
+			for j := range v {
+				v[j] = sentinel
+			}
+		}
+		pushSpare()
+		ps.Probe(0, 0, g)
+		if !kept(m) {
+			t.Fatalf("%v: a probe one row deeper re-solved entries below row %d", model, m)
+		}
+		if kept(m + 1) {
+			t.Fatalf("%v: a probe one row deeper did not solve entry %d", model, m)
+		}
+		for _, v := range vectors(m + 1) {
+			v[m] = sentinel
+		}
+		ps.Pop()
+		pushSpare()
+		ps.Probe(0, 0, g)
+		if !kept(m) {
+			t.Fatalf("%v: a probe after replacing row %d re-solved the rows below it", model, m)
+		}
+		if kept(m + 1) {
+			t.Fatalf("%v: a probe after replacing row %d kept its stale entry", model, m)
+		}
+	}
+}
+
 // FuzzProbeSolverReuse drives a ProbeSolver with a byte-coded sequence
-// of Probe, Push, Pop and Reset on a fixed network with a near-singular
+// of Probe, ProbeDown (from the coded level down to the lowest), Push,
+// Pop and Reset on a fixed network with a near-singular
 // pair (the reuseWalk of TestProbeSolverBorderReuseBitExact); every
 // probe and commit must agree bit for bit with a fresh solver's replay
 // of the committed pattern. Each op takes two bytes: the first picks
@@ -560,6 +765,7 @@ func TestProbeSolverLevelSweep(t *testing.T) {
 func FuzzProbeSolverReuse(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 9, 1, 9, 0, 17, 2, 0, 0, 3, 3, 0})
 	f.Add([]byte{0, 5, 0, 21, 0, 37, 1, 5, 0, 0, 0, 64, 1, 0, 2, 0, 4, 0, 0, 5})
+	f.Add([]byte{1, 3, 40, 4, 40, 3, 41, 3, 77, 6, 0, 3, 40, 4, 1, 3, 121})
 	models := []struct {
 		model InterferenceModel
 		multi bool
@@ -582,9 +788,13 @@ func FuzzProbeSolverReuse(f *testing.F) {
 			k := (arg / links) % chans
 			g := nw.Rates.Gammas[(arg/(links*chans))%levels]
 			switch ops[i] % 8 {
-			case 0, 1, 2, 3:
+			case 0, 1, 2:
 				if w.free(l, k) {
 					w.probe(l, k, g)
+				}
+			case 3:
+				if w.free(l, k) {
+					w.probeDown(l, k, (arg/(links*chans))%levels, 0)
 				}
 			case 4, 5:
 				if w.free(l, k) && w.feasibleWith(l, k, g) {

@@ -13,13 +13,21 @@
 //     branch on whether a consumer is attached, so plans are
 //     byte-identical with tracing on and off. An attached JSONL sink
 //     does allocate per event.
-//   - Output is deterministic given deterministic inputs. JSONL events
-//     encode through encoding/json from Event's struct tags, which
-//     fix the field order, and the metrics exposition
-//     sorts metric names and formats numbers canonically, so two runs
-//     that observe the same values produce the same bytes (event
-//     timestamps are the one intentionally wall-clock-dependent field;
-//     tests pin them through Tracer.Clock).
+//   - Output is deterministic given deterministic inputs. The metrics
+//     exposition sorts metric names and formats numbers canonically,
+//     so two runs that observe the same values produce the same bytes.
+//     JSONL events encode through encoding/json from Event's struct
+//     tags, which fix the field order, so a trace emitted from one
+//     goroutine (a single solve, a figure campaign at -workers 1) is
+//     the same bytes run after run, apart from the timestamps (the one
+//     intentionally wall-clock-dependent field; tests pin them through
+//     Tracer.Clock) and span.end's n. A trace of a parallel run is not:
+//     sweep workers and concurrently stepping host cells (chaossoak
+//     interleaves its cells even at -workers 1) emit in scheduling
+//     order, and span ids come from one counter in emission order. Two
+//     such traces match only as a multiset of events with t, n and sid
+//     masked, so consumers fold events by span name, never by position
+//     or by sid.
 package obs
 
 import (
